@@ -111,10 +111,11 @@ def _satisfies_axioms(spec: AgeSpec, s: Structure) -> bool:
                     if (u, v) not in tset and (v, u) not in tset:
                         return False
         if "transitive" in flags:
-            for (u, v) in tset:
-                for (v2, w) in tset:
-                    if v2 == v and (u, w) not in tset:
-                        return False
+            succ: dict[int, set] = {}
+            for u, v in tset:
+                succ.setdefault(u, set()).add(v)
+            if any(not succ.get(v, set()) <= vs for vs in succ.values() for v in vs):
+                return False
     return True
 
 

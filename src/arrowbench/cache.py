@@ -1,4 +1,4 @@
-"""Append-only result cache keyed by operation + canonical inputs + params.
+"""Append-only result cache keyed by operation + age + canonical inputs + params.
 
 Caching is off unless ARROWBENCH_CACHE_DIR is set (or a directory is
 passed explicitly); --no-cache bypasses it per run.  Entries are whole
@@ -22,10 +22,11 @@ def cache_dir(explicit: str | None = None) -> str | None:
     return explicit or os.environ.get(ENV_VAR)
 
 
-def cache_key(operation: str, input_codes, params: dict) -> str:
+def cache_key(operation: str, input_codes, params: dict, age: bytes = b"") -> str:
     h = hashlib.sha256()
     h.update(__version__.encode())
     h.update(operation.encode())
+    h.update(b"\x02" + age)
     for code in input_codes:
         h.update(b"\x00")
         h.update(code if isinstance(code, bytes) else str(code).encode())

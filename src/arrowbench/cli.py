@@ -54,6 +54,7 @@ from arrowbench.structures import (
     parse_structure,
     serialize_structure,
 )
+from arrowbench.unions import set_time_budget
 
 EXIT_HOLDS = 0
 EXIT_FAILS = 1
@@ -134,15 +135,29 @@ def _emit(args, doc: dict, exit_code: int, human_lines) -> int:
     return exit_code
 
 
+def _age_key(args) -> bytes:
+    """The --age text (which the report records) plus the canonical age:
+    signature, axiom flags per symbol and the sorted codes of the
+    forbidden structures."""
+    spec = _age_of(args)
+    if spec is None:
+        return b""
+    axioms = ";".join(f"{name}:{','.join(sorted(flags))}"
+                      for (name, _), flags in zip(spec.signature.symbols, spec.axiom_flags()))
+    forbidden = sorted(canonical_form(s) for s in spec.forbidden)
+    return b"\x00".join([args.age.encode(), spec.signature.key().encode(),
+                          axioms.encode(), *forbidden])
+
+
 def _cached_run(args, operation: str, inputs: dict, params: dict, compute):
     """compute() -> (ArrowCertificate, exit_code, human_lines); replays
     from the cache when enabled and hit."""
     directory = None if getattr(args, "no_cache", False) else cache.cache_dir(
         getattr(args, "cache_dir", None))
-    key = cache.cache_key(operation,
-                          [canonical_form(s) for _, s in sorted(inputs.items())],
-                          params)
     if directory:
+        key = cache.cache_key(operation,
+                              [canonical_form(s) for _, s in sorted(inputs.items())],
+                              params, _age_key(args))
         hit = cache.lookup(directory, key)
         if hit is not None:
             import json
@@ -306,7 +321,7 @@ def _cmd_stable_arrow(args):
 
     def compute():
         cert = stable_arrow(c, a, b, zs, spec, args.depth, max_host=args.max_host,
-                            candidate_cap=args.node_budget)
+                            candidate_cap=args.node_budget, node_budget=args.node_budget)
         return cert, _verdict_exit(cert), _summary_lines(
             {"operation": cert.operation, "verdict": cert.verdict,
              "reason": cert.reason, "payload": cert.payload})
@@ -720,17 +735,14 @@ def main(argv=None) -> int:
     if getattr(args, "node_budget", None) is not None and args.node_budget <= 0:
         print("error: --node-budget must be positive", file=sys.stderr)
         return EXIT_USAGE
-    if getattr(args, "time_budget", None) is not None:
-        if args.time_budget <= 0:
-            print("error: --time-budget must be positive", file=sys.stderr)
-            return EXIT_USAGE
-        from arrowbench.unions import set_time_budget
-
-        set_time_budget(args.time_budget)
+    if getattr(args, "time_budget", None) is not None and args.time_budget <= 0:
+        print("error: --time-budget must be positive", file=sys.stderr)
+        return EXIT_USAGE
     if getattr(args, "epsilon", None) is not None:
         if not 0 < args.epsilon <= 1:
             print("error: --epsilon must lie in (0, 1]", file=sys.stderr)
             return EXIT_USAGE
+    set_time_budget(getattr(args, "time_budget", None))
     try:
         return args.func(args)
     except ResourceLimitExceeded as e:
@@ -742,6 +754,8 @@ def main(argv=None) -> int:
     except ArrowbenchError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        set_time_budget(None)
 
 
 if __name__ == "__main__":

@@ -24,7 +24,7 @@ from arrowbench.structures import (
     Embedding,
     Signature,
     Structure,
-    canonical_form,
+    _encode_labeled,
 )
 from arrowbench.unions import Budget, place_parts
 
@@ -79,9 +79,64 @@ def marked_structure(u: Structure, maps) -> Structure:
     return Structure(sig, u.size, tuple(rels))
 
 
+_PATTERN_MEMO: dict[tuple, PatternCode] = {}
+_PATTERN_MEMO_MAX = 1 << 17
+
+
+def _pattern_code(u: Structure, maps) -> PatternCode:
+    """Canonical code of the mark-expanded restriction of u to the union
+    of the map images, computed without a canonical search.
+
+    Every vertex of the union carries at least one mark and each mark
+    sits on one vertex only, so naming a vertex by the first part
+    coordinate mapped onto it is an isomorphism invariant: two inputs
+    with equal keys below have isomorphic marked structures and vice
+    versa.  On a memo miss the marks make the first refinement round of
+    canonical_labeling discrete; ranking the vertices by that round's
+    invariant (their sorted (symbol, positions) occurrences) is then the
+    search's only leaf, so the code is the same bytes canonical_form
+    returns for the marked structure.
+    """
+    names: dict[int, int] = {}
+    coords: list[int] = []
+    for m in maps:
+        for v in m:
+            coords.append(names.setdefault(v, len(names)))
+    inside, rename = names.__contains__, names.__getitem__
+    rels = []
+    for tuples in u.relations:
+        kept = [tuple(map(rename, t)) for t in tuples if all(map(inside, t))]
+        kept.sort()
+        rels.append(tuple(kept))
+    rels = tuple(rels)
+    shape = tuple(len(m) for m in maps)
+    coords = tuple(coords)
+    key = (u.signature, shape, coords, rels)
+    code = _PATTERN_MEMO.get(key)
+    if code is not None:
+        return code
+
+    occ: dict[int, list] = {x: [] for x in names.values()}
+    for si, tuples in enumerate(rels):
+        for t in tuples:
+            for x in set(t):
+                occ[x].append((si, tuple(i for i, y in enumerate(t) if y == x)))
+    for j, x in enumerate(coords, start=len(rels)):
+        occ[x].append((j, (0,)))
+    order = sorted(occ, key=lambda x: sorted(occ[x]))
+    rank = {x: r for r, x in enumerate(order)}
+    code = _encode_labeled(marked_signature(u.signature, shape).key(), len(order),
+                           [[tuple(rank[x] for x in t) for t in tuples] for tuples in rels]
+                           + [[(rank[x],)] for x in coords])
+    if len(_PATTERN_MEMO) >= _PATTERN_MEMO_MAX:
+        _PATTERN_MEMO.clear()
+    _PATTERN_MEMO[key] = code
+    return code
+
+
 def pattern_of(j: JointEmbedding) -> PatternCode:
     """The joint-embedding pattern: canonical code of the marked target."""
-    return canonical_form(marked_structure(j.target, j.maps))
+    return _pattern_code(j.target, j.maps)
 
 
 def pattern_of_maps(u: Structure, maps) -> PatternCode:
@@ -92,22 +147,13 @@ def pattern_of_maps(u: Structure, maps) -> PatternCode:
         covered.update(m)
     if covered != set(range(u.size)):
         raise InputError("union-support violation: some target vertex is uncovered")
-    return canonical_form(marked_structure(u, maps))
+    return _pattern_code(u, maps)
 
 
 def pair_pattern_code(u: Structure, map_a, map_z) -> PatternCode:
     """Pattern of the pair (a, z) inside u, restricted to the union of
     the two images (so union support holds by construction)."""
-    verts = sorted(set(map_a) | set(map_z))
-    rank = {v: i for i, v in enumerate(verts)}
-    keep = set(verts)
-    rels = []
-    for tuples in u.relations:
-        rels.append(tuple(tuple(rank[x] for x in t) for t in tuples
-                          if all(x in keep for x in t)))
-    small = Structure(u.signature, len(verts), tuple(rels))
-    return canonical_form(marked_structure(
-        small, (tuple(rank[v] for v in map_a), tuple(rank[v] for v in map_z))))
+    return _pattern_code(u, (map_a, map_z))
 
 
 def free_join(parts) -> tuple[Structure, tuple[tuple[int, ...], ...]]:

@@ -105,6 +105,17 @@ class Structure:
             raise InputError(f"relations for symbols not in signature: {sorted(unknown)}")
         return cls(signature, size, tuple(table))
 
+    @classmethod
+    def _trusted(cls, signature: Signature, size: int, relations) -> "Structure":
+        """Internal constructor that skips validation: the caller
+        guarantees relations already sorted, deduplicated and in range.
+        Public inputs go through Structure(...) or parse_structure."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "signature", signature)
+        object.__setattr__(s, "size", size)
+        object.__setattr__(s, "relations", relations)
+        return s
+
     def rel(self, name: str) -> tuple[tuple[int, ...], ...]:
         return self.relations[self.signature.index(name)]
 

@@ -155,7 +155,7 @@ def place_part(host: Structure | None, part: Structure, spec, forced: dict[int, 
             if budget is not None:
                 budget.spend()
             if idx == len(free_other):
-                yield Structure(sig, m, tuple(tuple(sorted(r)) for r in rels))
+                yield Structure._trusted(sig, m, tuple(tuple(sorted(r)) for r in rels))
                 return
             si, t = free_other[idx]
             yield from rec_other(idx + 1, rels)  # absent first

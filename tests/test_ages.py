@@ -226,3 +226,15 @@ def test_free_positive_implies_plain_positive():
 def test_joint_embedding_probe():
     assert amalgamation_probe(GRAPHS, "joint-embedding", 3).counterexample is None
     assert amalgamation_probe(ORDERS, "joint-embedding", 3).counterexample is None
+
+
+def test_transitive_flag_matches_pairwise_definition(seed=5):
+    sig = Signature((("r", 2),))
+    spec = AgeSpec(sig, (("r", frozenset({"transitive"})),))
+    rng = random.Random(seed)
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        pairs = [(u, v) for u in range(n) for v in range(n) if rng.random() < 0.4]
+        rel = set(pairs)
+        transitive = all((u, w) in rel for u, v in rel for v2, w in rel if v == v2)
+        assert member(spec, Structure.make(sig, n, {"r": pairs})) == transitive

@@ -39,6 +39,7 @@ def files(tmp_path_factory):
     write("s1.st", pure_set(1))
     write("s2.st", pure_set(2))
     write("s3.st", pure_set(3))
+    write("s4.st", pure_set(4))
     write("pt.st", chain(1))
     write("c2.st", chain(2))
     write("c3.st", chain(3))
@@ -192,3 +193,36 @@ def test_parse_rejects_junk_variants():
     for text in bad_inputs:
         with pytest.raises(ParseError):
             parse_structure(text)
+
+
+def test_cache_key_includes_the_age(files, tmp_path, capsys):
+    from arrowbench import cli
+
+    cache_dir = str(tmp_path / "cache")
+    reports = []
+    for age in ("graph", "graph_kfree:3"):
+        code = cli.main(["stability", "--age", age, "--a", files["k1"], "--z", files["k2"],
+                         "--depth", "3", "--json", "--cache-dir", cache_dir])
+        assert code == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    assert [r["age"] for r in reports] == ["graph", "graph_kfree:3"]
+    assert len(os.listdir(cache_dir)) == 2
+
+
+def test_stable_arrow_node_budget_reaches_stability_precondition(files, capsys):
+    from arrowbench import cli
+
+    code = cli.main(["stable-arrow", "--age", "set", "--a", files["s1"], "--b", files["s2"],
+                     "--c", files["s4"], "--z", files["s1"], "--z", files["s1"],
+                     "--depth", "4", "--no-cache", "--node-budget", "10"])
+    assert code == 3
+    assert "stability" in capsys.readouterr().err
+
+
+def test_time_budget_does_not_outlive_main(files, capsys):
+    from arrowbench import cli, unions
+
+    code = cli.main(["pattern-count", "--age", "set", "--a", files["s1"], "--z", files["s1"],
+                     "--time-budget", "5"])
+    assert code == 0
+    assert unions._GLOBAL_DEADLINE is None

@@ -3,7 +3,10 @@ import random
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from arrowbench import patterns
 from arrowbench.ages import catalog_age
 from arrowbench.errors import InputError
 from arrowbench.patterns import (
@@ -11,10 +14,21 @@ from arrowbench.patterns import (
     free_join,
     iter_joint_embeddings,
     joint_embeddings,
+    marked_structure,
+    pair_pattern_code,
     pattern_count,
     pattern_of,
+    pattern_of_maps,
 )
-from arrowbench.structures import Embedding, is_embedding, relabel
+from arrowbench.structures import (
+    Embedding,
+    Signature,
+    Structure,
+    canonical_form,
+    induced_substructure,
+    is_embedding,
+    relabel,
+)
 
 from util import chain, graph, k_graph, pure_set
 
@@ -177,3 +191,101 @@ def test_ternary_hypergraph_patterns():
             if j1 is j2:
                 continue
             assert not _marked_iso(j1.target, j1.maps, j2.target, j2.maps)
+
+
+# ---------------------------------------------------------------------------
+# property tests: the memoised search-free code equals the canonical form of
+# the marked structure
+
+
+_MIXED_SIG = Signature((("p", 1), ("e", 2), ("t", 3)))
+
+
+@st.composite
+def _host_and_maps(draw, injective=None):
+    """A random structure with unary, binary and ternary tuples (vertices
+    may repeat inside a tuple) and two vertex maps into it that need not
+    cover it; `injective` forces or forbids repeats in the maps."""
+    n = draw(st.integers(1, 5))
+    rels = []
+    for _, arity in _MIXED_SIG.symbols:
+        vertex = st.integers(0, n - 1)
+        rels.append(tuple(draw(st.lists(st.tuples(*[vertex] * arity), max_size=8))))
+    u = Structure(_MIXED_SIG, n, tuple(rels))
+
+    def one_map():
+        size = draw(st.integers(1, 3))
+        if injective is not False and size <= n and (injective or draw(st.booleans())):
+            return tuple(draw(st.permutations(range(n)))[:size])
+        m = draw(st.lists(st.integers(0, n - 1), min_size=size, max_size=size))
+        if injective is False and len(set(m)) == len(m):
+            m = m + [m[0]]
+        return tuple(m)
+
+    return u, (one_map(), one_map())
+
+
+def _reference_code(u, maps):
+    verts = sorted(set().union(*maps))
+    rank = {v: i for i, v in enumerate(verts)}
+    small = induced_substructure(u, verts)
+    return canonical_form(marked_structure(
+        small, tuple(tuple(rank[v] for v in m) for m in maps)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_host_and_maps())
+def test_pair_pattern_code_equals_marked_canonical_form(case):
+    u, (ma, mz) = case
+    want = _reference_code(u, (ma, mz))
+    patterns._PATTERN_MEMO.clear()
+    assert pair_pattern_code(u, ma, mz) == want  # miss path
+    assert pair_pattern_code(u, ma, mz) == want  # memo hit
+
+
+@settings(max_examples=100, deadline=None)
+@given(_host_and_maps(injective=False))
+def test_non_injective_maps_equal_marked_canonical_form(case):
+    u, maps = case
+    patterns._PATTERN_MEMO.clear()
+    assert pair_pattern_code(u, *maps) == _reference_code(u, maps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_host_and_maps())
+def test_pattern_of_maps_equals_marked_canonical_form(case):
+    u, maps = case
+    verts = sorted(set().union(*maps))
+    rank = {v: i for i, v in enumerate(verts)}
+    small = induced_substructure(u, verts)
+    ranked = tuple(tuple(rank[v] for v in m) for m in maps)
+    patterns._PATTERN_MEMO.clear()
+    assert pattern_of_maps(small, ranked) == canonical_form(marked_structure(small, ranked))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_host_and_maps(), st.randoms(use_true_random=False))
+def test_pair_pattern_code_invariant_under_host_relabeling(case, rng):
+    u, (ma, mz) = case
+    perm = list(range(u.size))
+    rng.shuffle(perm)
+    moved = relabel(u, perm)
+    code = pair_pattern_code(u, ma, mz)
+    patterns._PATTERN_MEMO.clear()
+    assert pair_pattern_code(moved, tuple(perm[v] for v in ma),
+                             tuple(perm[v] for v in mz)) == code
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(_host_and_maps(), min_size=1, max_size=30))
+def test_pattern_memo_never_exceeds_its_bound(cases):
+    bound = 4
+    old = patterns._PATTERN_MEMO_MAX
+    patterns._PATTERN_MEMO_MAX = bound
+    try:
+        patterns._PATTERN_MEMO.clear()
+        for u, maps in cases:
+            assert pair_pattern_code(u, *maps) == _reference_code(u, maps)
+            assert len(patterns._PATTERN_MEMO) <= bound
+    finally:
+        patterns._PATTERN_MEMO_MAX = old
