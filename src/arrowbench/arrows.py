@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from arrowbench.ages import AgeSpec, enumerate_structures, enumerate_up_to
@@ -174,12 +173,11 @@ def _aut_position_perms(c: Structure, domain):
     return sorted(perms)
 
 
-def _counterexample_search(n_pos, copies, k, aut_perms, budget: Budget,
-                           prefix: tuple[int, ...] = ()):
+def _counterexample_search(n_pos, copies, k, aut_perms, budget: Budget):
     """Lexicographically least k-coloring (as a vector over positions) in
     which every copy sees at least two colors, or None.  Colors are
     forced to appear in first-use order; aut_perms prune to orbit
-    lex-minima.  `prefix` pins the first assignments (parallel split)."""
+    lex-minima."""
     copies_at = [[] for _ in range(n_pos)]
     for ci, positions in enumerate(copies):
         for p in positions:
@@ -230,13 +228,7 @@ def _counterexample_search(n_pos, copies, k, aut_perms, budget: Budget,
         budget.spend()
         if p == n_pos:
             return tuple(chi)
-        if p < len(prefix):
-            cols = [prefix[p]]
-        else:
-            cols = range(min(max_used + 1, k))
-        for col in cols:
-            if col > max_used:
-                continue  # prefix may skip color-introduction order: reject
+        for col in range(min(max_used + 1, k)):
             if violates(p, col):
                 continue
             place(p, col)
@@ -252,7 +244,7 @@ def _counterexample_search(n_pos, copies, k, aut_perms, budget: Budget,
 
 
 def classical_arrow(c: Structure, a: Structure, b: Structure, k: int,
-                    node_budget: int = 20_000_000, parallel: int = 0) -> ArrowCertificate:
+                    node_budget: int = 20_000_000) -> ArrowCertificate:
     """Decide C -> (B)^A_k for embeddings: every k-coloring of the copies
     of A in C is constant on the copies of A in some copy of B."""
     if k < 1:
@@ -274,35 +266,13 @@ def classical_arrow(c: Structure, a: Structure, b: Structure, k: int,
     budget = Budget(node_budget, "classical_arrow")
     n = len(domain)
 
-    if parallel and parallel > 1 and n >= 2:
-        # split on the colors of the first two positions; each branch is
-        # searched independently and the first branch (in prefix order)
-        # with a counterexample wins, so the result is thread-count
-        # independent
-        prefixes = [(0, c2) for c2 in range(min(2, k))]
-        branch_budgets = {pref: Budget(node_budget, "classical_arrow") for pref in prefixes}
-        with ThreadPoolExecutor(max_workers=parallel) as pool:
-            futures = {
-                pref: pool.submit(_counterexample_search, n, copies, k, aut_perms,
-                                  branch_budgets[pref], pref)
-                for pref in prefixes
-            }
-            results = {pref: fut.result() for pref, fut in futures.items()}
-        nodes = sum(bb.used for bb in branch_budgets.values())
-        bad = None
-        for pref in prefixes:
-            if results[pref] is not None:
-                bad = results[pref]
-                break
-    else:
-        bad = _counterexample_search(n, copies, k, aut_perms, budget)
-        nodes = budget.used
+    bad = _counterexample_search(n, copies, k, aut_perms, budget)
 
     if bad is None:
         return ArrowCertificate(
             "arrow", "holds",
             payload={"k": k, "domain_size": n, "copy_count": len(copies),
-                     "aut_perms": len(aut_perms) + 1, "nodes": nodes,
+                     "aut_perms": len(aut_perms) + 1, "nodes": budget.used,
                      "method": "pruned-backtracking-exhaustion"})
     coloring = [[list(m), col] for m, col in zip(domain, bad)]
     return ArrowCertificate(

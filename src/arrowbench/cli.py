@@ -271,8 +271,7 @@ def _cmd_arrow(args):
     params = {"colors": args.colors}
 
     def compute():
-        cert = classical_arrow(c, a, b, args.colors,
-                               node_budget=args.node_budget, parallel=args.parallel)
+        cert = classical_arrow(c, a, b, args.colors, node_budget=args.node_budget)
         lines = _summary_lines({"operation": cert.operation, "verdict": cert.verdict,
                                 "reason": cert.reason, "payload": cert.payload})
         return cert, _verdict_exit(cert), lines
@@ -579,7 +578,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--node-budget", type=int, default=5_000_000)
         p.add_argument("--time-budget", type=float, default=None, dest="time_budget",
                        help="wall-clock cap in seconds (exit 3 when exceeded)")
-        p.add_argument("--parallel", type=int, default=0)
+        p.add_argument("--parallel", type=int, default=0,
+                       help="accepted and unused: every search runs serially")
         if age:
             p.add_argument("--age", required=age_required,
                            help="catalog name or age file")

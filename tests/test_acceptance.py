@@ -414,7 +414,7 @@ def test_criterion_8_determinism(tmp_path):
     plain = [run([]) for _ in range(3)]
     assert plain[0] == plain[1] == plain[2]
     parallel = [run(["--parallel", "4"]) for _ in range(3)]
-    assert parallel[0] == parallel[1] == parallel[2]
+    assert parallel[0] == parallel[1] == parallel[2] == plain[0]
     assert json.loads(plain[0])["verdict"] == "holds"
     _pass(8, "fixed invocations repeated 3x, sequential and with --parallel 4, "
              "produced byte-identical machine reports")

@@ -110,13 +110,6 @@ def test_degenerate_holds_flagged():
     assert cert.holds and cert.degenerate
 
 
-def test_parallel_matches_sequential():
-    seq = classical_arrow(chain(5), chain(2), chain(3), 2)
-    par = classical_arrow(chain(5), chain(2), chain(3), 2, parallel=4)
-    assert seq.verdict == par.verdict
-    assert seq.payload["coloring"] == par.payload["coloring"]
-
-
 def test_oracle_equivalence_random_instances(seed=41):
     rng = random.Random(seed)
     graph_pool = [k_graph(1), k_graph(2), path(3), k_graph(3), graph(3, []),

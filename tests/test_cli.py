@@ -98,15 +98,17 @@ def test_json_reports_are_byte_identical(files):
     outs = [run_cli(args).stdout for _ in range(3)]
     assert outs[0] == outs[1] == outs[2]
     par = [run_cli(args + ["--parallel", "4"]).stdout for _ in range(3)]
-    assert par[0] == par[1] == par[2]
+    assert par[0] == par[1] == par[2] == outs[0]
 
 
-def test_pure_backend_matches_compiled_report(files):
+def test_parallel_keeps_the_node_budget(files):
     args = ["arrow", "--age", "linear_order", "--a", files["a2"],
-            "--b", files["b3"], "--c", files["c5"], "--colors", "2", "--json"]
-    compiled = run_cli(args).stdout
-    pure = run_cli(args, env_extra={"ARROWBENCH_PURE": "1"}).stdout
-    assert compiled == pure
+            "--b", files["b3"], "--c", files["c6"], "--colors", "2",
+            "--node-budget", "400"]
+    for extra in ([], ["--parallel", "2"]):
+        r = run_cli(args + extra)
+        assert r.returncode == 3, (extra, r.stdout)
+        assert "classical_arrow" in r.stderr
 
 
 def test_cache_transparency(files, tmp_path):

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arrowbench.errors import InputError, ParseError, SignatureMismatch
 from arrowbench.structures import (
@@ -12,6 +14,7 @@ from arrowbench.structures import (
     compose,
     embedding_maps,
     embeddings,
+    has_embedding,
     induced_substructure,
     inclusion_embedding,
     is_embedding,
@@ -216,6 +219,44 @@ def test_ternary_signature_embeddings(seed=5):
                                           __import__("itertools").product(range(m), repeat=3)
                                           if rng.random() < 0.3]})
         assert embedding_maps(a, b) == brute_embeddings(a, b)
+
+
+_BINARY_SIG = Signature((("p", 1), ("e", 2)))
+_TERNARY_SIG = Signature((("p", 1), ("e", 2), ("t", 3)))
+
+
+@st.composite
+def _structure(draw, sig, max_size):
+    n = draw(st.integers(1, max_size))
+    vertex = st.integers(0, n - 1)
+    return Structure(sig, n, tuple(
+        tuple(draw(st.lists(st.tuples(*[vertex] * arity), max_size=2 * n)))
+        for _, arity in sig.symbols))
+
+
+@st.composite
+def _structure_pair(draw):
+    """(A, B) over a signature with arities <= 2 (binary kernel) or up to 3
+    (generic kernel); A is often a relabeled induced substructure of B, so
+    that embeddings exist and partial maps must backtrack."""
+    sig = draw(st.sampled_from((_BINARY_SIG, _TERNARY_SIG)))
+    b = draw(_structure(sig, 6))
+    if draw(st.booleans()):
+        return draw(_structure(sig, 4)), b
+    verts = draw(st.lists(st.integers(0, b.size - 1), min_size=1, max_size=4, unique=True))
+    sub = induced_substructure(b, verts)
+    return relabel(sub, draw(st.permutations(range(sub.size)))), b
+
+
+@settings(max_examples=300, deadline=None)
+@given(_structure_pair())
+def test_kernels_match_brute_force_in_order_and_first_only(pair):
+    a, b = pair
+    want = brute_embeddings(a, b)
+    got = embedding_maps(a, b)
+    assert got == want
+    assert got == sorted(got)
+    assert has_embedding(a, b) == bool(want)
 
 
 # ---------------------------------------------------------------------------
