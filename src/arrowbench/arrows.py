@@ -655,29 +655,22 @@ def proximal_arrow(u: Structure, chi: Coloring, a: Structure, b: Structure,
 # convex arrow (zero-sum game)
 
 
-def _convex_game_rows(domain_size, slots, pairs):
-    """Constraint rows of the vertex LP: one row per ({0,1}-coloring,
-    ordered pair of A-copies in B), with coefficients over the copies."""
-    rows = {}
-    for bits in itertools.product((0, 1), repeat=domain_size):
-        for (j1, j2) in pairs:
-            coef = tuple(bits[slot[j1]] - bits[slot[j2]] for slot in slots)
-            if any(coef):
-                key = coef
-                if key not in rows:
-                    rows[key] = (bits, (j1, j2))
-    return rows
-
-
-def convex_arrow(c: Structure, a: Structure, b: Structure, epsilon: float,
-                 vertex_cap: int = 1 << 14) -> ArrowCertificate:
+def convex_arrow(c: Structure, a: Structure, b: Structure,
+                 epsilon: float) -> ArrowCertificate:
     """Value of the zero-sum game: the player mixes over copies of B in C,
     the adversary picks a [0,1]-coloring of the copies of A in C, and the
     payoff is the oscillation of the averaged coloring over the copies of
-    A in B.  For a fixed pair of A-copies the payoff is affine in the
-    coloring, so {0,1}-valued colorings are the adversary's extreme
-    points and the game solves as an LP.  Verdict: value <= epsilon (at
-    tolerance 1e-9).
+    A in B.  For a fixed ordered pair of A-copies the adversary's best
+    coloring scores the sum of the positive parts of the margin vector
+    (first-slot mass minus second-slot mass at each position), so the game
+    is one LP of polynomial size:
+
+        minimize v  over  lambda >= 0, sum(lambda) = 1, t >= 0
+        subject to  t[pair, pos] >= margin(lambda)[pair, pos]
+                    sum_pos t[pair, pos] <= v.
+
+    Its duals are the adversary's mixed strategy: pair weights y and
+    [0,1]-colorings z / y.  Verdict: value <= epsilon (at tolerance 1e-9).
     """
     import numpy as np
     from scipy.optimize import linprog
@@ -696,16 +689,7 @@ def convex_arrow(c: Structure, a: Structure, b: Structure, epsilon: float,
             reason="A does not embed in B; the averaged coloring has empty domain",
             payload={"epsilon": epsilon, "value": 0.0, "gap": 0.0,
                      "combination": [[list(copies[0]), 1.0]], "adversary": []})
-    index = {mm: i for i, mm in enumerate(domain)}
-    slots = [tuple(index[tuple(bm[x] for x in am)] for am in emb_ab) for bm in copies]
-    pairs = [(j1, j2) for j1 in range(p_cnt) for j2 in range(p_cnt) if j1 != j2]
-    if (1 << n) > vertex_cap:
-        raise ResourceLimitExceeded(
-            f"instance too large for adversary vertex enumeration (2^{n} colorings)",
-            budget=vertex_cap)
-
-    rows = _convex_game_rows(n, slots, pairs)
-    if not rows:
+    if p_cnt == 1:
         value = 0.0
         weights = [1.0 / m_cnt] * m_cnt
         comb = ConvexCombination(tuple(weights),
@@ -715,19 +699,28 @@ def convex_arrow(c: Structure, a: Structure, b: Structure, epsilon: float,
             payload={"epsilon": epsilon, "value": value, "gap": 0.0,
                      "combination": [[list(mm), w] for mm, w in zip(copies, comb.weights)],
                      "adversary": []})
+    index = {mm: i for i, mm in enumerate(domain)}
+    slots = np.array([[index[tuple(bm[x] for x in am)] for am in emb_ab] for bm in copies])
+    pairs = [(j1, j2) for j1 in range(p_cnt) for j2 in range(p_cnt) if j1 != j2]
 
-    row_list = list(rows)
-    a_ub = np.zeros((len(row_list), m_cnt + 1))
-    for r, coef in enumerate(row_list):
-        a_ub[r, :m_cnt] = coef
-        a_ub[r, m_cnt] = -1.0
-    b_ub = np.zeros(len(row_list))
-    a_eq = np.zeros((1, m_cnt + 1))
+    # marg[pair, pos] . lambda is the margin at pos: the mass of copies
+    # putting pos in the pair's first slot minus those putting it second
+    marg = np.zeros((len(pairs), n, m_cnt))
+    for p, (j1, j2) in enumerate(pairs):
+        marg[p, slots[:, j1], np.arange(m_cnt)] = 1.0
+        marg[p, slots[:, j2], np.arange(m_cnt)] = -1.0
+    n_marg = len(pairs) * n
+    # columns: lambda, v, t[pair, pos]; rows: margin <= t, then sum_pos t <= v
+    a_ub = np.block([
+        [marg.reshape(n_marg, m_cnt), np.zeros((n_marg, 1)), -np.eye(n_marg)],
+        [np.zeros((len(pairs), m_cnt)), -np.ones((len(pairs), 1)),
+         np.kron(np.eye(len(pairs)), np.ones(n))]])
+    a_eq = np.zeros((1, a_ub.shape[1]))
     a_eq[0, :m_cnt] = 1.0
-    cvec = np.zeros(m_cnt + 1)
+    cvec = np.zeros(a_ub.shape[1])
     cvec[m_cnt] = 1.0
-    bounds = [(0.0, None)] * m_cnt + [(None, None)]
-    res = linprog(cvec, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0],
+    bounds = [(0.0, None)] * m_cnt + [(None, None)] + [(0.0, None)] * n_marg
+    res = linprog(cvec, A_ub=a_ub, b_ub=np.zeros(len(a_ub)), A_eq=a_eq, b_eq=[1.0],
                   bounds=bounds, method="highs")
     if not res.success:
         raise ResourceLimitExceeded(f"LP solver failed: {res.message}")
@@ -737,27 +730,20 @@ def convex_arrow(c: Structure, a: Structure, b: Structure, epsilon: float,
     value = float(res.x[m_cnt])
 
     # primal check: worst oscillation of the returned combination
-    direct = 0.0
-    for coef in row_list:
-        direct = max(direct, float(sum(l * cf for l, cf in zip(lam, coef))))
-    # dual certificate: adversary mixture proving a matching lower bound
-    marg = res.ineqlin.marginals
-    q = [max(0.0, -float(x)) for x in marg]
-    qs = sum(q)
-    adversary = []
-    dual_value = None
-    if qs > 0:
-        q = [x / qs for x in q]
-        per_copy = [sum(qr * row_list[r][mi] for r, qr in enumerate(q) if qr > 0)
-                    for mi in range(m_cnt)]
-        dual_value = float(min(per_copy))
-        for r, qr in enumerate(q):
-            if qr > 1e-12:
-                bits, (j1, j2) = rows[row_list[r]]
-                adversary.append({"coloring": list(bits),
-                                  "pair": [list(emb_ab[j1]), list(emb_ab[j2])],
-                                  "weight": qr})
-    gap = float(abs(direct - (dual_value if dual_value is not None else direct)))
+    direct = float(np.clip(marg @ lam, 0.0, None).sum(axis=1).max())
+    # dual certificate: adversary mixture proving a matching lower bound;
+    # y weighs the sum rows (one per pair), z the margin rows
+    duals = -res.ineqlin.marginals
+    y, z = duals[n_marg:], duals[:n_marg].reshape(len(pairs), n)
+    keep = [p for p in range(len(pairs)) if y[p] > 1e-12]
+    weights = y[keep] / y[keep].sum()
+    colorings = np.clip(z[keep] / y[keep, None], 0.0, 1.0)
+    adversary = [{"coloring": col.tolist(),
+                  "pair": [list(emb_ab[pairs[p][0]]), list(emb_ab[pairs[p][1]])],
+                  "weight": float(w)}
+                 for p, w, col in zip(keep, weights, colorings)]
+    per_copy = np.einsum("k,kn,knm->m", weights, colorings, marg[keep])
+    gap = float(abs(direct - per_copy.min()))
 
     comb = ConvexCombination(tuple(lam), tuple(Embedding(b, c, mm) for mm in copies))
     verdict = "holds" if value <= epsilon + REAL_TOL else "fails"
@@ -766,39 +752,3 @@ def convex_arrow(c: Structure, a: Structure, b: Structure, epsilon: float,
         payload={"epsilon": epsilon, "value": value, "gap": gap,
                  "combination": [[list(mm), w] for mm, w in zip(copies, comb.weights)],
                  "adversary": adversary})
-
-
-def convex_minimax_oracle(c: Structure, a: Structure, b: Structure) -> float:
-    """Exhaustive {0,1}-coloring minimax with the adversary moving first:
-    for every {0,1}-coloring, the best-response LP over combinations,
-    maximized over colorings.  This is a lower bound for the game value
-    (where one combination must handle every coloring); the two coincide
-    on instances whose optimal combination equalizes all colorings, e.g.
-    point colorings of pure sets."""
-    import numpy as np
-    from scipy.optimize import linprog
-
-    domain = embedding_maps(a, c)
-    copies = embedding_maps(b, c)
-    emb_ab = embedding_maps(a, b)
-    if not copies or not emb_ab:
-        return 0.0
-    index = {mm: i for i, mm in enumerate(domain)}
-    slots = [tuple(index[tuple(bm[x] for x in am)] for am in emb_ab) for bm in copies]
-    pairs = [(j1, j2) for j1 in range(len(emb_ab)) for j2 in range(len(emb_ab)) if j1 != j2]
-    worst = 0.0
-    m_cnt = len(copies)
-    for bits in itertools.product((0, 1), repeat=len(domain)):
-        a_ub = []
-        for (j1, j2) in pairs:
-            coef = [bits[slot[j1]] - bits[slot[j2]] for slot in slots]
-            a_ub.append(coef + [-1.0])
-        a_eq = [[1.0] * m_cnt + [0.0]]
-        cvec = [0.0] * m_cnt + [1.0]
-        bounds = [(0.0, None)] * m_cnt + [(None, None)]
-        res = linprog(cvec, A_ub=np.array(a_ub), b_ub=np.zeros(len(a_ub)),
-                      A_eq=np.array(a_eq), b_eq=[1.0], bounds=bounds, method="highs")
-        if not res.success:
-            raise ResourceLimitExceeded(f"oracle LP failed: {res.message}")
-        worst = max(worst, float(res.x[m_cnt]))
-    return worst

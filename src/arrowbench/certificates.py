@@ -300,22 +300,26 @@ def _verify_convex(doc, inputs, spec):
             worst = max(worst, sum(x for x in margin if x > 0))
     if worst > value + 1e-6:
         return False
-    # adversary mixture re-scored as a lower bound
+    # adversary mixture re-scored as a lower bound: a positive value
+    # needs one, and each row must be a weighted [0,1]-coloring of the
+    # whole domain on an ordered pair of A-copies in B
     adv = payload.get("adversary", [])
+    if value > 1e-6 and not adv:
+        return False
     if adv:
-        total = sum(row["weight"] for row in adv)
-        if abs(total - 1.0) > 1e-6:
+        pos_of = {m: j for j, m in enumerate(emb_ab)}
+        rows = []
+        for row in adv:
+            bits, pair = row["coloring"], [tuple(m) for m in row["pair"]]
+            if (row["weight"] < 0 or len(bits) != len(domain)
+                    or any(not -REAL_TOL <= x <= 1 + REAL_TOL for x in bits)
+                    or len(pair) != 2 or any(m not in pos_of for m in pair)):
+                return False
+            rows.append((row["weight"], bits, pos_of[pair[0]], pos_of[pair[1]]))
+        if abs(sum(w for w, _, _, _ in rows) - 1.0) > 1e-6:
             return False
-        per_copy = []
-        for ci, bm in enumerate(copies):
-            acc = 0.0
-            for row in adv:
-                bits = row["coloring"]
-                j1_map, j2_map = tuple(row["pair"][0]), tuple(row["pair"][1])
-                am_list = [tuple(x) for x in embedding_maps(a, b)]
-                j1, j2 = am_list.index(j1_map), am_list.index(j2_map)
-                acc += row["weight"] * (bits[slots[ci][j1]] - bits[slots[ci][j2]])
-            per_copy.append(acc)
+        per_copy = [sum(w * (bits[slot[j1]] - bits[slot[j2]]) for w, bits, j1, j2 in rows)
+                    for slot in slots]
         if min(per_copy) < value - 1e-6:
             return False
     holds = value <= eps + REAL_TOL

@@ -19,7 +19,6 @@ from arrowbench.ages import catalog_age, enumerate_up_to
 from arrowbench.arrows import (
     classical_arrow,
     convex_arrow,
-    convex_minimax_oracle,
     definable_arrow,
 )
 from arrowbench.patterns import free_join, pair_pattern_code, pattern_count
@@ -33,6 +32,7 @@ from arrowbench.structures import (
 from util import (
     brute_embeddings,
     chain,
+    convex_minimax_oracle,
     k_graph,
     pure_set,
     random_permutation,

@@ -1,8 +1,12 @@
 import itertools
+import json
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from arrowbench import certificates
 from arrowbench.ages import catalog_age
 from arrowbench.arrows import (
     Coloring,
@@ -11,7 +15,6 @@ from arrowbench.arrows import (
     check_coloring_is_counterexample,
     classical_arrow,
     convex_arrow,
-    convex_minimax_oracle,
     definable_arrow,
     epsilon_constant_witness,
     exhaustive_classical_check,
@@ -22,9 +25,17 @@ from arrowbench.arrows import (
 )
 from arrowbench.errors import InputError, PreconditionFailure
 from arrowbench.patterns import free_join, pair_pattern_code
-from arrowbench.structures import embedding_maps, is_embedding
+from arrowbench.structures import embedding_maps, induced_substructure, is_embedding
 
-from util import chain, graph, k_graph, path, pure_set
+from util import (
+    chain,
+    convex_minimax_oracle,
+    convex_vertex_lp_value,
+    graph,
+    k_graph,
+    path,
+    pure_set,
+)
 
 GRAPHS = catalog_age("graph")
 ORDERS = catalog_age("linear_order")
@@ -519,3 +530,47 @@ def test_convex_epsilon_validation():
         convex_arrow(pure_set(3), pure_set(1), pure_set(2), 0.0)
     with pytest.raises(InputError):
         convex_arrow(pure_set(2), pure_set(1), pure_set(3), 0.5)
+
+
+def test_convex_chain_2_3_in_9():
+    # 36 A-copies: far past any enumeration of the 2^36 {0,1}-colorings
+    cert = convex_arrow(chain(9), chain(2), chain(3), 0.5)
+    assert abs(cert.payload["value"] - 52 / 119) <= 1e-9
+    assert cert.holds
+    assert cert.payload["gap"] <= 1e-6
+
+
+@st.composite
+def _convex_instance(draw):
+    """(family, C, A, B) with B induced in C and A induced in B, so that
+    both embed; C is a random graph, a chain or a pure set."""
+    family = draw(st.sampled_from(("graph", "linear_order", "set")))
+    n = draw(st.integers(1, 8))
+    if family == "graph":
+        pairs = list(itertools.combinations(range(n), 2))
+        keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        c = graph(n, [e for e, k in zip(pairs, keep) if k])
+    else:
+        c = chain(n) if family == "linear_order" else pure_set(n)
+    b = induced_substructure(c, draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                              max_size=4, unique=True)))
+    a = induced_substructure(b, draw(st.lists(st.integers(0, b.size - 1), min_size=1,
+                                              max_size=3, unique=True)))
+    return family, c, a, b
+
+
+@settings(max_examples=100, deadline=None)
+@given(_convex_instance(), st.sampled_from((0.1, 0.5, 1.0)))
+def test_convex_compact_lp_matches_vertex_lp(instance, epsilon):
+    family, c, a, b = instance
+    assume(len(embedding_maps(a, c)) <= 10 and len(embedding_maps(b, c)) <= 400)
+    cert = convex_arrow(c, a, b, epsilon)
+    payload = cert.payload
+    assert abs(payload["value"] - convex_vertex_lp_value(c, a, b)) <= 1e-9
+    assert payload["gap"] <= 1e-6
+    for row in payload["adversary"]:
+        assert all(0.0 <= x <= 1.0 for x in row["coloring"])
+    inputs = {"a": a, "b": b, "c": c}
+    doc = json.loads(json.dumps(certificates.envelope(cert, inputs, family,
+                                                      {"epsilon": epsilon})))
+    assert certificates.verify_certificate(doc, inputs, catalog_age(family))

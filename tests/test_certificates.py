@@ -164,6 +164,45 @@ def test_convex_certificate(tmp_path):
         doc2, {"a": chain(1), "b": chain(2), "c": chain(2)}, ORDERS)
 
 
+def test_convex_certificate_rejects_forged_adversary(tmp_path):
+    # a positive value without an adversary mixture proves nothing
+    a, b, c = pure_set(1), pure_set(2), pure_set(4)
+    doc = certificates.envelope(convex_arrow(c, a, b, 0.3), {"a": a, "b": b, "c": c},
+                                "set", {"epsilon": 0.3})
+    doc["payload"]["value"] = 0.9
+    doc["verdict"] = "fails"
+    doc["payload"]["adversary"] = []
+    assert not certificates.verify_certificate(doc, {"a": a, "b": b, "c": c}, SETS)
+
+    a, b, c = chain(1), chain(2), chain(8)
+    inputs = {"a": a, "b": b, "c": c}
+    cert = convex_arrow(c, a, b, 0.1)
+    assert not cert.holds and cert.payload["adversary"]
+
+    def forged(edit):
+        doc = json.loads(json.dumps(certificates.envelope(cert, inputs, "linear_order",
+                                                          {"epsilon": 0.1})))
+        assert certificates.verify_certificate(doc, inputs, ORDERS)
+        edit(doc["payload"]["adversary"])
+        return roundtrip(doc, tmp_path)
+
+    def scale(adv):  # colorings leave [0,1]: the lower bound inflates
+        for row in adv:
+            row["coloring"] = [10 * x for x in row["coloring"]]
+
+    def cancel(adv):  # a negative weight cancelling an extra row
+        adv += [dict(adv[0], weight=0.5), dict(adv[0], weight=-0.5)]
+
+    def pad(adv):  # a coloring longer than the domain
+        adv[0]["coloring"] = adv[0]["coloring"] + [0.0]
+
+    def foreign(adv):  # a pair that is not two A-copies in B
+        adv[0]["pair"] = [[0], [5]]
+
+    for edit in (scale, cancel, pad, foreign):
+        assert not certificates.verify_certificate(forged(edit), inputs, ORDERS), edit
+
+
 def test_epsilon_certificate_needs_coloring(tmp_path):
     u = chain(4)
     chi = Coloring(u, chain(1), tuple(i / 3 for i in range(4)), kind="real")

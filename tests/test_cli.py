@@ -95,10 +95,13 @@ def test_verify_round_trip(files):
 def test_json_reports_are_byte_identical(files):
     args = ["arrow", "--age", "linear_order", "--a", files["a2"],
             "--b", files["b3"], "--c", files["c6"], "--colors", "2", "--json"]
-    outs = [run_cli(args).stdout for _ in range(3)]
-    assert outs[0] == outs[1] == outs[2]
-    par = [run_cli(args + ["--parallel", "4"]).stdout for _ in range(3)]
-    assert par[0] == par[1] == par[2] == outs[0]
+    convex = ["convex-arrow", "--a", files["a2"], "--b", files["b3"],
+              "--c", files["c6"], "--epsilon", "0.6", "--json"]
+    for argv in (args, convex):
+        outs = [run_cli(argv).stdout for _ in range(3)]
+        assert outs[0] and outs[0] == outs[1] == outs[2]
+        par = [run_cli(argv + ["--parallel", "4"]).stdout for _ in range(3)]
+        assert par[0] == par[1] == par[2] == outs[0]
 
 
 def test_parallel_keeps_the_node_budget(files):
@@ -193,6 +196,19 @@ def test_convex_cli(files, tmp_path):
     assert r.returncode == 0, r.stderr
     doc = json.loads(r.stdout)
     assert abs(doc["payload"]["value"]) <= 1e-9
+
+
+def test_convex_cli_past_vertex_enumeration(files):
+    # 15 A-copies: 2^15 {0,1}-colorings, which the compact LP never lists
+    cert_path = str(files["root"] / "convex-c6.cert")
+    r = run_cli(["convex-arrow", "--a", files["a2"], "--b", files["b3"],
+                 "--c", files["c6"], "--epsilon", "0.6", "--json",
+                 "--certificate", cert_path])
+    assert r.returncode == 0, r.stderr
+    assert abs(json.loads(r.stdout)["payload"]["value"] - 9 / 16) <= 1e-9
+    v = run_cli(["verify", cert_path, "--a", files["a2"], "--b", files["b3"],
+                 "--c", files["c6"]])
+    assert v.returncode == 0 and "verified: true" in v.stdout, v.stderr
 
 
 def test_amalgamation_cli():

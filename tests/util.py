@@ -8,7 +8,7 @@ structure counting enumerates all labeled structures before deduplicating.
 import itertools
 import random
 
-from arrowbench.structures import Signature, Structure, is_embedding
+from arrowbench.structures import Signature, Structure, embedding_maps, is_embedding
 
 GRAPH_SIG = Signature((("edge", 2),))
 ORDER_SIG = Signature((("lt", 2),))
@@ -72,3 +72,55 @@ def random_permutation(rng: random.Random, n):
     perm = list(range(n))
     rng.shuffle(perm)
     return tuple(perm)
+
+
+def _convex_game(c, a, b):
+    """Copies of B in C, and for each the domain positions of the copies
+    of A inside it, in `embedding_maps(a, b)` order."""
+    domain = embedding_maps(a, c)
+    copies = embedding_maps(b, c)
+    emb_ab = embedding_maps(a, b)
+    index = {mm: i for i, mm in enumerate(domain)}
+    slots = [tuple(index[tuple(bm[x] for x in am)] for am in emb_ab) for bm in copies]
+    pairs = [(j1, j2) for j1 in range(len(emb_ab)) for j2 in range(len(emb_ab)) if j1 != j2]
+    return domain, copies, slots, pairs
+
+
+def _min_max_lp(rows, m_cnt):
+    """min over distributions lambda of max over rows of row . lambda."""
+    import numpy as np
+    from scipy.optimize import linprog
+
+    a_ub = np.hstack([np.array(rows, dtype=float), -np.ones((len(rows), 1))])
+    res = linprog([0.0] * m_cnt + [1.0], A_ub=a_ub, b_ub=np.zeros(len(rows)),
+                  A_eq=[[1.0] * m_cnt + [0.0]], b_eq=[1.0],
+                  bounds=[(0.0, None)] * m_cnt + [(None, None)], method="highs")
+    assert res.success, res.message
+    return float(res.x[m_cnt])
+
+
+def convex_vertex_lp_value(c, a, b):
+    """Reference convex game value: for a fixed ordered pair of A-copies
+    the payoff is affine in the coloring, so the adversary's {0,1}-valued
+    colorings (all 2^n of them) suffice, one LP row per (coloring, pair)."""
+    domain, copies, slots, pairs = _convex_game(c, a, b)
+    rows = {tuple(bits[slot[j1]] - bits[slot[j2]] for slot in slots)
+            for bits in itertools.product((0, 1), repeat=len(domain))
+            for j1, j2 in pairs}
+    rows.discard((0,) * len(copies))
+    return _min_max_lp(sorted(rows), len(copies)) if rows else 0.0
+
+
+def convex_minimax_oracle(c, a, b):
+    """Exhaustive {0,1}-coloring minimax with the adversary moving first:
+    for every {0,1}-coloring, the best-response LP over combinations,
+    maximized over colorings.  This is a lower bound for the game value
+    (where one combination must handle every coloring); the two coincide
+    on instances whose optimal combination equalizes all colorings, e.g.
+    point colorings of pure sets."""
+    domain, copies, slots, pairs = _convex_game(c, a, b)
+    if not copies or not pairs:
+        return 0.0
+    return max(_min_max_lp([[bits[slot[j1]] - bits[slot[j2]] for slot in slots]
+                            for j1, j2 in pairs], len(copies))
+               for bits in itertools.product((0, 1), repeat=len(domain)))
