@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 
 from arrowbench.ages import AgeSpec, enumerate_structures, enumerate_up_to
 from arrowbench.errors import (
+    ArrowbenchError,
     InputError,
     PreconditionFailure,
     ResourceLimitExceeded,
@@ -655,8 +656,81 @@ def proximal_arrow(u: Structure, chi: Coloring, a: Structure, b: Structure,
 # convex arrow (zero-sum game)
 
 
+_PIVOT_TOL = 1e-9
+
+
+def _simplex(cost, a_ub, eq, budget: Budget):
+    """Minimise cost . x over x >= 0 with a_ub x <= 0 and eq . x = 1, by a
+    two-phase dense-tableau simplex.  Returns (x, y) where y[i] >= 0 is
+    the dual of row i of a_ub: the reduced cost of its slack.  Charges one
+    node per pivot to `budget`."""
+    import numpy as np
+
+    rows, cols = a_ub.shape
+    art = cols + rows
+    # rows: a_ub, the equality row, the reduced costs; columns: x, one
+    # slack per row of a_ub, the artificial of the equality row, the rhs
+    t = np.zeros((rows + 2, art + 2))
+    t[:rows, :cols] = a_ub
+    t[:rows, cols:art] = np.eye(rows)
+    t[rows, :cols] = eq
+    t[rows, art] = t[rows, -1] = 1.0
+    basis = list(range(cols, art + 1))
+    t[-1] = -t[rows]  # phase 1 minimises the artificial
+    t[-1, art] = 0.0
+    _optimise(t, basis, budget)
+    if -t[-1, -1] > _PIVOT_TOL:
+        raise ArrowbenchError(f"convex LP: phase 1 left the artificial at {-t[-1, -1]:.2e}")
+    if art in basis:  # basic at level 0: swap in the largest entry of its row
+        r = basis.index(art)
+        _pivot(t, r, int(abs(t[r, :art]).argmax()), basis)
+    t[:, art] = 0.0
+    full = np.zeros(art + 2)
+    full[:cols] = cost
+    t[-1] = full - full[basis] @ t[:-1]
+    _optimise(t, basis, budget)
+    x = np.zeros(art + 1)
+    x[basis] = t[:-1, -1]
+    return x[:cols], t[-1, cols:art]
+
+
+def _pivot(t, r, j, basis: list[int]) -> None:
+    t[r] /= t[r, j]
+    col = t[:, j].copy()
+    col[r] = 0.0
+    t -= col[:, None] * t[r]
+    basis[r] = j
+
+
+def _optimise(t, basis: list[int], budget: Budget) -> None:
+    """Pivot to optimality: Dantzig's most negative reduced cost, and
+    Bland's smallest index once a run of degenerate pivots reaches the row
+    count (so the run cannot cycle); ratio-test ties go to the smallest
+    basic index."""
+    import numpy as np
+
+    rows = len(basis)
+    degenerate = 0
+    while True:
+        d = t[-1, :-1]
+        j = int((d < -_PIVOT_TOL).argmax() if degenerate >= rows else d.argmin())
+        if d[j] >= -_PIVOT_TOL:
+            return
+        col = t[:rows, j]
+        up = col > _PIVOT_TOL
+        if not up.any():
+            raise ArrowbenchError("convex LP: unbounded")
+        ratio = np.full(rows, np.inf)
+        ratio[up] = np.maximum(t[:rows, -1][up], 0.0) / col[up]
+        best = ratio.min()
+        r = min(np.flatnonzero(ratio <= best + _PIVOT_TOL), key=basis.__getitem__)
+        degenerate = degenerate + 1 if best <= _PIVOT_TOL else 0
+        budget.spend()
+        _pivot(t, r, j, basis)
+
+
 def convex_arrow(c: Structure, a: Structure, b: Structure,
-                 epsilon: float) -> ArrowCertificate:
+                 epsilon: float, budget: Budget | None = None) -> ArrowCertificate:
     """Value of the zero-sum game: the player mixes over copies of B in C,
     the adversary picks a [0,1]-coloring of the copies of A in C, and the
     payoff is the oscillation of the averaged coloring over the copies of
@@ -669,11 +743,12 @@ def convex_arrow(c: Structure, a: Structure, b: Structure,
         subject to  t[pair, pos] >= margin(lambda)[pair, pos]
                     sum_pos t[pair, pos] <= v.
 
-    Its duals are the adversary's mixed strategy: pair weights y and
-    [0,1]-colorings z / y.  Verdict: value <= epsilon (at tolerance 1e-9).
+    `_simplex` solves it, charging one node per pivot to `budget`
+    ("convex LP" by default).  Its duals are the adversary's mixed
+    strategy: pair weights y and [0,1]-colorings z / y.  Verdict:
+    value <= epsilon (at tolerance 1e-9).
     """
     import numpy as np
-    from scipy.optimize import linprog
 
     if epsilon <= 0:
         raise InputError("epsilon must be > 0")
@@ -710,30 +785,26 @@ def convex_arrow(c: Structure, a: Structure, b: Structure,
         marg[p, slots[:, j1], np.arange(m_cnt)] = 1.0
         marg[p, slots[:, j2], np.arange(m_cnt)] = -1.0
     n_marg = len(pairs) * n
-    # columns: lambda, v, t[pair, pos]; rows: margin <= t, then sum_pos t <= v
+    # columns: lambda, v, t[pair, pos]; rows: margin <= t, then sum_pos t <= v;
+    # v needs no sign freedom, as v >= sum_pos t >= 0
     a_ub = np.block([
         [marg.reshape(n_marg, m_cnt), np.zeros((n_marg, 1)), -np.eye(n_marg)],
         [np.zeros((len(pairs), m_cnt)), -np.ones((len(pairs), 1)),
          np.kron(np.eye(len(pairs)), np.ones(n))]])
-    a_eq = np.zeros((1, a_ub.shape[1]))
-    a_eq[0, :m_cnt] = 1.0
+    eq = np.zeros(a_ub.shape[1])
+    eq[:m_cnt] = 1.0
     cvec = np.zeros(a_ub.shape[1])
     cvec[m_cnt] = 1.0
-    bounds = [(0.0, None)] * m_cnt + [(None, None)] + [(0.0, None)] * n_marg
-    res = linprog(cvec, A_ub=a_ub, b_ub=np.zeros(len(a_ub)), A_eq=a_eq, b_eq=[1.0],
-                  bounds=bounds, method="highs")
-    if not res.success:
-        raise ResourceLimitExceeded(f"LP solver failed: {res.message}")
-    lam = [max(0.0, float(x)) for x in res.x[:m_cnt]]
+    sol, duals = _simplex(cvec, a_ub, eq, budget or Budget(5_000_000, "convex LP"))
+    lam = [max(0.0, float(x)) for x in sol[:m_cnt]]
     total = sum(lam)
     lam = [x / total for x in lam]
-    value = float(res.x[m_cnt])
+    value = float(sol[m_cnt])
 
     # primal check: worst oscillation of the returned combination
     direct = float(np.clip(marg @ lam, 0.0, None).sum(axis=1).max())
     # dual certificate: adversary mixture proving a matching lower bound;
     # y weighs the sum rows (one per pair), z the margin rows
-    duals = -res.ineqlin.marginals
     y, z = duals[n_marg:], duals[:n_marg].reshape(len(pairs), n)
     keep = [p for p in range(len(pairs)) if y[p] > 1e-12]
     weights = y[keep] / y[keep].sum()
@@ -744,6 +815,11 @@ def convex_arrow(c: Structure, a: Structure, b: Structure,
                  for p, w, col in zip(keep, weights, colorings)]
     per_copy = np.einsum("k,kn,knm->m", weights, colorings, marg[keep])
     gap = float(abs(direct - per_copy.min()))
+    # refuse what _verify_convex would reject: value must lie within 1e-6
+    # of both the combination's worst case and the adversary's bound
+    if gap > 1e-6 or not direct - 1e-6 <= value <= per_copy.min() + 1e-6:
+        raise ArrowbenchError(f"convex LP: no optimal point (value {value!r}, "
+                              f"bounds {per_copy.min()!r}..{direct!r})")
 
     comb = ConvexCombination(tuple(lam), tuple(Embedding(b, c, mm) for mm in copies))
     verdict = "holds" if value <= epsilon + REAL_TOL else "fails"

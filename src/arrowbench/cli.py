@@ -54,7 +54,7 @@ from arrowbench.structures import (
     parse_structure,
     serialize_structure,
 )
-from arrowbench.unions import set_time_budget
+from arrowbench.unions import Budget, set_time_budget
 
 EXIT_HOLDS = 0
 EXIT_FAILS = 1
@@ -446,7 +446,8 @@ def _cmd_convex_arrow(args):
     params = {"epsilon": args.epsilon}
 
     def compute():
-        cert = convex_arrow(c, a, b, args.epsilon)
+        cert = convex_arrow(c, a, b, args.epsilon,
+                            budget=Budget(args.node_budget, "convex LP"))
         lines = [f"convex-arrow: {cert.verdict}",
                  f"value: {cert.payload['value']:.9f}",
                  f"gap: {cert.payload['gap']:.2e}"]

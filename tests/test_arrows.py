@@ -23,7 +23,8 @@ from arrowbench.arrows import (
     roelcke_witness,
     stable_arrow,
 )
-from arrowbench.errors import InputError, PreconditionFailure
+from arrowbench import arrows
+from arrowbench.errors import ArrowbenchError, InputError, PreconditionFailure
 from arrowbench.patterns import free_join, pair_pattern_code
 from arrowbench.structures import embedding_maps, induced_substructure, is_embedding
 
@@ -538,6 +539,24 @@ def test_convex_chain_2_3_in_9():
     assert abs(cert.payload["value"] - 52 / 119) <= 1e-9
     assert cert.holds
     assert cert.payload["gap"] <= 1e-6
+
+
+def test_convex_refuses_suboptimal_solver_point(monkeypatch):
+    # all mass on the first copy of B, with the optimal value and duals:
+    # the combination's worst case (1) is far above the adversary's bound
+    solve = arrows._simplex
+
+    def suboptimal(cost, a_ub, eq, budget):
+        x, y = solve(cost, a_ub, eq, budget)
+        m_cnt = int(eq.sum())
+        x = x.copy()
+        x[:m_cnt] = 0.0
+        x[0] = 1.0
+        return x, y
+
+    monkeypatch.setattr(arrows, "_simplex", suboptimal)
+    with pytest.raises(ArrowbenchError, match="convex LP"):
+        convex_arrow(chain(11), chain(1), chain(3), 0.25)
 
 
 @st.composite

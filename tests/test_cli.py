@@ -211,6 +211,28 @@ def test_convex_cli_past_vertex_enumeration(files):
     assert v.returncode == 0 and "verified: true" in v.stdout, v.stderr
 
 
+def test_convex_cli_node_budget_bounds_the_lp(tmp_path):
+    paths = []
+    for n in (1, 3, 11):
+        p = tmp_path / f"c{n}.st"
+        p.write_text(serialize_structure(chain(n)))
+        paths.append(str(p))
+    r = run_cli(["convex-arrow", "--a", paths[0], "--b", paths[1], "--c", paths[2],
+                 "--epsilon", "0.25", "--node-budget", "5", "--no-cache"])
+    assert r.returncode == 3, r.stderr
+    assert "convex LP" in r.stderr
+
+
+def test_convex_cli_does_not_import_scipy(files):
+    code = ("import sys; from arrowbench.cli import main; "
+            f"code = main(['convex-arrow', '--a', {files['a2']!r}, '--b', {files['b3']!r}, "
+            f"'--c', {files['c6']!r}, '--epsilon', '0.6', '--no-cache']); "
+            "assert code == 0, code; assert 'scipy' not in sys.modules")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       cwd=PKG_ROOT)
+    assert r.returncode == 0, r.stderr
+
+
 def test_amalgamation_cli():
     r = run_cli(["amalgamation", "--age", "graph", "--property",
                  "free-amalgamation", "--bound", "2"])
