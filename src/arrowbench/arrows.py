@@ -659,74 +659,48 @@ def proximal_arrow(u: Structure, chi: Coloring, a: Structure, b: Structure,
 _PIVOT_TOL = 1e-9
 
 
-def _simplex(cost, a_ub, eq, budget: Budget):
-    """Minimise cost . x over x >= 0 with a_ub x <= 0 and eq . x = 1, by a
-    two-phase dense-tableau simplex.  Returns (x, y) where y[i] >= 0 is
-    the dual of row i of a_ub: the reduced cost of its slack.  Charges one
-    node per pivot to `budget`."""
+def _simplex(cost, a_ub, rhs, budget: Budget):
+    """Maximise cost . x over x >= 0 with a_ub x <= rhs (rhs >= 0) by a
+    dense-tableau simplex from the slack basis, charging one node per
+    pivot to `budget`.  Dantzig's rule runs on the deterministically
+    perturbed rhs + 1e-7 (i + 1) / rows at row i, so that zero rows do
+    not stall it; the true rhs rides along as a second column, and x is
+    read from it.  Returns (x, y), where y[i] >= 0 is the dual of row i:
+    the reduced cost of its slack; if the LP is unbounded, returns
+    (ray, None)."""
     import numpy as np
 
     rows, cols = a_ub.shape
-    art = cols + rows
-    # rows: a_ub, the equality row, the reduced costs; columns: x, one
-    # slack per row of a_ub, the artificial of the equality row, the rhs
-    t = np.zeros((rows + 2, art + 2))
+    # rows: a_ub, the reduced costs; columns: x, one slack per row, the
+    # perturbed rhs, the true rhs
+    t = np.zeros((rows + 1, cols + rows + 2))
     t[:rows, :cols] = a_ub
-    t[:rows, cols:art] = np.eye(rows)
-    t[rows, :cols] = eq
-    t[rows, art] = t[rows, -1] = 1.0
-    basis = list(range(cols, art + 1))
-    t[-1] = -t[rows]  # phase 1 minimises the artificial
-    t[-1, art] = 0.0
-    _optimise(t, basis, budget)
-    if -t[-1, -1] > _PIVOT_TOL:
-        raise ArrowbenchError(f"convex LP: phase 1 left the artificial at {-t[-1, -1]:.2e}")
-    if art in basis:  # basic at level 0: swap in the largest entry of its row
-        r = basis.index(art)
-        _pivot(t, r, int(abs(t[r, :art]).argmax()), basis)
-    t[:, art] = 0.0
-    full = np.zeros(art + 2)
-    full[:cols] = cost
-    t[-1] = full - full[basis] @ t[:-1]
-    _optimise(t, basis, budget)
-    x = np.zeros(art + 1)
-    x[basis] = t[:-1, -1]
-    return x[:cols], t[-1, cols:art]
-
-
-def _pivot(t, r, j, basis: list[int]) -> None:
-    t[r] /= t[r, j]
-    col = t[:, j].copy()
-    col[r] = 0.0
-    t -= col[:, None] * t[r]
-    basis[r] = j
-
-
-def _optimise(t, basis: list[int], budget: Budget) -> None:
-    """Pivot to optimality: Dantzig's most negative reduced cost, and
-    Bland's smallest index once a run of degenerate pivots reaches the row
-    count (so the run cannot cycle); ratio-test ties go to the smallest
-    basic index."""
-    import numpy as np
-
-    rows = len(basis)
-    degenerate = 0
+    t[:rows, cols:-2] = np.eye(rows)
+    t[:rows, -2] = rhs + 1e-7 * np.arange(1, rows + 1) / rows
+    t[:rows, -1] = rhs
+    t[-1, :cols] = -cost
+    basis = list(range(cols, cols + rows))
+    x = np.zeros(cols + rows)
     while True:
-        d = t[-1, :-1]
-        j = int((d < -_PIVOT_TOL).argmax() if degenerate >= rows else d.argmin())
-        if d[j] >= -_PIVOT_TOL:
-            return
-        col = t[:rows, j]
+        j = int(t[-1, :-2].argmin())
+        if t[-1, j] >= -_PIVOT_TOL:
+            x[basis] = t[:-1, -1]
+            return x[:cols], t[-1, cols:-2]
+        col = t[:-1, j]
         up = col > _PIVOT_TOL
         if not up.any():
-            raise ArrowbenchError("convex LP: unbounded")
+            x[j] = 1.0
+            x[basis] = -col
+            return x[:cols], None
         ratio = np.full(rows, np.inf)
-        ratio[up] = np.maximum(t[:rows, -1][up], 0.0) / col[up]
-        best = ratio.min()
-        r = min(np.flatnonzero(ratio <= best + _PIVOT_TOL), key=basis.__getitem__)
-        degenerate = degenerate + 1 if best <= _PIVOT_TOL else 0
+        ratio[up] = np.maximum(t[:-1, -2][up], 0.0) / col[up]
+        r = int(ratio.argmin())
         budget.spend()
-        _pivot(t, r, j, basis)
+        t[r] /= t[r, j]
+        col = t[:, j].copy()
+        col[r] = 0.0
+        t -= col[:, None] * t[r]
+        basis[r] = j
 
 
 def convex_arrow(c: Structure, a: Structure, b: Structure,
@@ -736,17 +710,20 @@ def convex_arrow(c: Structure, a: Structure, b: Structure,
     payoff is the oscillation of the averaged coloring over the copies of
     A in B.  For a fixed ordered pair of A-copies the adversary's best
     coloring scores the sum of the positive parts of the margin vector
-    (first-slot mass minus second-slot mass at each position), so the game
-    is one LP of polynomial size:
+    (first-slot mass minus second-slot mass at each position).  A margin
+    vector sums to 0, so both orders of a pair score the same, and the
+    game is one LP of polynomial size with one row block per unordered
+    pair.  In homogeneous form (mu = lambda / value, t scaled alike):
 
-        minimize v  over  lambda >= 0, sum(lambda) = 1, t >= 0
-        subject to  t[pair, pos] >= margin(lambda)[pair, pos]
-                    sum_pos t[pair, pos] <= v.
+        maximize sum(mu)  over  mu >= 0, t >= 0
+        subject to  margin(mu)[pair, pos] <= t[pair, pos]
+                    sum_pos t[pair, pos] <= 1
 
-    `_simplex` solves it, charging one node per pivot to `budget`
-    ("convex LP" by default).  Its duals are the adversary's mixed
-    strategy: pair weights y and [0,1]-colorings z / y.  Verdict:
-    value <= epsilon (at tolerance 1e-9).
+    and value = 1 / optimum; an unbounded ray is a combination with all
+    margins 0, value 0.  `_simplex` solves it from the slack basis,
+    charging one node per pivot to `budget` ("convex LP" by default).
+    Its duals are the adversary's mixed strategy: pair weights y and
+    [0,1]-colorings z / y.  Verdict: value <= epsilon (at tolerance 1e-9).
     """
     import numpy as np
 
@@ -776,50 +753,51 @@ def convex_arrow(c: Structure, a: Structure, b: Structure,
                      "adversary": []})
     index = {mm: i for i, mm in enumerate(domain)}
     slots = np.array([[index[tuple(bm[x] for x in am)] for am in emb_ab] for bm in copies])
-    pairs = [(j1, j2) for j1 in range(p_cnt) for j2 in range(p_cnt) if j1 != j2]
+    pairs = list(itertools.combinations(range(p_cnt), 2))
 
-    # marg[pair, pos] . lambda is the margin at pos: the mass of copies
+    # marg[pair, pos] . mu is the margin at pos: the mass of copies
     # putting pos in the pair's first slot minus those putting it second
     marg = np.zeros((len(pairs), n, m_cnt))
     for p, (j1, j2) in enumerate(pairs):
         marg[p, slots[:, j1], np.arange(m_cnt)] = 1.0
         marg[p, slots[:, j2], np.arange(m_cnt)] = -1.0
     n_marg = len(pairs) * n
-    # columns: lambda, v, t[pair, pos]; rows: margin <= t, then sum_pos t <= v;
-    # v needs no sign freedom, as v >= sum_pos t >= 0
+    # columns: mu, t[pair, pos]; rows: margin <= t, then sum_pos t <= 1
     a_ub = np.block([
-        [marg.reshape(n_marg, m_cnt), np.zeros((n_marg, 1)), -np.eye(n_marg)],
-        [np.zeros((len(pairs), m_cnt)), -np.ones((len(pairs), 1)),
-         np.kron(np.eye(len(pairs)), np.ones(n))]])
-    eq = np.zeros(a_ub.shape[1])
-    eq[:m_cnt] = 1.0
+        [marg.reshape(n_marg, m_cnt), -np.eye(n_marg)],
+        [np.zeros((len(pairs), m_cnt)), np.kron(np.eye(len(pairs)), np.ones(n))]])
+    rhs = np.zeros(len(a_ub))
+    rhs[n_marg:] = 1.0
     cvec = np.zeros(a_ub.shape[1])
-    cvec[m_cnt] = 1.0
-    sol, duals = _simplex(cvec, a_ub, eq, budget or Budget(5_000_000, "convex LP"))
-    lam = [max(0.0, float(x)) for x in sol[:m_cnt]]
-    total = sum(lam)
-    lam = [x / total for x in lam]
-    value = float(sol[m_cnt])
+    cvec[:m_cnt] = 1.0
+    sol, duals = _simplex(cvec, a_ub, rhs, budget or Budget(5_000_000, "convex LP"))
+    mu = [max(0.0, float(x)) for x in sol[:m_cnt]]
+    total = sum(mu)
+    lam = [x / total for x in mu]
 
     # primal check: worst oscillation of the returned combination
     direct = float(np.clip(marg @ lam, 0.0, None).sum(axis=1).max())
-    # dual certificate: adversary mixture proving a matching lower bound;
-    # y weighs the sum rows (one per pair), z the margin rows
-    y, z = duals[n_marg:], duals[:n_marg].reshape(len(pairs), n)
-    keep = [p for p in range(len(pairs)) if y[p] > 1e-12]
-    weights = y[keep] / y[keep].sum()
-    colorings = np.clip(z[keep] / y[keep, None], 0.0, 1.0)
-    adversary = [{"coloring": col.tolist(),
-                  "pair": [list(emb_ab[pairs[p][0]]), list(emb_ab[pairs[p][1]])],
-                  "weight": float(w)}
-                 for p, w, col in zip(keep, weights, colorings)]
-    per_copy = np.einsum("k,kn,knm->m", weights, colorings, marg[keep])
-    gap = float(abs(direct - per_copy.min()))
+    if duals is None:  # a ray: every margin of lambda is 0
+        value, adversary, bound = 0.0, [], 0.0
+    else:
+        value = 1.0 / total
+        # dual certificate: adversary mixture proving a matching lower
+        # bound; y weighs the sum rows (one per pair), z the margin rows
+        y, z = duals[n_marg:], duals[:n_marg].reshape(len(pairs), n)
+        keep = [p for p in range(len(pairs)) if y[p] > 1e-12]
+        weights = y[keep] / y[keep].sum()
+        colorings = np.clip(z[keep] / y[keep, None], 0.0, 1.0)
+        adversary = [{"coloring": col.tolist(),
+                      "pair": [list(emb_ab[pairs[p][0]]), list(emb_ab[pairs[p][1]])],
+                      "weight": float(w)}
+                     for p, w, col in zip(keep, weights, colorings)]
+        bound = float(np.einsum("k,kn,knm->m", weights, colorings, marg[keep]).min())
+    gap = float(abs(direct - bound))
     # refuse what _verify_convex would reject: value must lie within 1e-6
     # of both the combination's worst case and the adversary's bound
-    if gap > 1e-6 or not direct - 1e-6 <= value <= per_copy.min() + 1e-6:
+    if gap > 1e-6 or not direct - 1e-6 <= value <= bound + 1e-6:
         raise ArrowbenchError(f"convex LP: no optimal point (value {value!r}, "
-                              f"bounds {per_copy.min()!r}..{direct!r})")
+                              f"bounds {bound!r}..{direct!r})")
 
     comb = ConvexCombination(tuple(lam), tuple(Embedding(b, c, mm) for mm in copies))
     verdict = "holds" if value <= epsilon + REAL_TOL else "fails"

@@ -42,8 +42,7 @@ class Budget:
         if self.used > self.cap:
             raise ResourceLimitExceeded(
                 f"{self.what}: node budget {self.cap} exceeded", budget=self.cap)
-        if (_GLOBAL_DEADLINE is not None and self.used % 1024 == 0
-                and time.monotonic() > _GLOBAL_DEADLINE):
+        if _GLOBAL_DEADLINE is not None and time.monotonic() > _GLOBAL_DEADLINE:
             raise ResourceLimitExceeded(f"{self.what}: time budget exceeded")
 
 

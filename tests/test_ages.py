@@ -1,25 +1,33 @@
+import dataclasses
+import functools
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arrowbench.ages import (
     AgeSpec,
+    _satisfies_axioms,
     amalgamation_probe,
     catalog_age,
     enumerate_structures,
+    enumerate_up_to,
     load_age,
     member,
     verify_amalgamation_counterexample,
 )
-from arrowbench.errors import InputError, SignatureMismatch
+from arrowbench.errors import InputError, ResourceLimitExceeded, SignatureMismatch
 from arrowbench.structures import (
     Signature,
     Structure,
     canonical_form,
     induced_substructure,
+    relabel,
     serialize_structure,
 )
+from arrowbench.unions import Budget, place_part
 
 from util import brute_isomorphic, chain, cycle, graph, k_graph, pure_set
 
@@ -238,3 +246,63 @@ def test_transitive_flag_matches_pairwise_definition(seed=5):
         rel = set(pairs)
         transitive = all((u, w) in rel for u, v in rel for v2, w in rel if v == v2)
         assert member(spec, Structure.make(sig, n, {"r": pairs})) == transitive
+
+
+# ---------------------------------------------------------------------------
+# placement output and the axiom flags
+
+
+class _SpySpec:
+    """Delegates to a real age and records every candidate `member` sees."""
+
+    def __init__(self, spec):
+        self.spec = spec
+        self.seen = []
+
+    def __getattr__(self, name):
+        return getattr(self.spec, name)
+
+    def member(self, s):
+        self.seen.append(s)
+        return self.spec.member(s)
+
+
+@functools.lru_cache(maxsize=None)
+def _small_members(name):
+    return tuple(enumerate_up_to(catalog_age(name), 3))
+
+
+@st.composite
+def _placement(draw):
+    """(age name, host or None, part): relabeled members of at most 3
+    vertices each."""
+    name = draw(st.sampled_from(("graph", "graph_kfree:3", "linear_order",
+                                 "tournament", "digraph")))
+
+    def member_of_age():
+        s = draw(st.sampled_from(_small_members(name)))
+        return relabel(s, draw(st.permutations(range(s.size))))
+
+    host = member_of_age() if draw(st.booleans()) else None
+    return name, host, member_of_age()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_placement())
+def test_placement_candidates_satisfy_the_non_transitive_flags(case):
+    # completions only emit pair states allowed by the axiom flags, so
+    # every candidate handed to `member` already satisfies them all but
+    # transitivity, which spans triples and is left to `member`
+    name, host, part = case
+    spec = catalog_age(name)
+    spy = _SpySpec(spec)
+    try:  # the budget keeps the 4^9 completions of a 3+3 digraph quick
+        for _ in place_part(host, part, spy, budget=Budget(5000)):
+            pass
+    except ResourceLimitExceeded:
+        pass
+    relaxed = dataclasses.replace(
+        spec, axioms=tuple((sym, flags - {"transitive"}) for sym, flags in spec.axioms))
+    assert spy.seen
+    for cand in spy.seen:
+        assert _satisfies_axioms(relaxed, cand), serialize_structure(cand)

@@ -27,6 +27,7 @@ from arrowbench import arrows
 from arrowbench.errors import ArrowbenchError, InputError, PreconditionFailure
 from arrowbench.patterns import free_join, pair_pattern_code
 from arrowbench.structures import embedding_maps, induced_substructure, is_embedding
+from arrowbench.unions import Budget
 
 from util import (
     chain,
@@ -451,16 +452,29 @@ def test_proximal_arrow_refuses_mismatched_report():
 # convex arrow
 
 
+def _convex_certificate_replays(cert, c, a, b, family, epsilon):
+    inputs = {"a": a, "b": b, "c": c}
+    doc = json.loads(json.dumps(certificates.envelope(cert, inputs, family,
+                                                      {"epsilon": epsilon})))
+    return certificates.verify_certificate(doc, inputs, catalog_age(family))
+
+
 def test_convex_pure_set_value_zero():
-    # oracle: the uniform combination over all ordered pairs has equal
+    # oracle: the uniform combination over all copies of B has equal
     # first/second marginals, so its oscillation is 0 on every coloring;
-    # with value >= 0 that pins the game value to exactly 0
-    cert = convex_arrow(pure_set(4), pure_set(1), pure_set(2), 0.3)
-    assert cert.holds
-    assert abs(cert.payload["value"]) <= 1e-9
-    assert cert.payload["gap"] <= 1e-6
+    # with value >= 0 that pins the game value to exactly 0, which the
+    # homogeneous LP reaches as an unbounded ray with no adversary
+    for family, c, a, b in (("set", pure_set(4), pure_set(1), pure_set(2)),
+                            ("graph", k_graph(6), k_graph(2), k_graph(3)),
+                            ("set", pure_set(6), pure_set(2), pure_set(3))):
+        cert = convex_arrow(c, a, b, 0.3)
+        assert cert.holds
+        assert abs(cert.payload["value"]) <= 1e-9
+        assert cert.payload["gap"] <= 1e-6
+        assert cert.payload["adversary"] == []
+        assert _convex_certificate_replays(cert, c, a, b, family, 0.3)
     oracle = convex_minimax_oracle(pure_set(4), pure_set(1), pure_set(2))
-    assert abs(cert.payload["value"] - oracle) <= 1e-6
+    assert abs(oracle) <= 1e-6
 
 
 def test_convex_epsilon_one_always_holds(seed=17):
@@ -516,6 +530,22 @@ def test_time_budget_enforced():
         set_time_budget(None)
 
 
+def test_time_budget_checked_on_every_spend():
+    # one spend past the deadline raises: a convex LP makes few, slow
+    # pivots, so a deadline checked only every 1024 nodes never fires
+    import time
+    from arrowbench.unions import set_time_budget
+    from arrowbench.errors import ResourceLimitExceeded
+
+    set_time_budget(0.001)
+    try:
+        time.sleep(0.01)
+        with pytest.raises(ResourceLimitExceeded, match="time budget"):
+            Budget(10).spend()
+    finally:
+        set_time_budget(None)
+
+
 def test_convex_combination_is_valid_distribution():
     cert = convex_arrow(chain(4), chain(1), chain(2), 1.0)
     weights = [w for _, w in cert.payload["combination"]]
@@ -546,17 +576,26 @@ def test_convex_refuses_suboptimal_solver_point(monkeypatch):
     # the combination's worst case (1) is far above the adversary's bound
     solve = arrows._simplex
 
-    def suboptimal(cost, a_ub, eq, budget):
-        x, y = solve(cost, a_ub, eq, budget)
-        m_cnt = int(eq.sum())
+    def suboptimal(cost, a_ub, rhs, budget):
+        x, y = solve(cost, a_ub, rhs, budget)
+        m_cnt = int(cost.sum())
         x = x.copy()
-        x[:m_cnt] = 0.0
-        x[0] = 1.0
+        x[0] = x[:m_cnt].sum()
+        x[1:m_cnt] = 0.0
         return x, y
 
     monkeypatch.setattr(arrows, "_simplex", suboptimal)
     with pytest.raises(ArrowbenchError, match="convex LP"):
         convex_arrow(chain(11), chain(1), chain(3), 0.25)
+
+
+def test_convex_chain_2_3_in_12_does_not_stall():
+    # every right-hand side but the pair rows' is 0: unperturbed, the
+    # simplex pivots in place here for more than 12,000 pivots
+    c, a, b = chain(12), chain(2), chain(3)
+    cert = convex_arrow(c, a, b, 0.5, Budget(2000, "convex LP"))
+    assert cert.payload["gap"] <= 1e-6
+    assert _convex_certificate_replays(cert, c, a, b, "linear_order", 0.5)
 
 
 @st.composite
