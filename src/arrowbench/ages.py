@@ -35,6 +35,7 @@ from arrowbench.structures import (
     parse_structure,
     relabel,
 )
+from arrowbench.unions import Budget, place_part
 
 AXIOM_FLAGS = ("irreflexive", "symmetric", "antisymmetric", "total", "transitive")
 
@@ -266,98 +267,32 @@ def _single_vertex_members(spec: AgeSpec) -> list[Structure]:
     return [dedup[c] for c in sorted(dedup)]
 
 
-def _extensions(spec: AgeSpec, parent: Structure, budget) -> list[Structure]:
-    """All age members obtained from parent by adding vertex n (one per
-    completion of the tuples touching the new vertex)."""
-    from arrowbench.unions import _pair_states
-
-    sig = spec.signature
-    n = parent.size
-    m = n + 1
-    new = n
-    base_rels = [set(t) for t in parent.relations]
-    flags = spec.axiom_flags()
-
-    free_binary: list[tuple[int, tuple[int, int]]] = []
-    free_diag: list[int] = []
-    free_other: list[tuple[int, tuple[int, ...]]] = []
-    for si, (_, arity) in enumerate(sig.symbols):
-        if arity == 2:
-            for u in range(n):
-                free_binary.append((si, (u, new)))
-            free_diag.append(si)
-        else:
-            for t in itertools.product(range(m), repeat=arity):
-                if new in t:
-                    free_other.append((si, t))
-
-    out = []
-
-    def emit(rels):
-        s = Structure(sig, m, tuple(tuple(sorted(r)) for r in rels))
-        if member(spec, s):
-            out.append(s)
-
-    def rec_other(idx, rels):
-        budget.spend()
-        if idx == len(free_other):
-            emit(rels)
-            return
-        si, t = free_other[idx]
-        rec_other(idx + 1, rels)
-        rels[si].add(t)
-        rec_other(idx + 1, rels)
-        rels[si].remove(t)
-
-    def rec_diag(idx, rels):
-        budget.spend()
-        if idx == len(free_diag):
-            rec_other(0, rels)
-            return
-        si = free_diag[idx]
-        rec_diag(idx + 1, rels)
-        if "irreflexive" not in flags[si]:
-            rels[si].add((new, new))
-            rec_diag(idx + 1, rels)
-            rels[si].remove((new, new))
-
-    def rec_binary(idx, rels):
-        budget.spend()
-        if idx == len(free_binary):
-            rec_diag(0, rels)
-            return
-        si, (u, v) = free_binary[idx]
-        for fwd, bwd in _pair_states(flags[si]):
-            added = []
-            if fwd:
-                rels[si].add((u, v))
-                added.append((u, v))
-            if bwd:
-                rels[si].add((v, u))
-                added.append((v, u))
-            rec_binary(idx + 1, rels)
-            for t in added:
-                rels[si].remove(t)
-
-    rec_binary(0, base_rels)
-    return out
+def _extensions(spec: AgeSpec, parent: Structure, singles, budget: Budget):
+    """Every age member obtained from parent by adding one vertex: the
+    fresh placements of each one-vertex member, which place_part yields
+    before the placements onto existing vertices."""
+    for v in singles:
+        for host, _ in place_part(parent, v, spec, max_size=parent.size + 1,
+                                  budget=budget):
+            if host.size == parent.size:
+                break
+            yield host
 
 
-def enumerate_structures(spec: AgeSpec, n: int, candidate_cap: int = 2_000_000) -> list[Structure]:
+def enumerate_structures(spec: AgeSpec, n: int, budget: Budget | None = None) -> list[Structure]:
     """All members of the age of size n, one canonical representative per
     isomorphism type, ordered by canonical code."""
-    from arrowbench.unions import Budget
-
     if n < 1:
         raise InputError("n must be >= 1")
-    budget = Budget(candidate_cap, "enumerate_structures")
-    level = _single_vertex_members(spec)
+    budget = budget or Budget(2_000_000, "enumerate_structures")
+    singles = _single_vertex_members(spec)
+    level = singles
     for _ in range(n - 1):
         next_level: dict[bytes, Structure] = {}
         for parent in level:
             parent_code = canonical_form(parent)
             seen_here: set[bytes] = set()
-            for cand in _extensions(spec, parent, budget):
+            for cand in _extensions(spec, parent, singles, budget):
                 code, perm = canonical_labeling(cand)
                 if code in seen_here:
                     continue
@@ -375,11 +310,11 @@ def enumerate_structures(spec: AgeSpec, n: int, candidate_cap: int = 2_000_000) 
     return level
 
 
-def enumerate_up_to(spec: AgeSpec, n: int, candidate_cap: int = 2_000_000) -> list[Structure]:
+def enumerate_up_to(spec: AgeSpec, n: int, budget: Budget | None = None) -> list[Structure]:
     """Members of every size 1..n, size-major then code order."""
     out = []
     for k in range(1, n + 1):
-        out.extend(enumerate_structures(spec, k, candidate_cap))
+        out.extend(enumerate_structures(spec, k, budget))
     return out
 
 
@@ -410,8 +345,6 @@ def _find_completion(spec: AgeSpec, inst: AmalgamationInstance, free: bool,
     """Search a completion D with embeddings beta: B->D, gamma: C->D such
     that beta.f == gamma.g; the free variant also requires no relation
     tuple to meet both new parts.  Returns (D, beta, gamma) or None."""
-    from arrowbench.unions import place_part
-
     b, c = inst.b, inst.c
     forced = {}
     if inst.a is not None:
@@ -439,21 +372,19 @@ def _find_completion(spec: AgeSpec, inst: AmalgamationInstance, free: bool,
 
 
 def amalgamation_probe(spec: AgeSpec, which: str, bound: int,
-                       candidate_cap: int = 5_000_000) -> AmalgamationReport:
+                       budget: Budget | None = None) -> AmalgamationReport:
     """Test joint-embedding / amalgamation / free-amalgamation over every
     instance with |A|, |B|, |C| <= bound.
 
     joint-embedding quantifies over (B, C) only (no common part);
     amalgamation and free-amalgamation over (A, B, C, f, g).
     """
-    from arrowbench.unions import Budget, place_part
-
     if bound < 1:
         raise InputError("bound must be >= 1")
     if which not in ("joint-embedding", "amalgamation", "free-amalgamation"):
         raise InputError(f"unknown amalgamation property {which!r}")
-    budget = Budget(candidate_cap, "amalgamation_probe")
-    reps = enumerate_up_to(spec, bound)
+    reps = enumerate_up_to(spec, bound, budget)
+    budget = budget or Budget(5_000_000, "amalgamation_probe")
     checked = 0
 
     if which == "joint-embedding":
@@ -490,9 +421,7 @@ def amalgamation_probe(spec: AgeSpec, which: str, bound: int,
 
 
 def verify_amalgamation_counterexample(spec: AgeSpec, inst: AmalgamationInstance,
-                                       which: str, candidate_cap: int = 5_000_000) -> bool:
+                                       which: str, budget: Budget | None = None) -> bool:
     """Independent re-check: no completion exists within the size cap."""
-    from arrowbench.unions import Budget
-
-    budget = Budget(candidate_cap, "verify_amalgamation")
+    budget = budget or Budget(5_000_000, "verify_amalgamation")
     return _find_completion(spec, inst, which == "free-amalgamation", budget) is None

@@ -245,7 +245,7 @@ def _counterexample_search(n_pos, copies, k, aut_perms, budget: Budget):
 
 
 def classical_arrow(c: Structure, a: Structure, b: Structure, k: int,
-                    node_budget: int = 20_000_000) -> ArrowCertificate:
+                    budget: Budget | None = None) -> ArrowCertificate:
     """Decide C -> (B)^A_k for embeddings: every k-coloring of the copies
     of A in C is constant on the copies of A in some copy of B."""
     if k < 1:
@@ -264,7 +264,8 @@ def classical_arrow(c: Structure, a: Structure, b: Structure, k: int,
             payload={"k": k, "domain_size": len(domain)})
     copies = _copy_position_sets(domain, emb_ab, copies_raw)
     aut_perms = _aut_position_perms(c, domain)
-    budget = Budget(node_budget, "classical_arrow")
+    budget = budget or Budget(20_000_000, "classical_arrow")
+    used = budget.used
     n = len(domain)
 
     bad = _counterexample_search(n, copies, k, aut_perms, budget)
@@ -273,7 +274,7 @@ def classical_arrow(c: Structure, a: Structure, b: Structure, k: int,
         return ArrowCertificate(
             "arrow", "holds",
             payload={"k": k, "domain_size": n, "copy_count": len(copies),
-                     "aut_perms": len(aut_perms) + 1, "nodes": budget.used,
+                     "aut_perms": len(aut_perms) + 1, "nodes": budget.used - used,
                      "method": "pruned-backtracking-exhaustion"})
     coloring = [[list(m), col] for m, col in zip(domain, bad)]
     return ArrowCertificate(
@@ -326,13 +327,13 @@ def check_coloring_is_counterexample(c, a, b, coloring_pairs) -> bool:
 
 
 def arrow_search(spec: AgeSpec, a: Structure, b: Structure, k: int, max_n: int,
-                 node_budget: int = 20_000_000) -> ArrowCertificate:
+                 budget: Budget | None = None) -> ArrowCertificate:
     """Scan the age by size for the first C with classical_arrow holding."""
     if max_n < b.size:
         raise InputError("max_n must be at least |B|")
     for n in range(max(a.size, b.size), max_n + 1):
-        for cand in enumerate_structures(spec, n):
-            cert = classical_arrow(cand, a, b, k, node_budget=node_budget)
+        for cand in enumerate_structures(spec, n, budget):
+            cert = classical_arrow(cand, a, b, k, budget)
             if cert.holds and not cert.degenerate:
                 return ArrowCertificate(
                     "arrow-search", "holds",
@@ -421,7 +422,7 @@ def _pattern_constant_b(u, c_map, z_maps, emb_bc, emb_ab):
 
 
 def definable_arrow(c: Structure, a: Structure, b: Structure, z: Structure,
-                    spec: AgeSpec, candidate_cap: int = 2_000_000) -> ArrowCertificate:
+                    spec: AgeSpec, budget: Budget | None = None) -> ArrowCertificate:
     """Decide the pattern-constant arrow: for every joint embedding of C
     and Z there is a copy of B on which a |-> [a, z] is constant."""
     _require_members(spec, (a, b, c, z))
@@ -435,7 +436,7 @@ def definable_arrow(c: Structure, a: Structure, b: Structure, z: Structure,
                                 reason="A does not embed in B; constancy is vacuous",
                                 payload={})
     checked = 0
-    for je in joint_embeddings(spec, c, (z,), candidate_cap=candidate_cap):
+    for je in joint_embeddings(spec, c, (z,), budget=budget):
         u = je.target
         c_map, z_map = je.maps
         checked += 1
@@ -451,16 +452,14 @@ def definable_arrow(c: Structure, a: Structure, b: Structure, z: Structure,
 
 def stable_arrow(c: Structure, a: Structure, b: Structure, zs, spec: AgeSpec,
                  depth: int, max_host: int | None = None,
-                 candidate_cap: int = 2_000_000,
-                 node_budget: int = 5_000_000) -> ArrowCertificate:
+                 budget: Budget | None = None) -> ArrowCertificate:
     """The definable arrow simultaneously for all coordinates, guarded by
     the depth-bounded stability precondition on every pair (A, Z_i)."""
     zs = tuple(zs)
     _require_members(spec, (a, b, c) + zs)
     precondition = []
     for i, z in enumerate(zs):
-        report = stable_up_to(spec, a, z, depth, max_host=max_host,
-                              node_budget=node_budget)
+        report = stable_up_to(spec, a, z, depth, max_host, budget)
         precondition.append({"z_index": i, "stable": report.stable,
                              "depth": report.depth, "max_host": report.max_host})
         if not report.stable:
@@ -478,7 +477,7 @@ def stable_arrow(c: Structure, a: Structure, b: Structure, zs, spec: AgeSpec,
                                 reason="A does not embed in B; constancy is vacuous",
                                 payload={"stability_precondition": precondition})
     checked = 0
-    for je in joint_embeddings(spec, c, zs, candidate_cap=candidate_cap):
+    for je in joint_embeddings(spec, c, zs, budget=budget):
         u = je.target
         c_map = je.maps[0]
         z_maps = list(je.maps[1:])
@@ -498,12 +497,12 @@ def stable_arrow(c: Structure, a: Structure, b: Structure, zs, spec: AgeSpec,
 
 def roelcke_witness(spec: AgeSpec, a: Structure, b: Structure, z: Structure,
                     max_n: int | None = None,
-                    candidate_cap: int = 5_000_000) -> ArrowCertificate:
+                    budget: Budget | None = None) -> ArrowCertificate:
     """Search for one joint embedding <b, z> whose pattern coloring
     a |-> [b.a, z] is constant; the free join is the first candidate."""
     _require_members(spec, (a, b, z))
     emb_ab = embedding_maps(a, b)
-    budget = Budget(candidate_cap, "roelcke_witness")
+    budget = budget or Budget(5_000_000, "roelcke_witness")
     checked = 0
     for u, (b_map, z_map) in iter_joint_embeddings(spec, b, (z,), max_size=max_n,
                                                    budget=budget):
@@ -559,7 +558,7 @@ def _values_agree(x, y, kind: str) -> bool:
 
 
 def proximal_check(u: Structure, chi: Coloring, spec: AgeSpec, d_max: int,
-                   candidate_cap: int = 5_000_000) -> ProximalReport:
+                   budget: Budget | None = None) -> ProximalReport:
     """For every D in the age up to size d_max, search for a substructure
     E of U such that any two copies of E in U agree, after some copy of D
     inside E, on the restricted colorings.
@@ -576,8 +575,8 @@ def proximal_check(u: Structure, chi: Coloring, spec: AgeSpec, d_max: int,
     a = chi.source
     value_at = {m: v for m, v in zip(chi.domain, chi.values)}
     entries = []
-    budget = Budget(candidate_cap, "proximal_check")
-    ds = enumerate_up_to(spec, d_max) if d_max >= 1 else []
+    ds = enumerate_up_to(spec, d_max, budget) if d_max >= 1 else []
+    budget = budget or Budget(5_000_000, "proximal_check")
     for d_struct in ds:
         emb_ad = embedding_maps(a, d_struct)
         witness = None

@@ -109,7 +109,7 @@ def _union_supported(u: Structure, maps) -> bool:
     return covered == set(range(u.size))
 
 
-def _verify_arrow(doc, inputs, spec):
+def _verify_arrow(doc, inputs, spec, budget):
     a, b, c = inputs["a"], inputs["b"], inputs["c"]
     k = doc["params"]["colors"]
     if doc["verdict"] == "fails":
@@ -121,14 +121,14 @@ def _verify_arrow(doc, inputs, spec):
     return exhaustive_classical_check(c, a, b, k)
 
 
-def _verify_arrow_search(doc, inputs, spec):
+def _verify_arrow_search(doc, inputs, spec, budget):
     a, b = inputs["a"], inputs["b"]
     k = doc["params"]["colors"]
     if doc["verdict"] == "fails":
         # negative exhaustion over the age scan is re-checked by re-running
         from arrowbench.arrows import arrow_search
 
-        again = arrow_search(spec, a, b, k, doc["params"]["max_n"])
+        again = arrow_search(spec, a, b, k, doc["params"]["max_n"], budget)
         return again.verdict == "fails"
     c = parse_structure(doc["payload"]["c"])
     if not spec.member(c):
@@ -136,7 +136,7 @@ def _verify_arrow_search(doc, inputs, spec):
     return exhaustive_classical_check(c, a, b, k)
 
 
-def _reenact_pattern_arrow(doc, inputs, spec, zs_names):
+def _reenact_pattern_arrow(doc, inputs, spec, zs_names, budget):
     """Independent holds-check: raw joint-embedding enumeration (no
     pattern deduplication), early-exit per candidate."""
     a, b, c = inputs["a"], inputs["b"], inputs["c"]
@@ -147,7 +147,7 @@ def _reenact_pattern_arrow(doc, inputs, spec, zs_names):
         if doc["verdict"] == "fails":
             return not emb_bc
         return bool(emb_bc) and not emb_ab
-    budget = Budget(5_000_000, "verify_pattern_arrow")
+    budget = budget or Budget(5_000_000, "verify_pattern_arrow")
     for u, maps in iter_joint_embeddings(spec, c, zs, budget=budget):
         c_map, z_maps = maps[0], list(maps[1:])
         if _pattern_constant_b(u, c_map, z_maps, emb_bc, emb_ab) is None:
@@ -176,25 +176,25 @@ def _verify_pattern_arrow_fail(doc, inputs, spec, zs_names):
     return _pattern_constant_b(u, c_map, z_maps, emb_bc, emb_ab) is None
 
 
-def _verify_definable(doc, inputs, spec):
+def _verify_definable(doc, inputs, spec, budget):
     if doc["verdict"] == "fails" and not doc.get("degenerate"):
         return _verify_pattern_arrow_fail(doc, inputs, spec, ["z"])
-    return _reenact_pattern_arrow(doc, inputs, spec, ["z"])
+    return _reenact_pattern_arrow(doc, inputs, spec, ["z"], budget)
 
 
-def _verify_stable(doc, inputs, spec):
+def _verify_stable(doc, inputs, spec, budget):
     zs_names = sorted(n for n in doc["inputs"] if n.startswith("z"))
     if doc["verdict"] == "fails" and not doc.get("degenerate"):
         return _verify_pattern_arrow_fail(doc, inputs, spec, zs_names)
-    return _reenact_pattern_arrow(doc, inputs, spec, zs_names)
+    return _reenact_pattern_arrow(doc, inputs, spec, zs_names, budget)
 
 
-def _verify_roelcke(doc, inputs, spec):
+def _verify_roelcke(doc, inputs, spec, budget):
     a, b, z = inputs["a"], inputs["b"], inputs["z"]
     if doc["verdict"] == "fails":
         from arrowbench.arrows import roelcke_witness
 
-        again = roelcke_witness(spec, a, b, z, doc["params"].get("max_n"))
+        again = roelcke_witness(spec, a, b, z, doc["params"].get("max_n"), budget)
         return again.verdict == "fails"
     u = parse_structure(doc["payload"]["u"])
     b_map = tuple(doc["payload"]["b_map"])
@@ -212,7 +212,7 @@ def _verify_roelcke(doc, inputs, spec):
     return len(codes) <= 1
 
 
-def _verify_epsilon(doc, inputs, spec, coloring: Coloring | None):
+def _verify_epsilon(doc, inputs, spec, coloring: Coloring | None, budget):
     if coloring is None:
         raise CertificateError("epsilon-witness verification needs the coloring")
     if doc["inputs"].get("_coloring") != coloring_digest(coloring):
@@ -233,19 +233,19 @@ def _verify_epsilon(doc, inputs, spec, coloring: Coloring | None):
     return oscillation(vals) < eps
 
 
-def _verify_proximal_check(doc, inputs, spec, coloring):
+def _verify_proximal_check(doc, inputs, spec, coloring, budget):
     if coloring is None:
         raise CertificateError("proximal-check verification needs the coloring")
     if doc["inputs"].get("_coloring") != coloring_digest(coloring):
         raise CertificateError("coloring digest mismatch")
     from arrowbench.arrows import proximal_check
 
-    again = proximal_check(inputs["u"], coloring, spec, doc["params"]["d_max"])
+    again = proximal_check(inputs["u"], coloring, spec, doc["params"]["d_max"], budget)
     entries = [[d, p, w] for d, p, w in again.entries]
     return entries == doc["payload"]["entries"]
 
 
-def _verify_proximal_arrow(doc, inputs, spec, coloring):
+def _verify_proximal_arrow(doc, inputs, spec, coloring, budget):
     if coloring is None:
         raise CertificateError("proximal-arrow verification needs the coloring")
     if doc["inputs"].get("_coloring") != coloring_digest(coloring):
@@ -265,7 +265,7 @@ def _verify_proximal_arrow(doc, inputs, spec, coloring):
     return all(_values_agree(v, vals[0], coloring.kind) for v in vals[1:])
 
 
-def _verify_convex(doc, inputs, spec):
+def _verify_convex(doc, inputs, spec, budget):
     a, b, c = inputs["a"], inputs["b"], inputs["c"]
     payload = doc["payload"]
     eps = doc["params"]["epsilon"]
@@ -326,7 +326,7 @@ def _verify_convex(doc, inputs, spec):
     return (doc["verdict"] == "holds") == holds
 
 
-def _verify_stability(doc, inputs, spec):
+def _verify_stability(doc, inputs, spec, budget):
     a, z = inputs["a"], inputs["z"]
     payload = doc["payload"]
     if doc["verdict"] == "holds":
@@ -345,17 +345,17 @@ def _verify_stability(doc, inputs, spec):
         return w.verify()
     from arrowbench.stability import stable_up_to
 
-    report = stable_up_to(spec, a, z, payload["depth"], payload["max_host"])
+    report = stable_up_to(spec, a, z, payload["depth"], payload["max_host"], budget)
     return report.stable
 
 
-def _verify_amalgamation(doc, inputs, spec):
+def _verify_amalgamation(doc, inputs, spec, budget):
     from arrowbench.ages import AmalgamationInstance, amalgamation_probe
 
     payload = doc["payload"]
     which = doc["params"]["property"]
     if doc["verdict"] == "holds":
-        report = amalgamation_probe(spec, which, doc["params"]["bound"])
+        report = amalgamation_probe(spec, which, doc["params"]["bound"], budget)
         return report.counterexample is None
     cex = payload["counterexample"]
     a = parse_structure(cex["a"]) if cex.get("a") else None
@@ -365,7 +365,7 @@ def _verify_amalgamation(doc, inputs, spec):
     if a is not None:
         if not is_embedding(inst.f, a, inst.b) or not is_embedding(inst.g, a, inst.c):
             return False
-    return verify_amalgamation_counterexample(spec, inst, which)
+    return verify_amalgamation_counterexample(spec, inst, which, budget)
 
 
 _VERIFIERS = {
@@ -387,14 +387,16 @@ _COLORING_VERIFIERS = {
 
 
 def verify_certificate(doc: dict, inputs: dict[str, Structure], spec: AgeSpec | None,
-                       coloring: Coloring | None = None) -> bool:
-    """Independent re-check of a certificate against the given inputs.
-    Digest mismatches raise CertificateError; a sound certificate with a
-    wrong claim returns False."""
+                       coloring: Coloring | None = None,
+                       budget: Budget | None = None) -> bool:
+    """Independent re-check of a certificate against the given inputs;
+    every search it re-runs spends `budget` (each its own default cap
+    when None).  Digest mismatches raise CertificateError; a sound
+    certificate with a wrong claim returns False."""
     _check_digests(doc, inputs)
     op = doc.get("operation")
     if op in _VERIFIERS:
-        return _VERIFIERS[op](doc, inputs, spec)
+        return _VERIFIERS[op](doc, inputs, spec, budget)
     if op in _COLORING_VERIFIERS:
-        return _COLORING_VERIFIERS[op](doc, inputs, spec, coloring)
+        return _COLORING_VERIFIERS[op](doc, inputs, spec, coloring, budget)
     raise CertificateError(f"operation {op!r} has no verifier")

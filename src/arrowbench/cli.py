@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 
 from arrowbench import __version__, cache, certificates
 from arrowbench.ages import AgeSpec, amalgamation_probe, enumerate_structures, load_age
@@ -45,7 +46,7 @@ from arrowbench.groups import (
     orbits_on_embeddings,
 )
 from arrowbench.patterns import joint_embeddings, pattern_count, pattern_of
-from arrowbench.stability import stable_up_to, unstable_witness
+from arrowbench.stability import stable_up_to
 from arrowbench.structures import (
     Structure,
     canonical_form,
@@ -54,7 +55,7 @@ from arrowbench.structures import (
     parse_structure,
     serialize_structure,
 )
-from arrowbench.unions import Budget, set_time_budget
+from arrowbench.unions import Budget
 
 EXIT_HOLDS = 0
 EXIT_FAILS = 1
@@ -121,6 +122,15 @@ def _require_age(args) -> AgeSpec:
     if spec is None:
         raise InputError("this subcommand requires --age")
     return spec
+
+
+def _budget(args, what: str) -> Budget:
+    """The run's one budget: --node-budget nodes, labelled `what`, and a
+    deadline --time-budget seconds from now."""
+    budget = Budget(args.node_budget, what)
+    if args.time_budget is not None:
+        budget.deadline = time.monotonic() + args.time_budget
+    return budget
 
 
 def _emit(args, doc: dict, exit_code: int, human_lines) -> int:
@@ -203,7 +213,7 @@ def _cmd_parse(args):
 
 def _cmd_enumerate(args):
     spec = _require_age(args)
-    reps = enumerate_structures(spec, args.n)
+    reps = enumerate_structures(spec, args.n, _budget(args, "enumerate_structures"))
     payload = {"n": args.n, "count": len(reps),
                "structures": [serialize_structure(s) for s in reps]}
     cert = ArrowCertificate("enumerate", "holds", payload=payload)
@@ -230,7 +240,7 @@ def _cmd_patterns(args):
     spec = _require_age(args)
     a = _load_structure(args.a)
     zs = [_load_structure(p) for p in args.z or []]
-    jes = joint_embeddings(spec, a, zs)
+    jes = joint_embeddings(spec, a, zs, budget=_budget(args, "joint_embeddings"))
     entries = []
     for je in jes:
         code = pattern_of(je)
@@ -254,7 +264,7 @@ def _cmd_pattern_count(args):
     spec = _require_age(args)
     a = _load_structure(args.a)
     z = _load_structure(args.z[0] if isinstance(args.z, list) else args.z)
-    count = pattern_count(spec, a, z)
+    count = pattern_count(spec, a, z, _budget(args, "joint_embeddings"))
     cert = ArrowCertificate("pattern-count", "holds", payload={"count": count})
     doc = certificates.envelope(cert, {"a": a, "z": z}, args.age, {})
     return _emit(args, doc, EXIT_HOLDS, [str(count)])
@@ -271,7 +281,7 @@ def _cmd_arrow(args):
     params = {"colors": args.colors}
 
     def compute():
-        cert = classical_arrow(c, a, b, args.colors, node_budget=args.node_budget)
+        cert = classical_arrow(c, a, b, args.colors, _budget(args, "classical_arrow"))
         lines = _summary_lines({"operation": cert.operation, "verdict": cert.verdict,
                                 "reason": cert.reason, "payload": cert.payload})
         return cert, _verdict_exit(cert), lines
@@ -287,7 +297,7 @@ def _cmd_arrow_search(args):
 
     def compute():
         cert = arrow_search(spec, a, b, args.colors, args.max_n,
-                            node_budget=args.node_budget)
+                            _budget(args, "classical_arrow"))
         lines = _summary_lines({"operation": cert.operation, "verdict": cert.verdict,
                                 "reason": cert.reason, "payload": cert.payload})
         if cert.holds:
@@ -303,7 +313,7 @@ def _cmd_definable_arrow(args):
     inputs = {"a": a, "b": b, "c": c, "z": z}
 
     def compute():
-        cert = definable_arrow(c, a, b, z, spec, candidate_cap=args.node_budget)
+        cert = definable_arrow(c, a, b, z, spec, _budget(args, "joint_embeddings"))
         return cert, _verdict_exit(cert), _summary_lines(
             {"operation": cert.operation, "verdict": cert.verdict,
              "reason": cert.reason, "payload": cert.payload})
@@ -319,8 +329,8 @@ def _cmd_stable_arrow(args):
     params = {"depth": args.depth, "max_host": args.max_host}
 
     def compute():
-        cert = stable_arrow(c, a, b, zs, spec, args.depth, max_host=args.max_host,
-                            candidate_cap=args.node_budget, node_budget=args.node_budget)
+        cert = stable_arrow(c, a, b, zs, spec, args.depth, args.max_host,
+                            _budget(args, "stability search"))
         return cert, _verdict_exit(cert), _summary_lines(
             {"operation": cert.operation, "verdict": cert.verdict,
              "reason": cert.reason, "payload": cert.payload})
@@ -335,8 +345,7 @@ def _cmd_roelcke(args):
     params = {"max_n": args.max_n}
 
     def compute():
-        cert = roelcke_witness(spec, a, b, z, max_n=args.max_n,
-                               candidate_cap=args.node_budget)
+        cert = roelcke_witness(spec, a, b, z, args.max_n, _budget(args, "roelcke_witness"))
         lines = _summary_lines({"operation": cert.operation, "verdict": cert.verdict,
                                 "reason": cert.reason, "payload": cert.payload})
         if cert.holds:
@@ -353,8 +362,9 @@ def _cmd_stability(args):
     params = {"depth": args.depth, "max_host": args.max_host}
 
     def compute():
-        w = unstable_witness(spec, a, z, args.depth, max_host=args.max_host,
-                             node_budget=args.node_budget)
+        report = stable_up_to(spec, a, z, args.depth, args.max_host,
+                              _budget(args, "stability search"))
+        w = report.witness
         if w is not None:
             payload = {"depth": w.depth, "host": serialize_structure(w.host),
                        "a_maps": [list(e.map) for e in w.a_parts],
@@ -366,8 +376,6 @@ def _cmd_stability(args):
                      f"a parts: {[list(e.map) for e in w.a_parts]}",
                      f"z parts: {[list(e.map) for e in w.z_parts]}"]
             return cert, EXIT_HOLDS, lines
-        report = stable_up_to(spec, a, z, args.depth, max_host=args.max_host,
-                              node_budget=args.node_budget)
         payload = {"stable_up_to": True, "depth": report.depth,
                    "max_host": report.max_host, "nodes": report.nodes_used,
                    "pattern_pairs_checked": report.pattern_pairs_checked}
@@ -386,7 +394,7 @@ def _cmd_proximal_check(args):
     u = _load_structure(args.universe)
     a = _load_structure(args.a)
     chi = _load_coloring(args.coloring, u, a)
-    report = proximal_check(u, chi, spec, args.d_max, candidate_cap=args.node_budget)
+    report = proximal_check(u, chi, spec, args.d_max, _budget(args, "proximal_check"))
     payload = {"d_max": report.d_max,
                "entries": [[d, p, w] for d, p, w in report.entries],
                "passed_all": report.passed_all}
@@ -400,14 +408,7 @@ def _cmd_proximal_check(args):
         lines.append(f"D {d.rstrip(chr(10)).replace(chr(10), '; ')} -> "
                      f"{'pass' if p else 'fail'}"
                      + (f" (E vertices {w})" if w is not None else ""))
-    if getattr(args, "certificate", None):
-        certificates.write_certificate(doc, args.certificate)
-    if args.json:
-        sys.stdout.write(certificates.dumps(doc))
-    else:
-        for line in lines:
-            print(line)
-    return EXIT_HOLDS if report.passed_all else EXIT_FAILS
+    return _emit(args, doc, EXIT_HOLDS if report.passed_all else EXIT_FAILS, lines)
 
 
 def _cmd_proximal_arrow(args):
@@ -430,14 +431,7 @@ def _cmd_proximal_arrow(args):
     cert = proximal_arrow(u, chi, a, b, report)
     doc = certificates.envelope(cert, {"a": a, "b": b, "u": u}, args.age, {})
     doc["inputs"]["_coloring"] = coloring_digest(chi)
-    if getattr(args, "certificate", None):
-        certificates.write_certificate(doc, args.certificate)
-    if args.json:
-        sys.stdout.write(certificates.dumps(doc))
-    else:
-        for line in _summary_lines(doc):
-            print(line)
-    return _verdict_exit(cert)
+    return _emit(args, doc, _verdict_exit(cert), _summary_lines(doc))
 
 
 def _cmd_convex_arrow(args):
@@ -446,8 +440,7 @@ def _cmd_convex_arrow(args):
     params = {"epsilon": args.epsilon}
 
     def compute():
-        cert = convex_arrow(c, a, b, args.epsilon,
-                            budget=Budget(args.node_budget, "convex LP"))
+        cert = convex_arrow(c, a, b, args.epsilon, _budget(args, "convex LP"))
         lines = [f"convex-arrow: {cert.verdict}",
                  f"value: {cert.payload['value']:.9f}",
                  f"gap: {cert.payload['gap']:.2e}"]
@@ -511,7 +504,7 @@ def _cmd_coherent_partitions(args):
 def _cmd_amalgamation(args):
     spec = _require_age(args)
     report = amalgamation_probe(spec, args.property, args.bound,
-                                candidate_cap=args.node_budget)
+                                _budget(args, "amalgamation_probe"))
     if report.counterexample is None:
         payload = {"holds_up_to": report.holds_up_to,
                    "instances_checked": report.instances_checked,
@@ -553,7 +546,7 @@ def _cmd_verify(args):
         if "u" not in inputs or "a" not in inputs:
             raise InputError("--coloring verification needs --universe and --a")
         coloring = _load_coloring(args.coloring, inputs["u"], inputs["a"])
-    ok = certificates.verify_certificate(doc, inputs, spec, coloring)
+    ok = certificates.verify_certificate(doc, inputs, spec, coloring, _budget(args, "verify"))
     print("verified: " + ("true" if ok else "false"))
     return EXIT_HOLDS if ok else EXIT_FAILS
 
@@ -743,7 +736,6 @@ def main(argv=None) -> int:
         if not 0 < args.epsilon <= 1:
             print("error: --epsilon must lie in (0, 1]", file=sys.stderr)
             return EXIT_USAGE
-    set_time_budget(getattr(args, "time_budget", None))
     try:
         return args.func(args)
     except ResourceLimitExceeded as e:
@@ -755,8 +747,6 @@ def main(argv=None) -> int:
     except ArrowbenchError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    finally:
-        set_time_budget(None)
 
 
 if __name__ == "__main__":

@@ -192,9 +192,9 @@ def iter_joint_embeddings(spec: AgeSpec, a: Structure, zs, max_size: int | None 
 
 
 def joint_embeddings(spec: AgeSpec, a: Structure, zs, max_size: int | None = None,
-                     candidate_cap: int = 2_000_000) -> list[JointEmbedding]:
+                     budget: Budget | None = None) -> list[JointEmbedding]:
     """One joint embedding per pattern, ordered by pattern code."""
-    budget = Budget(candidate_cap, "joint_embeddings")
+    budget = budget or Budget(2_000_000, "joint_embeddings")
     found: dict[PatternCode, JointEmbedding] = {}
     for u, maps in iter_joint_embeddings(spec, a, zs, max_size, budget):
         code = pattern_of_maps(u, maps)
@@ -205,8 +205,8 @@ def joint_embeddings(spec: AgeSpec, a: Structure, zs, max_size: int | None = Non
 
 
 def pattern_count(spec: AgeSpec, a: Structure, z: Structure,
-                  candidate_cap: int = 2_000_000) -> int:
+                  budget: Budget | None = None) -> int:
     """Number of joint-embedding patterns of (a, z) within the age; always
     finite here since the union size is capped at |a|+|z|.  Tabulating
     this as |a|, |z| grow probes precompactness behaviour."""
-    return len(joint_embeddings(spec, a, (z,), candidate_cap=candidate_cap))
+    return len(joint_embeddings(spec, a, (z,), budget=budget))

@@ -104,41 +104,45 @@ def _search_pair(spec, a, z, depth, tau_lt, tau_gt, max_host, budget):
 _INITIAL_SLICE = 4096
 
 
-def _decide_pairs(spec, a, z, depth, codes, max_host, node_budget):
+def _decide_pairs(spec, a, z, depth, codes, max_host, budget):
     """Round-robin over the ordered pattern pairs with doubling per-pair
     node slices, so an intractable exhaustion on an early pair cannot
     mask an easy witness on a later one.  The schedule is deterministic,
-    hence so is the returned witness.
+    hence so is the returned witness.  Each slice runs under a child
+    budget with the deadline of `budget`, which is charged what the
+    child used.
 
-    Returns (witness_tuple_with_taus | None, pairs_attempted, nodes).
-    None means every pair was fully exhausted.  A budget overrun raises.
+    Returns (witness_tuple_with_taus | None, pairs_attempted).  None
+    means every pair was fully exhausted.  A budget overrun raises.
     """
     pairs = [(lt, gt) for lt in codes for gt in codes if lt != gt]
     undecided = list(pairs)
-    nodes = 0
     slice_cap = _INITIAL_SLICE
     while undecided:
         still = []
         for pair in undecided:
-            cap = min(slice_cap, node_budget - nodes)
+            cap = min(slice_cap, budget.cap - budget.used)
             if cap <= 0:
                 raise ResourceLimitExceeded(
-                    f"stability search: node budget {node_budget} exceeded",
-                    budget=node_budget)
-            budget = Budget(cap, "stability pair search")
+                    f"stability search: node budget {budget.cap} exceeded",
+                    budget=budget.cap)
+            child = Budget(cap, "stability pair search")
+            child.deadline = budget.deadline
             try:
                 found = _search_pair(spec, a, z, depth, pair[0], pair[1],
-                                     max_host, budget)
+                                     max_host, child)
             except ResourceLimitExceeded:
-                nodes += budget.used
+                if child.used <= cap:
+                    raise  # the deadline passed, not the slice
                 still.append(pair)
                 continue
-            nodes += budget.used
+            finally:
+                budget.used += child.used
             if found is not None:
-                return (found, pair), len(pairs), nodes
+                return (found, pair), len(pairs)
         undecided = still
         slice_cap *= 4
-    return None, len(pairs), nodes
+    return None, len(pairs)
 
 
 def _build_witness(a, z, depth, found_with_pair) -> UnstableWitness:
@@ -155,31 +159,26 @@ def _build_witness(a, z, depth, found_with_pair) -> UnstableWitness:
 
 def unstable_witness(spec: AgeSpec, a: Structure, z: Structure, depth: int,
                      max_host: int | None = None,
-                     node_budget: int = 5_000_000) -> UnstableWitness | None:
+                     budget: Budget | None = None) -> UnstableWitness | None:
     """A verified depth-`depth` unstable witness, or None after exhausting
     all hosts up to max_host and all ordered pattern pairs."""
-    if depth < 2:
-        raise InputError("depth must be >= 2: no off-diagonal pair exists below that")
-    if max_host is None:
-        max_host = _default_max_host(a, z, depth)
-    codes = [pattern_of(j) for j in joint_embeddings(spec, a, (z,))]
-    found, _, _ = _decide_pairs(spec, a, z, depth, codes, max_host, node_budget)
-    if found is None:
-        return None
-    return _build_witness(a, z, depth, found)
+    return stable_up_to(spec, a, z, depth, max_host, budget).witness
 
 
 def stable_up_to(spec: AgeSpec, a: Structure, z: Structure, depth: int,
                  max_host: int | None = None,
-                 node_budget: int = 5_000_000) -> StabilityReport:
+                 budget: Budget | None = None) -> StabilityReport:
     """Depth-relative stability: True only after full exhaustion.  A
-    budget overrun raises ResourceLimitExceeded instead of reporting."""
+    budget overrun raises ResourceLimitExceeded instead of reporting;
+    nodes_used counts the nodes of the pattern-pair search."""
+    if depth < 2:
+        raise InputError("depth must be >= 2: no off-diagonal pair exists below that")
     if max_host is None:
         max_host = _default_max_host(a, z, depth)
-    codes = [pattern_of(j) for j in joint_embeddings(spec, a, (z,))]
-    found, pairs, nodes = _decide_pairs(spec, a, z, depth, codes, max_host,
-                                        node_budget)
-    if found is not None:
-        return StabilityReport(False, depth, max_host, nodes, pairs,
-                               _build_witness(a, z, depth, found))
-    return StabilityReport(True, depth, max_host, nodes, pairs, None)
+    codes = [pattern_of(j) for j in joint_embeddings(spec, a, (z,), budget=budget)]
+    budget = budget or Budget(5_000_000, "stability search")
+    used = budget.used
+    found, pairs = _decide_pairs(spec, a, z, depth, codes, max_host, budget)
+    witness = None if found is None else _build_witness(a, z, depth, found)
+    return StabilityReport(found is None, depth, max_host, budget.used - used, pairs,
+                           witness)

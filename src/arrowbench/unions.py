@@ -1,12 +1,12 @@
 """Incremental placement of parts into a growing union structure.
 
-This is the engine behind joint-embedding enumeration, amalgamation
-probes, union-witness searches and the unstable-sequence search: parts
-are embedded one at a time into a host, enumerating first the
-identification with existing vertices (the all-fresh placement comes
-first, so the free join is the first candidate overall) and then the
-relation completion on tuples that touch a fresh vertex, sparsest
-completion first.  Every yielded host is a complete structure and a
+This is the engine behind orderly enumeration, joint-embedding
+enumeration, amalgamation probes, union-witness searches and the
+unstable-sequence search: parts are embedded one at a time into a host,
+enumerating first the identification with existing vertices (the
+all-fresh placement comes first, so the free join is the first candidate
+overall) and then the relation completion on tuples that touch a fresh
+vertex, sparsest completion first.  Every yielded host is a complete structure and a
 member of the ambient age, so callers can prune eagerly after each
 placement.
 """
@@ -19,30 +19,23 @@ import time
 from arrowbench.errors import ResourceLimitExceeded
 from arrowbench.structures import Structure
 
-_GLOBAL_DEADLINE: float | None = None
-
-
-def set_time_budget(seconds: float | None) -> None:
-    """Process-wide wall-clock cap enforced by every Budget; None clears it."""
-    global _GLOBAL_DEADLINE
-    _GLOBAL_DEADLINE = None if seconds is None else time.monotonic() + seconds
-
-
 class Budget:
-    """Shared node counter; raises once the cap (or the process-wide time
-    budget) is exceeded."""
+    """Node counter with an optional deadline (a time.monotonic() instant),
+    shared by every search of one run; raises once the cap is exceeded or
+    the deadline has passed."""
 
     def __init__(self, cap: int, what: str = "search"):
         self.cap = cap
         self.used = 0
         self.what = what
+        self.deadline: float | None = None
 
     def spend(self, amount: int = 1):
         self.used += amount
         if self.used > self.cap:
             raise ResourceLimitExceeded(
                 f"{self.what}: node budget {self.cap} exceeded", budget=self.cap)
-        if _GLOBAL_DEADLINE is not None and time.monotonic() > _GLOBAL_DEADLINE:
+        if self.deadline is not None and time.monotonic() > self.deadline:
             raise ResourceLimitExceeded(f"{self.what}: time budget exceeded")
 
 

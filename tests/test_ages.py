@@ -4,10 +4,11 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arrowbench.ages import (
+    AXIOM_FLAGS,
     AgeSpec,
     _satisfies_axioms,
     amalgamation_probe,
@@ -29,7 +30,15 @@ from arrowbench.structures import (
 )
 from arrowbench.unions import Budget, place_part
 
-from util import brute_isomorphic, chain, cycle, graph, k_graph, pure_set
+from util import (
+    brute_isomorphic,
+    chain,
+    cycle,
+    enumerate_structures_oracle,
+    graph,
+    k_graph,
+    pure_set,
+)
 
 GRAPHS = catalog_age("graph")
 ORDERS = catalog_age("linear_order")
@@ -168,7 +177,59 @@ def test_enumeration_resource_limit_distinct_from_emptiness():
     assert enumerate_structures(only_points, 2) == []
     # ... while an exhausted budget raises instead of reporting emptiness
     with pytest.raises(ResourceLimitExceeded):
-        enumerate_structures(GRAPHS, 4, candidate_cap=3)
+        enumerate_structures(GRAPHS, 4, budget=Budget(3))
+
+
+_REL = Signature((("r", 2),))
+_UNARY_TERNARY = Signature((("r", 2), ("u", 1), ("t", 3)))
+_TRANSITIVE = AgeSpec(_REL, (("r", frozenset({"irreflexive", "transitive"})),),
+                      name="strict partial orders")
+_MIXED = AgeSpec(_UNARY_TERNARY, (("r", frozenset({"irreflexive", "symmetric"})),),
+                 (Structure.make(_UNARY_TERNARY, 1, {"t": [(0, 0, 0)]}),
+                  Structure.make(_UNARY_TERNARY, 2, {"u": [(0,), (1,)], "r": [(0, 1), (1, 0)]})),
+                 name="marked graphs with a ternary symbol")
+
+
+@st.composite
+def _small_age(draw):
+    """(age, n): a catalog age, or a custom age over one binary symbol
+    with random axiom flags, maybe a unary symbol, a random forbidden
+    structure and a ternary symbol; n keeps either enumeration quick (a
+    ternary symbol comes with an irreflexive binary one and a forbidden
+    ternary loop, which keeps its 2-vertex completions to about 1,000)."""
+    if draw(st.booleans()):
+        name = draw(st.sampled_from(("set", "graph", "graph_kfree:3", "linear_order",
+                                     "tournament", "digraph")))
+        return catalog_age(name), draw(st.integers(1, 3 if name == "digraph" else 4))
+    ternary = draw(st.booleans())
+    symbols = [("r", 2)] + [("u", 1)] * draw(st.booleans()) + [("t", 3)] * ternary
+    sig = Signature(tuple(symbols))
+    flags = draw(st.frozensets(st.sampled_from(AXIOM_FLAGS)))
+    if {"symmetric", "antisymmetric", "total"} <= flags:
+        flags -= {"total"}
+    forbidden = []
+    if draw(st.booleans()):
+        k = draw(st.integers(1, 2))
+        pairs = list(itertools.product(range(k), repeat=2))
+        forbidden.append(Structure.make(
+            sig, k, {"r": draw(st.lists(st.sampled_from(pairs), unique=True))}))
+    if ternary:
+        flags |= {"irreflexive"}
+        forbidden.append(Structure.make(sig, 1, {"t": [(0, 0, 0)]}))
+    spec = AgeSpec(sig, (("r", flags),), tuple(forbidden))
+    return spec, draw(st.integers(1, 2 if ternary else 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_age())
+@example((_TRANSITIVE, 4))
+@example((_MIXED, 2))
+def test_enumeration_matches_the_extension_oracle(case):
+    # extensions built from fresh placements of the one-vertex members
+    # give the same representatives as completing the new vertex's
+    # tuples directly
+    spec, n = case
+    assert enumerate_structures(spec, n) == enumerate_structures_oracle(spec, n)
 
 
 # ---------------------------------------------------------------------------

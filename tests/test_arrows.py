@@ -517,33 +517,47 @@ def test_convex_gap_within_tolerance_on_spread():
 
 
 def test_time_budget_enforced():
-    from arrowbench.unions import Budget, set_time_budget
+    import time
     from arrowbench.errors import ResourceLimitExceeded
 
-    set_time_budget(0.0)
-    try:
-        budget = Budget(10_000_000, "test")
-        with pytest.raises(ResourceLimitExceeded):
-            for _ in range(5000):
-                budget.spend()
-    finally:
-        set_time_budget(None)
+    budget = Budget(10_000_000, "test")
+    budget.deadline = time.monotonic()
+    with pytest.raises(ResourceLimitExceeded):
+        for _ in range(5000):
+            budget.spend()
 
 
 def test_time_budget_checked_on_every_spend():
     # one spend past the deadline raises: a convex LP makes few, slow
     # pivots, so a deadline checked only every 1024 nodes never fires
     import time
-    from arrowbench.unions import set_time_budget
     from arrowbench.errors import ResourceLimitExceeded
 
-    set_time_budget(0.001)
-    try:
-        time.sleep(0.01)
-        with pytest.raises(ResourceLimitExceeded, match="time budget"):
-            Budget(10).spend()
-    finally:
-        set_time_budget(None)
+    budget = Budget(10)
+    budget.deadline = time.monotonic() + 0.001
+    time.sleep(0.01)
+    with pytest.raises(ResourceLimitExceeded, match="time budget"):
+        budget.spend()
+
+
+def test_budgets_with_different_deadlines_do_not_interfere():
+    import time
+    from arrowbench.errors import ResourceLimitExceeded
+
+    expired, open_ended, later = Budget(100, "expired"), Budget(100), Budget(100)
+    expired.deadline = time.monotonic() - 1.0
+    later.deadline = time.monotonic() + 3600.0
+    with pytest.raises(ResourceLimitExceeded, match="expired: time budget"):
+        expired.spend()
+    for _ in range(50):
+        open_ended.spend()
+        later.spend()
+    assert open_ended.deadline is None and (open_ended.used, later.used) == (50, 50)
+    # each search sees only the deadline of the budget it is handed
+    with pytest.raises(ResourceLimitExceeded, match="expired: time budget"):
+        classical_arrow(chain(6), chain(2), chain(3), 2, expired)
+    cert = classical_arrow(chain(6), chain(2), chain(3), 2, Budget(10_000_000))
+    assert cert.holds and cert.payload["nodes"] > 0
 
 
 def test_convex_combination_is_valid_distribution():

@@ -225,4 +225,37 @@ def test_time_budget_does_not_outlive_main(files, capsys):
     code = cli.main(["pattern-count", "--age", "set", "--a", files["s1"], "--z", files["s1"],
                      "--time-budget", "5"])
     assert code == 0
-    assert unions._GLOBAL_DEADLINE is None
+    assert unions.Budget(10).deadline is None
+
+
+def test_enumerate_node_budget_bounds_the_enumeration(capsys):
+    from arrowbench import cli
+
+    code = cli.main(["enumerate", "--age", "graph", "--n", "5", "--node-budget", "10"])
+    assert code == 3
+    assert "enumerate_structures: node budget 10 exceeded" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("limit", [["--node-budget", "10"], ["--time-budget", "1e-6"]],
+                         ids=["node-budget", "time-budget"])
+def test_verify_rerun_obeys_the_run_budget(files, capsys, limit):
+    # a stable verdict is verified by re-running the stability search
+    from arrowbench import cli
+
+    cert = str(files["root"] / "stable.cert")
+    args = ["--age", "set", "--a", files["s1"], "--z", files["s2"]]
+    assert cli.main(["stability", *args, "--depth", "4", "--no-cache",
+                     "--certificate", cert]) == 1
+    assert cli.main(["verify", cert, *args]) == 0
+    capsys.readouterr()
+    assert cli.main(["verify", cert, *args, *limit]) == 3
+    assert "resource limit" in capsys.readouterr().err
+
+
+def test_stable_arrow_rejects_depth_one(files, capsys):
+    from arrowbench import cli
+
+    code = cli.main(["stable-arrow", "--age", "graph", "--a", files["k1"], "--b", files["k2"],
+                     "--c", files["k4"], "--z", files["k2"], "--depth", "1", "--no-cache"])
+    assert code == 2
+    assert "depth must be >= 2" in capsys.readouterr().err

@@ -5,6 +5,7 @@ from arrowbench.errors import InputError, ResourceLimitExceeded
 from arrowbench.patterns import pair_pattern_code
 from arrowbench.stability import UnstableWitness, stable_up_to, unstable_witness
 from arrowbench.structures import Embedding, Structure
+from arrowbench.unions import Budget
 
 from util import chain, graph, k_graph, pure_set
 
@@ -58,6 +59,14 @@ def test_graphs_point_pair_unstable_depth4():
 def test_depth_one_rejected():
     with pytest.raises(InputError):
         unstable_witness(ORDERS, chain(1), chain(1), depth=1)
+
+
+def test_stable_up_to_rejects_depths_below_two():
+    # below depth 2 there is no off-diagonal pair, so no verdict exists;
+    # a report of instability with a 0- or 1-part witness is wrong
+    for depth in (0, 1):
+        with pytest.raises(InputError, match="depth must be >= 2"):
+            stable_up_to(GRAPHS, k_graph(1), k_graph(2), depth)
 
 
 def test_truncation_chain():
@@ -134,7 +143,35 @@ def test_point_edge_pair_in_graphs_unstable():
 
 def test_budget_exhaustion_reported_distinctly():
     with pytest.raises(ResourceLimitExceeded):
-        unstable_witness(ORDERS, chain(1), chain(1), depth=5, node_budget=10)
+        unstable_witness(ORDERS, chain(1), chain(1), depth=5, budget=Budget(10))
+
+
+def test_stability_search_charges_the_budget_it_is_given():
+    default = stable_up_to(SETS, pure_set(1), pure_set(2), depth=4)
+    budget = Budget(10_000_000)
+    report = stable_up_to(SETS, pure_set(1), pure_set(2), depth=4, budget=budget)
+    assert report.stable and report == default
+    # the pattern enumeration before the pair search spends it too
+    assert budget.used > report.nodes_used > 0
+    with pytest.raises(ResourceLimitExceeded, match="stability search: node budget"):
+        stable_up_to(SETS, pure_set(1), pure_set(2), depth=4,
+                     budget=Budget(report.nodes_used))
+
+
+def test_stability_deadline_stops_the_pair_search():
+    # a pair slice that hits the deadline ends the search: it is not
+    # taken for an exhausted slice and retried with a larger one
+    import time
+
+    from arrowbench.patterns import joint_embeddings, pattern_of
+    from arrowbench.stability import _decide_pairs
+
+    codes = [pattern_of(j) for j in joint_embeddings(SETS, pure_set(1), (pure_set(2),))]
+    budget = Budget(10_000)
+    budget.deadline = time.monotonic() - 1.0
+    with pytest.raises(ResourceLimitExceeded, match="stability pair search: time budget"):
+        _decide_pairs(SETS, pure_set(1), pure_set(2), 4, codes, 12, budget)
+    assert budget.used == 1
 
 
 def test_witness_host_within_bound():

@@ -1,14 +1,27 @@
 """Shared builders and brute-force oracles for the test suite.
 
 The oracles here intentionally avoid the package's search paths: embedding
-enumeration filters raw injections, isomorphism tries every bijection, and
-structure counting enumerates all labeled structures before deduplicating.
+enumeration filters raw injections, isomorphism tries every bijection,
+structure counting enumerates all labeled structures before deduplicating,
+and orderly enumeration completes the tuples at a new vertex by its own
+search rather than through `place_part`.
 """
 
 import itertools
 import random
 
-from arrowbench.structures import Signature, Structure, embedding_maps, is_embedding
+from arrowbench.ages import _single_vertex_members, member
+from arrowbench.structures import (
+    Signature,
+    Structure,
+    canonical_form,
+    canonical_labeling,
+    embedding_maps,
+    induced_substructure,
+    is_embedding,
+    relabel,
+)
+from arrowbench.unions import _pair_states
 
 GRAPH_SIG = Signature((("edge", 2),))
 ORDER_SIG = Signature((("lt", 2),))
@@ -124,3 +137,79 @@ def convex_minimax_oracle(c, a, b):
     return max(_min_max_lp([[bits[slot[j1]] - bits[slot[j2]] for slot in slots]
                             for j1, j2 in pairs], len(copies))
                for bits in itertools.product((0, 1), repeat=len(domain)))
+
+
+def extensions_oracle(spec, parent):
+    """Every age member obtained from parent by adding vertex n, one per
+    completion of the tuples touching the new vertex: binary pairs with
+    an old vertex (in the states the axiom flags allow), then the binary
+    loops at the new vertex, then every other tuple through it."""
+    sig = spec.signature
+    n = parent.size
+    m = n + 1
+    flags = spec.axiom_flags()
+    free_binary, free_diag, free_other = [], [], []
+    for si, (_, arity) in enumerate(sig.symbols):
+        if arity == 2:
+            free_binary.extend((si, (u, n)) for u in range(n))
+            free_diag.append(si)
+        else:
+            free_other.extend((si, t) for t in itertools.product(range(m), repeat=arity)
+                              if n in t)
+    out = []
+
+    def rec_other(idx, rels):
+        if idx == len(free_other):
+            s = Structure(sig, m, tuple(tuple(sorted(r)) for r in rels))
+            if member(spec, s):
+                out.append(s)
+            return
+        si, t = free_other[idx]
+        rec_other(idx + 1, rels)
+        rels[si].add(t)
+        rec_other(idx + 1, rels)
+        rels[si].remove(t)
+
+    def rec_diag(idx, rels):
+        if idx == len(free_diag):
+            rec_other(0, rels)
+            return
+        si = free_diag[idx]
+        rec_diag(idx + 1, rels)
+        if "irreflexive" not in flags[si]:
+            rels[si].add((n, n))
+            rec_diag(idx + 1, rels)
+            rels[si].remove((n, n))
+
+    def rec_binary(idx, rels):
+        if idx == len(free_binary):
+            rec_diag(0, rels)
+            return
+        si, (u, v) = free_binary[idx]
+        for fwd, bwd in _pair_states(flags[si]):
+            added = [t for t, on in (((u, v), fwd), ((v, u), bwd)) if on]
+            rels[si].update(added)
+            rec_binary(idx + 1, rels)
+            rels[si].difference_update(added)
+
+    rec_binary(0, [set(t) for t in parent.relations])
+    return out
+
+
+def enumerate_structures_oracle(spec, n):
+    """Orderly generation over `extensions_oracle`: a canonical extension
+    is kept when deleting its canonically-last vertex returns to the
+    parent; one representative per type, in canonical-code order."""
+    level = _single_vertex_members(spec)
+    for _ in range(n - 1):
+        found = {}
+        for parent in level:
+            parent_code = canonical_form(parent)
+            for cand in extensions_oracle(spec, parent):
+                code, perm = canonical_labeling(cand)
+                vstar = perm.index(cand.size - 1)
+                rest = [v for v in range(cand.size) if v != vstar]
+                if canonical_form(induced_substructure(cand, rest)) == parent_code:
+                    found[code] = relabel(cand, perm)
+        level = [found[c] for c in sorted(found)]
+    return level
