@@ -362,6 +362,10 @@ def _verify_amalgamation(doc, inputs, spec, budget):
     inst = AmalgamationInstance(
         a, parse_structure(cex["b"]), parse_structure(cex["c"]),
         tuple(cex["f"]), tuple(cex["g"]))
+    # a counterexample outside the age proves nothing (and every
+    # completion of a non-member fails)
+    if any(s is not None and not spec.member(s) for s in (a, inst.b, inst.c)):
+        return False
     if a is not None:
         if not is_embedding(inst.f, a, inst.b) or not is_embedding(inst.g, a, inst.c):
             return False

@@ -1,7 +1,9 @@
 """The embedding search kernels: the hot inner loops of embedding enumeration.
 
 Both kernels enumerate embeddings in lexicographic order on the vertex map
-read as a tuple; with first_only they stop after the first one.
+read as a tuple; with first_only they stop after the first one.  With
+roots (vertices of the target) source vertex 0 tries only those, so the
+result is the maps whose image of vertex 0 lies in roots, in the same order.
 """
 
 
@@ -10,7 +12,8 @@ def backend_name() -> str:
     return "pure-python"
 
 
-def embeddings_binary(na, nb, labels_a, labels_b, n_adj, a_flat, b_flat, first_only=False):
+def embeddings_binary(na, nb, labels_a, labels_b, n_adj, a_flat, b_flat, first_only=False,
+                      roots=None):
     """Enumerate relation-preserving-and-reflecting injections.
 
     Fast path for signatures whose arities are all <= 2.  Unary symbols
@@ -24,13 +27,14 @@ def embeddings_binary(na, nb, labels_a, labels_b, n_adj, a_flat, b_flat, first_o
     used = [False] * nb
     asq = na * na
     bsq = nb * nb
+    level0 = range(nb) if roots is None else sorted(roots)
 
     def rec(i):
         if i == na:
             out.append(tuple(f))
             return first_only
         la = labels_a[i]
-        for v in range(nb):
+        for v in (range(nb) if i else level0):
             if used[v] or labels_b[v] != la:
                 continue
             ok = True
@@ -61,7 +65,7 @@ def embeddings_binary(na, nb, labels_a, labels_b, n_adj, a_flat, b_flat, first_o
     return out
 
 
-def embeddings_generic(na, nb, level_checks, b_sets, first_only=False):
+def embeddings_generic(na, nb, level_checks, b_sets, first_only=False, roots=None):
     """Generic backtracking enumerator for arbitrary arities.
 
     level_checks[i] lists (symbol index, tuple over source vertices <= i
@@ -71,13 +75,14 @@ def embeddings_generic(na, nb, level_checks, b_sets, first_only=False):
     out = []
     f = [0] * na
     used = [False] * nb
+    level0 = range(nb) if roots is None else sorted(roots)
 
     def rec(i):
         if i == na:
             out.append(tuple(f))
             return first_only
         checks = level_checks[i]
-        for v in range(nb):
+        for v in (range(nb) if i else level0):
             if used[v]:
                 continue
             ok = True

@@ -362,8 +362,10 @@ def _generic_plan(a: Structure):
     return tuple(levels)
 
 
-def _embedding_maps(a: Structure, b: Structure, first_only: bool = False) -> list[tuple[int, ...]]:
-    """Raw embedding maps (tuples), lexicographic order."""
+def _embedding_maps(a: Structure, b: Structure, first_only: bool = False,
+                    roots=None) -> list[tuple[int, ...]]:
+    """Raw embedding maps (tuples), lexicographic order; with roots, only
+    those sending vertex 0 into roots."""
     if a.signature != b.signature:
         raise SignatureMismatch(
             f"signature mismatch: {a.signature.key()!r} vs {b.signature.key()!r}")
@@ -373,9 +375,9 @@ def _embedding_maps(a: Structure, b: Structure, first_only: bool = False) -> lis
         labels_a, n_adj, a_flat = _binary_payload(a)
         labels_b, _, b_flat = _binary_payload(b)
         return kernels.embeddings_binary(
-            a.size, b.size, labels_a, labels_b, n_adj, a_flat, b_flat, first_only)
+            a.size, b.size, labels_a, labels_b, n_adj, a_flat, b_flat, first_only, roots)
     return kernels.embeddings_generic(
-        a.size, b.size, _generic_plan(a), b.rel_sets, first_only)
+        a.size, b.size, _generic_plan(a), b.rel_sets, first_only, roots)
 
 
 def embeddings(a: Structure, b: Structure) -> list[Embedding]:
@@ -390,6 +392,21 @@ def embedding_maps(a: Structure, b: Structure) -> list[tuple[int, ...]]:
 
 def has_embedding(a: Structure, b: Structure) -> bool:
     return bool(_embedding_maps(a, b, first_only=True))
+
+
+@functools.lru_cache(maxsize=256)
+def _vertex_transitive(a: Structure) -> bool:
+    """True iff Aut(a) moves vertex 0 onto every vertex."""
+    return all(_embedding_maps(a, a, first_only=True, roots=(v,)) for v in range(1, a.size))
+
+
+def has_embedding_through(a: Structure, b: Structure, roots) -> bool:
+    """has_embedding(a, b), for a `b` in which every copy of `a` uses a
+    vertex of `roots`.  If Aut(a) is vertex-transitive, an automorphism
+    moves such a vertex onto source vertex 0, so vertex 0 tries only
+    roots; otherwise the plain search runs."""
+    return bool(_embedding_maps(a, b, first_only=True,
+                                roots=roots if _vertex_transitive(a) else None))
 
 
 # ---------------------------------------------------------------------------

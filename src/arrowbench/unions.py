@@ -9,6 +9,14 @@ overall) and then the relation completion on tuples that touch a fresh
 vertex, sparsest completion first.  Every yielded host is a complete structure and a
 member of the ambient age, so callers can prune eagerly after each
 placement.
+
+Placed hosts are members by construction: the host and the part are
+members, tuples among old vertices never change and the part's image is
+a copy of the part, so a completion can only break the age through a
+fresh vertex.  The pair-local axiom flags hold because every free pair
+takes a state `_pair_states` allows; transitivity is checked on the
+triples through a fresh vertex, and a forbidden structure is looked for
+only among copies that use a fresh vertex.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ import itertools
 import time
 
 from arrowbench.errors import ResourceLimitExceeded
-from arrowbench.structures import Structure
+from arrowbench.structures import Structure, has_embedding_through
 
 class Budget:
     """Node counter with an optional deadline (a time.monotonic() instant),
@@ -54,11 +62,36 @@ def _pair_states(flags: frozenset):
     return tuple(states)
 
 
+def _transitive_through(rel, fresh: range, m: int) -> bool:
+    """True iff every triple u->w->v of `rel` with a fresh vertex among
+    u, w, v has u->v.  Triples among old vertices are the host's."""
+    succ = [set() for _ in range(m)]
+    pred = [set() for _ in range(m)]
+    for u, v in rel:
+        succ[u].add(v)
+        pred[v].add(u)
+    for f in fresh:
+        out, into = succ[f], pred[f]
+        for u in into:
+            if not out <= succ[u]:  # u->f->v implies u->v
+                return False
+            if not pred[u] <= into:  # v->u->f implies v->f
+                return False
+        for u in out:
+            if not succ[u] <= out:  # f->u->v implies f->v
+                return False
+    return True
+
+
 def place_part(host: Structure | None, part: Structure, spec, forced: dict[int, int] | None = None,
                max_size: int | None = None, budget: Budget | None = None):
     """Yield (extended_host, sigma) for every way to embed `part` into an
     extension of `host` by fresh vertices such that the extension is a
     member of `spec`.
+
+    Precondition: `host` (if any) and `part` are members of `spec`.
+    Each completion is then checked, without a `member` call, only for
+    what its fresh vertices can break (see the module docstring).
 
     sigma maps part vertices into the extended host.  `forced` pins part
     vertices to existing host vertices.  Tuples among pre-existing
@@ -74,6 +107,8 @@ def place_part(host: Structure | None, part: Structure, spec, forced: dict[int, 
     forced = forced or {}
     flags_by_symbol = (spec.axiom_flags() if spec is not None
                        else [frozenset()] * len(sig.symbols))
+    transitive = [si for si, flags in enumerate(flags_by_symbol) if "transitive" in flags]
+    forbidden = spec.forbidden if spec is not None else ()
 
     p = part.size
     sigma = [-1] * p
@@ -108,7 +143,7 @@ def place_part(host: Structure | None, part: Structure, spec, forced: dict[int, 
                 yield w
 
     def completions(m: int):
-        fresh = set(range(n0, m))
+        fresh = range(n0, m)
         image = set(sigma)
         base_rels = [set(r) for r in host_rels]
         for si, tuples in enumerate(part.relations):
@@ -147,7 +182,11 @@ def place_part(host: Structure | None, part: Structure, spec, forced: dict[int, 
             if budget is not None:
                 budget.spend()
             if idx == len(free_other):
-                yield Structure._trusted(sig, m, tuple(tuple(sorted(r)) for r in rels))
+                if all(_transitive_through(rels[si], fresh, m) for si in transitive):
+                    cand = Structure._trusted(sig, m, tuple(tuple(sorted(r)) for r in rels))
+                    if not any(bad.size <= m and has_embedding_through(bad, cand, fresh)
+                               for bad in forbidden):
+                        yield cand
                 return
             si, t = free_other[idx]
             yield from rec_other(idx + 1, rels)  # absent first
@@ -181,8 +220,7 @@ def place_part(host: Structure | None, part: Structure, spec, forced: dict[int, 
             budget.spend()
         if k == p:
             for cand in completions(m):
-                if spec is None or spec.member(cand):
-                    yield cand, tuple(sigma)
+                yield cand, tuple(sigma)
             return
         for w in candidates(k, m):
             if not assignment_ok(k, w):
@@ -196,17 +234,15 @@ def place_part(host: Structure | None, part: Structure, spec, forced: dict[int, 
     yield from assign(0, n0)
 
 
-def place_parts(parts, spec, max_size: int | None = None, budget: Budget | None = None,
-                base: Structure | None = None, base_maps=()):
-    """Yield (host, maps) for every joint placement of all parts, via
-    sequential place_part calls with member-pruning after each part."""
+def place_parts(parts, spec, max_size: int | None = None, budget: Budget | None = None):
+    """Yield (host, maps) for every joint placement of all parts (members
+    of `spec`), via sequential place_part calls, each host a member."""
 
     def rec(host, maps):
-        if len(maps) == len(parts) + len(base_maps):
+        if len(maps) == len(parts):
             yield host, tuple(maps)
             return
-        part = parts[len(maps) - len(base_maps)]
-        for h2, sigma in place_part(host, part, spec, None, max_size, budget):
+        for h2, sigma in place_part(host, parts[len(maps)], spec, None, max_size, budget):
             yield from rec(h2, maps + [sigma])
 
-    yield from rec(base, list(base_maps))
+    yield from rec(None, [])

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import itertools
 import random
@@ -10,11 +9,9 @@ from hypothesis import strategies as st
 from arrowbench.ages import (
     AXIOM_FLAGS,
     AgeSpec,
-    _satisfies_axioms,
     amalgamation_probe,
     catalog_age,
     enumerate_structures,
-    enumerate_up_to,
     load_age,
     member,
     verify_amalgamation_counterexample,
@@ -25,7 +22,6 @@ from arrowbench.structures import (
     Structure,
     canonical_form,
     induced_substructure,
-    relabel,
     serialize_structure,
 )
 from arrowbench.unions import Budget, place_part
@@ -37,6 +33,7 @@ from util import (
     enumerate_structures_oracle,
     graph,
     k_graph,
+    place_part_oracle,
     pure_set,
 )
 
@@ -310,60 +307,98 @@ def test_transitive_flag_matches_pairwise_definition(seed=5):
 
 
 # ---------------------------------------------------------------------------
-# placement output and the axiom flags
+# placement output against the generate-then-member oracle
 
 
-class _SpySpec:
-    """Delegates to a real age and records every candidate `member` sees."""
+_R = Signature((("r", 2),))
+_MIXED = Signature((("p", 1), ("e", 2), ("t", 3)))
+# ages beyond the catalog: orders without totality, a forbidden structure
+# that is not vertex-transitive, and mixed arities
+_CUSTOM_AGES = {
+    "strict_partial_order": AgeSpec(
+        _R, (("r", frozenset({"irreflexive", "antisymmetric", "transitive"})),)),
+    "preorder": AgeSpec(_R, (("r", frozenset({"transitive"})),)),
+    "path2_free": AgeSpec(_R, (("r", frozenset({"irreflexive"})),),
+                          (Structure.make(_R, 3, {"r": [(0, 1), (1, 2)]}),)),
+    "mixed": AgeSpec(_MIXED, (("e", frozenset({"irreflexive", "symmetric"})),), (
+        Structure.make(_MIXED, 1, {"p": [(0,)], "t": [(0, 0, 0)]}),
+        Structure.make(_MIXED, 2, {"p": [(0,)], "e": [(0, 1), (1, 0)]}),
+        Structure.make(_MIXED, 2, {"t": [(0, 1, 1)]}),
+    )),
+}
+_PLACEMENT_AGES = ("graph", "graph_kfree:3", "linear_order", "tournament", "digraph",
+                   "strict_partial_order", "preorder", "path2_free", "mixed")
 
-    def __init__(self, spec):
-        self.spec = spec
-        self.seen = []
 
-    def __getattr__(self, name):
-        return getattr(self.spec, name)
-
-    def member(self, s):
-        self.seen.append(s)
-        return self.spec.member(s)
+def _age(name):
+    return _CUSTOM_AGES.get(name) or catalog_age(name)
 
 
 @functools.lru_cache(maxsize=None)
-def _small_members(name):
-    return tuple(enumerate_up_to(catalog_age(name), 3))
+def _labeled_members(name):
+    """Every labeled member of at most 3 vertices (2 for the ternary
+    signature), found by filtering all labeled structures with `member`."""
+    spec = _age(name)
+    sig = spec.signature
+    out = []
+    for n in range(1, 3 if sig.max_arity > 2 else 4):
+        tuples = [(si, t) for si, (_, arity) in enumerate(sig.symbols)
+                  for t in itertools.product(range(n), repeat=arity)]
+        for bits in itertools.product((False, True), repeat=len(tuples)):
+            rels = [[] for _ in sig.symbols]
+            for (si, t), on in zip(tuples, bits):
+                if on:
+                    rels[si].append(t)
+            s = Structure(sig, n, tuple(tuple(r) for r in rels))
+            if member(spec, s):
+                out.append(s)
+    return tuple(out)
 
 
 @st.composite
 def _placement(draw):
-    """(age name, host or None, part): relabeled members of at most 3
-    vertices each."""
-    name = draw(st.sampled_from(("graph", "graph_kfree:3", "linear_order",
-                                 "tournament", "digraph")))
+    """(age name, host or None, part, forced, max_size) over members."""
+    name = draw(st.sampled_from(_PLACEMENT_AGES))
+    members = _labeled_members(name)
+    host = draw(st.sampled_from(members)) if draw(st.booleans()) else None
+    part = draw(st.sampled_from(members))
+    forced = {}
+    if host is not None:
+        pinned = draw(st.lists(st.integers(0, part.size - 1), unique=True,
+                               max_size=min(part.size, host.size)))
+        targets = draw(st.permutations(range(host.size)))
+        forced = dict(zip(pinned, targets))
+    n0 = host.size if host is not None else 0
+    max_size = draw(st.none() | st.integers(max(n0, 1), n0 + part.size))
+    return name, host, part, forced, max_size
 
-    def member_of_age():
-        s = draw(st.sampled_from(_small_members(name)))
-        return relabel(s, draw(st.permutations(range(s.size))))
 
-    host = member_of_age() if draw(st.booleans()) else None
-    return name, host, member_of_age()
+def _placements(place, case):
+    name, host, part, forced, max_size = case
+    budget = Budget(2000)
+    out = []
+    try:
+        for h, sigma in place(host, part, _age(name), forced, max_size, budget):
+            out.append((h, sigma))
+    except ResourceLimitExceeded as exc:
+        return out, budget.used, str(exc)
+    return out, budget.used, None
 
 
-@settings(max_examples=150, deadline=None)
+_MIXED_POINT = Structure(_MIXED, 1, ((), (), ()))
+
+
+@settings(max_examples=200, deadline=None)
 @given(_placement())
-def test_placement_candidates_satisfy_the_non_transitive_flags(case):
-    # completions only emit pair states allowed by the axiom flags, so
-    # every candidate handed to `member` already satisfies them all but
-    # transitivity, which spans triples and is left to `member`
-    name, host, part = case
-    spec = catalog_age(name)
-    spy = _SpySpec(spec)
-    try:  # the budget keeps the 4^9 completions of a 3+3 digraph quick
-        for _ in place_part(host, part, spy, budget=Budget(5000)):
-            pass
-    except ResourceLimitExceeded:
-        pass
-    relaxed = dataclasses.replace(
-        spec, axioms=tuple((sym, flags - {"transitive"}) for sym, flags in spec.axioms))
-    assert spy.seen
-    for cand in spy.seen:
-        assert _satisfies_axioms(relaxed, cand), serialize_structure(cand)
+# one fresh point beside a strict partial order: a transitivity violation
+# through the fresh vertex in each of the three triple positions
+@example(("strict_partial_order", Structure(_R, 2, ((),)), Structure(_R, 1, ((),)), {}, None))
+@example(("strict_partial_order", Structure(_R, 3, (((2, 1),),)), Structure(_R, 1, ((),)),
+          {}, None))
+# a forbidden t(0,1,1) that is not vertex-transitive, met at vertex 1 only
+@example(("mixed", _MIXED_POINT, _MIXED_POINT, {}, None))
+def test_placement_matches_the_generate_then_member_oracle(case):
+    # member hosts and parts: checking only what the fresh vertices can
+    # break must keep exactly the completions a full `member` call keeps,
+    # in the same order and for the same node spend
+    assert _placements(place_part, case) == _placements(place_part_oracle, case)

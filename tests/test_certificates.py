@@ -3,7 +3,7 @@ import json
 import pytest
 
 from arrowbench import certificates
-from arrowbench.ages import catalog_age
+from arrowbench.ages import amalgamation_probe, catalog_age
 from arrowbench.arrows import (
     Coloring,
     classical_arrow,
@@ -233,3 +233,30 @@ def test_proximal_check_certificate(tmp_path):
     loaded = roundtrip(doc, tmp_path)
     assert certificates.verify_certificate(loaded, {"u": u, "a": chain(1)}, ORDERS,
                                            coloring=chi)
+
+
+def _amalgamation_doc(age, which, a, b, c, f, g):
+    from arrowbench.arrows import ArrowCertificate
+
+    cex = {"a": serialize_structure(a) if a is not None else None,
+           "b": serialize_structure(b), "c": serialize_structure(c),
+           "f": list(f), "g": list(g)}
+    cert = ArrowCertificate("amalgamation", "fails",
+                            payload={"counterexample": cex, "instances_checked": 1,
+                                     "search_cap": "completions searched up to |B|+|C| vertices"})
+    return certificates.envelope(cert, {}, age, {"bound": 3, "property": which})
+
+
+def test_amalgamation_counterexample_outside_the_age_is_rejected(tmp_path):
+    # every completion of a non-member B fails, so only a membership
+    # check stops a forged counterexample built on one
+    forged = _amalgamation_doc("graph_kfree:3", "amalgamation",
+                               k_graph(1), k_graph(3), k_graph(1), [0], [0])
+    spec = catalog_age("graph_kfree:3")
+    assert not certificates.verify_certificate(roundtrip(forged, tmp_path), {}, spec)
+    # a genuine counterexample still verifies
+    report = amalgamation_probe(ORDERS, "free-amalgamation", 2)
+    cex = report.counterexample
+    doc = _amalgamation_doc("linear_order", "free-amalgamation",
+                            cex.a, cex.b, cex.c, cex.f, cex.g)
+    assert certificates.verify_certificate(roundtrip(doc, tmp_path), {}, ORDERS)

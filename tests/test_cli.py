@@ -240,3 +240,35 @@ def test_amalgamation_cli():
     r = run_cli(["amalgamation", "--age", "linear_order", "--property",
                  "free-amalgamation", "--bound", "2"])
     assert r.returncode == 1
+
+
+# sha256 of the --json report of fast decisions: a speed-up must leave
+# every report byte-identical, node counts included
+_PINNED_REPORTS = (
+    ("stability --age set --a P1 --z P2 --depth 4", 1,
+     "7c392e9e4c66f9d442aefb6d28b6035097b18299fb748e5e2623a26acbb4c6ae"),
+    ("stability --age linear_order --a C2 --z C1 --depth 4", 0,
+     "2db028884a0373314163898180eeda6c10ae67f3fbfbfe039314c04ef9c4c708"),
+    ("amalgamation --age graph_kfree:3 --property amalgamation --bound 3", 0,
+     "39816a291a5aa8d3421c747eecc3e59e4cac1c922f7717e8c945673c7c069500"),
+    ("arrow --age linear_order --a C2 --b C3 --c C6 --colors 2", 0,
+     "5f802cadd83752372e7d5d70bd4af0e1423d3adf1bc28f526eb791b2f0e086eb"),
+)
+
+
+@pytest.mark.parametrize("argv,rc,digest", _PINNED_REPORTS)
+def test_report_digests_are_pinned(argv, rc, digest, tmp_path):
+    import hashlib
+
+    inputs = {"P1": pure_set(1), "P2": pure_set(2),
+              "C1": chain(1), "C2": chain(2), "C3": chain(3), "C6": chain(6)}
+    args = []
+    for tok in argv.split():
+        if tok in inputs:
+            path = tmp_path / f"{tok}.st"
+            path.write_text(serialize_structure(inputs[tok]))
+            tok = str(path)
+        args.append(tok)
+    r = run_cli(args + ["--json", "--no-cache"])
+    assert r.returncode == rc, r.stderr
+    assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest, r.stdout

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from arrowbench.errors import InputError, ParseError, SignatureMismatch
 from arrowbench.structures import (
     Embedding,
+    _embedding_maps,
+    _vertex_transitive,
     Signature,
     Structure,
     canonical_form,
@@ -15,6 +17,7 @@ from arrowbench.structures import (
     embedding_maps,
     embeddings,
     has_embedding,
+    has_embedding_through,
     induced_substructure,
     inclusion_embedding,
     is_embedding,
@@ -249,14 +252,36 @@ def _structure_pair(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_structure_pair())
-def test_kernels_match_brute_force_in_order_and_first_only(pair):
+@given(_structure_pair(), st.data())
+def test_kernels_match_brute_force_in_order_and_first_only(pair, data):
     a, b = pair
     want = brute_embeddings(a, b)
     got = embedding_maps(a, b)
     assert got == want
     assert got == sorted(got)
     assert has_embedding(a, b) == bool(want)
+    assert _embedding_maps(a, b, first_only=True) == want[:1]
+    # rooted: source vertex 0 tries only `roots`, given in any order
+    roots = data.draw(st.lists(st.integers(0, b.size - 1), unique=True))
+    rooted = [m for m in want if m[0] in roots]
+    assert _embedding_maps(a, b, roots=roots) == rooted
+    assert _embedding_maps(a, b, first_only=True, roots=roots) == rooted[:1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_structure_pair(), st.data())
+def test_has_embedding_through_matches_brute_force(pair, data):
+    a, b = pair
+    want = brute_embeddings(a, b)
+    autos = brute_embeddings(a, a)
+    assert _vertex_transitive(a) == ({m[0] for m in autos} == set(range(a.size)))
+    # precondition: every copy of `a` in `b` uses a root; extend a drawn
+    # set by one vertex (drawn) of each copy that misses it
+    roots = set(data.draw(st.lists(st.integers(0, b.size - 1), unique=True)))
+    for m in want:
+        if roots.isdisjoint(m):
+            roots.add(m[data.draw(st.integers(0, a.size - 1))])
+    assert has_embedding_through(a, b, roots) == bool(want)
 
 
 # ---------------------------------------------------------------------------

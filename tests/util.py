@@ -3,8 +3,10 @@
 The oracles here intentionally avoid the package's search paths: embedding
 enumeration filters raw injections, isomorphism tries every bijection,
 structure counting enumerates all labeled structures before deduplicating,
-and orderly enumeration completes the tuples at a new vertex by its own
-search rather than through `place_part`.
+orderly enumeration completes the tuples at a new vertex by its own
+search rather than through `place_part`, and `place_part_oracle`
+re-validates every completion with `member` instead of checking only what
+its fresh vertices can break.
 """
 
 import itertools
@@ -213,3 +215,138 @@ def enumerate_structures_oracle(spec, n):
                     found[code] = relabel(cand, perm)
         level = [found[c] for c in sorted(found)]
     return level
+
+
+def place_part_oracle(host, part, spec, forced=None, max_size=None, budget=None):
+    """Oracle for `place_part`: the same search, generating every
+    completion and then keeping those that pass `spec.member`."""
+    sig = part.signature
+    if host is None:
+        n0 = 0
+        host_rels: list[set] = [set() for _ in sig.symbols]
+    else:
+        n0 = host.size
+        host_rels = [set(t) for t in host.relations]
+    forced = forced or {}
+    flags_by_symbol = (spec.axiom_flags() if spec is not None
+                       else [frozenset()] * len(sig.symbols))
+
+    p = part.size
+    sigma = [-1] * p
+    taken: set[int] = set()
+    part_sets = part.rel_sets
+
+    def assignment_ok(k: int, w: int) -> bool:
+        # relations among already-assigned part vertices whose images are
+        # all pre-existing; tuples touching a fresh image get forced later
+        assigned = sorted(j for j in range(p) if sigma[j] >= 0 or j == k)
+        for si, ((_, arity), tset) in enumerate(zip(sig.symbols, part_sets)):
+            for t in itertools.product(assigned, repeat=arity):
+                if k not in t:
+                    continue
+                img = tuple((sigma[j] if j != k else w) for j in t)
+                if any(x >= n0 for x in img):
+                    continue
+                if (img in host_rels[si]) != (t in tset):
+                    return False
+        return True
+
+    def candidates(k: int, m: int):
+        if k in forced:
+            w = forced[k]
+            if w < n0 and w not in taken:
+                yield w
+            return
+        if max_size is None or m < max_size:
+            yield m  # fresh vertex first
+        for w in range(m):
+            if w not in taken:
+                yield w
+
+    def completions(m: int):
+        fresh = set(range(n0, m))
+        image = set(sigma)
+        base_rels = [set(r) for r in host_rels]
+        for si, tuples in enumerate(part.relations):
+            for t in tuples:
+                img = tuple(sigma[x] for x in t)
+                if any(x in fresh for x in img):
+                    base_rels[si].add(img)
+        free_binary: list[tuple[int, tuple[int, int]]] = []
+        free_other: list[tuple[int, tuple[int, ...]]] = []
+        for si, (_, arity) in enumerate(sig.symbols):
+            if arity == 2:
+                seen_pairs = set()
+                for f in sorted(fresh):
+                    for u in range(m):
+                        if u == f:
+                            continue
+                        pair = (min(f, u), max(f, u))
+                        if pair in seen_pairs:
+                            continue
+                        seen_pairs.add(pair)
+                        if f in image and u in image:
+                            continue  # inside the part image: forced
+                        free_binary.append((si, pair))
+            else:
+                for t in itertools.product(range(m), repeat=arity):
+                    if not any(x in fresh for x in t):
+                        continue
+                    if all(x in image for x in t):
+                        continue
+                    free_other.append((si, t))
+        free_binary.sort()
+        free_other.sort()
+        state_menus = [_pair_states(flags_by_symbol[si]) for si, _ in free_binary]
+
+        def rec_other(idx: int, rels):
+            if budget is not None:
+                budget.spend()
+            if idx == len(free_other):
+                yield Structure._trusted(sig, m, tuple(tuple(sorted(r)) for r in rels))
+                return
+            si, t = free_other[idx]
+            yield from rec_other(idx + 1, rels)  # absent first
+            rels[si].add(t)
+            yield from rec_other(idx + 1, rels)
+            rels[si].remove(t)
+
+        def rec_binary(idx: int, rels):
+            if budget is not None:
+                budget.spend()
+            if idx == len(free_binary):
+                yield from rec_other(0, rels)
+                return
+            si, (x, y) = free_binary[idx]
+            for fwd, bwd in state_menus[idx]:
+                added = []
+                if fwd:
+                    rels[si].add((x, y))
+                    added.append((x, y))
+                if bwd:
+                    rels[si].add((y, x))
+                    added.append((y, x))
+                yield from rec_binary(idx + 1, rels)
+                for t in added:
+                    rels[si].remove(t)
+
+        yield from rec_binary(0, base_rels)
+
+    def assign(k: int, m: int):
+        if budget is not None:
+            budget.spend()
+        if k == p:
+            for cand in completions(m):
+                if spec is None or spec.member(cand):
+                    yield cand, tuple(sigma)
+            return
+        for w in candidates(k, m):
+            if not assignment_ok(k, w):
+                continue
+            sigma[k] = w
+            taken.add(w)
+            yield from assign(k + 1, m + 1 if w == m else m)
+            taken.discard(w)
+            sigma[k] = -1
+
+    yield from assign(0, n0)
