@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 
 from arrowbench.ages import AgeSpec, enumerate_structures, enumerate_up_to
@@ -165,11 +166,15 @@ def _aut_position_perms(c: Structure, domain):
     """Aut(C) acting on the embedding positions, identity dropped."""
     from arrowbench.groups import automorphisms
 
-    index = {m: i for i, m in enumerate(domain)}
+    images = [operator.itemgetter(*m) for m in domain]
+    # keyed by each getter's value on the identity: a tuple, or for a
+    # one-vertex A the image of that vertex alone
+    index = {image(range(c.size)): i for i, image in enumerate(images)}
+    identity = tuple(range(len(domain)))
     perms = set()
     for g in automorphisms(c).elements:
-        perm = tuple(index[tuple(g[v] for v in m)] for m in domain)
-        if perm != tuple(range(len(domain))):
+        perm = tuple([index[image(g)] for image in images])
+        if perm != identity:
             perms.add(perm)
     return sorted(perms)
 

@@ -57,7 +57,7 @@ class Signature:
     def arity(self, name: str) -> int:
         return self.symbols[self.index(name)][1]
 
-    @property
+    @functools.cached_property
     def max_arity(self) -> int:
         return max((a for _, a in self.symbols), default=0)
 
@@ -425,27 +425,33 @@ def _refine(n: int, occurrences, colors: list[int]) -> list[int]:
 
     occurrences[v] lists (symbol, positions-of-v, tuple) for every
     relation tuple containing v; the tuple's color profile is recomputed
-    each round.  Cell order is derived from sorted invariant keys, which
-    are label-free, so the ordering is isomorphism-invariant.
+    each round.  Colors are dense ranks and cells only split in place,
+    keeping their order: a singleton cell takes the next rank as it is,
+    and the vertices of a larger cell are ranked by their sorted
+    invariants.  Invariants are label-free, so the ordering is
+    isomorphism-invariant, and the result is the ordered partition that
+    ranking every vertex by (color, invariant) gives.
     """
     while True:
-        keys = []
-        for v in range(n):
-            inv = sorted(
-                (si, occ, tuple(colors[x] for x in t)) for si, occ, t in occurrences[v]
-            )
-            keys.append((colors[v], inv))
-        order = sorted(set(map(_freeze_key, keys)))
-        rank = {k: i for i, k in enumerate(order)}
-        new_colors = [rank[_freeze_key(k)] for k in keys]
-        if len(order) == len(set(colors)):
+        new_colors = [0] * n
+        rank = 0
+        get = colors.__getitem__
+        cells = _cells_of(colors)
+        for cell in cells:
+            if len(cell) == 1:
+                new_colors[cell[0]] = rank
+                rank += 1
+                continue
+            keys = [tuple(sorted([(si, occ, tuple(map(get, t))) for si, occ, t in occurrences[v]]))
+                    for v in cell]
+            order = sorted(set(keys))
+            at = {k: rank + i for i, k in enumerate(order)}
+            for v, k in zip(cell, keys):
+                new_colors[v] = at[k]
+            rank += len(order)
+        if rank == len(cells):  # no cell split
             return new_colors
         colors = new_colors
-
-
-def _freeze_key(key):
-    c, inv = key
-    return (c, tuple(inv))
 
 
 def _occurrence_table(s: Structure):
@@ -459,10 +465,11 @@ def _occurrence_table(s: Structure):
 
 
 def _cells_of(colors: list[int]) -> list[list[int]]:
-    cells: dict[int, list[int]] = {}
+    """The cells of a coloring by dense ranks 0..k-1, in color order."""
+    cells: list[list[int]] = [[] for _ in range(max(colors) + 1)]
     for v, c in enumerate(colors):
-        cells.setdefault(c, []).append(v)
-    return [cells[c] for c in sorted(cells)]
+        cells[c].append(v)
+    return cells
 
 
 def _product_complete(s: Structure, colors: list[int]) -> bool:
@@ -492,22 +499,38 @@ def _product_complete(s: Structure, colors: list[int]) -> bool:
 
 
 def _canonical_search(s: Structure, sig_key: str):
+    """Least leaf encoding of the individualization-refinement tree, and
+    the first leaf (in depth-first order) that realizes it.
+
+    A leaf whose encoding equals the best one gives an automorphism
+    best_perm^-1 . perm.  At a node reached by individualizing `path`, a
+    vertex of the target cell is skipped when an automorphism fixing
+    every vertex of `path` maps an explored vertex onto it: that
+    automorphism maps the explored subtree onto the skipped one and keeps
+    leaf encodings, so the skipped subtree only repeats leaves already
+    met, and the first minimal leaf is never skipped.
+    """
     occurrences = _occurrence_table(s)
     n = s.size
     best: list = [None, None]  # encoding, perm
+    automorphisms: list[tuple[int, ...]] = []
 
-    def leaf(colors):
-        perm = tuple(colors)
+    def leaf(perm):
         enc = _encode_labeled(
             sig_key, n,
             [[tuple(perm[x] for x in t) for t in tuples] for tuples in s.relations])
         if best[0] is None or enc < best[0]:
             best[0], best[1] = enc, perm
+        elif enc == best[0]:
+            back = [0] * n
+            for v, label in enumerate(best[1]):
+                back[label] = v
+            automorphisms.append(tuple(back[label] for label in perm))
 
-    def descend(colors):
+    def descend(colors, path):
         cells = _cells_of(colors)
-        if all(len(c) == 1 for c in cells):
-            leaf(colors)
+        if len(cells) == n:
+            leaf(tuple(colors))
             return
         if _product_complete(s, colors):
             # any discrete refinement of the cell order gives the same code
@@ -517,17 +540,36 @@ def _canonical_search(s: Structure, sig_key: str):
                 for v in cell:
                     flat[v] = label
                     label += 1
-            leaf(flat)
+            leaf(tuple(flat))
             return
         target = next(c for c in cells if len(c) > 1)
-        for v in target:
-            branched = [(c, 1) for c in colors]
-            branched[v] = (colors[v], 0)
-            order = sorted(set(branched))
-            rank = {k: i for i, k in enumerate(order)}
-            descend(_refine(n, occurrences, [rank[k] for k in branched]))
+        c = colors[target[0]]
+        orbit = list(range(n))  # union-find over automorphisms fixing path
+        folded = 0
+        explored = []
 
-    descend(_refine(n, occurrences, [0] * n))
+        def find(v):
+            while orbit[v] != v:
+                orbit[v] = orbit[orbit[v]]
+                v = orbit[v]
+            return v
+
+        for v in target:
+            if explored:
+                for g in automorphisms[folded:]:
+                    if all(g[p] == p for p in path):
+                        for x, y in enumerate(g):
+                            orbit[find(x)] = find(y)
+                folded = len(automorphisms)
+                root = find(v)
+                if any(find(w) == root for w in explored):
+                    continue
+            explored.append(v)
+            branched = [x if x < c else x + 1 for x in colors]
+            branched[v] = c
+            descend(_refine(n, occurrences, branched), path + (v,))
+
+    descend(_refine(n, occurrences, [0] * n), ())
     return best[0], best[1]
 
 

@@ -123,6 +123,20 @@ def test_degenerate_holds_flagged():
     assert cert.holds and cert.degenerate
 
 
+def test_aut_position_perms_match_brute_force():
+    # Aut(C) as every self-embedding; a one-vertex A has scalar positions
+    # under itemgetter, the others tuples
+    for c, a in ((pure_set(4), pure_set(1)), (k_graph(4), k_graph(1)),
+                 (pure_set(4), pure_set(2)), (graph(5, [(i, (i + 1) % 5) for i in range(5)]),
+                                              path(2)), (chain(4), chain(2))):
+        domain = embedding_maps(a, c)
+        index = {m: i for i, m in enumerate(domain)}
+        want = {tuple(index[tuple(g[v] for v in m)] for m in domain)
+                for g in itertools.permutations(range(c.size)) if is_embedding(g, c, c)}
+        want.discard(tuple(range(len(domain))))
+        assert arrows._aut_position_perms(c, domain) == sorted(want)
+
+
 def test_oracle_equivalence_random_instances(seed=41):
     rng = random.Random(seed)
     graph_pool = [k_graph(1), k_graph(2), path(3), k_graph(3), graph(3, []),

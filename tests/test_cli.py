@@ -253,6 +253,11 @@ _PINNED_REPORTS = (
      "39816a291a5aa8d3421c747eecc3e59e4cac1c922f7717e8c945673c7c069500"),
     ("arrow --age linear_order --a C2 --b C3 --c C6 --colors 2", 0,
      "5f802cadd83752372e7d5d70bd4af0e1423d3adf1bc28f526eb791b2f0e086eb"),
+    # canonical codes in hex and their digests
+    ("enumerate --age graph --n 5", 0,
+     "db23b18e3510879a12e92fd084b898cfc576f1448bea82438611cbd75ba49360"),
+    ("enumerate --age tournament --n 5", 0,
+     "7eb250958fdf16e237ebe3715ce9c6e2ef394c947773e38a18f656e490ae6098"),
 )
 
 

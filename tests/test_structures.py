@@ -4,14 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arrowbench import structures
 from arrowbench.errors import InputError, ParseError, SignatureMismatch
 from arrowbench.structures import (
     Embedding,
+    _canonical_search,
     _embedding_maps,
     _vertex_transitive,
     Signature,
     Structure,
     canonical_form,
+    canonical_labeling,
     code_digest,
     compose,
     embedding_maps,
@@ -30,6 +33,7 @@ from util import (
     GRAPH_SIG,
     brute_embeddings,
     brute_isomorphic,
+    canonical_search_oracle,
     chain,
     cycle,
     graph,
@@ -37,6 +41,7 @@ from util import (
     path,
     pure_set,
     random_permutation,
+    random_regular_graph,
     random_structure,
 )
 
@@ -338,6 +343,56 @@ def test_relabeling_invariance_random(seed=11):
 
 def test_code_digest_stable():
     assert code_digest(canonical_form(cycle(4))) == code_digest(canonical_form(cycle(4)))
+
+
+_UNARY_SIG = Signature((("p", 1), ("q", 1)))
+
+
+@st.composite
+def _regular_graph(draw):
+    d = draw(st.sampled_from((3, 4)))
+    n = draw(st.integers(d + 1, 11))
+    n += n * d % 2
+    return random_regular_graph(draw(st.randoms(use_true_random=False)), n, d)
+
+
+@st.composite
+def _canonical_input(draw):
+    """A structure over a unary, binary or ternary signature, or a random 3-
+    or 4-regular graph, under a random relabeling.  The regular graphs
+    matter: their least leaf is often not the first one the search meets,
+    so only they show a subtree skipped that held it."""
+    s = draw(st.one_of(
+        _structure(_UNARY_SIG, 8), _structure(_BINARY_SIG, 7),
+        _structure(_TERNARY_SIG, 5), _regular_graph()))
+    return relabel(s, draw(st.permutations(range(s.size))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_canonical_input())
+def test_canonical_search_matches_unpruned_search(s):
+    # same code and same labeling: codes reach reports, certificates and
+    # cache keys, and the labeling is the first least leaf of the full tree
+    key = s.signature.key()
+    assert _canonical_search(s, key) == canonical_search_oracle(s, key)
+
+
+def test_complete_graph_search_skips_repeated_subtrees(monkeypatch):
+    # one _encode_labeled call per leaf, plus one for the cache key; the
+    # full search tree of K9 has 9! = 362,880 leaves, so stop early
+    calls = []
+    encode = structures._encode_labeled
+
+    def spy(*args):
+        calls.append(args)
+        if len(calls) >= 100:
+            raise AssertionError("canonical search of K9 encoded 100 leaves")
+        return encode(*args)
+
+    monkeypatch.setattr(structures, "_encode_labeled", spy)
+    monkeypatch.setattr(structures, "_CANON_CACHE", {})
+    canonical_labeling(k_graph(9))
+    assert len(calls) < 100
 
 
 def test_reserved_symbol_names_rejected():

@@ -4,9 +4,11 @@ The oracles here intentionally avoid the package's search paths: embedding
 enumeration filters raw injections, isomorphism tries every bijection,
 structure counting enumerates all labeled structures before deduplicating,
 orderly enumeration completes the tuples at a new vertex by its own
-search rather than through `place_part`, and `place_part_oracle`
+search rather than through `place_part`, `place_part_oracle`
 re-validates every completion with `member` instead of checking only what
-its fresh vertices can break.
+its fresh vertices can break, and `canonical_search_oracle` encodes every
+leaf of the canonical search tree instead of skipping the subtrees that a
+found automorphism repeats.
 """
 
 import itertools
@@ -16,6 +18,9 @@ from arrowbench.ages import _single_vertex_members, member
 from arrowbench.structures import (
     Signature,
     Structure,
+    _encode_labeled,
+    _occurrence_table,
+    _product_complete,
     canonical_form,
     canonical_labeling,
     embedding_maps,
@@ -87,6 +92,17 @@ def random_permutation(rng: random.Random, n):
     perm = list(range(n))
     rng.shuffle(perm)
     return tuple(perm)
+
+
+def random_regular_graph(rng: random.Random, n, d):
+    """A random simple d-regular graph on n vertices (n * d even, d < n):
+    pair up d stubs per vertex at random until no loop or double edge."""
+    stubs = [v for v in range(n) for _ in range(d)]
+    while True:
+        rng.shuffle(stubs)
+        edges = {(min(u, v), max(u, v)) for u, v in zip(stubs[::2], stubs[1::2]) if u != v}
+        if len(edges) * 2 == n * d:
+            return graph(n, sorted(edges))
 
 
 def _convex_game(c, a, b):
@@ -350,3 +366,84 @@ def place_part_oracle(host, part, spec, forced=None, max_size=None, budget=None)
             sigma[k] = -1
 
     yield from assign(0, n0)
+
+
+# ---------------------------------------------------------------------------
+# canonical search without automorphism pruning: the search as it was before
+# cells split in place and subtrees repeated under a found automorphism were
+# skipped; it encodes every leaf of the tree
+
+
+def _refine_oracle(n: int, occurrences, colors: list[int]) -> list[int]:
+    """Stable ordered-partition refinement.
+
+    occurrences[v] lists (symbol, positions-of-v, tuple) for every
+    relation tuple containing v; the tuple's color profile is recomputed
+    each round.  Cell order is derived from sorted invariant keys, which
+    are label-free, so the ordering is isomorphism-invariant.
+    """
+    while True:
+        keys = []
+        for v in range(n):
+            inv = sorted(
+                (si, occ, tuple(colors[x] for x in t)) for si, occ, t in occurrences[v]
+            )
+            keys.append((colors[v], inv))
+        order = sorted(set(map(_freeze_key, keys)))
+        rank = {k: i for i, k in enumerate(order)}
+        new_colors = [rank[_freeze_key(k)] for k in keys]
+        if len(order) == len(set(colors)):
+            return new_colors
+        colors = new_colors
+
+
+def _freeze_key(key):
+    c, inv = key
+    return (c, tuple(inv))
+
+
+def _cells_of_oracle(colors: list[int]) -> list[list[int]]:
+    cells: dict[int, list[int]] = {}
+    for v, c in enumerate(colors):
+        cells.setdefault(c, []).append(v)
+    return [cells[c] for c in sorted(cells)]
+
+
+def canonical_search_oracle(s: Structure, sig_key: str):
+    occurrences = _occurrence_table(s)
+    n = s.size
+    best: list = [None, None]  # encoding, perm
+
+    def leaf(colors):
+        perm = tuple(colors)
+        enc = _encode_labeled(
+            sig_key, n,
+            [[tuple(perm[x] for x in t) for t in tuples] for tuples in s.relations])
+        if best[0] is None or enc < best[0]:
+            best[0], best[1] = enc, perm
+
+    def descend(colors):
+        cells = _cells_of_oracle(colors)
+        if all(len(c) == 1 for c in cells):
+            leaf(colors)
+            return
+        if _product_complete(s, colors):
+            # any discrete refinement of the cell order gives the same code
+            flat = [0] * n
+            label = 0
+            for cell in cells:
+                for v in cell:
+                    flat[v] = label
+                    label += 1
+            leaf(flat)
+            return
+        target = next(c for c in cells if len(c) > 1)
+        for v in target:
+            branched = [(c, 1) for c in colors]
+            branched[v] = (colors[v], 0)
+            order = sorted(set(branched))
+            rank = {k: i for i, k in enumerate(order)}
+            descend(_refine_oracle(n, occurrences, [rank[k] for k in branched]))
+
+    descend(_refine_oracle(n, occurrences, [0] * n))
+    return best[0], best[1]
