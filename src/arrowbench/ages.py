@@ -35,7 +35,7 @@ from arrowbench.structures import (
     parse_structure,
     relabel,
 )
-from arrowbench.unions import Budget, place_part
+from arrowbench.unions import Budget, Constraint, place_part
 
 AXIOM_FLAGS = ("irreflexive", "symmetric", "antisymmetric", "total", "transitive")
 
@@ -269,13 +269,10 @@ def _single_vertex_members(spec: AgeSpec) -> list[Structure]:
 
 def _extensions(spec: AgeSpec, parent: Structure, singles, budget: Budget):
     """Every age member obtained from parent by adding one vertex: the
-    fresh placements of each one-vertex member, which place_part yields
-    before the placements onto existing vertices."""
+    placements of each one-vertex member that avoid every old vertex."""
+    fresh_only = Constraint(excluded=frozenset(range(parent.size)))
     for v in singles:
-        for host, _ in place_part(parent, v, spec, max_size=parent.size + 1,
-                                  budget=budget):
-            if host.size == parent.size:
-                break
+        for host, _ in place_part(parent, v, spec, fresh_only, budget=budget):
             yield host
 
 
@@ -346,12 +343,12 @@ def _find_completion(spec: AgeSpec, inst: AmalgamationInstance, free: bool,
     that beta.f == gamma.g; the free variant also requires no relation
     tuple to meet both new parts.  Returns (D, beta, gamma) or None."""
     b, c = inst.b, inst.c
-    forced = {}
+    pinned = {}
     if inst.a is not None:
         for av in range(inst.a.size):
-            forced[inst.g[av]] = inst.f[av]
+            pinned[inst.g[av]] = inst.f[av]
     new_b = set(range(b.size)) - set(inst.f)
-    for host, sigma in place_part(b, c, spec, forced=forced,
+    for host, sigma in place_part(b, c, spec, Constraint(pinned=pinned),
                                   max_size=b.size + c.size, budget=budget):
         if free:
             new_c = {sigma[v] for v in range(c.size)} - set(inst.f)
@@ -391,8 +388,8 @@ def amalgamation_probe(spec: AgeSpec, which: str, bound: int,
         for b in reps:
             for c in reps:
                 checked += 1
-                found = next(place_part(b, c, spec, forced=None,
-                                        max_size=b.size + c.size, budget=budget), None)
+                found = next(place_part(b, c, spec, max_size=b.size + c.size,
+                                        budget=budget), None)
                 if found is None:
                     inst = AmalgamationInstance(None, b, c, (), ())
                     return AmalgamationReport(which, None, inst, instances_checked=checked)

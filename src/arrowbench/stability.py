@@ -9,20 +9,31 @@ search, so every result here is explicitly depth- and host-bounded.
 
 The search enumerates ordered pairs of distinct candidate patterns in
 code order, then grows a host by placing a-parts and z-parts
-alternately, checking the newly determined pair constraints after every
-placement.  Hosts are unions of the part images; hereditarity makes
-that restriction harmless.
+alternately.  Each placement is directed by the pair constraints it
+determines: the pattern of the new part against every earlier part it
+must meet pins, excludes and fixes what it can (see `_meeting`), so
+`place_part` builds only hosts in which the new pairs already have the
+required patterns.  A report's `nodes` counts the nodes of these
+directed placements.  Hosts are unions of the part images; hereditarity
+makes that restriction harmless.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from arrowbench.ages import AgeSpec
 from arrowbench.errors import InputError, ResourceLimitExceeded
-from arrowbench.patterns import PatternCode, joint_embeddings, pair_pattern_code, pattern_of
+from arrowbench.patterns import (
+    JointEmbedding,
+    PatternCode,
+    joint_embeddings,
+    pair_pattern_code,
+    pattern_of,
+)
 from arrowbench.structures import Embedding, Structure
-from arrowbench.unions import Budget, place_part
+from arrowbench.unions import Budget, Constraint, place_part
 
 
 @dataclass(frozen=True)
@@ -73,26 +84,75 @@ def _default_max_host(a: Structure, z: Structure, depth: int) -> int:
     return depth * (a.size + z.size)
 
 
-def _search_pair(spec, a, z, depth, tau_lt, tau_gt, max_host, budget):
-    """Grow a host placing a_1, z_1, a_2, z_2, ..., pruning on the pair
-    constraints as soon as a placement determines them."""
+def _meeting(joint: JointEmbedding, own: int):
+    """Templates for placing a part as coordinate `own` of the pair
+    pattern `joint` against an earlier part q as the other coordinate:
+    (pins, mixed).
+
+    Marks are rigid, so the pair has the pattern of `joint` = (u; maps)
+    exactly when sending u's vertices through the two coordinate maps is
+    an isomorphism onto the union of the two images.  That holds iff part
+    vertex i lands on q[c] when maps[own][i] == maps[other][c] (pins), on
+    no vertex of q otherwise, and every tuple of u meeting both a vertex
+    of the new part only and one of q only is present as in u (mixed; a
+    tuple entry is ~i for part vertex i or c for q[c]).  Tuples inside
+    one image hold because both maps are embeddings.
+    """
+    u = joint.target
+    mine, theirs = joint.maps[own], joint.maps[1 - own]
+    at_mine = {x: i for i, x in enumerate(mine)}
+    at_theirs = {x: c for c, x in enumerate(theirs)}
+    pins = tuple((i, at_theirs[x]) for i, x in enumerate(mine) if x in at_theirs)
+    mine_only = {x for x in mine if x not in at_theirs}
+    theirs_only = {x for x in theirs if x not in at_mine}
+    mixed = []
+    for si, (_, arity) in enumerate(u.signature.symbols):
+        for t in itertools.product(range(u.size), repeat=arity):
+            if mine_only.intersection(t) and theirs_only.intersection(t):
+                entries = tuple(~at_mine[x] if x in mine_only else at_theirs[x] for x in t)
+                mixed.append((si, entries, t in u.rel_sets[si]))
+    return pins, tuple(mixed)
+
+
+def _constraint(meeting, olds) -> Constraint | None:
+    """The placement constraint of meeting each map in `olds` as
+    `_meeting` describes, or None when two of them pin one part vertex
+    to different host vertices."""
+    pins, mixed = meeting
+    pinned: dict[int, int] = {}
+    for q in olds:
+        for i, c in pins:
+            if pinned.setdefault(i, q[c]) != q[c]:
+                return None
+    required = tuple((si, tuple(x if x < 0 else q[x] for x in t), present)
+                     for q in olds for si, t, present in mixed)
+    return Constraint(pinned, frozenset(v for q in olds for v in q), required)
+
+
+def _search_pair(spec, a, z, depth, tau_lt: JointEmbedding, tau_gt: JointEmbedding,
+                 max_host, budget):
+    """Grow a host placing a_1, z_1, a_2, z_2, ..., each placement
+    directed so that it meets the earlier parts in the required pattern:
+    a new a_j meets every earlier z_k (k < j) in tau_gt, a new z_j every
+    earlier a_m (m < j) in tau_lt; the diagonal partner a_j (last placed)
+    is unconstrained."""
+    meet_gt = _meeting(tau_gt, 0)
+    meet_lt = _meeting(tau_lt, 1)
 
     def rec(host, a_maps, z_maps):
         if len(z_maps) == depth:
             return host, a_maps, z_maps
         placing_a = len(a_maps) == len(z_maps)
-        part = a if placing_a else z
-        for h2, sigma in place_part(host, part, spec, None, max_host, budget):
+        if placing_a:
+            part, constraint = a, _constraint(meet_gt, z_maps)
+        else:
+            part, constraint = z, _constraint(meet_lt, a_maps[:-1])
+        if constraint is None:
+            return None
+        for h2, sigma in place_part(host, part, spec, constraint, max_host, budget):
             if placing_a:
-                # new a_j against all earlier z_k (k < j): pattern tau_gt
-                if any(pair_pattern_code(h2, sigma, zm) != tau_gt for zm in z_maps):
-                    continue
                 res = rec(h2, a_maps + [sigma], z_maps)
             else:
-                # new z_j against all earlier a_m (m < j): tau_lt; the
-                # diagonal partner a_j (last placed) is unconstrained
-                if any(pair_pattern_code(h2, am, sigma) != tau_lt for am in a_maps[:-1]):
-                    continue
                 res = rec(h2, a_maps, z_maps + [sigma])
             if res is not None:
                 return res
@@ -104,42 +164,45 @@ def _search_pair(spec, a, z, depth, tau_lt, tau_gt, max_host, budget):
 _INITIAL_SLICE = 4096
 
 
-def _decide_pairs(spec, a, z, depth, codes, max_host, budget):
-    """Round-robin over the ordered pattern pairs with doubling per-pair
-    node slices, so an intractable exhaustion on an early pair cannot
-    mask an easy witness on a later one.  The schedule is deterministic,
-    hence so is the returned witness.  Each slice runs under a child
-    budget with the deadline of `budget`, which is charged what the
-    child used.
+def _decide_pairs(spec, a, z, depth, joints, max_host, budget):
+    """Round-robin over the ordered pairs of pattern representatives
+    `joints` with doubling per-pair node slices, so an intractable
+    exhaustion on an early pair cannot mask an easy witness on a later
+    one.  The schedule is deterministic, hence so is the returned witness.
+    Each slice runs under a child budget with the deadline of `budget`,
+    which is charged what the child used.
 
     Returns (witness_tuple_with_taus | None, pairs_attempted).  None
-    means every pair was fully exhausted.  A budget overrun raises.
+    means every pair was fully exhausted.  A budget overrun raises and
+    says how many pairs were decided by then.
     """
-    pairs = [(lt, gt) for lt in codes for gt in codes if lt != gt]
+    pairs = [(lt, gt) for lt in joints for gt in joints if lt is not gt]
     undecided = list(pairs)
+    decided = 0
     slice_cap = _INITIAL_SLICE
     while undecided:
         still = []
-        for pair in undecided:
+        for lt, gt in undecided:
             cap = min(slice_cap, budget.cap - budget.used)
             if cap <= 0:
                 raise ResourceLimitExceeded(
-                    f"stability search: node budget {budget.cap} exceeded",
+                    f"stability search: node budget {budget.cap} exceeded after "
+                    f"deciding {decided} of {len(pairs)} pattern pairs",
                     budget=budget.cap)
             child = Budget(cap, "stability pair search")
             child.deadline = budget.deadline
             try:
-                found = _search_pair(spec, a, z, depth, pair[0], pair[1],
-                                     max_host, child)
+                found = _search_pair(spec, a, z, depth, lt, gt, max_host, child)
             except ResourceLimitExceeded:
                 if child.used <= cap:
                     raise  # the deadline passed, not the slice
-                still.append(pair)
+                still.append((lt, gt))
                 continue
             finally:
                 budget.used += child.used
             if found is not None:
-                return (found, pair), len(pairs)
+                return (found, (pattern_of(lt), pattern_of(gt))), len(pairs)
+            decided += 1
         undecided = still
         slice_cap *= 4
     return None, len(pairs)
@@ -170,15 +233,15 @@ def stable_up_to(spec: AgeSpec, a: Structure, z: Structure, depth: int,
                  budget: Budget | None = None) -> StabilityReport:
     """Depth-relative stability: True only after full exhaustion.  A
     budget overrun raises ResourceLimitExceeded instead of reporting;
-    nodes_used counts the nodes of the pattern-pair search."""
+    nodes_used counts the nodes of the directed pattern-pair search."""
     if depth < 2:
         raise InputError("depth must be >= 2: no off-diagonal pair exists below that")
     if max_host is None:
         max_host = _default_max_host(a, z, depth)
-    codes = [pattern_of(j) for j in joint_embeddings(spec, a, (z,), budget=budget)]
+    joints = joint_embeddings(spec, a, (z,), budget=budget)
     budget = budget or Budget(5_000_000, "stability search")
     used = budget.used
-    found, pairs = _decide_pairs(spec, a, z, depth, codes, max_host, budget)
+    found, pairs = _decide_pairs(spec, a, z, depth, joints, max_host, budget)
     witness = None if found is None else _build_witness(a, z, depth, found)
     return StabilityReport(found is None, depth, max_host, budget.used - used, pairs,
                            witness)

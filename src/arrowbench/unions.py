@@ -10,6 +10,15 @@ vertex, sparsest completion first.  Every yielded host is a complete structure a
 member of the ambient age, so callers can prune eagerly after each
 placement.
 
+A `Constraint` restricts one placement beyond membership and is checked
+as soon as it is determined (forward checking): pinned part vertices and
+excluded host vertices cut the identification candidates, a required
+tuple among old vertices is checked when its last part vertex is
+assigned, and a required tuple through a fresh vertex is fixed before
+the completion search, so it never branches on it.  The hosts yielded
+are exactly those the unconstrained search yields and that satisfy the
+constraint, in the same order; only the nodes spent differ.
+
 Placed hosts are members by construction: the host and the part are
 members, tuples among old vertices never change and the part's image is
 a copy of the part, so a completion can only break the age through a
@@ -23,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from dataclasses import dataclass, field
 
 from arrowbench.errors import ResourceLimitExceeded
 from arrowbench.structures import Structure, has_embedding_through
@@ -45,6 +55,22 @@ class Budget:
                 f"{self.what}: node budget {self.cap} exceeded", budget=self.cap)
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise ResourceLimitExceeded(f"{self.what}: time budget exceeded")
+
+
+@dataclass(frozen=True)
+class Constraint:
+    """What one placement must satisfy besides membership in the age.
+
+    `pinned` maps part vertices to the host vertices they must land on;
+    no other part vertex lands on a host vertex in `excluded`; each
+    `required` entry (symbol index, tuple, present) says whether a tuple
+    of the extended host is present, where a tuple entry is a host vertex
+    v >= 0 or the image of part vertex i, written ~i.
+    """
+
+    pinned: dict[int, int] = field(default_factory=dict)
+    excluded: frozenset[int] = frozenset()
+    required: tuple[tuple[int, tuple[int, ...], bool], ...] = ()
 
 
 def _pair_states(flags: frozenset):
@@ -83,18 +109,19 @@ def _transitive_through(rel, fresh: range, m: int) -> bool:
     return True
 
 
-def place_part(host: Structure | None, part: Structure, spec, forced: dict[int, int] | None = None,
-               max_size: int | None = None, budget: Budget | None = None):
+def place_part(host: Structure | None, part: Structure, spec,
+               constraint: Constraint | None = None, max_size: int | None = None,
+               budget: Budget | None = None):
     """Yield (extended_host, sigma) for every way to embed `part` into an
     extension of `host` by fresh vertices such that the extension is a
-    member of `spec`.
+    member of `spec` and satisfies `constraint`.
 
     Precondition: `host` (if any) and `part` are members of `spec`.
     Each completion is then checked, without a `member` call, only for
     what its fresh vertices can break (see the module docstring).
 
-    sigma maps part vertices into the extended host.  `forced` pins part
-    vertices to existing host vertices.  Tuples among pre-existing
+    sigma maps part vertices into the extended host.  Every required
+    tuple of `constraint` names a part vertex.  Tuples among pre-existing
     vertices are never altered, so earlier placements stay valid.
     """
     sig = part.signature
@@ -104,7 +131,8 @@ def place_part(host: Structure | None, part: Structure, spec, forced: dict[int, 
     else:
         n0 = host.size
         host_rels = [set(t) for t in host.relations]
-    forced = forced or {}
+    constraint = constraint or Constraint()
+    pinned, excluded, required = constraint.pinned, constraint.excluded, constraint.required
     flags_by_symbol = (spec.axiom_flags() if spec is not None
                        else [frozenset()] * len(sig.symbols))
     transitive = [si for si, flags in enumerate(flags_by_symbol) if "transitive" in flags]
@@ -114,6 +142,10 @@ def place_part(host: Structure | None, part: Structure, spec, forced: dict[int, 
     sigma = [-1] * p
     taken: set[int] = set()
     part_sets = part.rel_sets
+    # each required tuple is checked once its last part vertex is assigned
+    required_at: list[list] = [[] for _ in range(p)]
+    for si, t, present in required:
+        required_at[max(~x for x in t if x < 0)].append((si, t, present))
 
     def assignment_ok(k: int, w: int) -> bool:
         # relations among already-assigned part vertices whose images are
@@ -128,18 +160,22 @@ def place_part(host: Structure | None, part: Structure, spec, forced: dict[int, 
                     continue
                 if (img in host_rels[si]) != (t in tset):
                     return False
+        for si, t, present in required_at[k]:
+            img = tuple(x if x >= 0 else w if ~x == k else sigma[~x] for x in t)
+            if all(x < n0 for x in img) and (img in host_rels[si]) != present:
+                return False
         return True
 
     def candidates(k: int, m: int):
-        if k in forced:
-            w = forced[k]
+        if k in pinned:
+            w = pinned[k]
             if w < n0 and w not in taken:
                 yield w
             return
         if max_size is None or m < max_size:
             yield m  # fresh vertex first
         for w in range(m):
-            if w not in taken:
+            if w not in taken and w not in excluded:
                 yield w
 
     def completions(m: int):
@@ -151,6 +187,20 @@ def place_part(host: Structure | None, part: Structure, spec, forced: dict[int, 
                 img = tuple(sigma[x] for x in t)
                 if any(x in fresh for x in img):
                     base_rels[si].add(img)
+        # required tuples through a fresh vertex: inside the part image
+        # they must agree with the part, elsewhere they are not branched on
+        fixed: dict[tuple[int, tuple[int, ...]], bool] = {}
+        for si, t, present in required:
+            img = tuple(x if x >= 0 else sigma[~x] for x in t)
+            if all(x < n0 for x in img):
+                continue  # checked in assignment_ok
+            if all(x in image for x in img):
+                if (img in base_rels[si]) != present:
+                    return
+            elif fixed.setdefault((si, img), present) != present:
+                return
+            elif present and len(img) != 2:
+                base_rels[si].add(img)  # binary pairs are set below
         free_binary: list[tuple[int, tuple[int, int]]] = []
         free_other: list[tuple[int, tuple[int, ...]]] = []
         for si, (_, arity) in enumerate(sig.symbols):
@@ -173,10 +223,29 @@ def place_part(host: Structure | None, part: Structure, spec, forced: dict[int, 
                         continue
                     if all(x in image for x in t):
                         continue
+                    if (si, t) in fixed:
+                        continue
                     free_other.append((si, t))
         free_binary.sort()
         free_other.sort()
-        state_menus = [_pair_states(flags_by_symbol[si]) for si, _ in free_binary]
+        state_menus = []
+        branched = []
+        for si, (x, y) in free_binary:
+            fwd, bwd = fixed.get((si, (x, y))), fixed.get((si, (y, x)))
+            menu = [s for s in _pair_states(flags_by_symbol[si])
+                    if fwd in (None, s[0]) and bwd in (None, s[1])]
+            if not menu:
+                return  # the flags forbid the required state
+            if len(menu) == 1 and (fwd, bwd) != (None, None):
+                (fwd, bwd), = menu  # the constraint leaves one state: set it
+                if fwd:
+                    base_rels[si].add((x, y))
+                if bwd:
+                    base_rels[si].add((y, x))
+                continue
+            state_menus.append(menu)
+            branched.append((si, (x, y)))
+        free_binary = branched
 
         def rec_other(idx: int, rels):
             if budget is not None:

@@ -24,7 +24,7 @@ from arrowbench.structures import (
     induced_substructure,
     serialize_structure,
 )
-from arrowbench.unions import Budget, place_part
+from arrowbench.unions import Budget, Constraint, place_part
 
 from util import (
     brute_isomorphic,
@@ -378,7 +378,8 @@ def _placements(place, case):
     budget = Budget(2000)
     out = []
     try:
-        for h, sigma in place(host, part, _age(name), forced, max_size, budget):
+        for h, sigma in place(host, part, _age(name), Constraint(pinned=forced), max_size,
+                              budget):
             out.append((h, sigma))
     except ResourceLimitExceeded as exc:
         return out, budget.used, str(exc)

@@ -78,6 +78,14 @@ def test_resource_limit_exit_three(files):
     assert r.returncode == 3
 
 
+def test_stability_budget_exit_names_the_pattern_pairs_decided(files):
+    r = run_cli(["stability", "--age", "linear_order", "--a", files["pt"],
+                 "--z", files["pt"], "--depth", "5", "--node-budget", "200", "--no-cache"])
+    assert r.returncode == 3
+    assert ("stability search: node budget 200 exceeded after deciding 1 of 6 "
+            "pattern pairs") in r.stderr, r.stderr
+
+
 def test_verify_round_trip(files):
     cert_path = str(files["root"] / "v.cert")
     run_cli(["arrow", "--age", "linear_order", "--a", files["a2"],
@@ -246,9 +254,9 @@ def test_amalgamation_cli():
 # every report byte-identical, node counts included
 _PINNED_REPORTS = (
     ("stability --age set --a P1 --z P2 --depth 4", 1,
-     "7c392e9e4c66f9d442aefb6d28b6035097b18299fb748e5e2623a26acbb4c6ae"),
+     "dc542e231cbea7283ba838213ade33865c06daa7d6e0d5149a9b190d9c1c54cf"),
     ("stability --age linear_order --a C2 --z C1 --depth 4", 0,
-     "2db028884a0373314163898180eeda6c10ae67f3fbfbfe039314c04ef9c4c708"),
+     "d4fdf6e6a6b792c35609a06222d9d135ae1f5286bee65c9f701084ee389ef17c"),
     ("amalgamation --age graph_kfree:3 --property amalgamation --bound 3", 0,
      "39816a291a5aa8d3421c747eecc3e59e4cac1c922f7717e8c945673c7c069500"),
     ("arrow --age linear_order --a C2 --b C3 --c C6 --colors 2", 0,

@@ -1,13 +1,22 @@
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from arrowbench.ages import catalog_age
+from arrowbench.ages import catalog_age, enumerate_up_to
 from arrowbench.errors import InputError, ResourceLimitExceeded
-from arrowbench.patterns import pair_pattern_code
-from arrowbench.stability import UnstableWitness, stable_up_to, unstable_witness
+from arrowbench.patterns import joint_embeddings, pair_pattern_code, pattern_of
+from arrowbench.stability import (
+    UnstableWitness,
+    _build_witness,
+    _search_pair,
+    stable_up_to,
+    unstable_witness,
+)
 from arrowbench.structures import Embedding, Structure
 from arrowbench.unions import Budget
 
-from util import chain, graph, k_graph, pure_set
+from test_ages import _small_age
+from util import chain, graph, k_graph, pure_set, search_pair_oracle
 
 GRAPHS = catalog_age("graph")
 ORDERS = catalog_age("linear_order")
@@ -153,7 +162,9 @@ def test_stability_search_charges_the_budget_it_is_given():
     assert report.stable and report == default
     # the pattern enumeration before the pair search spends it too
     assert budget.used > report.nodes_used > 0
-    with pytest.raises(ResourceLimitExceeded, match="stability search: node budget"):
+    with pytest.raises(ResourceLimitExceeded,
+                       match=r"stability search: node budget \d+ exceeded after "
+                             r"deciding 5 of 6 pattern pairs"):
         stable_up_to(SETS, pure_set(1), pure_set(2), depth=4,
                      budget=Budget(report.nodes_used))
 
@@ -163,18 +174,80 @@ def test_stability_deadline_stops_the_pair_search():
     # taken for an exhausted slice and retried with a larger one
     import time
 
-    from arrowbench.patterns import joint_embeddings, pattern_of
     from arrowbench.stability import _decide_pairs
 
-    codes = [pattern_of(j) for j in joint_embeddings(SETS, pure_set(1), (pure_set(2),))]
+    joints = joint_embeddings(SETS, pure_set(1), (pure_set(2),))
     budget = Budget(10_000)
     budget.deadline = time.monotonic() - 1.0
     with pytest.raises(ResourceLimitExceeded, match="stability pair search: time budget"):
-        _decide_pairs(SETS, pure_set(1), pure_set(2), 4, codes, 12, budget)
+        _decide_pairs(SETS, pure_set(1), pure_set(2), 4, joints, 12, budget)
     assert budget.used == 1
+
+
+def test_directed_search_stays_within_small_node_budgets():
+    # the filter-after search spent about 2.6M nodes on K2/K2 and 506,662
+    # on P2/P3; placements directed by the patterns need a few thousand
+    k2 = stable_up_to(GRAPHS, k_graph(2), k_graph(2), depth=3, budget=Budget(50_000))
+    assert not k2.stable and k2.pattern_pairs_checked == 650
+    p23 = stable_up_to(SETS, pure_set(2), pure_set(3), depth=3, budget=Budget(20_000))
+    assert not p23.stable and p23.pattern_pairs_checked == 156
 
 
 def test_witness_host_within_bound():
     w = unstable_witness(ORDERS, chain(1), chain(1), depth=4, max_host=8)
     assert w is not None
     assert w.host.size <= 8
+
+
+# ---------------------------------------------------------------------------
+# the directed pair search against the filter-after oracle
+
+
+@st.composite
+def _pair_search_case(draw):
+    """(age, a, z, depth, max_host) over small ages, with a two-vertex
+    part beside a one-vertex part at most, and depth 3 for two one-vertex
+    parts only, so that the oracle's unconstrained placements stay small
+    (a digraph age gives each free pair 4 states).  A ternary symbol
+    allows one-vertex parts and two-vertex hosts only: one fresh vertex
+    beside two old ones already has 19 free ternary tuples."""
+    spec, n = draw(_small_age())
+    ternary = spec.signature.max_arity > 2
+    members = enumerate_up_to(spec, 1 if ternary else min(n, 2))
+    assume(members)  # a forbidden point can empty the age
+    a = draw(st.sampled_from(members))
+    z = draw(st.sampled_from([s for s in members if a.size + s.size <= 3]))
+    depth = draw(st.integers(2, 3 if a.size + z.size == 2 else 2))
+    max_host = draw(st.integers(max(a.size, z.size), 2 if ternary else 6))
+    return spec, a, z, depth, max_host
+
+
+@settings(max_examples=40, deadline=None)
+@given(_pair_search_case(), st.data())
+def test_directed_pair_search_matches_the_filter_after_oracle(case, data):
+    # directing each placement by the two patterns yields exactly the
+    # hosts the filter keeps, in the same order, so every ordered pattern
+    # pair gets the same first witness or the same exhaustion; an age
+    # with a ternary symbol has about 190 patterns, so there a sample of
+    # its pairs is checked and the report is not
+    spec, a, z, depth, max_host = case
+    joints = joint_embeddings(spec, a, (z,))
+    pairs = [(lt, gt) for lt in joints for gt in joints if lt is not gt]
+    every = len(pairs) <= 200
+    if not every:
+        picks = data.draw(st.lists(st.integers(0, len(pairs) - 1), min_size=1, max_size=5))
+        pairs = [pairs[i] for i in picks]
+    exhausted = True
+    for lt, gt in pairs:
+        taus = pattern_of(lt), pattern_of(gt)
+        found = _search_pair(spec, a, z, depth, lt, gt, max_host, None)
+        assert found == search_pair_oracle(spec, a, z, depth, *taus, max_host, None)
+        if found is None:
+            continue
+        exhausted = False
+        assert _build_witness(a, z, depth, (found, taus)).verify()
+    if every:
+        report = stable_up_to(spec, a, z, depth, max_host)
+        assert report.stable == exhausted
+        assert report.pattern_pairs_checked == len(pairs)
+        assert report.witness is None or report.witness.verify()

@@ -6,15 +6,18 @@ structure counting enumerates all labeled structures before deduplicating,
 orderly enumeration completes the tuples at a new vertex by its own
 search rather than through `place_part`, `place_part_oracle`
 re-validates every completion with `member` instead of checking only what
-its fresh vertices can break, and `canonical_search_oracle` encodes every
+its fresh vertices can break, `canonical_search_oracle` encodes every
 leaf of the canonical search tree instead of skipping the subtrees that a
-found automorphism repeats.
+found automorphism repeats, and `search_pair_oracle` places every part
+unconstrained and then filters the hosts by their pair pattern codes
+instead of directing each placement by the patterns.
 """
 
 import itertools
 import random
 
 from arrowbench.ages import _single_vertex_members, member
+from arrowbench.patterns import pair_pattern_code
 from arrowbench.structures import (
     Signature,
     Structure,
@@ -28,7 +31,7 @@ from arrowbench.structures import (
     is_embedding,
     relabel,
 )
-from arrowbench.unions import _pair_states
+from arrowbench.unions import _pair_states, place_part
 
 GRAPH_SIG = Signature((("edge", 2),))
 ORDER_SIG = Signature((("lt", 2),))
@@ -233,9 +236,10 @@ def enumerate_structures_oracle(spec, n):
     return level
 
 
-def place_part_oracle(host, part, spec, forced=None, max_size=None, budget=None):
-    """Oracle for `place_part`: the same search, generating every
-    completion and then keeping those that pass `spec.member`."""
+def place_part_oracle(host, part, spec, constraint=None, max_size=None, budget=None):
+    """Oracle for `place_part` under a constraint that only pins part
+    vertices: the same search, generating every completion and then
+    keeping those that pass `spec.member`."""
     sig = part.signature
     if host is None:
         n0 = 0
@@ -243,7 +247,7 @@ def place_part_oracle(host, part, spec, forced=None, max_size=None, budget=None)
     else:
         n0 = host.size
         host_rels = [set(t) for t in host.relations]
-    forced = forced or {}
+    forced = constraint.pinned if constraint is not None else {}
     flags_by_symbol = (spec.axiom_flags() if spec is not None
                        else [frozenset()] * len(sig.symbols))
 
@@ -447,3 +451,38 @@ def canonical_search_oracle(s: Structure, sig_key: str):
 
     descend(_refine_oracle(n, occurrences, [0] * n))
     return best[0], best[1]
+
+
+# ---------------------------------------------------------------------------
+# unstable-sequence search that filters after placing: every placement is
+# built unconstrained and kept only when its pair pattern codes are the
+# required ones
+
+
+def search_pair_oracle(spec, a, z, depth, tau_lt, tau_gt, max_host, budget):
+    """Oracle for `stability._search_pair` with the pattern codes tau_lt
+    and tau_gt: grow a host placing a_1, z_1, a_2, z_2, ..., pruning on
+    the pair constraints as soon as a placement determines them."""
+
+    def rec(host, a_maps, z_maps):
+        if len(z_maps) == depth:
+            return host, a_maps, z_maps
+        placing_a = len(a_maps) == len(z_maps)
+        part = a if placing_a else z
+        for h2, sigma in place_part(host, part, spec, None, max_host, budget):
+            if placing_a:
+                # new a_j against all earlier z_k (k < j): pattern tau_gt
+                if any(pair_pattern_code(h2, sigma, zm) != tau_gt for zm in z_maps):
+                    continue
+                res = rec(h2, a_maps + [sigma], z_maps)
+            else:
+                # new z_j against all earlier a_m (m < j): tau_lt; the
+                # diagonal partner a_j (last placed) is unconstrained
+                if any(pair_pattern_code(h2, am, sigma) != tau_lt for am in a_maps[:-1]):
+                    continue
+                res = rec(h2, a_maps, z_maps + [sigma])
+            if res is not None:
+                return res
+        return None
+
+    return rec(None, [], [])
