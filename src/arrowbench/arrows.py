@@ -41,13 +41,7 @@ from arrowbench.patterns import (
     pair_pattern_code,
 )
 from arrowbench.stability import stable_up_to
-from arrowbench.structures import (
-    Embedding,
-    Structure,
-    embedding_maps,
-    embeddings,
-    serialize_structure,
-)
+from arrowbench.structures import Structure, embedding_maps, serialize_structure
 from arrowbench.unions import Budget
 
 REAL_TOL = 1e-9
@@ -83,10 +77,9 @@ class Coloring:
     colors: int | None = None
 
     def __post_init__(self):
-        dom = embedding_maps(self.source, self.universe)
-        if len(dom) != len(self.values):
+        if len(self.domain) != len(self.values):
             raise InputError(
-                f"coloring must be total: domain has {len(dom)} embeddings, "
+                f"coloring must be total: domain has {len(self.domain)} embeddings, "
                 f"got {len(self.values)} values")
         if self.kind == "indexed":
             k = self.colors if self.colors is not None else (max(self.values, default=0) + 1)
@@ -105,45 +98,19 @@ class Coloring:
     def domain(self) -> tuple[tuple[int, ...], ...]:
         return tuple(embedding_maps(self.source, self.universe))
 
-    def index_of(self, emb_map: tuple[int, ...]) -> int:
-        try:
-            return self.domain.index(tuple(emb_map))
-        except ValueError:
-            raise InputError(f"{emb_map} is not an embedding in the coloring domain") from None
-
-    def value_of(self, emb_map) -> object:
-        return self.values[self.index_of(emb_map)]
-
     @classmethod
     def from_pairs(cls, universe, source, pairs: dict, kind="indexed", colors=None):
-        dom = embedding_maps(source, universe)
-        missing = [m for m in dom if tuple(m) not in pairs]
+        chi = cls.__new__(cls)
+        # seed the cached domain, so that it is enumerated once
+        dom = chi.__dict__["domain"] = tuple(embedding_maps(source, universe))
+        missing = [m for m in dom if m not in pairs]
         if missing:
             raise InputError(f"coloring not total: missing value for {missing[0]}")
         extra = set(pairs) - set(dom)
         if extra:
             raise InputError(f"coloring assigns values outside the domain: {sorted(extra)[0]}")
-        return cls(universe, source, tuple(pairs[m] for m in dom), kind, colors)
-
-
-@dataclass(frozen=True)
-class ConvexCombination:
-    """Nonnegative weights summing to 1 over copies of B in C."""
-
-    weights: tuple[float, ...]
-    copies: tuple[Embedding, ...]
-
-    def __post_init__(self):
-        if len(self.weights) != len(self.copies):
-            raise InputError("weights and copies must have equal length")
-        if any(w < -REAL_TOL for w in self.weights):
-            raise InputError("weights must be nonnegative")
-        if abs(sum(self.weights) - 1.0) > REAL_TOL:
-            raise InputError(f"weights must sum to 1, got {sum(self.weights)}")
-
-
-def _maps_payload(maps) -> list[list[int]]:
-    return [list(m) for m in maps]
+        chi.__init__(universe, source, tuple(pairs[m] for m in dom), kind, colors)
+        return chi
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +139,7 @@ def _aut_position_perms(c: Structure, domain):
     index = {image(range(c.size)): i for i, image in enumerate(images)}
     identity = tuple(range(len(domain)))
     perms = set()
-    for g in automorphisms(c).elements:
+    for g in automorphisms(c):
         perm = tuple([index[image(g)] for image in images])
         if perm != identity:
             perms.add(perm)
@@ -493,7 +460,7 @@ def stable_arrow(c: Structure, a: Structure, b: Structure, zs, spec: AgeSpec,
                 "stable-arrow", "fails",
                 payload={"offending": {"u": serialize_structure(u),
                                        "c_map": list(c_map),
-                                       "z_maps": _maps_payload(z_maps)},
+                                       "z_maps": [list(m) for m in z_maps]},
                          "stability_precondition": precondition})
     return ArrowCertificate("stable-arrow", "holds",
                             payload={"joint_patterns_checked": checked,
@@ -747,13 +714,11 @@ def convex_arrow(c: Structure, a: Structure, b: Structure,
                      "combination": [[list(copies[0]), 1.0]], "adversary": []})
     if p_cnt == 1:
         value = 0.0
-        weights = [1.0 / m_cnt] * m_cnt
-        comb = ConvexCombination(tuple(weights),
-                                 tuple(Embedding(b, c, mm) for mm in copies))
+        w = 1.0 / m_cnt
         return ArrowCertificate(
             "convex-arrow", "holds" if value <= epsilon + REAL_TOL else "fails",
             payload={"epsilon": epsilon, "value": value, "gap": 0.0,
-                     "combination": [[list(mm), w] for mm, w in zip(copies, comb.weights)],
+                     "combination": [[list(mm), w] for mm in copies],
                      "adversary": []})
     index = {mm: i for i, mm in enumerate(domain)}
     slots = np.array([[index[tuple(bm[x] for x in am)] for am in emb_ab] for bm in copies])
@@ -803,10 +768,9 @@ def convex_arrow(c: Structure, a: Structure, b: Structure,
         raise ArrowbenchError(f"convex LP: no optimal point (value {value!r}, "
                               f"bounds {bound!r}..{direct!r})")
 
-    comb = ConvexCombination(tuple(lam), tuple(Embedding(b, c, mm) for mm in copies))
     verdict = "holds" if value <= epsilon + REAL_TOL else "fails"
     return ArrowCertificate(
         "convex-arrow", verdict,
         payload={"epsilon": epsilon, "value": value, "gap": gap,
-                 "combination": [[list(mm), w] for mm, w in zip(copies, comb.weights)],
+                 "combination": [[list(mm), w] for mm, w in zip(copies, lam)],
                  "adversary": adversary})

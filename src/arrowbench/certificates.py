@@ -98,10 +98,6 @@ def _check_digests(doc: dict, inputs: dict[str, Structure]) -> None:
                 f"provided file has {got}")
 
 
-def _parse_emb(maps_payload):
-    return [tuple(m) for m in maps_payload]
-
-
 def _union_supported(u: Structure, maps) -> bool:
     covered = set()
     for m in maps:

@@ -173,7 +173,7 @@ def _cached_run(args, operation: str, inputs: dict, params: dict, compute):
             import json
 
             doc = json.loads(hit)
-            code = EXIT_HOLDS if doc["verdict"] in ("holds", "ok") else EXIT_FAILS
+            code = EXIT_HOLDS if doc["verdict"] == "holds" else EXIT_FAILS
             return _emit(args, doc, code, _summary_lines(doc))
     cert, exit_code, human_lines = compute()
     doc = certificates.envelope(cert, inputs, getattr(args, "age", None), params)

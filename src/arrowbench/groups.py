@@ -23,17 +23,6 @@ from arrowbench.structures import (
 
 
 @dataclass(frozen=True)
-class AutomorphismSet:
-    """The full automorphism group of host, as explicit permutations."""
-
-    host: Structure
-    elements: tuple[tuple[int, ...], ...]
-
-    def __len__(self):
-        return len(self.elements)
-
-
-@dataclass(frozen=True)
 class InvariantPartition:
     """A partition of embeddings(A, host) fixed blockwise by every automorphism."""
 
@@ -47,12 +36,10 @@ class InvariantPartition:
         raise InputError(f"index {index} not in partition")
 
 
-def automorphisms(s: Structure, size_cap: int = 10_000_000) -> AutomorphismSet:
-    """All automorphisms of s, in lexicographic order (identity first)."""
-    elements = embedding_maps(s, s)
-    if len(elements) > size_cap:
-        raise ResourceLimitExceeded("automorphism group larger than cap", budget=size_cap)
-    return AutomorphismSet(s, tuple(elements))
+def automorphisms(s: Structure) -> tuple[tuple[int, ...], ...]:
+    """All automorphisms of s as permutations, in lexicographic order
+    (identity first)."""
+    return tuple(embedding_maps(s, s))
 
 
 def orbits_on_embeddings(s: Structure, a: Structure) -> InvariantPartition:
@@ -61,7 +48,7 @@ def orbits_on_embeddings(s: Structure, a: Structure) -> InvariantPartition:
         raise SignatureMismatch("orbit computation needs one common signature")
     base = embedding_maps(a, s)
     index = {m: i for i, m in enumerate(base)}
-    group = automorphisms(s).elements
+    group = automorphisms(s)
     seen = [False] * len(base)
     blocks = []
     for i, m in enumerate(base):

@@ -16,46 +16,23 @@ behind these objects is background only; nothing here depends on it.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from arrowbench.ages import AgeSpec
 from arrowbench.errors import InputError, SignatureMismatch
-from arrowbench.structures import (
-    Embedding,
-    Signature,
-    Structure,
-    _encode_labeled,
-)
+from arrowbench.structures import Signature, Structure, _encode_labeled
 from arrowbench.unions import Budget, place_parts
 
 PatternCode = bytes
 
 
-@dataclass(frozen=True)
-class JointEmbedding:
-    """Embeddings (a, z1, ..., zk) into one union-supported target."""
+class JointEmbedding(NamedTuple):
+    """maps[p] sends part p of (a, z1, ..., zk) into target.  A plain
+    record: those `joint_embeddings` returns are union-supported and each
+    map is an embedding, by construction of the placement search."""
 
-    parts: tuple[Embedding, ...]
-
-    def __post_init__(self):
-        if not self.parts:
-            raise InputError("a joint embedding needs at least one part")
-        u = self.parts[0].target
-        covered: set[int] = set()
-        for e in self.parts:
-            if e.target != u:
-                raise InputError("joint-embedding parts must share one target")
-            covered.update(e.map)
-        if covered != set(range(u.size)):
-            raise InputError("union-support violation: some target vertex is uncovered")
-
-    @property
-    def target(self) -> Structure:
-        return self.parts[0].target
-
-    @property
-    def maps(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(e.map for e in self.parts)
+    target: Structure
+    maps: tuple[tuple[int, ...], ...]
 
 
 @functools.lru_cache(maxsize=1024)
@@ -139,17 +116,6 @@ def pattern_of(j: JointEmbedding) -> PatternCode:
     return _pattern_code(j.target, j.maps)
 
 
-def pattern_of_maps(u: Structure, maps) -> PatternCode:
-    """pattern_of for raw vertex-map tuples (hot-path form).  The maps
-    must cover u; use pair_pattern_code to restrict automatically."""
-    covered = set()
-    for m in maps:
-        covered.update(m)
-    if covered != set(range(u.size)):
-        raise InputError("union-support violation: some target vertex is uncovered")
-    return _pattern_code(u, maps)
-
-
 def pair_pattern_code(u: Structure, map_a, map_z) -> PatternCode:
     """Pattern of the pair (a, z) inside u, restricted to the union of
     the two images (so union support holds by construction)."""
@@ -197,10 +163,7 @@ def joint_embeddings(spec: AgeSpec, a: Structure, zs, max_size: int | None = Non
     budget = budget or Budget(2_000_000, "joint_embeddings")
     found: dict[PatternCode, JointEmbedding] = {}
     for u, maps in iter_joint_embeddings(spec, a, zs, max_size, budget):
-        code = pattern_of_maps(u, maps)
-        if code not in found:
-            parts = tuple(Embedding(s, u, m) for s, m in zip([a, *zs], maps))
-            found[code] = JointEmbedding(parts)
+        found.setdefault(_pattern_code(u, maps), JointEmbedding(u, maps))
     return [found[c] for c in sorted(found)]
 
 

@@ -238,7 +238,12 @@ def stable_up_to(spec: AgeSpec, a: Structure, z: Structure, depth: int,
         raise InputError("depth must be >= 2: no off-diagonal pair exists below that")
     if max_host is None:
         max_host = _default_max_host(a, z, depth)
-    joints = joint_embeddings(spec, a, (z,), budget=budget)
+    try:
+        joints = joint_embeddings(spec, a, (z,), budget=budget)
+    except ResourceLimitExceeded as e:
+        raise ResourceLimitExceeded(
+            f"{e} in joint_embeddings, the pattern enumeration before the pair search",
+            budget=e.budget) from None
     budget = budget or Budget(5_000_000, "stability search")
     used = budget.used
     found, pairs = _decide_pairs(spec, a, z, depth, joints, max_host, budget)

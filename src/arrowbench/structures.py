@@ -322,7 +322,6 @@ def is_embedding(f, a: Structure, b: Structure) -> bool:
     return True
 
 
-@functools.lru_cache(maxsize=8192)
 def _binary_payload(s: Structure):
     """Labels vector (unary symbols folded into a bitmask) and flattened
     adjacency matrices for the binary symbols, for the fast kernel."""
@@ -341,6 +340,11 @@ def _binary_payload(s: Structure):
                 m[u * s.size + v] = 1
             adj_blocks.append(bytes(m))
     return tuple(labels), len(adj_blocks), b"".join(adj_blocks)
+
+
+# Sources recur (parts, forbidden structures); most targets are placed
+# hosts searched once, so only the source's payload is cached.
+_source_payload = functools.lru_cache(maxsize=1024)(_binary_payload)
 
 
 @functools.lru_cache(maxsize=8192)
@@ -372,7 +376,7 @@ def _embedding_maps(a: Structure, b: Structure, first_only: bool = False,
     if a.size > b.size:
         return []
     if a.signature.max_arity <= 2:
-        labels_a, n_adj, a_flat = _binary_payload(a)
+        labels_a, n_adj, a_flat = _source_payload(a)
         labels_b, _, b_flat = _binary_payload(b)
         return kernels.embeddings_binary(
             a.size, b.size, labels_a, labels_b, n_adj, a_flat, b_flat, first_only, roots)
@@ -607,9 +611,3 @@ def code_digest(code: CanonicalCode) -> str:
     import hashlib
 
     return hashlib.sha256(code).hexdigest()[:16]
-
-
-def are_isomorphic(a: Structure, b: Structure) -> bool:
-    if a.signature != b.signature or a.size != b.size:
-        return False
-    return canonical_form(a) == canonical_form(b)

@@ -105,6 +105,19 @@ def test_definable_certificates(tmp_path):
         doc2, {"a": chain(1), "b": chain(2), "c": chain(2), "z": chain(1)}, ORDERS)
 
 
+def test_verify_rejects_an_offending_host_with_an_uncovered_vertex():
+    inputs = {"a": chain(1), "b": chain(2), "c": chain(2), "z": chain(1)}
+    cert = definable_arrow(inputs["c"], inputs["a"], inputs["b"], inputs["z"], ORDERS)
+    doc = certificates.envelope(cert, inputs, "linear_order", {})
+    off = doc["payload"]["offending"]
+    assert off == {"u": serialize_structure(chain(2)), "c_map": [0, 1], "z_maps": [[0]]}
+    assert certificates.verify_certificate(doc, inputs, ORDERS)
+    # the same maps into a chain with a spare top vertex: still embeddings
+    # into a member, still offending, but the host is not union-supported
+    off["u"] = serialize_structure(chain(3))
+    assert not certificates.verify_certificate(doc, inputs, ORDERS)
+
+
 def test_stable_arrow_certificate(tmp_path):
     a, b, z, c = pure_set(1), pure_set(2), pure_set(1), pure_set(3)
     cert = stable_arrow(c, a, b, (z,), SETS, depth=4)

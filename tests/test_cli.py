@@ -86,6 +86,15 @@ def test_stability_budget_exit_names_the_pattern_pairs_decided(files):
             "pattern pairs") in r.stderr, r.stderr
 
 
+def test_stability_budget_exit_names_the_pattern_enumeration(files):
+    # the budget runs out while the patterns are listed, before any pair
+    r = run_cli(["stability", "--age", "linear_order", "--a", files["a2"],
+                 "--z", files["pt"], "--depth", "4", "--node-budget", "10", "--no-cache"])
+    assert r.returncode == 3
+    assert ("stability search: node budget 10 exceeded in joint_embeddings"
+            in r.stderr), r.stderr
+
+
 def test_verify_round_trip(files):
     cert_path = str(files["root"] / "v.cert")
     run_cli(["arrow", "--age", "linear_order", "--a", files["a2"],

@@ -2,13 +2,11 @@ import itertools
 import random
 from math import comb, factorial
 
-import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from arrowbench import patterns
-from arrowbench.ages import catalog_age
-from arrowbench.errors import InputError
+from arrowbench.ages import catalog_age, enumerate_up_to
 from arrowbench.patterns import (
     JointEmbedding,
     free_join,
@@ -18,10 +16,8 @@ from arrowbench.patterns import (
     pair_pattern_code,
     pattern_count,
     pattern_of,
-    pattern_of_maps,
 )
 from arrowbench.structures import (
-    Embedding,
     Signature,
     Structure,
     canonical_form,
@@ -30,6 +26,7 @@ from arrowbench.structures import (
     relabel,
 )
 
+from test_ages import _small_age
 from util import chain, graph, k_graph, pure_set
 
 GRAPHS = catalog_age("graph")
@@ -51,36 +48,26 @@ def _marked_iso(u1, maps1, u2, maps2):
 
 
 def test_equal_pattern_single_point():
-    k1 = k_graph(1)
     u = k_graph(1)
-    je = JointEmbedding((Embedding(k1, u, (0,)), Embedding(k1, u, (0,))))
+    je = JointEmbedding(u, ((0,), (0,)))
     assert pattern_of(je) == pattern_of(je)
 
 
 def test_adjacent_vs_nonadjacent_patterns_differ():
-    k1 = k_graph(1)
     u_edge = k_graph(2)
     u_non = graph(2, [])
-    je_edge = JointEmbedding((Embedding(k1, u_edge, (0,)), Embedding(k1, u_edge, (1,))))
-    je_non = JointEmbedding((Embedding(k1, u_non, (0,)), Embedding(k1, u_non, (1,))))
+    je_edge = JointEmbedding(u_edge, ((0,), (1,)))
+    je_non = JointEmbedding(u_non, ((0,), (1,)))
     assert pattern_of(je_edge) != pattern_of(je_non)
     # and the marked-isomorphism oracle agrees
     assert not _marked_iso(u_edge, je_edge.maps, u_non, je_non.maps)
 
 
 def test_order_point_below_vs_above():
-    pt = chain(1)
     u = chain(2)
-    below = JointEmbedding((Embedding(pt, u, (0,)), Embedding(pt, u, (1,))))
-    above = JointEmbedding((Embedding(pt, u, (1,)), Embedding(pt, u, (0,))))
+    below = JointEmbedding(u, ((0,), (1,)))
+    above = JointEmbedding(u, ((1,), (0,)))
     assert pattern_of(below) != pattern_of(above)
-
-
-def test_union_support_enforced():
-    k1 = k_graph(1)
-    u = graph(2, [])
-    with pytest.raises(InputError):
-        JointEmbedding((Embedding(k1, u, (0,)), Embedding(k1, u, (0,))))
 
 
 def test_pattern_codes_match_marked_iso_oracle(seed=23):
@@ -105,17 +92,14 @@ def test_pattern_invariant_under_postcomposition(seed=3):
             u2 = relabel(u, perm)
             if not is_embedding(perm, u, u2):
                 continue
-            moved = JointEmbedding(tuple(
-                Embedding(e.source, u2, tuple(perm[v] for v in e.map))
-                for e in je.parts))
+            moved = JointEmbedding(u2, tuple(tuple(perm[v] for v in m) for m in je.maps))
             assert pattern_of(moved) == code
 
 
 def test_coordinate_swap_covariance():
-    k1 = k_graph(1)
     u = graph(2, [])
-    je = JointEmbedding((Embedding(k1, u, (0,)), Embedding(k1, u, (1,))))
-    swapped = JointEmbedding((Embedding(k1, u, (1,)), Embedding(k1, u, (0,))))
+    je = JointEmbedding(u, ((0,), (1,)))
+    swapped = JointEmbedding(u, ((1,), (0,)))
     # swapping coordinates of symmetric parts: codes equal iff the marked
     # structures are isomorphic under the swapped marking
     assert (pattern_of(je) == pattern_of(swapped)) == _marked_iso(
@@ -163,6 +147,22 @@ def test_joint_embeddings_union_support_and_membership():
             covered.update(m)
         assert covered == set(range(je.target.size))
         assert TRIANGLE.member(je.target)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_small_age(), st.data())
+def test_joint_embeddings_are_union_supported_embeddings_into_members(case, data):
+    # what placement guarantees and JointEmbedding does not re-check: the
+    # maps cover the target, each one embeds its part, the target is in
+    # the age; a ternary symbol allows one-vertex parts only
+    spec, n = case
+    members = enumerate_up_to(spec, 1 if spec.signature.max_arity > 2 else min(n, 2))
+    assume(members)  # a forbidden point can empty the age
+    parts = [data.draw(st.sampled_from(members)) for _ in range(2)]
+    for je in joint_embeddings(spec, parts[0], parts[1:]):
+        assert set().union(*je.maps) == set(range(je.target.size))
+        assert all(is_embedding(m, s, je.target) for s, m in zip(parts, je.maps))
+        assert spec.member(je.target)
 
 
 def test_free_join_first_candidate():
@@ -253,14 +253,15 @@ def test_non_injective_maps_equal_marked_canonical_form(case):
 
 @settings(max_examples=200, deadline=None)
 @given(_host_and_maps())
-def test_pattern_of_maps_equals_marked_canonical_form(case):
+def test_pattern_of_equals_marked_canonical_form(case):
     u, maps = case
     verts = sorted(set().union(*maps))
     rank = {v: i for i, v in enumerate(verts)}
     small = induced_substructure(u, verts)
     ranked = tuple(tuple(rank[v] for v in m) for m in maps)
     patterns._PATTERN_MEMO.clear()
-    assert pattern_of_maps(small, ranked) == canonical_form(marked_structure(small, ranked))
+    assert pattern_of(JointEmbedding(small, ranked)) == canonical_form(
+        marked_structure(small, ranked))
 
 
 @settings(max_examples=200, deadline=None)
