@@ -6,10 +6,10 @@ and a finite list of forbidden induced substructures.  A small built-in
 catalog covers the running examples: pure sets, graphs, K_n-free graphs,
 linear orders, tournaments and digraphs.
 
-Enumeration up to isomorphism uses orderly generation: canonical
-representatives are extended by one vertex and an extension is kept only
-when removing its canonically-last vertex returns to the parent, so each
-isomorphism type is produced exactly once without a global seen-set.
+Enumeration up to isomorphism extends each canonical representative of
+size n-1 by one vertex in every way the age allows and keeps one
+candidate per canonical code: isomorphic candidates relabel to the same
+representative, so the level's code-keyed table is the only seen-set.
 
 Amalgamation probes are bounded searches, never claims about the whole
 age: a positive report only says "no failure up to this size bound", and
@@ -31,7 +31,6 @@ from arrowbench.structures import (
     canonical_representative,
     embedding_maps,
     has_embedding,
-    induced_substructure,
     parse_structure,
     relabel,
 )
@@ -79,17 +78,6 @@ class AgeSpec:
 
     def member(self, s: Structure) -> bool:
         return member(self, s)
-
-    def describe(self) -> str:
-        if self.name:
-            return self.name
-        parts = [self.signature.key() or "(empty signature)"]
-        for sym, flags in self.axioms:
-            if flags:
-                parts.append(f"{sym}[{','.join(sorted(flags))}]")
-        if self.forbidden:
-            parts.append(f"{len(self.forbidden)} forbidden")
-        return "; ".join(parts)
 
 
 def _satisfies_axioms(spec: AgeSpec, s: Structure) -> bool:
@@ -287,20 +275,10 @@ def enumerate_structures(spec: AgeSpec, n: int, budget: Budget | None = None) ->
     for _ in range(n - 1):
         next_level: dict[bytes, Structure] = {}
         for parent in level:
-            parent_code = canonical_form(parent)
-            seen_here: set[bytes] = set()
             for cand in _extensions(spec, parent, singles, budget):
                 code, perm = canonical_labeling(cand)
-                if code in seen_here:
-                    continue
-                seen_here.add(code)
-                # orderly filter: deleting the canonically-last vertex
-                # must return to the parent
-                vstar = perm.index(cand.size - 1)
-                rest = [v for v in range(cand.size) if v != vstar]
-                if canonical_form(induced_substructure(cand, rest)) != parent_code:
-                    continue
-                next_level[code] = relabel(cand, perm)
+                if code not in next_level:
+                    next_level[code] = relabel(cand, perm)
         level = [next_level[c] for c in sorted(next_level)]
         if not level:
             break

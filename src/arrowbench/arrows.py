@@ -361,36 +361,55 @@ def _require_members(spec: AgeSpec, structures) -> None:
             raise InputError("inputs must be members of the age")
 
 
+def _constant_on(code, b_map, z_maps, emb_ab) -> bool:
+    """Every coordinate's pattern coloring a |-> code(b_map . a, z) is
+    constant on the copies of A inside b_map: B -> U, where code(a_map,
+    z_map) is the pair pattern code in U."""
+    for z_map in z_maps:
+        first = None
+        for am in emb_ab:
+            here = code(tuple([b_map[x] for x in am]), z_map)
+            if first is None:
+                first = here
+            elif here != first:
+                return False
+    return True
+
+
 def _pattern_constant_b(u, c_map, z_maps, emb_bc, emb_ab):
     """First b (as a map B->C) such that every coordinate's pattern
-    coloring is constant on the copies of A inside b's image."""
-    memo: dict[tuple[int, tuple[int, ...]], bytes] = {}
-
-    def pat(zi, a_full):
-        key = (zi, a_full)
-        code = memo.get(key)
-        if code is None:
-            code = pair_pattern_code(u, a_full, z_maps[zi])
-            memo[key] = code
-        return code
-
+    coloring is constant on the copies of A inside c_map . b."""
+    # the copies of B overlap, so each pair's code is asked for repeatedly
+    code = functools.cache(functools.partial(pair_pattern_code, u))
     for bm in emb_bc:
-        ok = True
-        for zi in range(len(z_maps)):
-            first = None
-            for am in emb_ab:
-                full = tuple(c_map[bm[am[i]]] for i in range(len(am)))
-                code = pat(zi, full)
-                if first is None:
-                    first = code
-                elif code != first:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        if _constant_on(code, tuple([c_map[v] for v in bm]), z_maps, emb_ab):
             return bm
     return None
+
+
+def _pattern_arrow(operation, c, a, b, zs, spec, budget, extra) -> ArrowCertificate:
+    """For every joint embedding of C and the coordinates zs, some copy of
+    B on which every pattern coloring is constant; `extra` ends every
+    payload."""
+    emb_bc = embedding_maps(b, c)
+    if not emb_bc:
+        return ArrowCertificate(operation, "fails", degenerate=True,
+                                reason="no copy of B in C", payload=extra)
+    emb_ab = embedding_maps(a, b)
+    if not emb_ab:
+        return ArrowCertificate(operation, "holds", degenerate=True,
+                                reason="A does not embed in B; constancy is vacuous",
+                                payload=extra)
+    checked = 0
+    for u, (c_map, *z_maps) in joint_embeddings(spec, c, zs, budget=budget):
+        checked += 1
+        if _pattern_constant_b(u, c_map, z_maps, emb_bc, emb_ab) is None:
+            offending = {"u": serialize_structure(u), "c_map": list(c_map),
+                         "z_maps": [list(m) for m in z_maps]}
+            return ArrowCertificate(operation, "fails",
+                                    payload={"offending": offending, **extra})
+    return ArrowCertificate(operation, "holds",
+                            payload={"joint_patterns_checked": checked, **extra})
 
 
 def definable_arrow(c: Structure, a: Structure, b: Structure, z: Structure,
@@ -398,28 +417,7 @@ def definable_arrow(c: Structure, a: Structure, b: Structure, z: Structure,
     """Decide the pattern-constant arrow: for every joint embedding of C
     and Z there is a copy of B on which a |-> [a, z] is constant."""
     _require_members(spec, (a, b, c, z))
-    emb_bc = embedding_maps(b, c)
-    if not emb_bc:
-        return ArrowCertificate("definable-arrow", "fails", degenerate=True,
-                                reason="no copy of B in C", payload={})
-    emb_ab = embedding_maps(a, b)
-    if not emb_ab:
-        return ArrowCertificate("definable-arrow", "holds", degenerate=True,
-                                reason="A does not embed in B; constancy is vacuous",
-                                payload={})
-    checked = 0
-    for je in joint_embeddings(spec, c, (z,), budget=budget):
-        u = je.target
-        c_map, z_map = je.maps
-        checked += 1
-        bm = _pattern_constant_b(u, c_map, [z_map], emb_bc, emb_ab)
-        if bm is None:
-            return ArrowCertificate(
-                "definable-arrow", "fails",
-                payload={"offending": {"u": serialize_structure(u),
-                                       "c_map": list(c_map), "z_maps": [list(z_map)]}})
-    return ArrowCertificate("definable-arrow", "holds",
-                            payload={"joint_patterns_checked": checked})
+    return _pattern_arrow("definable-arrow", c, a, b, (z,), spec, budget, {})
 
 
 def stable_arrow(c: Structure, a: Structure, b: Structure, zs, spec: AgeSpec,
@@ -438,33 +436,8 @@ def stable_arrow(c: Structure, a: Structure, b: Structure, zs, spec: AgeSpec,
             raise PreconditionFailure(
                 f"pair (A, Z_{i}) has an unstable witness at depth <= {depth}; "
                 "the stability-restricted arrow does not apply")
-    emb_bc = embedding_maps(b, c)
-    if not emb_bc:
-        return ArrowCertificate("stable-arrow", "fails", degenerate=True,
-                                reason="no copy of B in C",
-                                payload={"stability_precondition": precondition})
-    emb_ab = embedding_maps(a, b)
-    if not emb_ab:
-        return ArrowCertificate("stable-arrow", "holds", degenerate=True,
-                                reason="A does not embed in B; constancy is vacuous",
-                                payload={"stability_precondition": precondition})
-    checked = 0
-    for je in joint_embeddings(spec, c, zs, budget=budget):
-        u = je.target
-        c_map = je.maps[0]
-        z_maps = list(je.maps[1:])
-        checked += 1
-        bm = _pattern_constant_b(u, c_map, z_maps, emb_bc, emb_ab)
-        if bm is None:
-            return ArrowCertificate(
-                "stable-arrow", "fails",
-                payload={"offending": {"u": serialize_structure(u),
-                                       "c_map": list(c_map),
-                                       "z_maps": [list(m) for m in z_maps]},
-                         "stability_precondition": precondition})
-    return ArrowCertificate("stable-arrow", "holds",
-                            payload={"joint_patterns_checked": checked,
-                                     "stability_precondition": precondition})
+    return _pattern_arrow("stable-arrow", c, a, b, zs, spec, budget,
+                          {"stability_precondition": precondition})
 
 
 def roelcke_witness(spec: AgeSpec, a: Structure, b: Structure, z: Structure,
@@ -479,13 +452,7 @@ def roelcke_witness(spec: AgeSpec, a: Structure, b: Structure, z: Structure,
     for u, (b_map, z_map) in iter_joint_embeddings(spec, b, (z,), max_size=max_n,
                                                    budget=budget):
         checked += 1
-        codes = set()
-        for am in emb_ab:
-            full = tuple(b_map[am[i]] for i in range(len(am)))
-            codes.add(pair_pattern_code(u, full, z_map))
-            if len(codes) > 1:
-                break
-        if len(codes) <= 1:
+        if _constant_on(functools.partial(pair_pattern_code, u), b_map, (z_map,), emb_ab):
             return ArrowCertificate(
                 "roelcke-witness", "holds", degenerate=not emb_ab,
                 payload={"u": serialize_structure(u), "b_map": list(b_map),

@@ -11,6 +11,7 @@ non-deduplicated joint-embedding enumeration for the pattern arrows).
 
 from __future__ import annotations
 
+import functools
 import json
 
 from arrowbench import __version__
@@ -23,6 +24,7 @@ from arrowbench.arrows import (
     exhaustive_classical_check,
     oscillation,
     REAL_TOL,
+    _constant_on,
     _pattern_constant_b,
     _values_agree,
 )
@@ -98,11 +100,11 @@ def _check_digests(doc: dict, inputs: dict[str, Structure]) -> None:
                 f"provided file has {got}")
 
 
-def _union_supported(u: Structure, maps) -> bool:
-    covered = set()
-    for m in maps:
-        covered.update(m)
-    return covered == set(range(u.size))
+def _joint_embedding_ok(spec: AgeSpec, u: Structure, parts, maps) -> bool:
+    """maps embed the parts into a member u, and their images cover u."""
+    return (spec.member(u) and len(maps) == len(parts)
+            and all(is_embedding(m, p, u) for p, m in zip(parts, maps))
+            and set().union(*maps) == set(range(u.size)))
 
 
 def _verify_arrow(doc, inputs, spec, budget):
@@ -132,57 +134,31 @@ def _verify_arrow_search(doc, inputs, spec, budget):
     return exhaustive_classical_check(c, a, b, k)
 
 
-def _reenact_pattern_arrow(doc, inputs, spec, zs_names, budget):
-    """Independent holds-check: raw joint-embedding enumeration (no
-    pattern deduplication), early-exit per candidate."""
+def _verify_pattern_arrow(doc, inputs, spec, budget):
+    """definable-arrow and stable-arrow, whose coordinates are the z*
+    inputs in order.  A fail is re-scored on its offending joint
+    embedding; a holds is re-decided by raw joint-embedding enumeration
+    (no pattern deduplication), early-exit per candidate."""
     a, b, c = inputs["a"], inputs["b"], inputs["c"]
-    zs = [inputs[name] for name in zs_names]
+    # the coordinates in the order given: z, or z0, z1, ..., z9, z10, ...
+    names = sorted((n for n in doc["inputs"] if n.startswith("z")), key=lambda n: (len(n), n))
+    zs = [inputs[name] for name in names]
     emb_bc = embedding_maps(b, c)
     emb_ab = embedding_maps(a, b)
     if doc.get("degenerate"):
         if doc["verdict"] == "fails":
             return not emb_bc
         return bool(emb_bc) and not emb_ab
+    if doc["verdict"] == "fails":
+        off = doc["payload"]["offending"]
+        u = parse_structure(off["u"])
+        c_map = tuple(off["c_map"])
+        z_maps = [tuple(m) for m in off["z_maps"]]
+        return (_joint_embedding_ok(spec, u, [c, *zs], [c_map, *z_maps])
+                and _pattern_constant_b(u, c_map, z_maps, emb_bc, emb_ab) is None)
     budget = budget or Budget(5_000_000, "verify_pattern_arrow")
-    for u, maps in iter_joint_embeddings(spec, c, zs, budget=budget):
-        c_map, z_maps = maps[0], list(maps[1:])
-        if _pattern_constant_b(u, c_map, z_maps, emb_bc, emb_ab) is None:
-            return False
-    return True
-
-
-def _verify_pattern_arrow_fail(doc, inputs, spec, zs_names):
-    a, b, c = inputs["a"], inputs["b"], inputs["c"]
-    off = doc["payload"]["offending"]
-    u = parse_structure(off["u"])
-    c_map = tuple(off["c_map"])
-    z_maps = [tuple(z) for z in off["z_maps"]]
-    zs = [inputs[name] for name in zs_names]
-    if not spec.member(u):
-        return False
-    if not is_embedding(c_map, c, u):
-        return False
-    for z_struct, zm in zip(zs, z_maps):
-        if not is_embedding(zm, z_struct, u):
-            return False
-    if not _union_supported(u, [c_map] + z_maps):
-        return False
-    emb_bc = embedding_maps(b, c)
-    emb_ab = embedding_maps(a, b)
-    return _pattern_constant_b(u, c_map, z_maps, emb_bc, emb_ab) is None
-
-
-def _verify_definable(doc, inputs, spec, budget):
-    if doc["verdict"] == "fails" and not doc.get("degenerate"):
-        return _verify_pattern_arrow_fail(doc, inputs, spec, ["z"])
-    return _reenact_pattern_arrow(doc, inputs, spec, ["z"], budget)
-
-
-def _verify_stable(doc, inputs, spec, budget):
-    zs_names = sorted(n for n in doc["inputs"] if n.startswith("z"))
-    if doc["verdict"] == "fails" and not doc.get("degenerate"):
-        return _verify_pattern_arrow_fail(doc, inputs, spec, zs_names)
-    return _reenact_pattern_arrow(doc, inputs, spec, zs_names, budget)
+    return all(_pattern_constant_b(u, c_map, z_maps, emb_bc, emb_ab) is not None
+               for u, (c_map, *z_maps) in iter_joint_embeddings(spec, c, zs, budget=budget))
 
 
 def _verify_roelcke(doc, inputs, spec, budget):
@@ -195,17 +171,9 @@ def _verify_roelcke(doc, inputs, spec, budget):
     u = parse_structure(doc["payload"]["u"])
     b_map = tuple(doc["payload"]["b_map"])
     z_map = tuple(doc["payload"]["z_map"])
-    if not spec.member(u):
-        return False
-    if not is_embedding(b_map, b, u) or not is_embedding(z_map, z, u):
-        return False
-    if not _union_supported(u, [b_map, z_map]):
-        return False
-    codes = set()
-    for am in embedding_maps(a, b):
-        full = tuple(b_map[am[i]] for i in range(len(am)))
-        codes.add(pair_pattern_code(u, full, z_map))
-    return len(codes) <= 1
+    return (_joint_embedding_ok(spec, u, [b, z], [b_map, z_map])
+            and _constant_on(functools.partial(pair_pattern_code, u), b_map, (z_map,),
+                             embedding_maps(a, b)))
 
 
 def _verify_epsilon(doc, inputs, spec, coloring: Coloring | None, budget):
@@ -371,8 +339,8 @@ def _verify_amalgamation(doc, inputs, spec, budget):
 _VERIFIERS = {
     "arrow": _verify_arrow,
     "arrow-search": _verify_arrow_search,
-    "definable-arrow": _verify_definable,
-    "stable-arrow": _verify_stable,
+    "definable-arrow": _verify_pattern_arrow,
+    "stable-arrow": _verify_pattern_arrow,
     "roelcke-witness": _verify_roelcke,
     "convex-arrow": _verify_convex,
     "stability": _verify_stability,

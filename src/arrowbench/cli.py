@@ -3,16 +3,19 @@
 Exit codes: 0 the property holds / a witness was found / informational
 success; 1 the property fails / nothing found (a certificate still
 describes why); 2 usage or input error; 3 resource limit exceeded.
+Every subcommand but `verify` exits by its report's verdict.
 
 Machine output (--json) is the certificate document itself, so reports
-double as replayable regression fixtures; human output summarizes the
-same data.  No timestamps anywhere: a fixed invocation produces
+double as replayable regression fixtures; human output is built from
+that document alone, so a result-cache hit prints what a fresh run
+prints.  No timestamps anywhere: a fixed invocation produces
 byte-identical reports.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
 
@@ -21,6 +24,7 @@ from arrowbench.ages import AgeSpec, amalgamation_probe, enumerate_structures, l
 from arrowbench.arrows import (
     ArrowCertificate,
     Coloring,
+    ProximalReport,
     arrow_search,
     classical_arrow,
     coloring_digest,
@@ -31,14 +35,7 @@ from arrowbench.arrows import (
     roelcke_witness,
     stable_arrow,
 )
-from arrowbench.errors import (
-    ArrowbenchError,
-    CertificateError,
-    InputError,
-    ParseError,
-    PreconditionFailure,
-    ResourceLimitExceeded,
-)
+from arrowbench.errors import ArrowbenchError, InputError, ParseError, ResourceLimitExceeded
 from arrowbench.groups import (
     automorphisms,
     coherent_partitions,
@@ -133,18 +130,6 @@ def _budget(args, what: str) -> Budget:
     return budget
 
 
-def _emit(args, doc: dict, exit_code: int, human_lines) -> int:
-    text = certificates.dumps(doc)
-    if getattr(args, "certificate", None):
-        certificates.write_certificate(doc, args.certificate)
-    if args.json:
-        sys.stdout.write(text)
-    else:
-        for line in human_lines:
-            print(line)
-    return exit_code
-
-
 def _age_key(args) -> bytes:
     """The --age text (which the report records) plus the canonical age:
     signature, axiom flags per symbol and the sorted codes of the
@@ -159,43 +144,97 @@ def _age_key(args) -> bytes:
                           axioms.encode(), *forbidden])
 
 
-def _cached_run(args, operation: str, inputs: dict, params: dict, compute):
-    """compute() -> (ArrowCertificate, exit_code, human_lines); replays
-    from the cache when enabled and hit."""
-    directory = None if getattr(args, "no_cache", False) else cache.cache_dir(
-        getattr(args, "cache_dir", None))
+def _report(args, operation: str, inputs: dict, params: dict, decide,
+            cached: bool = False, extra_inputs: dict | None = None) -> int:
+    """Report the certificate document of decide() -> ArrowCertificate:
+    replayed from the result cache when `cached`, enabled and hit, else
+    enveloped (with `extra_inputs` digests) and stored.  The exit code
+    follows the verdict."""
+    directory = None if args.no_cache or not cached else cache.cache_dir(args.cache_dir)
+    hit = None
     if directory:
         key = cache.cache_key(operation,
                               [canonical_form(s) for _, s in sorted(inputs.items())],
                               params, _age_key(args))
         hit = cache.lookup(directory, key)
-        if hit is not None:
-            import json
+    if hit is not None:
+        doc = json.loads(hit)
+    else:
+        doc = certificates.envelope(decide(), inputs, getattr(args, "age", None), params)
+        doc["inputs"].update(extra_inputs or {})
+        if directory:
+            cache.store(directory, key, certificates.dumps(doc))
+    if args.certificate:
+        certificates.write_certificate(doc, args.certificate)
+    if args.json:
+        sys.stdout.write(certificates.dumps(doc))
+    else:
+        for line in _HUMAN_LINES.get(operation, _summary_lines)(doc, doc["payload"]):
+            print(line)
+    return EXIT_HOLDS if doc["verdict"] == "holds" else EXIT_FAILS
 
-            doc = json.loads(hit)
-            code = EXIT_HOLDS if doc["verdict"] == "holds" else EXIT_FAILS
-            return _emit(args, doc, code, _summary_lines(doc))
-    cert, exit_code, human_lines = compute()
-    doc = certificates.envelope(cert, inputs, getattr(args, "age", None), params)
-    if directory:
-        cache.store(directory, key, certificates.dumps(doc))
-    return _emit(args, doc, exit_code, human_lines)
+
+# ---------------------------------------------------------------------------
+# human output: lines built from the certificate document alone, so that a
+# cache hit prints what a fresh run prints
 
 
-def _summary_lines(doc: dict):
+def _summary_lines(doc, p):
     lines = [f"{doc['operation']}: {doc['verdict']}"]
-    if doc.get("reason"):
+    if doc["reason"]:
         lines.append(f"reason: {doc['reason']}")
-    for k, v in doc.get("payload", {}).items():
-        if isinstance(v, str) and "\n" in v:
-            continue
-        if isinstance(v, (str, int, float, bool)):
-            lines.append(f"{k}: {v}")
-    return lines
+    return lines + [f"{k}: {v}" for k, v in p.items()
+                    if isinstance(v, (str, int, float, bool)) and "\n" not in str(v)]
 
 
-def _verdict_exit(cert: ArrowCertificate) -> int:
-    return EXIT_HOLDS if cert.holds else EXIT_FAILS
+def _inline(text: str) -> str:
+    return text.rstrip("\n").replace("\n", "; ")
+
+
+def _with_witness(key: str):
+    """The summary, then the payload's `key` structure when the verdict holds."""
+    return lambda doc, p: _summary_lines(doc, p) + (
+        [p[key].rstrip("\n")] if doc["verdict"] == "holds" else [])
+
+
+def _stability_lines(doc, p):
+    if doc["verdict"] == "fails":
+        return _summary_lines(doc, p)
+    return [f"unstable witness at depth {p['depth']}", p["host"].rstrip("\n"),
+            f"a parts: {p['a_maps']}", f"z parts: {p['z_maps']}"]
+
+
+def _proximal_check_lines(doc, p):
+    return [f"proximal-check: {'pass' if p['passed_all'] else 'fail'}"] + [
+        f"D {_inline(d)} -> {'pass' if passed else 'fail'}"
+        + (f" (E vertices {w})" if w is not None else "") for d, passed, w in p["entries"]]
+
+
+# operation -> lines(doc, payload); the rest print _summary_lines
+_HUMAN_LINES = {
+    "parse": lambda doc, p: [p["normalized"].rstrip("\n")],
+    "enumerate": lambda doc, p: [f"{p['count']} structure(s) of size {p['n']}"] + [
+        code_digest(canonical_form(parse_structure(text))) + "  " + _inline(text)
+        for text in p["structures"]],
+    "embeddings": lambda doc, p: [f"{p['count']} embedding(s)", *map(str, p["maps"])],
+    "patterns": lambda doc, p: [
+        f"{e['digest']} {' '.join(map(str, e['maps']))} {_inline(e['u'])}"
+        for e in p["patterns"]] + [f"{p['count']} pattern(s)"],
+    "pattern-count": lambda doc, p: [str(p["count"])],
+    "arrow-search": _with_witness("c"),
+    "roelcke-witness": _with_witness("u"),
+    "stability": _stability_lines,
+    "proximal-check": _proximal_check_lines,
+    "convex-arrow": lambda doc, p: [f"convex-arrow: {doc['verdict']}",
+                                    f"value: {p['value']:.9f}", f"gap: {p['gap']:.2e}"],
+    "orbits": lambda doc, p: [f"aut order {p['aut_order']}, {len(p['blocks'])} orbit(s)"] + [
+        " ".join(str(p["base"][i]) for i in block) for block in p["blocks"]],
+    "invariant-partitions": lambda doc, p: [f"{p['count']} invariant partition(s)",
+                                            *map(str, p["partitions"])],
+    "coherent-partitions": lambda doc, p: [
+        f"{p['family_count']} coherent familie(s); only_trivial={p['only_trivial']}; "
+        f"inconclusive={p['inconclusive']}"],
+}
 
 
 # ---------------------------------------------------------------------------
@@ -204,70 +243,61 @@ def _verdict_exit(cert: ArrowCertificate) -> int:
 
 def _cmd_parse(args):
     s = _load_structure(args.infile)
-    payload = {"normalized": serialize_structure(s),
-               "canonical_digest": code_digest(canonical_form(s))}
-    cert = ArrowCertificate("parse", "holds", payload=payload)
-    doc = certificates.envelope(cert, {"structure": s}, None, {})
-    return _emit(args, doc, EXIT_HOLDS, [payload["normalized"].rstrip("\n")])
+    return _report(args, "parse", {"structure": s}, {}, lambda: ArrowCertificate(
+        "parse", "holds", payload={"normalized": serialize_structure(s),
+                                   "canonical_digest": code_digest(canonical_form(s))}))
 
 
 def _cmd_enumerate(args):
     spec = _require_age(args)
-    reps = enumerate_structures(spec, args.n, _budget(args, "enumerate_structures"))
-    payload = {"n": args.n, "count": len(reps),
-               "structures": [serialize_structure(s) for s in reps]}
-    cert = ArrowCertificate("enumerate", "holds", payload=payload)
-    doc = certificates.envelope(cert, {}, args.age, {"n": args.n})
-    lines = [f"{len(reps)} structure(s) of size {args.n}"]
-    for s in reps:
-        lines.append(code_digest(canonical_form(s)) + "  " +
-                     serialize_structure(s).rstrip("\n").replace("\n", "; "))
-    return _emit(args, doc, EXIT_HOLDS, lines)
+
+    def decide():
+        reps = enumerate_structures(spec, args.n, _budget(args, "enumerate_structures"))
+        return ArrowCertificate("enumerate", "holds", payload={
+            "n": args.n, "count": len(reps),
+            "structures": [serialize_structure(s) for s in reps]})
+
+    return _report(args, "enumerate", {}, {"n": args.n}, decide)
 
 
 def _cmd_embeddings(args):
     a = _load_structure(args.a)
     b = _load_structure(args.b)
-    maps = embedding_maps(a, b)
-    payload = {"count": len(maps), "maps": [list(m) for m in maps]}
-    cert = ArrowCertificate("embeddings", "holds", payload=payload)
-    doc = certificates.envelope(cert, {"a": a, "b": b}, None, {})
-    lines = [f"{len(maps)} embedding(s)"] + [str(list(m)) for m in maps]
-    return _emit(args, doc, EXIT_HOLDS, lines)
+
+    def decide():
+        maps = embedding_maps(a, b)
+        return ArrowCertificate("embeddings", "holds",
+                                payload={"count": len(maps), "maps": [list(m) for m in maps]})
+
+    return _report(args, "embeddings", {"a": a, "b": b}, {}, decide)
 
 
 def _cmd_patterns(args):
     spec = _require_age(args)
     a = _load_structure(args.a)
-    zs = [_load_structure(p) for p in args.z or []]
-    jes = joint_embeddings(spec, a, zs, budget=_budget(args, "joint_embeddings"))
-    entries = []
-    for je in jes:
-        code = pattern_of(je)
-        entries.append({"code": code.hex(), "digest": code_digest(code),
-                        "u": serialize_structure(je.target),
-                        "maps": [list(m) for m in je.maps]})
-    cert = ArrowCertificate("patterns", "holds",
-                            payload={"count": len(entries), "patterns": entries})
+    zs = [_load_structure(p) for p in args.z]
+
+    def decide():
+        entries = []
+        for je in joint_embeddings(spec, a, zs, budget=_budget(args, "joint_embeddings")):
+            code = pattern_of(je)
+            entries.append({"code": code.hex(), "digest": code_digest(code),
+                            "u": serialize_structure(je.target),
+                            "maps": [list(m) for m in je.maps]})
+        return ArrowCertificate("patterns", "holds",
+                                payload={"count": len(entries), "patterns": entries})
+
     inputs = {"a": a, **{f"z{i}": z for i, z in enumerate(zs)}}
-    doc = certificates.envelope(cert, inputs, args.age, {})
-    lines = []
-    for e in entries:
-        inline = e["u"].rstrip("\n").replace("\n", "; ")
-        maps = " ".join(str(m) for m in e["maps"])
-        lines.append(f"{e['digest']} {maps} {inline}")
-    lines.append(f"{len(entries)} pattern(s)")
-    return _emit(args, doc, EXIT_HOLDS, lines)
+    return _report(args, "patterns", inputs, {}, decide)
 
 
 def _cmd_pattern_count(args):
     spec = _require_age(args)
     a = _load_structure(args.a)
-    z = _load_structure(args.z[0] if isinstance(args.z, list) else args.z)
-    count = pattern_count(spec, a, z, _budget(args, "joint_embeddings"))
-    cert = ArrowCertificate("pattern-count", "holds", payload={"count": count})
-    doc = certificates.envelope(cert, {"a": a, "z": z}, args.age, {})
-    return _emit(args, doc, EXIT_HOLDS, [str(count)])
+    z = _load_structure(args.z[0])
+    return _report(args, "pattern-count", {"a": a, "z": z}, {}, lambda: ArrowCertificate(
+        "pattern-count", "holds",
+        payload={"count": pattern_count(spec, a, z, _budget(args, "joint_embeddings"))}))
 
 
 def _cmd_arrow(args):
@@ -277,116 +307,74 @@ def _cmd_arrow(args):
         for name, s in (("a", a), ("b", b), ("c", c)):
             if not spec.member(s):
                 raise InputError(f"--{name} is not a member of the age")
-    inputs = {"a": a, "b": b, "c": c}
-    params = {"colors": args.colors}
-
-    def compute():
-        cert = classical_arrow(c, a, b, args.colors, _budget(args, "classical_arrow"))
-        lines = _summary_lines({"operation": cert.operation, "verdict": cert.verdict,
-                                "reason": cert.reason, "payload": cert.payload})
-        return cert, _verdict_exit(cert), lines
-
-    return _cached_run(args, "arrow", inputs, params, compute)
+    return _report(args, "arrow", {"a": a, "b": b, "c": c}, {"colors": args.colors},
+                   lambda: classical_arrow(c, a, b, args.colors,
+                                           _budget(args, "classical_arrow")),
+                   cached=True)
 
 
 def _cmd_arrow_search(args):
     spec = _require_age(args)
     a, b = map(_load_structure, (args.a, args.b))
-    inputs = {"a": a, "b": b}
-    params = {"colors": args.colors, "max_n": args.max_n}
-
-    def compute():
-        cert = arrow_search(spec, a, b, args.colors, args.max_n,
-                            _budget(args, "classical_arrow"))
-        lines = _summary_lines({"operation": cert.operation, "verdict": cert.verdict,
-                                "reason": cert.reason, "payload": cert.payload})
-        if cert.holds:
-            lines.append(cert.payload["c"].rstrip("\n"))
-        return cert, _verdict_exit(cert), lines
-
-    return _cached_run(args, "arrow-search", inputs, params, compute)
+    return _report(args, "arrow-search", {"a": a, "b": b},
+                   {"colors": args.colors, "max_n": args.max_n},
+                   lambda: arrow_search(spec, a, b, args.colors, args.max_n,
+                                        _budget(args, "classical_arrow")),
+                   cached=True)
 
 
 def _cmd_definable_arrow(args):
     spec = _require_age(args)
     a, b, c, z = map(_load_structure, (args.a, args.b, args.c, args.z[0]))
-    inputs = {"a": a, "b": b, "c": c, "z": z}
-
-    def compute():
-        cert = definable_arrow(c, a, b, z, spec, _budget(args, "joint_embeddings"))
-        return cert, _verdict_exit(cert), _summary_lines(
-            {"operation": cert.operation, "verdict": cert.verdict,
-             "reason": cert.reason, "payload": cert.payload})
-
-    return _cached_run(args, "definable-arrow", inputs, {}, compute)
+    return _report(args, "definable-arrow", {"a": a, "b": b, "c": c, "z": z}, {},
+                   lambda: definable_arrow(c, a, b, z, spec,
+                                           _budget(args, "joint_embeddings")),
+                   cached=True)
 
 
 def _cmd_stable_arrow(args):
     spec = _require_age(args)
     a, b, c = map(_load_structure, (args.a, args.b, args.c))
-    zs = [_load_structure(p) for p in args.z or []]
+    zs = [_load_structure(p) for p in args.z]
     inputs = {"a": a, "b": b, "c": c, **{f"z{i}": z for i, z in enumerate(zs)}}
-    params = {"depth": args.depth, "max_host": args.max_host}
-
-    def compute():
-        cert = stable_arrow(c, a, b, zs, spec, args.depth, args.max_host,
-                            _budget(args, "stability search"))
-        return cert, _verdict_exit(cert), _summary_lines(
-            {"operation": cert.operation, "verdict": cert.verdict,
-             "reason": cert.reason, "payload": cert.payload})
-
-    return _cached_run(args, "stable-arrow", inputs, params, compute)
+    return _report(args, "stable-arrow", inputs,
+                   {"depth": args.depth, "max_host": args.max_host},
+                   lambda: stable_arrow(c, a, b, zs, spec, args.depth, args.max_host,
+                                        _budget(args, "stability search")),
+                   cached=True)
 
 
 def _cmd_roelcke(args):
     spec = _require_age(args)
     a, b, z = map(_load_structure, (args.a, args.b, args.z[0]))
-    inputs = {"a": a, "b": b, "z": z}
-    params = {"max_n": args.max_n}
-
-    def compute():
-        cert = roelcke_witness(spec, a, b, z, args.max_n, _budget(args, "roelcke_witness"))
-        lines = _summary_lines({"operation": cert.operation, "verdict": cert.verdict,
-                                "reason": cert.reason, "payload": cert.payload})
-        if cert.holds:
-            lines.append(cert.payload["u"].rstrip("\n"))
-        return cert, _verdict_exit(cert), lines
-
-    return _cached_run(args, "roelcke-witness", inputs, params, compute)
+    return _report(args, "roelcke-witness", {"a": a, "b": b, "z": z}, {"max_n": args.max_n},
+                   lambda: roelcke_witness(spec, a, b, z, args.max_n,
+                                           _budget(args, "roelcke_witness")),
+                   cached=True)
 
 
 def _cmd_stability(args):
     spec = _require_age(args)
     a, z = map(_load_structure, (args.a, args.z[0]))
-    inputs = {"a": a, "z": z}
-    params = {"depth": args.depth, "max_host": args.max_host}
 
-    def compute():
+    def decide():
         report = stable_up_to(spec, a, z, args.depth, args.max_host,
                               _budget(args, "stability search"))
         w = report.witness
-        if w is not None:
-            payload = {"depth": w.depth, "host": serialize_structure(w.host),
-                       "a_maps": [list(e.map) for e in w.a_parts],
-                       "z_maps": [list(e.map) for e in w.z_parts],
-                       "tau_lt": w.tau_lt.hex(), "tau_gt": w.tau_gt.hex()}
-            cert = ArrowCertificate("stability", "holds", payload=payload)
-            lines = [f"unstable witness at depth {w.depth}",
-                     serialize_structure(w.host).rstrip("\n"),
-                     f"a parts: {[list(e.map) for e in w.a_parts]}",
-                     f"z parts: {[list(e.map) for e in w.z_parts]}"]
-            return cert, EXIT_HOLDS, lines
-        payload = {"stable_up_to": True, "depth": report.depth,
-                   "max_host": report.max_host, "nodes": report.nodes_used,
-                   "pattern_pairs_checked": report.pattern_pairs_checked}
-        cert = ArrowCertificate("stability", "fails",
-                                reason="no unstable witness within the bounds",
-                                payload=payload)
-        return cert, EXIT_FAILS, _summary_lines(
-            {"operation": "stability", "verdict": "fails",
-             "reason": cert.reason, "payload": payload})
+        if w is None:
+            return ArrowCertificate(
+                "stability", "fails", reason="no unstable witness within the bounds",
+                payload={"stable_up_to": True, "depth": report.depth,
+                         "max_host": report.max_host, "nodes": report.nodes_used,
+                         "pattern_pairs_checked": report.pattern_pairs_checked})
+        return ArrowCertificate("stability", "holds", payload={
+            "depth": w.depth, "host": serialize_structure(w.host),
+            "a_maps": [list(e.map) for e in w.a_parts],
+            "z_maps": [list(e.map) for e in w.z_parts],
+            "tau_lt": w.tau_lt.hex(), "tau_gt": w.tau_gt.hex()})
 
-    return _cached_run(args, "stability", inputs, params, compute)
+    return _report(args, "stability", {"a": a, "z": z},
+                   {"depth": args.depth, "max_host": args.max_host}, decide, cached=True)
 
 
 def _cmd_proximal_check(args):
@@ -394,21 +382,17 @@ def _cmd_proximal_check(args):
     u = _load_structure(args.universe)
     a = _load_structure(args.a)
     chi = _load_coloring(args.coloring, u, a)
-    report = proximal_check(u, chi, spec, args.d_max, _budget(args, "proximal_check"))
-    payload = {"d_max": report.d_max,
-               "entries": [[d, p, w] for d, p, w in report.entries],
-               "passed_all": report.passed_all}
-    cert = ArrowCertificate("proximal-check", "holds" if report.passed_all else "fails",
-                            payload=payload)
-    doc = certificates.envelope(cert, {"u": u, "a": a}, args.age,
-                                {"d_max": args.d_max})
-    doc["inputs"]["_coloring"] = coloring_digest(chi)
-    lines = [f"proximal-check: {'pass' if report.passed_all else 'fail'}"]
-    for d, p, w in report.entries:
-        lines.append(f"D {d.rstrip(chr(10)).replace(chr(10), '; ')} -> "
-                     f"{'pass' if p else 'fail'}"
-                     + (f" (E vertices {w})" if w is not None else ""))
-    return _emit(args, doc, EXIT_HOLDS if report.passed_all else EXIT_FAILS, lines)
+
+    def decide():
+        report = proximal_check(u, chi, spec, args.d_max, _budget(args, "proximal_check"))
+        return ArrowCertificate(
+            "proximal-check", "holds" if report.passed_all else "fails",
+            payload={"d_max": report.d_max,
+                     "entries": [[d, p, w] for d, p, w in report.entries],
+                     "passed_all": report.passed_all})
+
+    return _report(args, "proximal-check", {"u": u, "a": a}, {"d_max": args.d_max}, decide,
+                   extra_inputs={"_coloring": coloring_digest(chi)})
 
 
 def _cmd_proximal_arrow(args):
@@ -420,110 +404,94 @@ def _cmd_proximal_arrow(args):
     check_doc = certificates.load_certificate(args.check)
     if check_doc.get("operation") != "proximal-check":
         raise InputError("--check must point at a proximal-check certificate")
-    from arrowbench.arrows import ProximalReport
-
     report = ProximalReport(
         universe_digest=check_doc["inputs"]["u"],
         coloring_digest=check_doc["inputs"]["_coloring"],
         d_max=check_doc["payload"]["d_max"],
         entries=tuple((d, p, tuple(w) if w is not None else None)
                       for d, p, w in check_doc["payload"]["entries"]))
-    cert = proximal_arrow(u, chi, a, b, report)
-    doc = certificates.envelope(cert, {"a": a, "b": b, "u": u}, args.age, {})
-    doc["inputs"]["_coloring"] = coloring_digest(chi)
-    return _emit(args, doc, _verdict_exit(cert), _summary_lines(doc))
+    return _report(args, "proximal-arrow", {"a": a, "b": b, "u": u}, {},
+                   lambda: proximal_arrow(u, chi, a, b, report),
+                   extra_inputs={"_coloring": coloring_digest(chi)})
 
 
 def _cmd_convex_arrow(args):
     a, b, c = map(_load_structure, (args.a, args.b, args.c))
-    inputs = {"a": a, "b": b, "c": c}
-    params = {"epsilon": args.epsilon}
-
-    def compute():
-        cert = convex_arrow(c, a, b, args.epsilon, _budget(args, "convex LP"))
-        lines = [f"convex-arrow: {cert.verdict}",
-                 f"value: {cert.payload['value']:.9f}",
-                 f"gap: {cert.payload['gap']:.2e}"]
-        return cert, _verdict_exit(cert), lines
-
-    return _cached_run(args, "convex-arrow", inputs, params, compute)
+    return _report(args, "convex-arrow", {"a": a, "b": b, "c": c}, {"epsilon": args.epsilon},
+                   lambda: convex_arrow(c, a, b, args.epsilon, _budget(args, "convex LP")),
+                   cached=True)
 
 
 def _cmd_orbits(args):
     host = _load_structure(args.host)
     a = _load_structure(args.a)
-    part = orbits_on_embeddings(host, a)
-    payload = {"base": [list(m) for m in part.base],
-               "blocks": [list(b) for b in part.blocks],
-               "aut_order": len(automorphisms(host))}
-    cert = ArrowCertificate("orbits", "holds", payload=payload)
-    doc = certificates.envelope(cert, {"host": host, "a": a}, None, {})
-    lines = [f"aut order {payload['aut_order']}, {len(part.blocks)} orbit(s)"]
-    for blk in part.blocks:
-        lines.append(" ".join(str(list(part.base[i])) for i in blk))
-    return _emit(args, doc, EXIT_HOLDS, lines)
+
+    def decide():
+        group = automorphisms(host)
+        part = orbits_on_embeddings(host, a, group)
+        return ArrowCertificate("orbits", "holds", payload={
+            "base": [list(m) for m in part.base],
+            "blocks": [list(b) for b in part.blocks],
+            "aut_order": len(group)})
+
+    return _report(args, "orbits", {"host": host, "a": a}, {}, decide)
 
 
 def _cmd_invariant_partitions(args):
     host = _load_structure(args.host)
     a = _load_structure(args.a)
-    parts = invariant_partitions(host, a, args.max_blocks)
-    payload = {"count": len(parts),
-               "partitions": [[list(b) for b in p.blocks] for p in parts]}
-    cert = ArrowCertificate("invariant-partitions", "holds", payload=payload)
-    doc = certificates.envelope(cert, {"host": host, "a": a}, None,
-                                {"max_blocks": args.max_blocks})
-    lines = [f"{len(parts)} invariant partition(s)"]
-    for p in parts:
-        lines.append(str([list(b) for b in p.blocks]))
-    return _emit(args, doc, EXIT_HOLDS, lines)
+
+    def decide():
+        parts = invariant_partitions(host, a, args.max_blocks)
+        return ArrowCertificate("invariant-partitions", "holds", payload={
+            "count": len(parts), "partitions": [[list(b) for b in p.blocks] for p in parts]})
+
+    return _report(args, "invariant-partitions", {"host": host, "a": a},
+                   {"max_blocks": args.max_blocks}, decide)
 
 
 def _cmd_coherent_partitions(args):
     chain = [_load_structure(p) for p in args.chain.split(",")]
     a = _load_structure(args.a)
-    report = coherent_partitions(chain, a, args.max_blocks)
-    payload = {
-        "families": [[[list(b) for b in p.blocks] for p in fam]
-                     for fam in report.families],
-        "family_count": len(report.families),
-        "only_trivial": report.only_trivial,
-        "inconclusive": report.inconclusive,
-    }
-    cert = ArrowCertificate("coherent-partitions",
-                            "holds" if report.families else "fails",
-                            payload=payload)
-    inputs = {f"f{i}": s for i, s in enumerate(chain)}
-    inputs["a"] = a
-    doc = certificates.envelope(cert, inputs, None, {"max_blocks": args.max_blocks})
-    lines = [f"{len(report.families)} coherent familie(s); "
-             f"only_trivial={report.only_trivial}; inconclusive={report.inconclusive}"]
-    return _emit(args, doc, EXIT_HOLDS, lines)
+
+    def decide():
+        report = coherent_partitions(chain, a, args.max_blocks)
+        return ArrowCertificate(
+            "coherent-partitions", "holds" if report.families else "fails", payload={
+                "families": [[[list(b) for b in p.blocks] for p in fam]
+                             for fam in report.families],
+                "family_count": len(report.families),
+                "only_trivial": report.only_trivial,
+                "inconclusive": report.inconclusive,
+            })
+
+    inputs = {**{f"f{i}": s for i, s in enumerate(chain)}, "a": a}
+    return _report(args, "coherent-partitions", inputs, {"max_blocks": args.max_blocks},
+                   decide)
 
 
 def _cmd_amalgamation(args):
     spec = _require_age(args)
-    report = amalgamation_probe(spec, args.property, args.bound,
-                                _budget(args, "amalgamation_probe"))
-    if report.counterexample is None:
-        payload = {"holds_up_to": report.holds_up_to,
-                   "instances_checked": report.instances_checked,
-                   "search_cap": report.search_cap}
-        cert = ArrowCertificate("amalgamation", "holds", payload=payload)
-        exit_code = EXIT_HOLDS
-    else:
+
+    def decide():
+        report = amalgamation_probe(spec, args.property, args.bound,
+                                    _budget(args, "amalgamation_probe"))
         cex = report.counterexample
-        payload = {"counterexample": {
-            "a": serialize_structure(cex.a) if cex.a is not None else None,
-            "b": serialize_structure(cex.b), "c": serialize_structure(cex.c),
-            "f": list(cex.f), "g": list(cex.g)},
+        if cex is None:
+            return ArrowCertificate("amalgamation", "holds", payload={
+                "holds_up_to": report.holds_up_to,
+                "instances_checked": report.instances_checked,
+                "search_cap": report.search_cap})
+        return ArrowCertificate("amalgamation", "fails", payload={
+            "counterexample": {
+                "a": serialize_structure(cex.a) if cex.a is not None else None,
+                "b": serialize_structure(cex.b), "c": serialize_structure(cex.c),
+                "f": list(cex.f), "g": list(cex.g)},
             "instances_checked": report.instances_checked,
-            "search_cap": report.search_cap}
-        cert = ArrowCertificate("amalgamation", "fails", payload=payload)
-        exit_code = EXIT_FAILS
-    doc = certificates.envelope(cert, {}, args.age,
-                                {"property": args.property, "bound": args.bound})
-    return _emit(args, doc, exit_code, _summary_lines(doc))
+            "search_cap": report.search_cap})
+
+    return _report(args, "amalgamation", {}, {"property": args.property, "bound": args.bound},
+                   decide)
 
 
 def _cmd_verify(args):
@@ -531,18 +499,17 @@ def _cmd_verify(args):
     spec = _age_of(args)
     inputs: dict[str, Structure] = {}
     for name, flag in (("a", args.a), ("b", args.b), ("c", args.c),
-                       ("host", getattr(args, "host", None)),
-                       ("u", getattr(args, "universe", None))):
+                       ("host", args.host), ("u", args.universe)):
         if flag:
             inputs[name] = _load_structure(flag)
-    for i, zpath in enumerate(args.z or []):
+    for i, zpath in enumerate(args.z):
         z = _load_structure(zpath)
         if len(args.z) == 1 and "z" in doc.get("inputs", {}):
             inputs["z"] = z
         else:
             inputs[f"z{i}"] = z
     coloring = None
-    if getattr(args, "coloring", None):
+    if args.coloring:
         if "u" not in inputs or "a" not in inputs:
             raise InputError("--coloring verification needs --universe and --a")
         coloring = _load_coloring(args.coloring, inputs["u"], inputs["a"])
@@ -726,10 +693,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = _build_parser()
     args = ap.parse_args(argv)
-    if getattr(args, "node_budget", None) is not None and args.node_budget <= 0:
+    if args.node_budget <= 0:
         print("error: --node-budget must be positive", file=sys.stderr)
         return EXIT_USAGE
-    if getattr(args, "time_budget", None) is not None and args.time_budget <= 0:
+    if args.time_budget is not None and args.time_budget <= 0:
         print("error: --time-budget must be positive", file=sys.stderr)
         return EXIT_USAGE
     if getattr(args, "epsilon", None) is not None:
@@ -741,9 +708,6 @@ def main(argv=None) -> int:
     except ResourceLimitExceeded as e:
         print(f"resource limit: {e}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (InputError, ParseError, PreconditionFailure, CertificateError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
     except ArrowbenchError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -42,13 +42,15 @@ def automorphisms(s: Structure) -> tuple[tuple[int, ...], ...]:
     return tuple(embedding_maps(s, s))
 
 
-def orbits_on_embeddings(s: Structure, a: Structure) -> InvariantPartition:
-    """The orbit partition of Aut(s) acting on embeddings(a, s) by g.e = g o e."""
+def orbits_on_embeddings(s: Structure, a: Structure, group=None) -> InvariantPartition:
+    """The orbit partition of Aut(s) acting on embeddings(a, s) by g.e = g o e;
+    `group` is automorphisms(s) when the caller has listed it already."""
     if a.signature != s.signature:
         raise SignatureMismatch("orbit computation needs one common signature")
     base = embedding_maps(a, s)
     index = {m: i for i, m in enumerate(base)}
-    group = automorphisms(s)
+    if group is None:
+        group = automorphisms(s)
     seen = [False] * len(base)
     blocks = []
     for i, m in enumerate(base):
@@ -87,7 +89,7 @@ def _partitions_of(items: list[int], max_blocks: int):
 
 
 def invariant_partitions(
-    s: Structure, a: Structure, max_blocks: int, guard: int = 200_000
+    s: Structure, a: Structure, max_blocks: int, guard: int = 200_000, group=None
 ) -> list[InvariantPartition]:
     """Every partition of embeddings(a, s) with <= max_blocks blocks whose
     blocks are unions of Aut(s)-orbits (each block fixed setwise by the
@@ -95,7 +97,7 @@ def invariant_partitions(
     """
     if max_blocks < 1:
         raise InputError("max_blocks must be >= 1")
-    orbit_part = orbits_on_embeddings(s, a)
+    orbit_part = orbits_on_embeddings(s, a, group)
     orbit_ids = list(range(len(orbit_part.blocks)))
     out = []
     for grouping in _partitions_of(orbit_ids, max_blocks):
@@ -137,7 +139,9 @@ def coherent_partitions(
         if induced_substructure(upper, range(lower.size)) != lower:
             raise InputError("each chain member must be induced in the next on 0..n-1")
 
-    per_level = [invariant_partitions(f, a, max_blocks, guard=guard) for f in chain]
+    groups = [automorphisms(f) for f in chain]
+    per_level = [invariant_partitions(f, a, max_blocks, guard=guard, group=g)
+                 for f, g in zip(chain, groups)]
     bases = [embedding_maps(a, f) for f in chain]
 
     def pullback_key(level: int, partition: InvariantPartition) -> tuple:
@@ -187,5 +191,5 @@ def coherent_partitions(
 
     rec(0)
     only_trivial = all(all(len(p.blocks) == 1 for p in fam) for fam in families)
-    inconclusive = any(len(automorphisms(f)) == 1 and f.size > 1 for f in chain)
+    inconclusive = any(len(g) == 1 and f.size > 1 for f, g in zip(chain, groups))
     return CoherentChainReport(tuple(families), only_trivial, inconclusive)

@@ -1,6 +1,6 @@
 """Incremental placement of parts into a growing union structure.
 
-This is the engine behind orderly enumeration, joint-embedding
+This is the engine behind enumeration up to isomorphism, joint-embedding
 enumeration, amalgamation probes, union-witness searches and the
 unstable-sequence search: parts are embedded one at a time into a host,
 enumerating first the identification with existing vertices (the

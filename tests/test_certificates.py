@@ -141,6 +141,47 @@ def test_roelcke_certificate(tmp_path):
     assert not certificates.verify_certificate(doc, {"a": a, "b": b, "z": z}, GRAPHS)
 
 
+def test_roelcke_certificate_rejects_a_non_constant_joint_embedding():
+    a, b, z = k_graph(1), k_graph(2), k_graph(2)
+    inputs = {"a": a, "b": b, "z": z}
+    doc = certificates.envelope(roelcke_witness(GRAPHS, a, b, z), inputs, "graph",
+                                {"max_n": None})
+    # both maps embed into the member K3 and cover it, but one end of b
+    # lies on z and the other does not: the pattern coloring is not constant
+    doc["payload"].update(u=serialize_structure(k_graph(3)), b_map=[0, 1], z_map=[1, 2])
+    assert not certificates.verify_certificate(doc, inputs, GRAPHS)
+
+
+def test_stable_arrow_fail_on_two_coordinates(tmp_path):
+    a, b, c, z = pure_set(1), pure_set(2), pure_set(3), pure_set(1)
+    inputs = {"a": a, "b": b, "c": c, "z0": z, "z1": z}
+    # two points of C sit on the coordinates; the third alone is no copy of B
+    cert = stable_arrow(c, a, b, (z, z), SETS, depth=4)
+    assert not cert.holds and len(cert.payload["offending"]["z_maps"]) == 2
+    doc = certificates.envelope(cert, inputs, "set", {"depth": 4, "max_host": None})
+    assert certificates.verify_certificate(roundtrip(doc, tmp_path), inputs, SETS)
+    # move the second coordinate onto the first: the other two points of C
+    # are then a copy of B on which both colorings are constant
+    off = doc["payload"]["offending"]
+    off["z_maps"][1] = list(off["z_maps"][0])
+    assert not certificates.verify_certificate(roundtrip(doc, tmp_path), inputs, SETS)
+
+
+def test_stable_arrow_fail_pairs_coordinates_past_ten_in_order():
+    # z0..z9 one point each, z10 two points: z10 sorts after z9, not after z1
+    a, b, c = pure_set(1), pure_set(2), pure_set(2)
+    inputs = {"a": a, "b": b, "c": c, **{f"z{i}": pure_set(1) for i in range(10)},
+              "z10": pure_set(2)}
+    offending = {"u": serialize_structure(pure_set(2)), "c_map": [0, 1],
+                 "z_maps": [[0]] * 10 + [[0, 1]]}
+    from arrowbench.arrows import ArrowCertificate
+
+    cert = ArrowCertificate("stable-arrow", "fails",
+                            payload={"offending": offending, "stability_precondition": []})
+    doc = certificates.envelope(cert, inputs, "set", {"depth": 4, "max_host": None})
+    assert certificates.verify_certificate(doc, inputs, SETS)
+
+
 def test_stability_certificate(tmp_path):
     a = z = chain(1)
     w = unstable_witness(ORDERS, a, z, depth=4)

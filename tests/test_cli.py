@@ -147,6 +147,16 @@ def test_cache_transparency(files, tmp_path):
     assert os.listdir(cache_dir)
     nocache = run_cli(args + ["--no-cache"], env_extra={"ARROWBENCH_CACHE_DIR": cache_dir})
     assert nocache.stdout == first.stdout
+    # a hit prints the human lines of a fresh run, witness included
+    for human in (["stability", "--age", "linear_order", "--a", files["pt"],
+                   "--z", files["pt"], "--depth", "4"],
+                  ["convex-arrow", "--a", files["a2"], "--b", files["b3"],
+                   "--c", files["c6"], "--epsilon", "0.6"]):
+        fresh = run_cli(human + ["--no-cache"])
+        stored = run_cli(human, env_extra={"ARROWBENCH_CACHE_DIR": cache_dir})
+        hit = run_cli(human, env_extra={"ARROWBENCH_CACHE_DIR": cache_dir})
+        assert fresh.returncode == stored.returncode == hit.returncode == 0
+        assert fresh.stdout == stored.stdout == hit.stdout, human[0]
 
 
 def test_parse_normalizes(files, tmp_path):
@@ -275,6 +285,17 @@ _PINNED_REPORTS = (
      "db23b18e3510879a12e92fd084b898cfc576f1448bea82438611cbd75ba49360"),
     ("enumerate --age tournament --n 5", 0,
      "7eb250958fdf16e237ebe3715ce9c6e2ef394c947773e38a18f656e490ae6098"),
+    # the pattern-constant arrows, the convex LP and pattern listing
+    ("definable-arrow --age graph --a K1 --b K2 --c K5 --z K2", 0,
+     "95b77d60598965c8230d1fffd8aca4bbe1508e0617d862a88bc7ee2fef157042"),
+    ("stable-arrow --age set --a P1 --b P2 --c P4 --z P1 --z P1 --depth 4", 0,
+     "4597bd734e2ee66160c3e5e2108315f2e20874c2fc8637b52a1f30505d6ca823"),
+    ("roelcke-witness --age graph --a K2 --b K3 --z K2", 0,
+     "5ef7a58ff45986b953163582ea18caaa779b6d3d53b5aa08314a44c2598d3617"),
+    ("convex-arrow --a C1 --b C2 --c C8 --epsilon 0.1", 1,
+     "1727d78365ea6b766edd7d999d5f6b2f0979e2658dfa1cc2d34c12dc20bdceca"),
+    ("patterns --age graph --a K1 --z K2", 0,
+     "bbce0f7b00afc396423a7ed8c4ad7ab2399bc4f56779320ed183796cf64de079"),
 )
 
 
@@ -282,8 +303,9 @@ _PINNED_REPORTS = (
 def test_report_digests_are_pinned(argv, rc, digest, tmp_path):
     import hashlib
 
-    inputs = {"P1": pure_set(1), "P2": pure_set(2),
-              "C1": chain(1), "C2": chain(2), "C3": chain(3), "C6": chain(6)}
+    inputs = {"P1": pure_set(1), "P2": pure_set(2), "P4": pure_set(4),
+              "C1": chain(1), "C2": chain(2), "C3": chain(3), "C6": chain(6), "C8": chain(8),
+              "K1": k_graph(1), "K2": k_graph(2), "K3": k_graph(3), "K5": k_graph(5)}
     args = []
     for tok in argv.split():
         if tok in inputs:

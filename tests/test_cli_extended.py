@@ -138,6 +138,31 @@ def test_coherent_partitions_cli(files):
     assert r2.returncode == 2
 
 
+def test_coherent_partitions_exit_follows_the_verdict(files):
+    # no invariant partition of the empty embedding set: no family at all
+    r = run_cli(["coherent-partitions", "--chain", f"{files['pt']},{files['c2']}",
+                 "--a", files["c3"], "--max-blocks", "2", "--json"])
+    assert json.loads(r.stdout)["verdict"] == "fails"
+    assert r.returncode == 1, r.stderr
+
+
+def test_orbits_lists_the_group_once(files, capsys, monkeypatch):
+    from arrowbench import cli, groups
+
+    listed = []
+    original = groups.automorphisms
+
+    def counted(s):
+        listed.append(s)
+        return original(s)
+
+    monkeypatch.setattr(groups, "automorphisms", counted)
+    monkeypatch.setattr(cli, "automorphisms", counted)
+    assert cli.main(["orbits", "--host", files["c4cyc"], "--a", files["k1"], "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["payload"]["aut_order"] == 8
+    assert len(listed) == 1
+
+
 def test_embeddings_cli(files):
     r = run_cli(["embeddings", "--a", files["k1"], "--b", files["p3"], "--json"])
     doc = json.loads(r.stdout)

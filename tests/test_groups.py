@@ -115,6 +115,23 @@ def test_coherent_rigid_orders_flagged():
     assert report.inconclusive
 
 
+def test_coherent_lists_each_group_once(monkeypatch):
+    from arrowbench import groups
+
+    listed = []
+    original = groups.automorphisms
+
+    def counted(s):
+        listed.append(s)
+        return original(s)
+
+    monkeypatch.setattr(groups, "automorphisms", counted)
+    chain_structs = [k_graph(2), k_graph(3), k_graph(4)]
+    report = coherent_partitions(chain_structs, k_graph(1), max_blocks=3)
+    assert listed == chain_structs
+    assert len(report.families) == 1 and not report.inconclusive
+
+
 def test_coherent_empty_chain():
     report = coherent_partitions([], chain(1), max_blocks=2)
     assert report.families == ()
