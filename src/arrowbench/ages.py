@@ -264,12 +264,11 @@ def _extensions(spec: AgeSpec, parent: Structure, singles, budget: Budget):
             yield host
 
 
-def enumerate_structures(spec: AgeSpec, n: int, budget: Budget | None = None) -> list[Structure]:
+def enumerate_structures(spec: AgeSpec, n: int, budget: Budget) -> list[Structure]:
     """All members of the age of size n, one canonical representative per
     isomorphism type, ordered by canonical code."""
     if n < 1:
         raise InputError("n must be >= 1")
-    budget = budget or Budget(2_000_000, "enumerate_structures")
     singles = _single_vertex_members(spec)
     level = singles
     for _ in range(n - 1):
@@ -285,7 +284,7 @@ def enumerate_structures(spec: AgeSpec, n: int, budget: Budget | None = None) ->
     return level
 
 
-def enumerate_up_to(spec: AgeSpec, n: int, budget: Budget | None = None) -> list[Structure]:
+def enumerate_up_to(spec: AgeSpec, n: int, budget: Budget) -> list[Structure]:
     """Members of every size 1..n, size-major then code order."""
     out = []
     for k in range(1, n + 1):
@@ -347,7 +346,7 @@ def _find_completion(spec: AgeSpec, inst: AmalgamationInstance, free: bool,
 
 
 def amalgamation_probe(spec: AgeSpec, which: str, bound: int,
-                       budget: Budget | None = None) -> AmalgamationReport:
+                       budget: Budget) -> AmalgamationReport:
     """Test joint-embedding / amalgamation / free-amalgamation over every
     instance with |A|, |B|, |C| <= bound.
 
@@ -359,7 +358,6 @@ def amalgamation_probe(spec: AgeSpec, which: str, bound: int,
     if which not in ("joint-embedding", "amalgamation", "free-amalgamation"):
         raise InputError(f"unknown amalgamation property {which!r}")
     reps = enumerate_up_to(spec, bound, budget)
-    budget = budget or Budget(5_000_000, "amalgamation_probe")
     checked = 0
 
     if which == "joint-embedding":
@@ -396,7 +394,6 @@ def amalgamation_probe(spec: AgeSpec, which: str, bound: int,
 
 
 def verify_amalgamation_counterexample(spec: AgeSpec, inst: AmalgamationInstance,
-                                       which: str, budget: Budget | None = None) -> bool:
+                                       which: str, budget: Budget) -> bool:
     """Independent re-check: no completion exists within the size cap."""
-    budget = budget or Budget(5_000_000, "verify_amalgamation")
     return _find_completion(spec, inst, which == "free-amalgamation", budget) is None

@@ -29,12 +29,7 @@ import operator
 from dataclasses import dataclass, field
 
 from arrowbench.ages import AgeSpec, enumerate_structures, enumerate_up_to
-from arrowbench.errors import (
-    ArrowbenchError,
-    InputError,
-    PreconditionFailure,
-    ResourceLimitExceeded,
-)
+from arrowbench.errors import ArrowbenchError, InputError, PreconditionFailure
 from arrowbench.patterns import (
     iter_joint_embeddings,
     joint_embeddings,
@@ -217,7 +212,7 @@ def _counterexample_search(n_pos, copies, k, aut_perms, budget: Budget):
 
 
 def classical_arrow(c: Structure, a: Structure, b: Structure, k: int,
-                    budget: Budget | None = None) -> ArrowCertificate:
+                    budget: Budget) -> ArrowCertificate:
     """Decide C -> (B)^A_k for embeddings: every k-coloring of the copies
     of A in C is constant on the copies of A in some copy of B."""
     if k < 1:
@@ -236,7 +231,6 @@ def classical_arrow(c: Structure, a: Structure, b: Structure, k: int,
             payload={"k": k, "domain_size": len(domain)})
     copies = _copy_position_sets(domain, emb_ab, copies_raw)
     aut_perms = _aut_position_perms(c, domain)
-    budget = budget or Budget(20_000_000, "classical_arrow")
     used = budget.used
     n = len(domain)
 
@@ -255,9 +249,10 @@ def classical_arrow(c: Structure, a: Structure, b: Structure, k: int,
 
 
 def exhaustive_classical_check(c: Structure, a: Structure, b: Structure, k: int,
-                               enumeration_cap: int = 1 << 22) -> bool:
+                               budget: Budget) -> bool:
     """Independent exhaustive decision (used by verify): enumerate every
-    k-coloring of embeddings(A, C) and test each for a monochromatic copy."""
+    k-coloring of embeddings(A, C) and test each for a monochromatic copy,
+    after spending one node of `budget` per coloring."""
     domain = embedding_maps(a, c)
     copies_raw = embedding_maps(b, c)
     if not copies_raw:
@@ -268,9 +263,7 @@ def exhaustive_classical_check(c: Structure, a: Structure, b: Structure, k: int,
     copies = _copy_position_sets(domain, emb_ab, copies_raw)
     n = len(domain)
     total = k ** n
-    if total > enumeration_cap:
-        raise ResourceLimitExceeded(
-            f"exhaustive check needs {total} colorings > cap", budget=enumeration_cap)
+    budget.spend(total)
     if k == 2:
         masks = [sum(1 << p for p in positions) for positions in copies]
         for chi in range(total):
@@ -299,7 +292,7 @@ def check_coloring_is_counterexample(c, a, b, coloring_pairs) -> bool:
 
 
 def arrow_search(spec: AgeSpec, a: Structure, b: Structure, k: int, max_n: int,
-                 budget: Budget | None = None) -> ArrowCertificate:
+                 budget: Budget) -> ArrowCertificate:
     """Scan the age by size for the first C with classical_arrow holding."""
     if max_n < b.size:
         raise InputError("max_n must be at least |B|")
@@ -413,7 +406,7 @@ def _pattern_arrow(operation, c, a, b, zs, spec, budget, extra) -> ArrowCertific
 
 
 def definable_arrow(c: Structure, a: Structure, b: Structure, z: Structure,
-                    spec: AgeSpec, budget: Budget | None = None) -> ArrowCertificate:
+                    spec: AgeSpec, budget: Budget) -> ArrowCertificate:
     """Decide the pattern-constant arrow: for every joint embedding of C
     and Z there is a copy of B on which a |-> [a, z] is constant."""
     _require_members(spec, (a, b, c, z))
@@ -421,15 +414,15 @@ def definable_arrow(c: Structure, a: Structure, b: Structure, z: Structure,
 
 
 def stable_arrow(c: Structure, a: Structure, b: Structure, zs, spec: AgeSpec,
-                 depth: int, max_host: int | None = None,
-                 budget: Budget | None = None) -> ArrowCertificate:
-    """The definable arrow simultaneously for all coordinates, guarded by
-    the depth-bounded stability precondition on every pair (A, Z_i)."""
+                 depth: int, max_host: int | None = None, *,
+                 budget: Budget) -> ArrowCertificate:
+    """The definable arrow simultaneously for all coordinates, under the
+    depth-bounded stability precondition on every pair (A, Z_i)."""
     zs = tuple(zs)
     _require_members(spec, (a, b, c) + zs)
     precondition = []
     for i, z in enumerate(zs):
-        report = stable_up_to(spec, a, z, depth, max_host, budget)
+        report = stable_up_to(spec, a, z, depth, max_host, budget=budget)
         precondition.append({"z_index": i, "stable": report.stable,
                              "depth": report.depth, "max_host": report.max_host})
         if not report.stable:
@@ -441,13 +434,12 @@ def stable_arrow(c: Structure, a: Structure, b: Structure, zs, spec: AgeSpec,
 
 
 def roelcke_witness(spec: AgeSpec, a: Structure, b: Structure, z: Structure,
-                    max_n: int | None = None,
-                    budget: Budget | None = None) -> ArrowCertificate:
+                    max_n: int | None = None, *,
+                    budget: Budget) -> ArrowCertificate:
     """Search for one joint embedding <b, z> whose pattern coloring
     a |-> [b.a, z] is constant; the free join is the first candidate."""
     _require_members(spec, (a, b, z))
     emb_ab = embedding_maps(a, b)
-    budget = budget or Budget(5_000_000, "roelcke_witness")
     checked = 0
     for u, (b_map, z_map) in iter_joint_embeddings(spec, b, (z,), max_size=max_n,
                                                    budget=budget):
@@ -497,7 +489,7 @@ def _values_agree(x, y, kind: str) -> bool:
 
 
 def proximal_check(u: Structure, chi: Coloring, spec: AgeSpec, d_max: int,
-                   budget: Budget | None = None) -> ProximalReport:
+                   budget: Budget) -> ProximalReport:
     """For every D in the age up to size d_max, search for a substructure
     E of U such that any two copies of E in U agree, after some copy of D
     inside E, on the restricted colorings.
@@ -515,7 +507,6 @@ def proximal_check(u: Structure, chi: Coloring, spec: AgeSpec, d_max: int,
     value_at = {m: v for m, v in zip(chi.domain, chi.values)}
     entries = []
     ds = enumerate_up_to(spec, d_max, budget) if d_max >= 1 else []
-    budget = budget or Budget(5_000_000, "proximal_check")
     for d_struct in ds:
         emb_ad = embedding_maps(a, d_struct)
         witness = None
@@ -642,7 +633,7 @@ def _simplex(cost, a_ub, rhs, budget: Budget):
 
 
 def convex_arrow(c: Structure, a: Structure, b: Structure,
-                 epsilon: float, budget: Budget | None = None) -> ArrowCertificate:
+                 epsilon: float, budget: Budget) -> ArrowCertificate:
     """Value of the zero-sum game: the player mixes over copies of B in C,
     the adversary picks a [0,1]-coloring of the copies of A in C, and the
     payoff is the oscillation of the averaged coloring over the copies of
@@ -659,7 +650,7 @@ def convex_arrow(c: Structure, a: Structure, b: Structure,
 
     and value = 1 / optimum; an unbounded ray is a combination with all
     margins 0, value 0.  `_simplex` solves it from the slack basis,
-    charging one node per pivot to `budget` ("convex LP" by default).
+    charging one node per pivot to `budget`.
     Its duals are the adversary's mixed strategy: pair weights y and
     [0,1]-colorings z / y.  Verdict: value <= epsilon (at tolerance 1e-9).
     """
@@ -706,7 +697,7 @@ def convex_arrow(c: Structure, a: Structure, b: Structure,
     rhs[n_marg:] = 1.0
     cvec = np.zeros(a_ub.shape[1])
     cvec[:m_cnt] = 1.0
-    sol, duals = _simplex(cvec, a_ub, rhs, budget or Budget(5_000_000, "convex LP"))
+    sol, duals = _simplex(cvec, a_ub, rhs, budget)
     mu = [max(0.0, float(x)) for x in sol[:m_cnt]]
     total = sum(mu)
     lam = [x / total for x in mu]

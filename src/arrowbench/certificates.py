@@ -30,7 +30,7 @@ from arrowbench.arrows import (
 )
 from arrowbench.errors import CertificateError, InputError
 from arrowbench.patterns import iter_joint_embeddings, pair_pattern_code
-from arrowbench.stability import UnstableWitness
+from arrowbench.stability import UnstableWitness, stable_up_to
 from arrowbench.structures import (
     Embedding,
     Structure,
@@ -116,7 +116,7 @@ def _verify_arrow(doc, inputs, spec, budget):
         return check_coloring_is_counterexample(c, a, b, doc["payload"]["coloring"])
     if doc.get("degenerate"):
         return bool(embedding_maps(b, c)) and not embedding_maps(a, b)
-    return exhaustive_classical_check(c, a, b, k)
+    return exhaustive_classical_check(c, a, b, k, budget)
 
 
 def _verify_arrow_search(doc, inputs, spec, budget):
@@ -131,18 +131,38 @@ def _verify_arrow_search(doc, inputs, spec, budget):
     c = parse_structure(doc["payload"]["c"])
     if not spec.member(c):
         return False
-    return exhaustive_classical_check(c, a, b, k)
+    return exhaustive_classical_check(c, a, b, k, budget)
+
+
+def _stability_precondition_ok(doc, a, zs, spec, budget) -> bool:
+    """One stable entry per coordinate, in order, at the certificate's
+    depth, each re-derived by stable_up_to at that depth and host bound."""
+    depth = doc["params"]["depth"]
+    entries = doc["payload"].get("stability_precondition")
+    if not isinstance(entries, list) or len(entries) != len(zs):
+        return False
+    for i, (z, entry) in enumerate(zip(zs, entries)):
+        if (entry.get("z_index"), entry.get("stable"), entry.get("depth")) != (i, True, depth):
+            return False
+        report = stable_up_to(spec, a, z, depth, doc["params"].get("max_host"), budget=budget)
+        if not report.stable or report.max_host != entry.get("max_host"):
+            return False
+    return True
 
 
 def _verify_pattern_arrow(doc, inputs, spec, budget):
     """definable-arrow and stable-arrow, whose coordinates are the z*
-    inputs in order.  A fail is re-scored on its offending joint
-    embedding; a holds is re-decided by raw joint-embedding enumeration
-    (no pattern deduplication), early-exit per candidate."""
+    inputs in order.  A stable-arrow's stability precondition is re-run
+    first.  A fail is re-scored on its offending joint embedding; a holds
+    is re-decided by raw joint-embedding enumeration (no pattern
+    deduplication), early-exit per candidate."""
     a, b, c = inputs["a"], inputs["b"], inputs["c"]
     # the coordinates in the order given: z, or z0, z1, ..., z9, z10, ...
     names = sorted((n for n in doc["inputs"] if n.startswith("z")), key=lambda n: (len(n), n))
     zs = [inputs[name] for name in names]
+    if (doc["operation"] == "stable-arrow"
+            and not _stability_precondition_ok(doc, a, zs, spec, budget)):
+        return False
     emb_bc = embedding_maps(b, c)
     emb_ab = embedding_maps(a, b)
     if doc.get("degenerate"):
@@ -156,7 +176,6 @@ def _verify_pattern_arrow(doc, inputs, spec, budget):
         z_maps = [tuple(m) for m in off["z_maps"]]
         return (_joint_embedding_ok(spec, u, [c, *zs], [c_map, *z_maps])
                 and _pattern_constant_b(u, c_map, z_maps, emb_bc, emb_ab) is None)
-    budget = budget or Budget(5_000_000, "verify_pattern_arrow")
     return all(_pattern_constant_b(u, c_map, z_maps, emb_bc, emb_ab) is not None
                for u, (c_map, *z_maps) in iter_joint_embeddings(spec, c, zs, budget=budget))
 
@@ -166,7 +185,7 @@ def _verify_roelcke(doc, inputs, spec, budget):
     if doc["verdict"] == "fails":
         from arrowbench.arrows import roelcke_witness
 
-        again = roelcke_witness(spec, a, b, z, doc["params"].get("max_n"), budget)
+        again = roelcke_witness(spec, a, b, z, doc["params"].get("max_n"), budget=budget)
         return again.verdict == "fails"
     u = parse_structure(doc["payload"]["u"])
     b_map = tuple(doc["payload"]["b_map"])
@@ -176,11 +195,7 @@ def _verify_roelcke(doc, inputs, spec, budget):
                              embedding_maps(a, b)))
 
 
-def _verify_epsilon(doc, inputs, spec, coloring: Coloring | None, budget):
-    if coloring is None:
-        raise CertificateError("epsilon-witness verification needs the coloring")
-    if doc["inputs"].get("_coloring") != coloring_digest(coloring):
-        raise CertificateError("coloring digest mismatch")
+def _verify_epsilon(doc, inputs, spec, coloring: Coloring, budget):
     b = inputs["b"]
     eps = doc["params"]["epsilon"]
     if doc["verdict"] == "fails":
@@ -198,10 +213,6 @@ def _verify_epsilon(doc, inputs, spec, coloring: Coloring | None, budget):
 
 
 def _verify_proximal_check(doc, inputs, spec, coloring, budget):
-    if coloring is None:
-        raise CertificateError("proximal-check verification needs the coloring")
-    if doc["inputs"].get("_coloring") != coloring_digest(coloring):
-        raise CertificateError("coloring digest mismatch")
     from arrowbench.arrows import proximal_check
 
     again = proximal_check(inputs["u"], coloring, spec, doc["params"]["d_max"], budget)
@@ -210,10 +221,6 @@ def _verify_proximal_check(doc, inputs, spec, coloring, budget):
 
 
 def _verify_proximal_arrow(doc, inputs, spec, coloring, budget):
-    if coloring is None:
-        raise CertificateError("proximal-arrow verification needs the coloring")
-    if doc["inputs"].get("_coloring") != coloring_digest(coloring):
-        raise CertificateError("coloring digest mismatch")
     a, b = inputs["a"], inputs["b"]
     value_at = {m: v for m, v in zip(coloring.domain, coloring.values)}
     if doc["verdict"] == "fails":
@@ -307,9 +314,7 @@ def _verify_stability(doc, inputs, spec, budget):
         except InputError:
             return False
         return w.verify()
-    from arrowbench.stability import stable_up_to
-
-    report = stable_up_to(spec, a, z, payload["depth"], payload["max_host"], budget)
+    report = stable_up_to(spec, a, z, payload["depth"], payload["max_host"], budget=budget)
     return report.stable
 
 
@@ -355,16 +360,18 @@ _COLORING_VERIFIERS = {
 
 
 def verify_certificate(doc: dict, inputs: dict[str, Structure], spec: AgeSpec | None,
-                       coloring: Coloring | None = None,
-                       budget: Budget | None = None) -> bool:
+                       coloring: Coloring | None = None, *, budget: Budget) -> bool:
     """Independent re-check of a certificate against the given inputs;
-    every search it re-runs spends `budget` (each its own default cap
-    when None).  Digest mismatches raise CertificateError; a sound
-    certificate with a wrong claim returns False."""
+    every search it re-runs spends `budget`.  Digest mismatches raise
+    CertificateError; a sound certificate with a wrong claim returns False."""
     _check_digests(doc, inputs)
     op = doc.get("operation")
     if op in _VERIFIERS:
         return _VERIFIERS[op](doc, inputs, spec, budget)
     if op in _COLORING_VERIFIERS:
+        if coloring is None:
+            raise CertificateError(f"{op} verification needs the coloring")
+        if doc["inputs"].get("_coloring") != coloring_digest(coloring):
+            raise CertificateError("coloring digest mismatch")
         return _COLORING_VERIFIERS[op](doc, inputs, spec, coloring, budget)
     raise CertificateError(f"operation {op!r} has no verifier")

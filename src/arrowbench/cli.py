@@ -123,9 +123,9 @@ def _require_age(args) -> AgeSpec:
 
 def _budget(args, what: str) -> Budget:
     """The run's one budget: --node-budget nodes, labelled `what`, and a
-    deadline --time-budget seconds from now."""
+    deadline --time-budget seconds from now when that is given."""
     budget = Budget(args.node_budget, what)
-    if args.time_budget is not None:
+    if args.time_budget:  # main() has refused a value <= 0
         budget.deadline = time.monotonic() + args.time_budget
     return budget
 
@@ -340,7 +340,7 @@ def _cmd_stable_arrow(args):
     return _report(args, "stable-arrow", inputs,
                    {"depth": args.depth, "max_host": args.max_host},
                    lambda: stable_arrow(c, a, b, zs, spec, args.depth, args.max_host,
-                                        _budget(args, "stability search")),
+                                        budget=_budget(args, "stability search")),
                    cached=True)
 
 
@@ -349,7 +349,7 @@ def _cmd_roelcke(args):
     a, b, z = map(_load_structure, (args.a, args.b, args.z[0]))
     return _report(args, "roelcke-witness", {"a": a, "b": b, "z": z}, {"max_n": args.max_n},
                    lambda: roelcke_witness(spec, a, b, z, args.max_n,
-                                           _budget(args, "roelcke_witness")),
+                                           budget=_budget(args, "roelcke_witness")),
                    cached=True)
 
 
@@ -359,7 +359,7 @@ def _cmd_stability(args):
 
     def decide():
         report = stable_up_to(spec, a, z, args.depth, args.max_host,
-                              _budget(args, "stability search"))
+                              budget=_budget(args, "stability search"))
         w = report.witness
         if w is None:
             return ArrowCertificate(
@@ -442,7 +442,8 @@ def _cmd_invariant_partitions(args):
     a = _load_structure(args.a)
 
     def decide():
-        parts = invariant_partitions(host, a, args.max_blocks)
+        parts = invariant_partitions(host, a, args.max_blocks,
+                                     _budget(args, "invariant_partitions"))
         return ArrowCertificate("invariant-partitions", "holds", payload={
             "count": len(parts), "partitions": [[list(b) for b in p.blocks] for p in parts]})
 
@@ -455,7 +456,8 @@ def _cmd_coherent_partitions(args):
     a = _load_structure(args.a)
 
     def decide():
-        report = coherent_partitions(chain, a, args.max_blocks)
+        report = coherent_partitions(chain, a, args.max_blocks,
+                                     _budget(args, "coherent_partitions"))
         return ArrowCertificate(
             "coherent-partitions", "holds" if report.families else "fails", payload={
                 "families": [[[list(b) for b in p.blocks] for p in fam]
@@ -513,7 +515,8 @@ def _cmd_verify(args):
         if "u" not in inputs or "a" not in inputs:
             raise InputError("--coloring verification needs --universe and --a")
         coloring = _load_coloring(args.coloring, inputs["u"], inputs["a"])
-    ok = certificates.verify_certificate(doc, inputs, spec, coloring, _budget(args, "verify"))
+    ok = certificates.verify_certificate(doc, inputs, spec, coloring,
+                                         budget=_budget(args, "verify"))
     print("verified: " + ("true" if ok else "false"))
     return EXIT_HOLDS if ok else EXIT_FAILS
 
@@ -693,12 +696,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = _build_parser()
     args = ap.parse_args(argv)
-    if args.node_budget <= 0:
-        print("error: --node-budget must be positive", file=sys.stderr)
-        return EXIT_USAGE
-    if args.time_budget is not None and args.time_budget <= 0:
-        print("error: --time-budget must be positive", file=sys.stderr)
-        return EXIT_USAGE
+    for flag, value in (("--node-budget", args.node_budget),
+                        ("--time-budget", args.time_budget)):
+        if value is not None and value <= 0:
+            print(f"error: {flag} must be positive", file=sys.stderr)
+            return EXIT_USAGE
     if getattr(args, "epsilon", None) is not None:
         if not 0 < args.epsilon <= 1:
             print("error: --epsilon must lie in (0, 1]", file=sys.stderr)

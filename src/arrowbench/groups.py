@@ -14,12 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from arrowbench.errors import InputError, ResourceLimitExceeded, SignatureMismatch
+from arrowbench.errors import InputError, SignatureMismatch
 from arrowbench.structures import (
     Structure,
     embedding_maps,
     induced_substructure,
 )
+from arrowbench.unions import Budget
 
 
 @dataclass(frozen=True)
@@ -89,11 +90,12 @@ def _partitions_of(items: list[int], max_blocks: int):
 
 
 def invariant_partitions(
-    s: Structure, a: Structure, max_blocks: int, guard: int = 200_000, group=None
+    s: Structure, a: Structure, max_blocks: int, budget: Budget, group=None
 ) -> list[InvariantPartition]:
     """Every partition of embeddings(a, s) with <= max_blocks blocks whose
     blocks are unions of Aut(s)-orbits (each block fixed setwise by the
     group).  The discrete partition appears iff all orbits are singletons.
+    Each partition built spends one node of `budget` per embedding.
     """
     if max_blocks < 1:
         raise InputError("max_blocks must be >= 1")
@@ -101,6 +103,7 @@ def invariant_partitions(
     orbit_ids = list(range(len(orbit_part.blocks)))
     out = []
     for grouping in _partitions_of(orbit_ids, max_blocks):
+        budget.spend(len(orbit_part.base))
         blocks = []
         for group in grouping:
             merged: list[int] = []
@@ -109,9 +112,6 @@ def invariant_partitions(
             blocks.append(tuple(sorted(merged)))
         blocks.sort(key=lambda b: b[0])
         out.append(InvariantPartition(orbit_part.base, tuple(blocks)))
-        if len(out) > guard:
-            raise ResourceLimitExceeded(
-                "too many invariant partitions; lower max_blocks", budget=guard)
     return out
 
 
@@ -124,12 +124,22 @@ class CoherentChainReport:
     inconclusive: bool  # some level has a trivial automorphism group
 
 
+def _labels(partition: InvariantPartition, positions) -> tuple[int, ...]:
+    """The block of each base entry at `positions`, blocks numbered in
+    order of first appearance."""
+    block = {i: bi for bi, members in enumerate(partition.blocks) for i in members}
+    remap: dict[int, int] = {}
+    return tuple(remap.setdefault(block[i], len(remap)) for i in positions)
+
+
 def coherent_partitions(
-    chain: list[Structure], a: Structure, max_blocks: int, guard: int = 100_000
+    chain: list[Structure], a: Structure, max_blocks: int, budget: Budget
 ) -> CoherentChainReport:
     """Families (P_1,...,P_m) of invariant partitions along a prefix-nested
     chain F_1 <= ... <= F_m, where pulling P_{i+1} back along the
-    inclusion-induced map on embeddings gives exactly P_i.
+    inclusion-induced map on embeddings gives exactly P_i.  The level
+    partitions spend `budget` as in invariant_partitions, and each family
+    kept spends one node per level.
     """
     if not chain:
         return CoherentChainReport((), only_trivial=True, inconclusive=False)
@@ -140,56 +150,34 @@ def coherent_partitions(
             raise InputError("each chain member must be induced in the next on 0..n-1")
 
     groups = [automorphisms(f) for f in chain]
-    per_level = [invariant_partitions(f, a, max_blocks, guard=guard, group=g)
+    per_level = [invariant_partitions(f, a, max_blocks, budget, group=g)
                  for f, g in zip(chain, groups)]
     bases = [embedding_maps(a, f) for f in chain]
-
-    def pullback_key(level: int, partition: InvariantPartition) -> tuple:
-        # block index of each level-`level-1` embedding inside `partition`
-        lower_base = bases[level - 1]
-        idx = {m: i for i, m in enumerate(partition.base)}
-        want = []
-        for m in lower_base:
-            want.append(partition.block_of(idx[m]))
-        # normalize block numbering to first-appearance order
-        remap: dict[int, int] = {}
-        normalized = []
-        for b in want:
-            if b not in remap:
-                remap[b] = len(remap)
-            normalized.append(remap[b])
-        return tuple(normalized)
-
-    def partition_key(partition: InvariantPartition) -> tuple:
-        want = [0] * len(partition.base)
-        for bi, block in enumerate(partition.blocks):
-            for i in block:
-                want[i] = bi
-        remap: dict[int, int] = {}
-        normalized = []
-        for b in want:
-            if b not in remap:
-                remap[b] = len(remap)
-            normalized.append(remap[b])
-        return tuple(normalized)
+    # the partitions of each level keyed by their pullback to the level
+    # below (level 0: all under the key ()), each group in level order
+    by_pullback = [{(): per_level[0]}]
+    for level in range(1, len(chain)):
+        index = {m: i for i, m in enumerate(bases[level])}
+        lower = [index[m] for m in bases[level - 1]]
+        keyed: dict[tuple, list[InvariantPartition]] = {}
+        for p in per_level[level]:
+            keyed.setdefault(_labels(p, lower), []).append(p)
+        by_pullback.append(keyed)
 
     families: list[tuple[InvariantPartition, ...]] = []
     stack: list[InvariantPartition] = []
 
-    def rec(level: int):
-        if len(families) > guard:
-            raise ResourceLimitExceeded("too many coherent families", budget=guard)
+    def rec(level: int, key: tuple):
         if level == len(chain):
+            budget.spend(len(chain))
             families.append(tuple(stack))
             return
-        for p in per_level[level]:
-            if level > 0 and pullback_key(level, p) != partition_key(stack[-1]):
-                continue
+        for p in by_pullback[level].get(key, ()):
             stack.append(p)
-            rec(level + 1)
+            rec(level + 1, _labels(p, range(len(p.base))))
             stack.pop()
 
-    rec(0)
+    rec(0, ())
     only_trivial = all(all(len(p.blocks) == 1 for p in fam) for fam in families)
     inconclusive = any(len(g) == 1 and f.size > 1 for f, g in zip(chain, groups))
     return CoherentChainReport(tuple(families), only_trivial, inconclusive)

@@ -141,8 +141,8 @@ def free_join(parts) -> tuple[Structure, tuple[tuple[int, ...], ...]]:
     return u, tuple(maps)
 
 
-def iter_joint_embeddings(spec: AgeSpec, a: Structure, zs, max_size: int | None = None,
-                          budget: Budget | None = None):
+def iter_joint_embeddings(spec: AgeSpec, a: Structure, zs, max_size: int | None = None, *,
+                          budget: Budget):
     """Yield (u, maps) for every joint placement of (a, *zs) within the
     age, in deterministic search order, without pattern deduplication."""
     parts = [a, *zs]
@@ -157,18 +157,16 @@ def iter_joint_embeddings(spec: AgeSpec, a: Structure, zs, max_size: int | None 
     yield from place_parts(parts, spec, max_size=cap, budget=budget)
 
 
-def joint_embeddings(spec: AgeSpec, a: Structure, zs, max_size: int | None = None,
-                     budget: Budget | None = None) -> list[JointEmbedding]:
+def joint_embeddings(spec: AgeSpec, a: Structure, zs, max_size: int | None = None, *,
+                     budget: Budget) -> list[JointEmbedding]:
     """One joint embedding per pattern, ordered by pattern code."""
-    budget = budget or Budget(2_000_000, "joint_embeddings")
     found: dict[PatternCode, JointEmbedding] = {}
-    for u, maps in iter_joint_embeddings(spec, a, zs, max_size, budget):
+    for u, maps in iter_joint_embeddings(spec, a, zs, max_size, budget=budget):
         found.setdefault(_pattern_code(u, maps), JointEmbedding(u, maps))
     return [found[c] for c in sorted(found)]
 
 
-def pattern_count(spec: AgeSpec, a: Structure, z: Structure,
-                  budget: Budget | None = None) -> int:
+def pattern_count(spec: AgeSpec, a: Structure, z: Structure, budget: Budget) -> int:
     """Number of joint-embedding patterns of (a, z) within the age; always
     finite here since the union size is capped at |a|+|z|.  Tabulating
     this as |a|, |z| grow probes precompactness behaviour."""

@@ -149,7 +149,7 @@ def _search_pair(spec, a, z, depth, tau_lt: JointEmbedding, tau_gt: JointEmbeddi
             part, constraint = z, _constraint(meet_lt, a_maps[:-1])
         if constraint is None:
             return None
-        for h2, sigma in place_part(host, part, spec, constraint, max_host, budget):
+        for h2, sigma in place_part(host, part, spec, constraint, max_host, budget=budget):
             if placing_a:
                 res = rec(h2, a_maps + [sigma], z_maps)
             else:
@@ -221,16 +221,16 @@ def _build_witness(a, z, depth, found_with_pair) -> UnstableWitness:
 
 
 def unstable_witness(spec: AgeSpec, a: Structure, z: Structure, depth: int,
-                     max_host: int | None = None,
-                     budget: Budget | None = None) -> UnstableWitness | None:
+                     max_host: int | None = None, *,
+                     budget: Budget) -> UnstableWitness | None:
     """A verified depth-`depth` unstable witness, or None after exhausting
     all hosts up to max_host and all ordered pattern pairs."""
-    return stable_up_to(spec, a, z, depth, max_host, budget).witness
+    return stable_up_to(spec, a, z, depth, max_host, budget=budget).witness
 
 
 def stable_up_to(spec: AgeSpec, a: Structure, z: Structure, depth: int,
-                 max_host: int | None = None,
-                 budget: Budget | None = None) -> StabilityReport:
+                 max_host: int | None = None, *,
+                 budget: Budget) -> StabilityReport:
     """Depth-relative stability: True only after full exhaustion.  A
     budget overrun raises ResourceLimitExceeded instead of reporting;
     nodes_used counts the nodes of the directed pattern-pair search."""
@@ -244,7 +244,6 @@ def stable_up_to(spec: AgeSpec, a: Structure, z: Structure, depth: int,
         raise ResourceLimitExceeded(
             f"{e} in joint_embeddings, the pattern enumeration before the pair search",
             budget=e.budget) from None
-    budget = budget or Budget(5_000_000, "stability search")
     used = budget.used
     found, pairs = _decide_pairs(spec, a, z, depth, joints, max_host, budget)
     witness = None if found is None else _build_witness(a, z, depth, found)

@@ -110,8 +110,8 @@ def _transitive_through(rel, fresh: range, m: int) -> bool:
 
 
 def place_part(host: Structure | None, part: Structure, spec,
-               constraint: Constraint | None = None, max_size: int | None = None,
-               budget: Budget | None = None):
+               constraint: Constraint | None = None, max_size: int | None = None, *,
+               budget: Budget):
     """Yield (extended_host, sigma) for every way to embed `part` into an
     extension of `host` by fresh vertices such that the extension is a
     member of `spec` and satisfies `constraint`.
@@ -248,8 +248,7 @@ def place_part(host: Structure | None, part: Structure, spec,
         free_binary = branched
 
         def rec_other(idx: int, rels):
-            if budget is not None:
-                budget.spend()
+            budget.spend()
             if idx == len(free_other):
                 if all(_transitive_through(rels[si], fresh, m) for si in transitive):
                     cand = Structure._trusted(sig, m, tuple(tuple(sorted(r)) for r in rels))
@@ -264,8 +263,7 @@ def place_part(host: Structure | None, part: Structure, spec,
             rels[si].remove(t)
 
         def rec_binary(idx: int, rels):
-            if budget is not None:
-                budget.spend()
+            budget.spend()
             if idx == len(free_binary):
                 yield from rec_other(0, rels)
                 return
@@ -285,8 +283,7 @@ def place_part(host: Structure | None, part: Structure, spec,
         yield from rec_binary(0, base_rels)
 
     def assign(k: int, m: int):
-        if budget is not None:
-            budget.spend()
+        budget.spend()
         if k == p:
             for cand in completions(m):
                 yield cand, tuple(sigma)
@@ -303,7 +300,7 @@ def place_part(host: Structure | None, part: Structure, spec,
     yield from assign(0, n0)
 
 
-def place_parts(parts, spec, max_size: int | None = None, budget: Budget | None = None):
+def place_parts(parts, spec, max_size: int | None = None, *, budget: Budget):
     """Yield (host, maps) for every joint placement of all parts (members
     of `spec`), via sequential place_part calls, each host a member."""
 
@@ -311,7 +308,8 @@ def place_parts(parts, spec, max_size: int | None = None, budget: Budget | None 
         if len(maps) == len(parts):
             yield host, tuple(maps)
             return
-        for h2, sigma in place_part(host, parts[len(maps)], spec, None, max_size, budget):
+        for h2, sigma in place_part(host, parts[len(maps)], spec, None, max_size,
+                                    budget=budget):
             yield from rec(h2, maps + [sigma])
 
     yield from rec(None, [])

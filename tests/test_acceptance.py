@@ -34,6 +34,7 @@ from util import (
     chain,
     convex_minimax_oracle,
     k_graph,
+    nodes,
     pure_set,
     random_permutation,
     random_structure,
@@ -114,7 +115,7 @@ def test_criterion_1_classical_arrow_orders(tmp_path):
 def test_criterion_2_roelcke_sweep_graphs(tmp_path, capsys):
     from arrowbench import cli
 
-    reps = enumerate_up_to(GRAPHS, 3)
+    reps = enumerate_up_to(GRAPHS, 3, nodes(2_000_000))
     assert len(reps) == 7
     paths = []
     for i, s in enumerate(reps):
@@ -170,7 +171,7 @@ def test_criterion_3_pattern_counts(tmp_path, capsys):
         for k in range(1, 4):
             want = sum(comb(m, j) * comb(k, j) * factorial(j)
                        for j in range(min(m, k) + 1))
-            got = pattern_count(SETS, pure_set(m), pure_set(k))
+            got = pattern_count(SETS, pure_set(m), pure_set(k), nodes(2_000_000))
             assert got == want, (m, k, got, want)
     _pass(3, "pattern-count returns 3/3/2 on graphs/orders/sets points and the "
              "pure-set closed form matches exactly for |A|,|Z| <= 3")
@@ -293,10 +294,11 @@ def test_criterion_5_definable_arrows():
             for z_n in range(1, 4):
                 c_n = b_n + z_n
                 cert = definable_arrow(pure_set(c_n), pure_set(a_n),
-                                       pure_set(b_n), pure_set(z_n), SETS)
+                                       pure_set(b_n), pure_set(z_n), SETS, nodes(2_000_000))
                 assert cert.holds, (a_n, b_n, z_n)
                 assert oracle_definable_pure_sets(c_n, a_n, b_n, z_n), (a_n, b_n, z_n)
-    cert = definable_arrow(k_graph(4), k_graph(1), k_graph(2), k_graph(1), GRAPHS)
+    cert = definable_arrow(k_graph(4), k_graph(1), k_graph(2), k_graph(1), GRAPHS,
+                           nodes(2_000_000))
     assert cert.holds
     assert oracle_definable_k4_point()
     _pass(5, "pure sets hold with |C|=|B|+|Z| for all |A|,|B|,|Z| <= 3 and "
@@ -310,7 +312,7 @@ def test_criterion_5_definable_arrows():
 
 def test_criterion_6_convex_arrow():
     c, a, b = pure_set(4), pure_set(1), pure_set(2)
-    cert = convex_arrow(c, a, b, 0.3)
+    cert = convex_arrow(c, a, b, 0.3, nodes())
     oracle = convex_minimax_oracle(c, a, b)
     assert abs(cert.payload["value"] - oracle) <= 1e-6
     assert cert.holds
@@ -321,7 +323,7 @@ def test_criterion_6_convex_arrow():
                  (chain(4), chain(2), chain(3)),
                  (k_graph(3), k_graph(1), k_graph(2)),
                  (chain(2), chain(1), chain(2))):
-        assert convex_arrow(inst[0], inst[1], inst[2], 1.0).holds, inst
+        assert convex_arrow(inst[0], inst[1], inst[2], 1.0, nodes()).holds, inst
     _pass(6, "4-set game value matches the exhaustive {0,1}-coloring minimax "
              "within 1e-6 and every epsilon >= 1 instance holds")
 
@@ -371,11 +373,11 @@ def test_criterion_7_property_suites(tmp_path):
         if len(embedding_maps(a, c_big)) > 16:
             continue
         spot += 1
-        cert = classical_arrow(c, a, b, k)
-        cert_big = classical_arrow(c_big, a, b, k)
+        cert = classical_arrow(c, a, b, k, nodes(20_000_000))
+        cert_big = classical_arrow(c_big, a, b, k, nodes(20_000_000))
         if cert.holds and not cert.degenerate:
             assert cert_big.holds, (kind, a_n, b_n, c_n, k)
-            assert classical_arrow(c, a, b, k - 1).holds
+            assert classical_arrow(c, a, b, k - 1, nodes(20_000_000)).holds
         emitted.append((cert, {"a": a, "b": b, "c": c}, {"colors": k}))
         emitted.append((cert_big, {"a": a, "b": b, "c": c_big}, {"colors": k}))
     for cert, inputs, params in emitted:
@@ -384,7 +386,7 @@ def test_criterion_7_property_suites(tmp_path):
         certificates.write_certificate(doc, str(path))
         loaded = certificates.load_certificate(str(path))
         spec = ORDERS if "lt" in inputs["a"].signature.key() else SETS
-        assert certificates.verify_certificate(loaded, inputs, spec)
+        assert certificates.verify_certificate(loaded, inputs, spec, budget=nodes())
     _pass(7, "500 relabelings over 50 random structures, embedding-count "
              "formulas to size 7, 20 monotonicity spot checks, and every "
              "emitted certificate passed verify")

@@ -33,6 +33,7 @@ from util import (
     enumerate_structures_oracle,
     graph,
     k_graph,
+    nodes,
     place_part_oracle,
     pure_set,
 )
@@ -112,27 +113,28 @@ def brute_count_graphs(n):
 
 def test_graph_counts_against_oracle():
     for n in range(1, 5):
-        assert len(enumerate_structures(GRAPHS, n)) == brute_count_graphs(n)
+        assert len(enumerate_structures(GRAPHS, n, nodes(2_000_000))) == brute_count_graphs(n)
 
 
 def test_graph_counts_expected_values():
-    assert [len(enumerate_structures(GRAPHS, n)) for n in range(1, 5)] == [1, 2, 4, 11]
+    counts = [len(enumerate_structures(GRAPHS, n, nodes(2_000_000))) for n in range(1, 5)]
+    assert counts == [1, 2, 4, 11]
 
 
 def test_orders_unique_per_size():
     for n in range(1, 7):
-        reps = enumerate_structures(ORDERS, n)
+        reps = enumerate_structures(ORDERS, n, nodes(2_000_000))
         assert len(reps) == 1
         assert canonical_form(reps[0]) == canonical_form(chain(n))
 
 
 def test_triangle_free_n3():
-    assert len(enumerate_structures(TRIANGLE_FREE, 3)) == 3
+    assert len(enumerate_structures(TRIANGLE_FREE, 3, nodes(2_000_000))) == 3
 
 
 def test_enumeration_members_and_distinct():
     for n in range(1, 5):
-        reps = enumerate_structures(GRAPHS, n)
+        reps = enumerate_structures(GRAPHS, n, nodes(2_000_000))
         codes = [canonical_form(s) for s in reps]
         assert len(set(codes)) == len(codes)
         assert codes == sorted(codes)
@@ -143,7 +145,7 @@ def test_enumeration_members_and_distinct():
 def test_hereditarity(seed=13):
     rng = random.Random(seed)
     for spec in (GRAPHS, TRIANGLE_FREE, ORDERS, catalog_age("tournament")):
-        for s in enumerate_structures(spec, 4):
+        for s in enumerate_structures(spec, 4, nodes(2_000_000)):
             for _ in range(4):
                 k = rng.randint(1, s.size)
                 verts = rng.sample(range(s.size), k)
@@ -151,7 +153,7 @@ def test_hereditarity(seed=13):
 
 
 def test_every_labeled_member_is_represented():
-    reps = enumerate_structures(TRIANGLE_FREE, 4)
+    reps = enumerate_structures(TRIANGLE_FREE, 4, nodes(2_000_000))
     pairs = list(itertools.combinations(range(4), 2))
     for bits in itertools.product((0, 1), repeat=len(pairs)):
         g = graph(4, [p for p, b in zip(pairs, bits) if b])
@@ -161,7 +163,7 @@ def test_every_labeled_member_is_represented():
 
 def test_pure_sets_single_type():
     for n in range(1, 6):
-        assert len(enumerate_structures(SETS, n)) == 1
+        assert len(enumerate_structures(SETS, n, nodes(2_000_000))) == 1
 
 
 def test_enumeration_resource_limit_distinct_from_emptiness():
@@ -171,7 +173,7 @@ def test_enumeration_resource_limit_distinct_from_emptiness():
     only_points = AgeSpec(Signature((("edge", 2),)),
                           (("edge", frozenset({"irreflexive", "symmetric"})),),
                           (graph(2, []), k_graph(2)), name="no-two-vertex")
-    assert enumerate_structures(only_points, 2) == []
+    assert enumerate_structures(only_points, 2, nodes(2_000_000)) == []
     # ... while an exhausted budget raises instead of reporting emptiness
     with pytest.raises(ResourceLimitExceeded):
         enumerate_structures(GRAPHS, 4, budget=Budget(3))
@@ -226,7 +228,7 @@ def test_enumeration_matches_the_extension_oracle(case):
     # give the same representatives as completing the new vertex's
     # tuples directly
     spec, n = case
-    assert enumerate_structures(spec, n) == enumerate_structures_oracle(spec, n)
+    assert enumerate_structures(spec, n, nodes(2_000_000)) == enumerate_structures_oracle(spec, n)
 
 
 # ---------------------------------------------------------------------------
@@ -263,35 +265,35 @@ def test_load_age_alias_file(tmp_path):
 
 
 def test_graphs_free_amalgamation_holds():
-    report = amalgamation_probe(GRAPHS, "free-amalgamation", 3)
+    report = amalgamation_probe(GRAPHS, "free-amalgamation", 3, nodes())
     assert report.counterexample is None
     assert report.holds_up_to == 3
 
 
 def test_orders_free_amalgamation_fails_at_2():
-    report = amalgamation_probe(ORDERS, "free-amalgamation", 2)
+    report = amalgamation_probe(ORDERS, "free-amalgamation", 2, nodes())
     assert report.counterexample is not None
     assert verify_amalgamation_counterexample(ORDERS, report.counterexample,
-                                              "free-amalgamation")
+                                              "free-amalgamation", nodes())
 
 
 def test_orders_amalgamation_holds_at_3():
-    report = amalgamation_probe(ORDERS, "amalgamation", 3)
+    report = amalgamation_probe(ORDERS, "amalgamation", 3, nodes())
     assert report.counterexample is None
     assert report.holds_up_to == 3
 
 
 def test_free_positive_implies_plain_positive():
     for spec in (GRAPHS, SETS):
-        free = amalgamation_probe(spec, "free-amalgamation", 2)
+        free = amalgamation_probe(spec, "free-amalgamation", 2, nodes())
         if free.counterexample is None:
-            plain = amalgamation_probe(spec, "amalgamation", 2)
+            plain = amalgamation_probe(spec, "amalgamation", 2, nodes())
             assert plain.counterexample is None
 
 
 def test_joint_embedding_probe():
-    assert amalgamation_probe(GRAPHS, "joint-embedding", 3).counterexample is None
-    assert amalgamation_probe(ORDERS, "joint-embedding", 3).counterexample is None
+    assert amalgamation_probe(GRAPHS, "joint-embedding", 3, nodes()).counterexample is None
+    assert amalgamation_probe(ORDERS, "joint-embedding", 3, nodes()).counterexample is None
 
 
 def test_transitive_flag_matches_pairwise_definition(seed=5):
@@ -379,7 +381,7 @@ def _placements(place, case):
     out = []
     try:
         for h, sigma in place(host, part, _age(name), Constraint(pinned=forced), max_size,
-                              budget):
+                              budget=budget):
             out.append((h, sigma))
     except ResourceLimitExceeded as exc:
         return out, budget.used, str(exc)

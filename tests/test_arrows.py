@@ -34,6 +34,7 @@ from util import (
     convex_vertex_lp_value,
     graph,
     k_graph,
+    nodes,
     path,
     pure_set,
 )
@@ -87,13 +88,13 @@ def oracle_least_counterexample(c, a, b, k):
 
 
 def test_order_six_chain_holds():
-    cert = classical_arrow(chain(6), chain(2), chain(3), 2)
+    cert = classical_arrow(chain(6), chain(2), chain(3), 2, nodes(20_000_000))
     assert cert.holds
     assert oracle_classical(chain(6), chain(2), chain(3), 2)
 
 
 def test_order_five_chain_fails_with_checkable_coloring():
-    cert = classical_arrow(chain(5), chain(2), chain(3), 2)
+    cert = classical_arrow(chain(5), chain(2), chain(3), 2, nodes(20_000_000))
     assert not cert.holds
     assert check_coloring_is_counterexample(chain(5), chain(2), chain(3),
                                             cert.payload["coloring"])
@@ -101,24 +102,24 @@ def test_order_five_chain_fails_with_checkable_coloring():
 
 
 def test_first_counterexample_is_lex_least():
-    cert = classical_arrow(chain(5), chain(2), chain(3), 2)
+    cert = classical_arrow(chain(5), chain(2), chain(3), 2, nodes(20_000_000))
     got = [col for _, col in cert.payload["coloring"]]
     assert got == oracle_least_counterexample(chain(5), chain(2), chain(3), 2)
 
 
 def test_one_color_always_holds():
-    assert classical_arrow(chain(4), chain(2), chain(3), 1).holds
+    assert classical_arrow(chain(4), chain(2), chain(3), 1, nodes(20_000_000)).holds
 
 
 def test_no_copy_of_b_fails():
-    cert = classical_arrow(chain(2), chain(1), chain(3), 2)
+    cert = classical_arrow(chain(2), chain(1), chain(3), 2, nodes(20_000_000))
     assert not cert.holds
     assert "no copy" in cert.reason
 
 
 def test_degenerate_holds_flagged():
     # A does not embed in B
-    cert = classical_arrow(chain(4), chain(3), chain(2), 2)
+    cert = classical_arrow(chain(4), chain(3), chain(2), 2, nodes(20_000_000))
     assert cert.holds and cert.degenerate
 
 
@@ -153,30 +154,30 @@ def test_oracle_equivalence_random_instances(seed=41):
             c = rng.choice(graph_pool)
         if len(embedding_maps(a, c)) > 10:
             continue
-        assert classical_arrow(c, a, b, k).holds == oracle_classical(c, a, b, k)
+        assert classical_arrow(c, a, b, k, nodes(20_000_000)).holds == oracle_classical(c, a, b, k)
 
 
 def test_arrow_monotonicity_in_c():
     # C = 3-chain holds for points => 4-chain holds too; checked generally
     a, b = chain(1), chain(2)
-    assert classical_arrow(chain(3), a, b, 2).holds
+    assert classical_arrow(chain(3), a, b, 2, nodes(20_000_000)).holds
     for n in range(3, 7):
-        assert classical_arrow(chain(n), a, b, 2).holds
+        assert classical_arrow(chain(n), a, b, 2, nodes(20_000_000)).holds
 
 
 def test_color_monotonicity():
     # holds for k implies holds for every smaller k
     c, a, b = chain(6), chain(2), chain(3)
-    assert classical_arrow(c, a, b, 2).holds
-    assert classical_arrow(c, a, b, 1).holds
+    assert classical_arrow(c, a, b, 2, nodes(20_000_000)).holds
+    assert classical_arrow(c, a, b, 1, nodes(20_000_000)).holds
     c5 = chain(5)
-    if classical_arrow(c5, a, b, 2).holds:
-        assert classical_arrow(c5, a, b, 1).holds
+    if classical_arrow(c5, a, b, 2, nodes(20_000_000)).holds:
+        assert classical_arrow(c5, a, b, 1, nodes(20_000_000)).holds
 
 
 def test_exhaustive_check_agrees():
-    assert exhaustive_classical_check(chain(6), chain(2), chain(3), 2)
-    assert not exhaustive_classical_check(chain(5), chain(2), chain(3), 2)
+    assert exhaustive_classical_check(chain(6), chain(2), chain(3), 2, nodes())
+    assert not exhaustive_classical_check(chain(5), chain(2), chain(3), 2, nodes())
 
 
 # ---------------------------------------------------------------------------
@@ -184,22 +185,22 @@ def test_exhaustive_check_agrees():
 
 
 def test_search_orders_pigeonhole():
-    cert = arrow_search(ORDERS, chain(1), chain(2), 2, 4)
+    cert = arrow_search(ORDERS, chain(1), chain(2), 2, 4, nodes(20_000_000))
     assert cert.holds and cert.payload["n"] == 3
 
 
 def test_search_sets_pigeonhole():
-    cert = arrow_search(SETS, pure_set(1), pure_set(2), 2, 4)
+    cert = arrow_search(SETS, pure_set(1), pure_set(2), 2, 4, nodes(20_000_000))
     assert cert.holds and cert.payload["n"] == 3
 
 
 def test_search_orders_ramsey_33():
-    cert = arrow_search(ORDERS, chain(2), chain(3), 2, 6)
+    cert = arrow_search(ORDERS, chain(2), chain(3), 2, 6, nodes(20_000_000))
     assert cert.holds and cert.payload["n"] == 6
 
 
 def test_search_exhausts_to_none():
-    cert = arrow_search(ORDERS, chain(2), chain(3), 2, 5)
+    cert = arrow_search(ORDERS, chain(2), chain(3), 2, 5, nodes(20_000_000))
     assert not cert.holds
 
 
@@ -278,25 +279,27 @@ def test_definable_pure_sets_small_sweep():
             for z_n in range(1, 3):
                 c_n = b_n + z_n
                 cert = definable_arrow(pure_set(c_n), pure_set(a_n),
-                                       pure_set(b_n), pure_set(z_n), SETS)
+                                       pure_set(b_n), pure_set(z_n), SETS, nodes(2_000_000))
                 assert cert.holds, (a_n, b_n, z_n)
                 assert oracle_definable_pure_sets(c_n, a_n, b_n, z_n)
 
 
 def test_definable_graphs_k4():
-    cert = definable_arrow(k_graph(4), k_graph(1), k_graph(2), k_graph(1), GRAPHS)
+    cert = definable_arrow(k_graph(4), k_graph(1), k_graph(2), k_graph(1), GRAPHS,
+                           nodes(2_000_000))
     assert cert.holds
 
 
 def test_definable_trivial_singleton_domain():
-    cert = definable_arrow(k_graph(3), k_graph(1), k_graph(1), k_graph(1), GRAPHS)
+    cert = definable_arrow(k_graph(3), k_graph(1), k_graph(1), k_graph(1), GRAPHS,
+                           nodes(2_000_000))
     assert cert.holds
 
 
 def test_definable_fail_has_offending_witness():
     # orders: z between the two elements of every 2-chain copy cannot be
     # avoided in a 2-chain C with B = 2-chain... use C too small to dodge
-    cert = definable_arrow(chain(2), chain(1), chain(2), chain(1), ORDERS)
+    cert = definable_arrow(chain(2), chain(1), chain(2), chain(1), ORDERS, nodes(2_000_000))
     if not cert.holds:
         off = cert.payload["offending"]
         assert "u" in off and "c_map" in off
@@ -306,7 +309,8 @@ def test_definable_point_z_empty_signature_degenerates_to_overlap():
     # hand enumeration: Z = 1 point in pure sets; patterns are "z hits
     # a-coordinate i" or "z misses"; constancy over a in b(B) requires a
     # copy of B avoiding z or |A|-invariant overlap
-    cert = definable_arrow(pure_set(3), pure_set(1), pure_set(2), pure_set(1), SETS)
+    cert = definable_arrow(pure_set(3), pure_set(1), pure_set(2), pure_set(1), SETS,
+                           nodes(2_000_000))
     assert cert.holds
     assert cert.payload["joint_patterns_checked"] == 4
 
@@ -317,7 +321,7 @@ def test_definable_point_z_empty_signature_degenerates_to_overlap():
 
 def test_stable_arrow_pure_sets():
     cert = stable_arrow(pure_set(3), pure_set(1), pure_set(2), (pure_set(1),),
-                        SETS, depth=4)
+                        SETS, depth=4, budget=nodes())
     assert cert.holds
     pre = cert.payload["stability_precondition"]
     assert pre and pre[0]["stable"]
@@ -325,11 +329,11 @@ def test_stable_arrow_pure_sets():
 
 def test_stable_arrow_orders_precondition_fails():
     with pytest.raises(PreconditionFailure):
-        stable_arrow(chain(3), chain(1), chain(2), (chain(1),), ORDERS, depth=4)
+        stable_arrow(chain(3), chain(1), chain(2), (chain(1),), ORDERS, depth=4, budget=nodes())
 
 
 def test_stable_arrow_empty_zs():
-    cert = stable_arrow(pure_set(2), pure_set(1), pure_set(2), (), SETS, depth=4)
+    cert = stable_arrow(pure_set(2), pure_set(1), pure_set(2), (), SETS, depth=4, budget=nodes())
     assert cert.holds
 
 
@@ -343,7 +347,7 @@ def test_stable_arrow_two_coordinates():
     blue = Structure.make(sig, 1, {"blue": [(0,)]})
     plain = Structure.make(sig, 1, {})
     two_plain = Structure.make(sig, 2, {})
-    cert = stable_arrow(two_plain, plain, plain, (red, blue), spec, depth=3)
+    cert = stable_arrow(two_plain, plain, plain, (red, blue), spec, depth=3, budget=nodes())
     assert cert.verdict in ("holds", "fails")
 
 
@@ -355,7 +359,7 @@ def test_roelcke_graphs_free_join_is_witness():
     for a_s, b_s, z_s in [(k_graph(1), k_graph(2), k_graph(2)),
                           (k_graph(2), k_graph(3), path(3)),
                           (k_graph(1), path(3), k_graph(3))]:
-        cert = roelcke_witness(GRAPHS, a_s, b_s, z_s)
+        cert = roelcke_witness(GRAPHS, a_s, b_s, z_s, budget=nodes())
         assert cert.holds
         # the engine's first candidate is the free join, so the witness
         # must coincide with it whenever the free join works
@@ -368,7 +372,7 @@ def test_roelcke_graphs_free_join_is_witness():
 
 
 def test_roelcke_orders_point_outside():
-    cert = roelcke_witness(ORDERS, chain(1), chain(2), chain(1))
+    cert = roelcke_witness(ORDERS, chain(1), chain(2), chain(1), budget=nodes())
     assert cert.holds
     from arrowbench.structures import parse_structure
 
@@ -383,12 +387,12 @@ def test_roelcke_orders_point_outside():
 
 
 def test_roelcke_singleton_domain_any_joint_embedding():
-    cert = roelcke_witness(ORDERS, chain(2), chain(2), chain(1))
+    cert = roelcke_witness(ORDERS, chain(2), chain(2), chain(1), budget=nodes())
     assert cert.holds and cert.payload["candidates_checked"] == 1
 
 
 def test_roelcke_witness_replay():
-    cert = roelcke_witness(GRAPHS, k_graph(1), k_graph(2), k_graph(1))
+    cert = roelcke_witness(GRAPHS, k_graph(1), k_graph(2), k_graph(1), budget=nodes())
     from arrowbench.structures import parse_structure
 
     u = parse_structure(cert.payload["u"])
@@ -407,7 +411,7 @@ def test_roelcke_witness_replay():
 def test_proximal_constant_passes_every_d():
     u = chain(4)
     chi = Coloring(u, chain(1), (1, 1, 1, 1), colors=2)
-    report = proximal_check(u, chi, ORDERS, d_max=2)
+    report = proximal_check(u, chi, ORDERS, d_max=2, budget=nodes())
     assert report.passed_all
     for _, passed, witness in report.entries:
         assert passed and witness is not None
@@ -419,7 +423,7 @@ def test_proximal_least_point_indicator():
     # works since d = the larger point always agrees
     u = chain(4)
     chi = Coloring(u, chain(1), (1, 0, 0, 0), colors=2)
-    report = proximal_check(u, chi, ORDERS, d_max=1)
+    report = proximal_check(u, chi, ORDERS, d_max=1, budget=nodes())
     assert report.entries[0][1] is True
     assert report.entries[0][2] == [0, 1]
 
@@ -427,7 +431,7 @@ def test_proximal_least_point_indicator():
 def test_proximal_empty_report_below_one():
     u = chain(3)
     chi = Coloring(u, chain(1), (0, 0, 0), colors=1)
-    report = proximal_check(u, chi, ORDERS, d_max=0)
+    report = proximal_check(u, chi, ORDERS, d_max=0, budget=nodes())
     assert report.entries == ()
     assert report.passed_all
 
@@ -435,7 +439,7 @@ def test_proximal_empty_report_below_one():
 def test_proximal_arrow_constant():
     u = chain(5)
     chi = Coloring(u, chain(1), (1, 1, 1, 1, 1), colors=2)
-    report = proximal_check(u, chi, ORDERS, d_max=2)
+    report = proximal_check(u, chi, ORDERS, d_max=2, budget=nodes())
     cert = proximal_arrow(u, chi, chain(1), chain(2), report)
     assert cert.holds and cert.payload["b_map"] == [0, 1]
 
@@ -445,7 +449,7 @@ def test_proximal_arrow_refuses_unverified():
 
     u = chain(4)
     chi = Coloring(u, chain(1), (1, 0, 0, 0), colors=2)
-    report = proximal_check(u, chi, ORDERS, d_max=1)
+    report = proximal_check(u, chi, ORDERS, d_max=1, budget=nodes())
     failed = dataclasses.replace(
         report, entries=tuple((d, False, None) for d, _, _ in report.entries))
     with pytest.raises(PreconditionFailure):
@@ -456,7 +460,7 @@ def test_proximal_arrow_refuses_mismatched_report():
     u = chain(4)
     chi = Coloring(u, chain(1), (1, 0, 0, 0), colors=2)
     other = Coloring(u, chain(1), (0, 0, 0, 0), colors=2)
-    report = proximal_check(u, other, ORDERS, d_max=1)
+    report = proximal_check(u, other, ORDERS, d_max=1, budget=nodes())
     with pytest.raises(PreconditionFailure):
         proximal_arrow(u, chi, chain(1), chain(2), report)
 
@@ -469,7 +473,7 @@ def _convex_certificate_replays(cert, c, a, b, family, epsilon):
     inputs = {"a": a, "b": b, "c": c}
     doc = json.loads(json.dumps(certificates.envelope(cert, inputs, family,
                                                       {"epsilon": epsilon})))
-    return certificates.verify_certificate(doc, inputs, catalog_age(family))
+    return certificates.verify_certificate(doc, inputs, catalog_age(family), budget=nodes())
 
 
 def test_convex_pure_set_value_zero():
@@ -480,7 +484,7 @@ def test_convex_pure_set_value_zero():
     for family, c, a, b in (("set", pure_set(4), pure_set(1), pure_set(2)),
                             ("graph", k_graph(6), k_graph(2), k_graph(3)),
                             ("set", pure_set(6), pure_set(2), pure_set(3))):
-        cert = convex_arrow(c, a, b, 0.3)
+        cert = convex_arrow(c, a, b, 0.3, nodes())
         assert cert.holds
         assert abs(cert.payload["value"]) <= 1e-9
         assert cert.payload["gap"] <= 1e-6
@@ -501,20 +505,20 @@ def test_convex_epsilon_one_always_holds(seed=17):
     for c, a, b in instances:
         if not embedding_maps(b, c):
             continue
-        cert = convex_arrow(c, a, b, 1.0)
+        cert = convex_arrow(c, a, b, 1.0, nodes())
         assert cert.holds, (c, a, b)
         assert cert.payload["value"] <= 1.0 + 1e-9
 
 
 def test_convex_value_antitone_in_copies():
-    v3 = convex_arrow(pure_set(3), pure_set(1), pure_set(2), 1.0).payload["value"]
-    v4 = convex_arrow(pure_set(4), pure_set(1), pure_set(2), 1.0).payload["value"]
+    v3 = convex_arrow(pure_set(3), pure_set(1), pure_set(2), 1.0, nodes()).payload["value"]
+    v4 = convex_arrow(pure_set(4), pure_set(1), pure_set(2), 1.0, nodes()).payload["value"]
     assert v4 <= v3 + 1e-9
 
 
 def test_convex_positive_value_instance():
     # a rigid instance where no combination can equalize: single copy of B
-    cert = convex_arrow(chain(2), chain(1), chain(2), 0.5)
+    cert = convex_arrow(chain(2), chain(1), chain(2), 0.5, nodes())
     assert not cert.holds
     assert cert.payload["value"] >= 1.0 - 1e-9
     assert cert.payload["adversary"]
@@ -525,7 +529,7 @@ def test_convex_gap_within_tolerance_on_spread():
     for c, a, b in ((chain(4), chain(1), chain(2)),
                     (chain(5), chain(2), chain(3)),
                     (pure_set(4), pure_set(2), pure_set(3))):
-        cert = convex_arrow(c, a, b, 1.0)
+        cert = convex_arrow(c, a, b, 1.0, nodes())
         assert cert.payload["gap"] <= 1e-6, (c.size, a.size, b.size)
 
 
@@ -574,7 +578,7 @@ def test_budgets_with_different_deadlines_do_not_interfere():
 
 
 def test_convex_combination_is_valid_distribution():
-    cert = convex_arrow(chain(4), chain(1), chain(2), 1.0)
+    cert = convex_arrow(chain(4), chain(1), chain(2), 1.0, nodes())
     weights = [w for _, w in cert.payload["combination"]]
     assert abs(sum(weights) - 1.0) <= 1e-9
     assert all(w >= 0 for w in weights)
@@ -583,14 +587,14 @@ def test_convex_combination_is_valid_distribution():
 
 def test_convex_epsilon_validation():
     with pytest.raises(InputError):
-        convex_arrow(pure_set(3), pure_set(1), pure_set(2), 0.0)
+        convex_arrow(pure_set(3), pure_set(1), pure_set(2), 0.0, nodes())
     with pytest.raises(InputError):
-        convex_arrow(pure_set(2), pure_set(1), pure_set(3), 0.5)
+        convex_arrow(pure_set(2), pure_set(1), pure_set(3), 0.5, nodes())
 
 
 def test_convex_chain_2_3_in_9():
     # 36 A-copies: far past any enumeration of the 2^36 {0,1}-colorings
-    cert = convex_arrow(chain(9), chain(2), chain(3), 0.5)
+    cert = convex_arrow(chain(9), chain(2), chain(3), 0.5, nodes())
     assert abs(cert.payload["value"] - 52 / 119) <= 1e-9
     assert cert.holds
     assert cert.payload["gap"] <= 1e-6
@@ -611,7 +615,7 @@ def test_convex_refuses_suboptimal_solver_point(monkeypatch):
 
     monkeypatch.setattr(arrows, "_simplex", suboptimal)
     with pytest.raises(ArrowbenchError, match="convex LP"):
-        convex_arrow(chain(11), chain(1), chain(3), 0.25)
+        convex_arrow(chain(11), chain(1), chain(3), 0.25, nodes())
 
 
 def test_convex_chain_2_3_in_12_does_not_stall():
@@ -647,7 +651,7 @@ def _convex_instance(draw):
 def test_convex_compact_lp_matches_vertex_lp(instance, epsilon):
     family, c, a, b = instance
     assume(len(embedding_maps(a, c)) <= 10 and len(embedding_maps(b, c)) <= 400)
-    cert = convex_arrow(c, a, b, epsilon)
+    cert = convex_arrow(c, a, b, epsilon, nodes())
     payload = cert.payload
     assert abs(payload["value"] - convex_vertex_lp_value(c, a, b)) <= 1e-9
     assert payload["gap"] <= 1e-6
@@ -656,4 +660,4 @@ def test_convex_compact_lp_matches_vertex_lp(instance, epsilon):
     inputs = {"a": a, "b": b, "c": c}
     doc = json.loads(json.dumps(certificates.envelope(cert, inputs, family,
                                                       {"epsilon": epsilon})))
-    assert certificates.verify_certificate(doc, inputs, catalog_age(family))
+    assert certificates.verify_certificate(doc, inputs, catalog_age(family), budget=nodes())

@@ -131,6 +131,29 @@ def test_parallel_keeps_the_node_budget(files):
         assert "classical_arrow" in r.stderr
 
 
+def test_every_search_obeys_the_node_budget(files, tmp_path):
+    # 5 partitions of the 3 embeddings of a point into C3: 15 nodes
+    invariant = ["invariant-partitions", "--host", files["b3"], "--a", files["pt"],
+                 "--max-blocks", "3"]
+    coherent = ["coherent-partitions", "--chain", f"{files['a2']},{files['b3']}",
+                "--a", files["pt"], "--max-blocks", "2"]
+    for argv in (invariant, coherent):
+        assert run_cli(argv).returncode == 0
+        r = run_cli(argv + ["--node-budget", "5"])
+        assert r.returncode == 3, (argv[0], r.stdout)
+        assert f"{argv[0].replace('-', '_')}: node budget 5 exceeded" in r.stderr
+    # the exhaustive re-check of a holding arrow enumerates 2^15 colorings
+    cert_path = str(tmp_path / "holds.cert")
+    run_cli(["arrow", "--age", "linear_order", "--a", files["a2"], "--b", files["b3"],
+             "--c", files["c6"], "--colors", "2", "--certificate", cert_path])
+    verify = ["verify", cert_path, "--age", "linear_order", "--a", files["a2"],
+              "--b", files["b3"], "--c", files["c6"]]
+    assert "verified: true" in run_cli(verify).stdout
+    r = run_cli(verify + ["--node-budget", "10"])
+    assert r.returncode == 3, r.stdout
+    assert "verify: node budget 10 exceeded" in r.stderr
+
+
 def test_cache_transparency(files, tmp_path):
     cache_dir = str(tmp_path / "cache")
     args = ["pattern-count", "--age", "linear_order", "--a", files["a2"],
@@ -296,6 +319,9 @@ _PINNED_REPORTS = (
      "1727d78365ea6b766edd7d999d5f6b2f0979e2658dfa1cc2d34c12dc20bdceca"),
     ("patterns --age graph --a K1 --z K2", 0,
      "bbce0f7b00afc396423a7ed8c4ad7ab2399bc4f56779320ed183796cf64de079"),
+    # 122 coherent families along a chain of orders
+    ("coherent-partitions --chain C2,C3,C4 --a C2 --max-blocks 3", 0,
+     "5b46071e0aad0c806d2b0988674918ba0ef9bd3e46ecc4848ea8767ffe0b1252"),
 )
 
 
@@ -304,15 +330,18 @@ def test_report_digests_are_pinned(argv, rc, digest, tmp_path):
     import hashlib
 
     inputs = {"P1": pure_set(1), "P2": pure_set(2), "P4": pure_set(4),
-              "C1": chain(1), "C2": chain(2), "C3": chain(3), "C6": chain(6), "C8": chain(8),
-              "K1": k_graph(1), "K2": k_graph(2), "K3": k_graph(3), "K5": k_graph(5)}
+              "C1": chain(1), "C2": chain(2), "C3": chain(3), "C4": chain(4), "C6": chain(6),
+              "C8": chain(8), "K1": k_graph(1), "K2": k_graph(2), "K3": k_graph(3),
+              "K5": k_graph(5)}
     args = []
     for tok in argv.split():
-        if tok in inputs:
-            path = tmp_path / f"{tok}.st"
-            path.write_text(serialize_structure(inputs[tok]))
-            tok = str(path)
-        args.append(tok)
+        names = tok.split(",")  # --chain takes a comma-separated list
+        for i, name in enumerate(names):
+            if name in inputs:
+                path = tmp_path / f"{name}.st"
+                path.write_text(serialize_structure(inputs[name]))
+                names[i] = str(path)
+        args.append(",".join(names))
     r = run_cli(args + ["--json", "--no-cache"])
     assert r.returncode == rc, r.stderr
     assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest, r.stdout

@@ -22,6 +22,7 @@ from util import (
     cycle,
     graph,
     k_graph,
+    nodes,
     pure_set,
     random_structure,
 )
@@ -96,23 +97,24 @@ def all_labeled_digraphs(n):
 def test_digraph_enumeration_counts():
     spec = catalog_age("digraph")
     for n in (1, 2, 3):
-        got = len(enumerate_structures(spec, n))
+        got = len(enumerate_structures(spec, n, nodes(2_000_000)))
         want = brute_count(spec, n, all_labeled_digraphs(n))
         assert got == want, (n, got, want)
     # the labeled digraphs on 3 vertices collapse to 16 isomorphism types
-    assert len(enumerate_structures(spec, 3)) == 16
+    assert len(enumerate_structures(spec, 3, nodes(2_000_000))) == 16
 
 
 def test_tournament_enumeration_counts():
     spec = catalog_age("tournament")
-    assert [len(enumerate_structures(spec, n)) for n in (1, 2, 3, 4)] == [1, 1, 2, 4]
+    counts = [len(enumerate_structures(spec, n, nodes(2_000_000))) for n in (1, 2, 3, 4)]
+    assert counts == [1, 1, 2, 4]
 
 
 def test_kfree_enumeration_subset_of_graphs():
     graphs = catalog_age("graph")
     k4free = catalog_age("graph_kfree:4")
-    all4 = {canonical_form(s) for s in enumerate_structures(graphs, 4)}
-    free4 = {canonical_form(s) for s in enumerate_structures(k4free, 4)}
+    all4 = {canonical_form(s) for s in enumerate_structures(graphs, 4, nodes(2_000_000))}
+    free4 = {canonical_form(s) for s in enumerate_structures(k4free, 4, nodes(2_000_000))}
     assert free4 < all4
     assert len(free4) == len(all4) - 1  # only K4 itself is excluded at n=4
 
@@ -133,7 +135,7 @@ def test_two_symbol_age_enumeration(seed=11):
                     "m": [(v,) for v, b in enumerate(mbits) if b]})
 
     for n in (1, 2, 3):
-        got = len(enumerate_structures(spec, n))
+        got = len(enumerate_structures(spec, n, nodes(2_000_000)))
         want = brute_count(spec, n, labeled(n))
         assert got == want, (n, got, want)
 
@@ -182,7 +184,8 @@ def test_place_part_fresh_completions_match_subset_filter():
             (catalog_age("graph_kfree:3"), k_graph(2), k_graph(2)),
     ):
         got = set()
-        for h, sigma in place_part(host, part, spec, max_size=host.size + part.size):
+        for h, sigma in place_part(host, part, spec, max_size=host.size + part.size,
+                                   budget=nodes()):
             if all(v >= host.size for v in sigma):  # fully fresh placements only
                 got.add(h)
         want = brute_completions(host, part, spec)
@@ -222,7 +225,7 @@ def test_symmetric_hosts_arrow_equivalence():
     for c, a, b, k in cases:
         if len(brute_embeddings(a, c)) > 9:
             continue
-        assert classical_arrow(c, a, b, k).holds == oracle_holds(c, a, b, k), \
+        assert classical_arrow(c, a, b, k, nodes(20_000_000)).holds == oracle_holds(c, a, b, k), \
             (c.size, a.size, b.size, k)
 
 
@@ -230,7 +233,7 @@ def test_three_color_order_instances():
     # pigeonhole with 3 colors on points: need a 4-chain for a 2-chain copy
     from arrowbench.arrows import arrow_search
 
-    cert = arrow_search(catalog_age("linear_order"), chain(1), chain(2), 3, 5)
+    cert = arrow_search(catalog_age("linear_order"), chain(1), chain(2), 3, 5, nodes(20_000_000))
     assert cert.holds and cert.payload["n"] == 4
     assert oracle_holds(chain(4), chain(1), chain(2), 3)
     assert not oracle_holds(chain(3), chain(1), chain(2), 3)
@@ -254,7 +257,7 @@ def marked_iso(u1, maps1, u2, maps2):
 def test_three_part_patterns_match_oracle():
     spec = catalog_age("graph")
     k1 = k_graph(1)
-    jes = joint_embeddings(spec, k1, (k1, k1))
+    jes = joint_embeddings(spec, k1, (k1, k1), budget=nodes(2_000_000))
     codes = [pattern_of(j) for j in jes]
     assert len(set(codes)) == len(codes)
     for i, j1 in enumerate(jes):
@@ -270,7 +273,7 @@ def test_pattern_count_growth_orders():
     from arrowbench.patterns import pattern_count
 
     orders = catalog_age("linear_order")
-    counts = [pattern_count(orders, chain(1), chain(n)) for n in range(1, 4)]
+    counts = [pattern_count(orders, chain(1), chain(n), nodes(2_000_000)) for n in range(1, 4)]
     # z-chain of size n against one point: point in any of n+1 gaps or
     # equal to any of the n chain elements
     assert counts == [3, 5, 7]

@@ -19,8 +19,9 @@ from arrowbench.arrows import (
 from arrowbench.errors import ResourceLimitExceeded
 from arrowbench.patterns import free_join, pair_pattern_code, pattern_count
 from arrowbench.structures import embedding_maps
+from arrowbench.unions import Budget
 
-from util import chain, cycle, graph, k_graph, path, pure_set
+from util import chain, cycle, graph, k_graph, nodes, path, pure_set
 
 GRAPHS = catalog_age("graph")
 ORDERS = catalog_age("linear_order")
@@ -39,7 +40,7 @@ def slow_proximal_check(u, chi, spec, d_max):
     a = chi.source
     value_at = {m: v for m, v in zip(chi.domain, chi.values)}
     results = []
-    for d_struct in enumerate_up_to(spec, d_max):
+    for d_struct in enumerate_up_to(spec, d_max, nodes(2_000_000)):
         emb_ad = embedding_maps(a, d_struct)
         found = None
         for size in range(1, u.size + 1):
@@ -70,14 +71,14 @@ def test_proximal_on_cycle_universe():
     # pigeonhole, where the restricted colorings agree
     u = cycle(5)
     chi = Coloring(u, k_graph(1), (1, 0, 0, 0, 0), colors=2)
-    report = proximal_check(u, chi, GRAPHS, d_max=1)
+    report = proximal_check(u, chi, GRAPHS, d_max=1, budget=nodes())
     slow = slow_proximal_check(u, chi, GRAPHS, 1)
     assert [p for _, p, _ in report.entries] == slow
     assert report.entries[0][1] is True
     # one-vertex and two-vertex candidates fail, so the witness has size 3
     assert len(report.entries[0][2]) == 3
     const = Coloring(u, k_graph(1), (1, 1, 1, 1, 1), colors=2)
-    report2 = proximal_check(u, const, GRAPHS, d_max=1)
+    report2 = proximal_check(u, const, GRAPHS, d_max=1, budget=nodes())
     assert report2.passed_all
 
 
@@ -85,7 +86,7 @@ def test_proximal_on_path_universe_matches_slow_model():
     u = path(4)
     for values in ((1, 0, 0, 1), (0, 1, 1, 0), (1, 1, 0, 0)):
         chi = Coloring(u, k_graph(1), values, colors=2)
-        report = proximal_check(u, chi, GRAPHS, d_max=2)
+        report = proximal_check(u, chi, GRAPHS, d_max=2, budget=nodes())
         assert [p for _, p, _ in report.entries] == \
             slow_proximal_check(u, chi, GRAPHS, 2)
 
@@ -99,12 +100,12 @@ def test_triangle_free_roelcke_free_join():
     # always a witness; sweep the 6 triangle-free types of size <= 3
     from arrowbench.ages import enumerate_up_to
 
-    reps = enumerate_up_to(TRIANGLE_FREE, 3)
+    reps = enumerate_up_to(TRIANGLE_FREE, 3, nodes(2_000_000))
     assert len(reps) == 6
     for a_s in reps:
         for b_s in reps:
             for z_s in reps:
-                cert = roelcke_witness(TRIANGLE_FREE, a_s, b_s, z_s)
+                cert = roelcke_witness(TRIANGLE_FREE, a_s, b_s, z_s, budget=nodes())
                 assert cert.holds
     u, (b_map, z_map) = free_join([reps[-1], reps[-1]])
     assert TRIANGLE_FREE.member(u)
@@ -113,14 +114,14 @@ def test_triangle_free_roelcke_free_join():
 def test_triangle_free_pattern_counts_drop():
     # K2 against K2: the all-identified-with-edges completions that need a
     # triangle disappear relative to plain graphs
-    plain = pattern_count(GRAPHS, k_graph(2), k_graph(2))
-    free = pattern_count(TRIANGLE_FREE, k_graph(2), k_graph(2))
+    plain = pattern_count(GRAPHS, k_graph(2), k_graph(2), nodes(2_000_000))
+    free = pattern_count(TRIANGLE_FREE, k_graph(2), k_graph(2), nodes(2_000_000))
     assert free < plain
 
 
 def test_triangle_free_definable_instance():
     c5 = cycle(5)
-    cert = definable_arrow(c5, k_graph(1), k_graph(2), k_graph(1), TRIANGLE_FREE)
+    cert = definable_arrow(c5, k_graph(1), k_graph(2), k_graph(1), TRIANGLE_FREE, nodes(2_000_000))
     assert cert.verdict in ("holds", "fails")
     # whatever the verdict, the certificate replays
     from arrowbench import certificates
@@ -130,7 +131,7 @@ def test_triangle_free_definable_instance():
                                 "graph_kfree:3", {})
     assert certificates.verify_certificate(
         doc, {"a": k_graph(1), "b": k_graph(2), "c": c5, "z": k_graph(1)},
-        TRIANGLE_FREE)
+        TRIANGLE_FREE, budget=nodes())
 
 
 def test_classical_arrow_on_triangle_free_age_inputs():
@@ -139,10 +140,10 @@ def test_classical_arrow_on_triangle_free_age_inputs():
     # the arrow asks for a monochromatic EDGE copy; color vertices to
     # avoid monochromatic adjacent pairs = proper 2-coloring, impossible
     # for an odd cycle, so the arrow holds
-    cert = classical_arrow(cycle(5), k_graph(1), k_graph(2), 2)
+    cert = classical_arrow(cycle(5), k_graph(1), k_graph(2), 2, nodes(20_000_000))
     assert cert.holds
     # C4 is bipartite: proper 2-coloring exists, the arrow fails
-    cert2 = classical_arrow(cycle(4), k_graph(1), k_graph(2), 2)
+    cert2 = classical_arrow(cycle(4), k_graph(1), k_graph(2), 2, nodes(20_000_000))
     assert not cert2.holds
 
 
@@ -153,7 +154,7 @@ def test_classical_arrow_on_triangle_free_age_inputs():
 def test_convex_k4_value_zero():
     # the uniform combination over the 12 ordered edges of K4 has equal
     # endpoint marginals, so its oscillation vanishes on every coloring
-    cert = convex_arrow(k_graph(4), k_graph(1), k_graph(2), 0.2)
+    cert = convex_arrow(k_graph(4), k_graph(1), k_graph(2), 0.2, nodes())
     assert cert.holds
     assert abs(cert.payload["value"]) <= 1e-9
 
@@ -162,7 +163,7 @@ def test_convex_edge_copies_always_equalize():
     # for B = K2 the copies come in orientation pairs, so averaging each
     # edge with its reversal equalizes the two endpoint marginals: the
     # value is 0 on any graph with an edge, even an asymmetric one
-    cert = convex_arrow(path(3), k_graph(1), k_graph(2), 0.1)
+    cert = convex_arrow(path(3), k_graph(1), k_graph(2), 0.1, nodes())
     assert cert.holds
     assert abs(cert.payload["value"]) <= 1e-9
 
@@ -172,7 +173,7 @@ def test_convex_path_against_path_is_maximal():
     # both pin the middle slot to the middle vertex while the leaf slots
     # spread over the leaves; the indicator of the middle vertex then
     # oscillates by exactly 1
-    cert = convex_arrow(path(3), k_graph(1), path(3), 0.5)
+    cert = convex_arrow(path(3), k_graph(1), path(3), 0.5, nodes())
     assert not cert.holds
     assert abs(cert.payload["value"] - 1.0) <= 1e-9
     assert cert.payload["gap"] <= 1e-6
@@ -198,8 +199,13 @@ def test_cache_key_depends_on_version(monkeypatch):
 def test_invariant_partition_guard():
     from arrowbench.groups import invariant_partitions
 
-    with pytest.raises(ResourceLimitExceeded):
-        invariant_partitions(chain(9), chain(1), max_blocks=9, guard=5)
+    # each partition built spends one node per embedding of A: 9 here
+    with pytest.raises(ResourceLimitExceeded, match="invariant_partitions: node budget 5 "):
+        invariant_partitions(chain(9), chain(1), max_blocks=9,
+                             budget=Budget(5, "invariant_partitions"))
+    budget = Budget(100, "invariant_partitions")
+    parts = invariant_partitions(chain(3), chain(1), max_blocks=3, budget=budget)
+    assert budget.used == 3 * len(parts) == 15
 
 
 def test_enumeration_deterministic_across_processes():

@@ -11,7 +11,7 @@ from arrowbench.groups import (
 )
 from arrowbench.structures import embedding_maps, is_embedding
 
-from util import chain, cycle, k_graph, path, pure_set
+from util import chain, cycle, k_graph, nodes, path, pure_set
 
 
 def test_rigid_chain():
@@ -61,28 +61,28 @@ def test_rigid_host_singleton_orbits():
 
 
 def test_invariant_partitions_c4():
-    parts = invariant_partitions(cycle(4), k_graph(1), max_blocks=4)
+    parts = invariant_partitions(cycle(4), k_graph(1), max_blocks=4, budget=nodes())
     assert len(parts) == 1
     assert len(parts[0].blocks) == 1
 
 
 def test_invariant_partitions_p3():
-    parts = invariant_partitions(path(3), k_graph(1), max_blocks=3)
+    parts = invariant_partitions(path(3), k_graph(1), max_blocks=3, budget=nodes())
     assert len(parts) == 2
 
 
 def test_invariant_partitions_rigid_host():
     # vacuous invariance: all partitions of a 3-element base
-    parts = invariant_partitions(chain(3), chain(1), max_blocks=3)
+    parts = invariant_partitions(chain(3), chain(1), max_blocks=3, budget=nodes())
     assert len(parts) == 5  # Bell(3)
-    parts2 = invariant_partitions(chain(3), chain(1), max_blocks=2)
+    parts2 = invariant_partitions(chain(3), chain(1), max_blocks=2, budget=nodes())
     assert len(parts2) == 4
 
 
 def test_discrete_partition_iff_trivial_orbits():
-    parts = invariant_partitions(cycle(4), k_graph(1), max_blocks=4)
+    parts = invariant_partitions(cycle(4), k_graph(1), max_blocks=4, budget=nodes())
     assert not any(all(len(b) == 1 for b in p.blocks) for p in parts)
-    parts = invariant_partitions(chain(4), chain(1), max_blocks=4)
+    parts = invariant_partitions(chain(4), chain(1), max_blocks=4, budget=nodes())
     assert any(all(len(b) == 1 for b in p.blocks) for p in parts)
 
 
@@ -92,7 +92,7 @@ def test_partitions_are_invariant_and_coarsen_orbits():
         group = automorphisms(host)
         base = orbit.base
         index = {m: i for i, m in enumerate(base)}
-        for p in invariant_partitions(host, a, max_blocks=4):
+        for p in invariant_partitions(host, a, max_blocks=4, budget=nodes()):
             for g in group:
                 for blk in p.blocks:
                     image = {index[tuple(g[v] for v in base[i])] for i in blk}
@@ -103,14 +103,14 @@ def test_partitions_are_invariant_and_coarsen_orbits():
 
 def test_coherent_complete_graph_chain():
     chain_structs = [k_graph(2), k_graph(3), k_graph(4)]
-    report = coherent_partitions(chain_structs, k_graph(1), max_blocks=3)
+    report = coherent_partitions(chain_structs, k_graph(1), max_blocks=3, budget=nodes())
     assert len(report.families) == 1
     assert report.only_trivial
     assert not report.inconclusive
 
 
 def test_coherent_rigid_orders_flagged():
-    report = coherent_partitions([chain(2), chain(3)], chain(1), max_blocks=2)
+    report = coherent_partitions([chain(2), chain(3)], chain(1), max_blocks=2, budget=nodes())
     assert len(report.families) > 1
     assert report.inconclusive
 
@@ -127,24 +127,24 @@ def test_coherent_lists_each_group_once(monkeypatch):
 
     monkeypatch.setattr(groups, "automorphisms", counted)
     chain_structs = [k_graph(2), k_graph(3), k_graph(4)]
-    report = coherent_partitions(chain_structs, k_graph(1), max_blocks=3)
+    report = coherent_partitions(chain_structs, k_graph(1), max_blocks=3, budget=nodes())
     assert listed == chain_structs
     assert len(report.families) == 1 and not report.inconclusive
 
 
 def test_coherent_empty_chain():
-    report = coherent_partitions([], chain(1), max_blocks=2)
+    report = coherent_partitions([], chain(1), max_blocks=2, budget=nodes())
     assert report.families == ()
 
 
 def test_coherent_requires_prefix_nesting():
     with pytest.raises(InputError):
-        coherent_partitions([cycle(4), k_graph(4)], k_graph(1), max_blocks=2)
+        coherent_partitions([cycle(4), k_graph(4)], k_graph(1), max_blocks=2, budget=nodes())
 
 
 def test_coherent_pullback_consistency():
     chain_structs = [path(2), path(3)]
-    report = coherent_partitions(chain_structs, k_graph(1), max_blocks=3)
+    report = coherent_partitions(chain_structs, k_graph(1), max_blocks=3, budget=nodes())
     lower_base = embedding_maps(k_graph(1), chain_structs[0])
     for fam in report.families:
         p_low, p_high = fam

@@ -16,7 +16,7 @@ from arrowbench.structures import Embedding, Structure
 from arrowbench.unions import Budget
 
 from test_ages import _small_age
-from util import chain, graph, k_graph, pure_set, search_pair_oracle
+from util import chain, graph, k_graph, nodes, pure_set, search_pair_oracle
 
 GRAPHS = catalog_age("graph")
 ORDERS = catalog_age("linear_order")
@@ -54,20 +54,20 @@ def test_explicit_constructions_verify():
 
 
 def test_orders_point_pair_unstable_depth4():
-    w = unstable_witness(ORDERS, chain(1), chain(1), depth=4)
+    w = unstable_witness(ORDERS, chain(1), chain(1), depth=4, budget=nodes())
     assert w is not None
     assert w.verify()
 
 
 def test_graphs_point_pair_unstable_depth4():
-    w = unstable_witness(GRAPHS, k_graph(1), k_graph(1), depth=4)
+    w = unstable_witness(GRAPHS, k_graph(1), k_graph(1), depth=4, budget=nodes())
     assert w is not None
     assert w.verify()
 
 
 def test_depth_one_rejected():
     with pytest.raises(InputError):
-        unstable_witness(ORDERS, chain(1), chain(1), depth=1)
+        unstable_witness(ORDERS, chain(1), chain(1), depth=1, budget=nodes())
 
 
 def test_stable_up_to_rejects_depths_below_two():
@@ -75,11 +75,11 @@ def test_stable_up_to_rejects_depths_below_two():
     # a report of instability with a 0- or 1-part witness is wrong
     for depth in (0, 1):
         with pytest.raises(InputError, match="depth must be >= 2"):
-            stable_up_to(GRAPHS, k_graph(1), k_graph(2), depth)
+            stable_up_to(GRAPHS, k_graph(1), k_graph(2), depth, budget=nodes())
 
 
 def test_truncation_chain():
-    w = unstable_witness(ORDERS, chain(1), chain(1), depth=6)
+    w = unstable_witness(ORDERS, chain(1), chain(1), depth=6, budget=nodes())
     for d in range(2, 7):
         assert w.truncate(d).verify()
     with pytest.raises(InputError):
@@ -91,16 +91,16 @@ def test_truncation_chain():
 def test_pure_sets_depth3_unstable_depth4_stable():
     # exhaustive identification search is the oracle here: the point pair
     # over pure sets admits a depth-3 witness but none at depth 4
-    r3 = stable_up_to(SETS, pure_set(1), pure_set(1), depth=3)
+    r3 = stable_up_to(SETS, pure_set(1), pure_set(1), depth=3, budget=nodes())
     assert not r3.stable
     assert r3.witness is not None and r3.witness.verify()
-    r4 = stable_up_to(SETS, pure_set(1), pure_set(1), depth=4)
+    r4 = stable_up_to(SETS, pure_set(1), pure_set(1), depth=4, budget=nodes())
     assert r4.stable
     assert r4.pattern_pairs_checked == 2
 
 
 def test_orders_not_stable_depth4():
-    report = stable_up_to(ORDERS, chain(1), chain(1), depth=4)
+    report = stable_up_to(ORDERS, chain(1), chain(1), depth=4, budget=nodes())
     assert not report.stable
 
 
@@ -118,14 +118,14 @@ def test_single_pattern_pair_stable_everywhere():
     # a red point and a blue point can never coincide: one pattern only
     from arrowbench.patterns import pattern_count
 
-    assert pattern_count(spec, red, blue) == 1
-    report = stable_up_to(spec, red, blue, depth=5)
+    assert pattern_count(spec, red, blue, nodes(2_000_000)) == 1
+    report = stable_up_to(spec, red, blue, depth=5, budget=nodes())
     assert report.stable
     assert report.pattern_pairs_checked == 0
 
 
 def test_witness_soundness_cross_check():
-    w = unstable_witness(GRAPHS, k_graph(1), k_graph(1), depth=5)
+    w = unstable_witness(GRAPHS, k_graph(1), k_graph(1), depth=5, budget=nodes())
     assert w.tau_lt != w.tau_gt
     for m in range(5):
         for k in range(5):
@@ -142,10 +142,10 @@ def test_point_edge_pair_in_graphs_unstable():
     import time
 
     t0 = time.monotonic()
-    w = unstable_witness(GRAPHS, k_graph(1), k_graph(2), depth=3)
+    w = unstable_witness(GRAPHS, k_graph(1), k_graph(2), depth=3, budget=nodes())
     assert w is not None and w.verify()
     assert time.monotonic() - t0 < 30.0
-    report = stable_up_to(GRAPHS, k_graph(1), k_graph(2), depth=3)
+    report = stable_up_to(GRAPHS, k_graph(1), k_graph(2), depth=3, budget=nodes())
     assert not report.stable
     assert report.witness.verify()
 
@@ -156,10 +156,10 @@ def test_budget_exhaustion_reported_distinctly():
 
 
 def test_stability_search_charges_the_budget_it_is_given():
-    default = stable_up_to(SETS, pure_set(1), pure_set(2), depth=4)
+    first = stable_up_to(SETS, pure_set(1), pure_set(2), depth=4, budget=nodes())
     budget = Budget(10_000_000)
     report = stable_up_to(SETS, pure_set(1), pure_set(2), depth=4, budget=budget)
-    assert report.stable and report == default
+    assert report.stable and report == first
     # the pattern enumeration before the pair search spends it too
     assert budget.used > report.nodes_used > 0
     with pytest.raises(ResourceLimitExceeded,
@@ -176,7 +176,7 @@ def test_stability_deadline_stops_the_pair_search():
 
     from arrowbench.stability import _decide_pairs
 
-    joints = joint_embeddings(SETS, pure_set(1), (pure_set(2),))
+    joints = joint_embeddings(SETS, pure_set(1), (pure_set(2),), budget=nodes(2_000_000))
     budget = Budget(10_000)
     budget.deadline = time.monotonic() - 1.0
     with pytest.raises(ResourceLimitExceeded, match="stability pair search: time budget"):
@@ -194,7 +194,7 @@ def test_directed_search_stays_within_small_node_budgets():
 
 
 def test_witness_host_within_bound():
-    w = unstable_witness(ORDERS, chain(1), chain(1), depth=4, max_host=8)
+    w = unstable_witness(ORDERS, chain(1), chain(1), depth=4, max_host=8, budget=nodes())
     assert w is not None
     assert w.host.size <= 8
 
@@ -213,7 +213,7 @@ def _pair_search_case(draw):
     beside two old ones already has 19 free ternary tuples."""
     spec, n = draw(_small_age())
     ternary = spec.signature.max_arity > 2
-    members = enumerate_up_to(spec, 1 if ternary else min(n, 2))
+    members = enumerate_up_to(spec, 1 if ternary else min(n, 2), nodes(2_000_000))
     assume(members)  # a forbidden point can empty the age
     a = draw(st.sampled_from(members))
     z = draw(st.sampled_from([s for s in members if a.size + s.size <= 3]))
@@ -231,7 +231,7 @@ def test_directed_pair_search_matches_the_filter_after_oracle(case, data):
     # with a ternary symbol has about 190 patterns, so there a sample of
     # its pairs is checked and the report is not
     spec, a, z, depth, max_host = case
-    joints = joint_embeddings(spec, a, (z,))
+    joints = joint_embeddings(spec, a, (z,), budget=nodes(2_000_000))
     pairs = [(lt, gt) for lt in joints for gt in joints if lt is not gt]
     every = len(pairs) <= 200
     if not every:
@@ -240,14 +240,14 @@ def test_directed_pair_search_matches_the_filter_after_oracle(case, data):
     exhausted = True
     for lt, gt in pairs:
         taus = pattern_of(lt), pattern_of(gt)
-        found = _search_pair(spec, a, z, depth, lt, gt, max_host, None)
-        assert found == search_pair_oracle(spec, a, z, depth, *taus, max_host, None)
+        found = _search_pair(spec, a, z, depth, lt, gt, max_host, nodes())
+        assert found == search_pair_oracle(spec, a, z, depth, *taus, max_host, nodes())
         if found is None:
             continue
         exhausted = False
         assert _build_witness(a, z, depth, (found, taus)).verify()
     if every:
-        report = stable_up_to(spec, a, z, depth, max_host)
+        report = stable_up_to(spec, a, z, depth, max_host, budget=nodes())
         assert report.stable == exhausted
         assert report.pattern_pairs_checked == len(pairs)
         assert report.witness is None or report.witness.verify()

@@ -31,11 +31,18 @@ from arrowbench.structures import (
     is_embedding,
     relabel,
 )
-from arrowbench.unions import _pair_states, place_part
+from arrowbench.unions import Budget, _pair_states, place_part
 
 GRAPH_SIG = Signature((("edge", 2),))
 ORDER_SIG = Signature((("lt", 2),))
 SET_SIG = Signature(())
+
+
+def nodes(cap: int = 5_000_000) -> Budget:
+    """A fresh budget of `cap` nodes for one library call; the tests give
+    a classical arrow 20M, an enumeration of structures or joint
+    embeddings 2M, and any other search the CLI's default of 5M."""
+    return Budget(cap, "test search")
 
 
 def graph(n, edges):
@@ -236,7 +243,7 @@ def enumerate_structures_oracle(spec, n):
     return level
 
 
-def place_part_oracle(host, part, spec, constraint=None, max_size=None, budget=None):
+def place_part_oracle(host, part, spec, constraint=None, max_size=None, *, budget):
     """Oracle for `place_part` under a constraint that only pins part
     vertices: the same search, generating every completion and then
     keeping those that pass `spec.member`."""
@@ -320,8 +327,7 @@ def place_part_oracle(host, part, spec, constraint=None, max_size=None, budget=N
         state_menus = [_pair_states(flags_by_symbol[si]) for si, _ in free_binary]
 
         def rec_other(idx: int, rels):
-            if budget is not None:
-                budget.spend()
+            budget.spend()
             if idx == len(free_other):
                 yield Structure._trusted(sig, m, tuple(tuple(sorted(r)) for r in rels))
                 return
@@ -332,8 +338,7 @@ def place_part_oracle(host, part, spec, constraint=None, max_size=None, budget=N
             rels[si].remove(t)
 
         def rec_binary(idx: int, rels):
-            if budget is not None:
-                budget.spend()
+            budget.spend()
             if idx == len(free_binary):
                 yield from rec_other(0, rels)
                 return
@@ -353,8 +358,7 @@ def place_part_oracle(host, part, spec, constraint=None, max_size=None, budget=N
         yield from rec_binary(0, base_rels)
 
     def assign(k: int, m: int):
-        if budget is not None:
-            budget.spend()
+        budget.spend()
         if k == p:
             for cand in completions(m):
                 if spec is None or spec.member(cand):
@@ -469,7 +473,7 @@ def search_pair_oracle(spec, a, z, depth, tau_lt, tau_gt, max_host, budget):
             return host, a_maps, z_maps
         placing_a = len(a_maps) == len(z_maps)
         part = a if placing_a else z
-        for h2, sigma in place_part(host, part, spec, None, max_host, budget):
+        for h2, sigma in place_part(host, part, spec, None, max_host, budget=budget):
             if placing_a:
                 # new a_j against all earlier z_k (k < j): pattern tau_gt
                 if any(pair_pattern_code(h2, sigma, zm) != tau_gt for zm in z_maps):
