@@ -10,6 +10,14 @@ Enumeration up to isomorphism extends each canonical representative of
 size n-1 by one vertex in every way the age allows and keeps one
 candidate per canonical code: isomorphic candidates relabel to the same
 representative, so the level's code-keyed table is the only seen-set.
+A candidate is labeled only when its fresh vertex lies in its designated
+cell, the last cell of the root refinement (`structures.in_last_root_cell`).
+That cell reads no labels, so no type is lost: for a type G and a vertex
+w of its designated cell, G - w is in the age (ages are hereditary), so
+it is isomorphic to a representative P of size n-1, and the extensions
+of P, which place every one-vertex member on a fresh vertex, include a
+copy of G whose fresh vertex corresponds to w and so lies in the copy's
+designated cell.
 
 Amalgamation probes are bounded searches, never claims about the whole
 age: a positive report only says "no failure up to this size bound", and
@@ -31,6 +39,7 @@ from arrowbench.structures import (
     canonical_representative,
     embedding_maps,
     has_embedding,
+    in_last_root_cell,
     parse_structure,
     relabel,
 )
@@ -275,6 +284,8 @@ def enumerate_structures(spec: AgeSpec, n: int, budget: Budget) -> list[Structur
         next_level: dict[bytes, Structure] = {}
         for parent in level:
             for cand in _extensions(spec, parent, singles, budget):
+                if not in_last_root_cell(cand, cand.size - 1):  # the fresh vertex
+                    continue
                 code, perm = canonical_labeling(cand)
                 if code not in next_level:
                     next_level[code] = relabel(cand, perm)

@@ -30,12 +30,6 @@ class InvariantPartition:
     base: tuple[tuple[int, ...], ...]  # embedding maps, lexicographic
     blocks: tuple[tuple[int, ...], ...]  # partition of base indices
 
-    def block_of(self, index: int) -> int:
-        for bi, block in enumerate(self.blocks):
-            if index in block:
-                return bi
-        raise InputError(f"index {index} not in partition")
-
 
 def automorphisms(s: Structure) -> tuple[tuple[int, ...], ...]:
     """All automorphisms of s as permutations, in lexicographic order

@@ -458,10 +458,31 @@ def _refine(n: int, occurrences, colors: list[int]) -> list[int]:
         colors = new_colors
 
 
+def in_last_root_cell(s: Structure, v: int) -> bool:
+    """True iff vertex v lies in the last cell of the root refinement
+    (`_refine` on the unit colouring).  That cell is label-free, so an
+    isomorphism maps it onto the other structure's last root cell.
+
+    Cells only split in place, so the last cell lies inside the last
+    cell of the first round, whose key for the unit colouring is the
+    vertex's sorted (symbol, positions) occurrences: most vertices fail
+    there, before the full refinement runs."""
+    occurrences = _occurrence_table(s)
+    keys = [sorted([(si, occ) for si, occ, _ in row]) for row in occurrences]
+    if keys[v] != max(keys):
+        return False
+    colors = _refine(s.size, occurrences, [0] * s.size)
+    return colors[v] == max(colors)
+
+
 def _occurrence_table(s: Structure):
     occ = [[] for _ in range(s.size)]
     for si, tuples in enumerate(s.relations):
         for t in tuples:
+            if len(t) == 2 and t[0] != t[1] or len(set(t)) == len(t):  # distinct entries
+                for i, v in enumerate(t):
+                    occ[v].append((si, (i,), t))
+                continue
             for v in set(t):
                 positions = tuple(i for i, x in enumerate(t) if x == v)
                 occ[v].append((si, positions, t))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from arrowbench import ages
 from arrowbench.ages import (
     AXIOM_FLAGS,
     AgeSpec,
@@ -20,8 +21,11 @@ from arrowbench.errors import InputError, ResourceLimitExceeded, SignatureMismat
 from arrowbench.structures import (
     Signature,
     Structure,
+    _occurrence_table,
     canonical_form,
+    in_last_root_cell,
     induced_substructure,
+    relabel,
     serialize_structure,
 )
 from arrowbench.unions import Budget, Constraint, place_part
@@ -34,8 +38,10 @@ from util import (
     graph,
     k_graph,
     nodes,
+    occurrence_table_oracle,
     place_part_oracle,
     pure_set,
+    _refine_oracle,
 )
 
 GRAPHS = catalog_age("graph")
@@ -117,8 +123,31 @@ def test_graph_counts_against_oracle():
 
 
 def test_graph_counts_expected_values():
-    counts = [len(enumerate_structures(GRAPHS, n, nodes(2_000_000))) for n in range(1, 5)]
-    assert counts == [1, 2, 4, 11]
+    # OEIS A000088
+    counts = [len(enumerate_structures(GRAPHS, n, nodes(2_000_000))) for n in range(1, 7)]
+    assert counts == [1, 2, 4, 11, 34, 156]
+
+
+def test_tournament_counts_expected_values():
+    # OEIS A000568
+    tournaments = catalog_age("tournament")
+    counts = [len(enumerate_structures(tournaments, n, nodes(2_000_000))) for n in range(1, 7)]
+    assert counts == [1, 1, 2, 4, 12, 56]
+
+
+def test_enumeration_labels_only_candidates_in_the_designated_cell(monkeypatch):
+    # 1,306 one-vertex extensions give the 156 graphs on 6 vertices; only
+    # those whose fresh vertex lies in the last root cell are labeled
+    calls = []
+    labeling = ages.canonical_labeling
+
+    def counted(s):
+        calls.append(s)
+        return labeling(s)
+
+    monkeypatch.setattr(ages, "canonical_labeling", counted)
+    assert len(enumerate_structures(GRAPHS, 6, nodes(2_000_000))) == 156
+    assert len(calls) <= 420
 
 
 def test_orders_unique_per_size():
@@ -229,6 +258,41 @@ def test_enumeration_matches_the_extension_oracle(case):
     # tuples directly
     spec, n = case
     assert enumerate_structures(spec, n, nodes(2_000_000)) == enumerate_structures_oracle(spec, n)
+
+
+def _designated_cell(s):
+    """The vertices `in_last_root_cell` accepts, checked against the last
+    cell of the oracle's full root refinement."""
+    cell = {v for v in range(s.size) if in_last_root_cell(s, v)}
+    colors = _refine_oracle(s.size, occurrence_table_oracle(s), [0] * s.size)
+    assert cell == {v for v in range(s.size) if colors[v] == max(colors)}
+    return cell
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_age(), st.randoms(use_true_random=False))
+@example((_MIXED, 2), random.Random(0))
+@example((GRAPHS, 5), random.Random(0))
+def test_designated_cell_is_carried_by_relabeling(case, rng):
+    # the last cell of the root refinement is label-free: relabeling a
+    # member by p maps its designated cell onto the copy's, and the
+    # first-round shortcut agrees with the full refinement (graphs on 5
+    # vertices include some whose first-round last cell splits later)
+    spec, n = case
+    for s in enumerate_structures_oracle(spec, n):
+        p = rng.sample(range(s.size), s.size)
+        assert _designated_cell(relabel(s, p)) == {p[v] for v in _designated_cell(s)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_age())
+@example((_MIXED, 2))
+def test_occurrence_table_matches_the_scanning_oracle(case):
+    # members of a ternary age repeat entries within a tuple, which the
+    # fast path for distinct entries must leave to the scan
+    spec, n = case
+    for s in enumerate_structures_oracle(spec, n):
+        assert _occurrence_table(s) == occurrence_table_oracle(s)
 
 
 # ---------------------------------------------------------------------------

@@ -308,6 +308,13 @@ _PINNED_REPORTS = (
      "db23b18e3510879a12e92fd084b898cfc576f1448bea82438611cbd75ba49360"),
     ("enumerate --age tournament --n 5", 0,
      "7eb250958fdf16e237ebe3715ce9c6e2ef394c947773e38a18f656e490ae6098"),
+    # the enumerations of the benchmark's orderly workload
+    ("enumerate --age graph --n 6", 0,
+     "b77c3cc3b50b0afa56f4b7eef198ac72c33eb9999c3ff8ff4450baf66fc0bde2"),
+    ("enumerate --age tournament --n 6", 0,
+     "a830b8f254390d6575a6de618c2ebad54b100e76bb2a9c0986864fa2719b5ae2"),
+    ("arrow-search --age graph --a K1 --b K3 --colors 2 --max-n 6", 0,
+     "f953d48d3ad4c79890793f88a44564d9c2d2b587e929018a0d10f046bd933375"),
     # the pattern-constant arrows, the convex LP and pattern listing
     ("definable-arrow --age graph --a K1 --b K2 --c K5 --z K2", 0,
      "95b77d60598965c8230d1fffd8aca4bbe1508e0617d862a88bc7ee2fef157042"),

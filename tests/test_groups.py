@@ -149,6 +149,10 @@ def test_coherent_pullback_consistency():
     for fam in report.families:
         p_low, p_high = fam
         idx_high = {m: i for i, m in enumerate(p_high.base)}
-        for bi, blk in enumerate(p_low.blocks):
-            target_blocks = {p_high.block_of(idx_high[p_low.base[i]]) for i in blk}
+        label_high = [0] * len(p_high.base)
+        for bi, blk in enumerate(p_high.blocks):
+            for i in blk:
+                label_high[i] = bi
+        for blk in p_low.blocks:
+            target_blocks = {label_high[idx_high[p_low.base[i]]] for i in blk}
             assert len(target_blocks) == 1

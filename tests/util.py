@@ -8,7 +8,8 @@ search rather than through `place_part`, `place_part_oracle`
 re-validates every completion with `member` instead of checking only what
 its fresh vertices can break, `canonical_search_oracle` encodes every
 leaf of the canonical search tree instead of skipping the subtrees that a
-found automorphism repeats, and `search_pair_oracle` places every part
+found automorphism repeats, `occurrence_table_oracle` scans every tuple
+for each vertex's positions, and `search_pair_oracle` places every part
 unconstrained and then filters the hosts by their pair pattern codes
 instead of directing each placement by the patterns.
 """
@@ -22,7 +23,6 @@ from arrowbench.structures import (
     Signature,
     Structure,
     _encode_labeled,
-    _occurrence_table,
     _product_complete,
     canonical_form,
     canonical_labeling,
@@ -382,6 +382,18 @@ def place_part_oracle(host, part, spec, constraint=None, max_size=None, *, budge
 # skipped; it encodes every leaf of the tree
 
 
+def occurrence_table_oracle(s: Structure):
+    """`_occurrence_table` without the fast path for distinct entries:
+    each vertex of a tuple with its positions found by a scan."""
+    occ = [[] for _ in range(s.size)]
+    for si, tuples in enumerate(s.relations):
+        for t in tuples:
+            for v in set(t):
+                positions = tuple(i for i, x in enumerate(t) if x == v)
+                occ[v].append((si, positions, t))
+    return occ
+
+
 def _refine_oracle(n: int, occurrences, colors: list[int]) -> list[int]:
     """Stable ordered-partition refinement.
 
@@ -418,7 +430,7 @@ def _cells_of_oracle(colors: list[int]) -> list[list[int]]:
 
 
 def canonical_search_oracle(s: Structure, sig_key: str):
-    occurrences = _occurrence_table(s)
+    occurrences = occurrence_table_oracle(s)
     n = s.size
     best: list = [None, None]  # encoding, perm
 
