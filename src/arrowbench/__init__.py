@@ -12,11 +12,10 @@ __version__ = "0.1.0"
 
 from arrowbench.structures import (  # noqa: F401
     CanonicalCode,
-    Embedding,
     Signature,
     Structure,
     canonical_form,
-    embeddings,
+    embedding_maps,
     induced_substructure,
     is_embedding,
     parse_structure,

@@ -277,7 +277,7 @@ def exhaustive_classical_check(c: Structure, a: Structure, b: Structure, k: int,
 
 
 def check_coloring_is_counterexample(c, a, b, coloring_pairs) -> bool:
-    """Re-score a claimed bad coloring using embeddings() only: total on
+    """Re-score a claimed bad coloring using embedding_maps() only: total on
     the domain and no copy of B monochromatic."""
     domain = embedding_maps(a, c)
     values = {tuple(m): col for m, col in ((tuple(mm), cc) for mm, cc in coloring_pairs)}

@@ -1,10 +1,14 @@
-"""Append-only result cache keyed by operation + age + canonical inputs + params.
+"""Append-only result cache keyed by operation + age + inputs + params.
 
 Caching is off unless ARROWBENCH_CACHE_DIR is set (or a directory is
 passed explicitly); --no-cache bypasses it per run.  Entries are whole
-machine reports, so a cache hit replays byte-identical output; a tool
-version bump invalidates every entry because the version participates in
-the key.  Writes go through a temp file and an atomic rename.
+machine reports, so a cache hit replays byte-identical output.  Each
+input enters the key in its normal form (the serialized structure), not
+its isomorphism type, because a witness is written over the labeling of
+the run that found it; a relabeled input gets an entry of its own.  A
+tool version bump invalidates every entry because the version
+participates in the key.  Writes go through a temp file and an atomic
+rename.
 """
 
 from __future__ import annotations

@@ -28,11 +28,10 @@ from arrowbench.arrows import (
     _pattern_constant_b,
     _values_agree,
 )
-from arrowbench.errors import CertificateError, InputError
+from arrowbench.errors import CertificateError
 from arrowbench.patterns import iter_joint_embeddings, pair_pattern_code
 from arrowbench.stability import UnstableWitness, stable_up_to
 from arrowbench.structures import (
-    Embedding,
     Structure,
     canonical_form,
     code_digest,
@@ -305,15 +304,14 @@ def _verify_stability(doc, inputs, spec, budget):
         host = parse_structure(payload["host"])
         if not spec.member(host):
             return False
-        try:
-            w = UnstableWitness(
-                payload["depth"], host,
-                tuple(Embedding(a, host, tuple(m)) for m in payload["a_maps"]),
-                tuple(Embedding(z, host, tuple(m)) for m in payload["z_maps"]),
-                bytes.fromhex(payload["tau_lt"]), bytes.fromhex(payload["tau_gt"]))
-        except InputError:
+        a_maps = tuple(tuple(m) for m in payload["a_maps"])
+        z_maps = tuple(tuple(m) for m in payload["z_maps"])
+        if not (all(is_embedding(m, a, host) for m in a_maps)
+                and all(is_embedding(m, z, host) for m in z_maps)):
             return False
-        return w.verify()
+        return UnstableWitness(payload["depth"], host, a_maps, z_maps,
+                               bytes.fromhex(payload["tau_lt"]),
+                               bytes.fromhex(payload["tau_gt"])).verify()
     report = stable_up_to(spec, a, z, payload["depth"], payload["max_host"], budget=budget)
     return report.stable
 

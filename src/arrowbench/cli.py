@@ -154,7 +154,7 @@ def _report(args, operation: str, inputs: dict, params: dict, decide,
     hit = None
     if directory:
         key = cache.cache_key(operation,
-                              [canonical_form(s) for _, s in sorted(inputs.items())],
+                              [serialize_structure(s) for _, s in sorted(inputs.items())],
                               params, _age_key(args))
         hit = cache.lookup(directory, key)
     if hit is not None:
@@ -369,8 +369,8 @@ def _cmd_stability(args):
                          "pattern_pairs_checked": report.pattern_pairs_checked})
         return ArrowCertificate("stability", "holds", payload={
             "depth": w.depth, "host": serialize_structure(w.host),
-            "a_maps": [list(e.map) for e in w.a_parts],
-            "z_maps": [list(e.map) for e in w.z_parts],
+            "a_maps": [list(m) for m in w.a_maps],
+            "z_maps": [list(m) for m in w.z_maps],
             "tau_lt": w.tau_lt.hex(), "tau_gt": w.tau_gt.hex()})
 
     return _report(args, "stability", {"a": a, "z": z},

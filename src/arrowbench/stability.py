@@ -32,7 +32,7 @@ from arrowbench.patterns import (
     pair_pattern_code,
     pattern_of,
 )
-from arrowbench.structures import Embedding, Structure
+from arrowbench.structures import Structure
 from arrowbench.unions import Budget, Constraint, place_part
 
 
@@ -40,23 +40,24 @@ from arrowbench.unions import Budget, Constraint, place_part
 class UnstableWitness:
     depth: int
     host: Structure
-    a_parts: tuple[Embedding, ...]
-    z_parts: tuple[Embedding, ...]
+    a_maps: tuple[tuple[int, ...], ...]
+    z_maps: tuple[tuple[int, ...], ...]
     tau_lt: PatternCode
     tau_gt: PatternCode
 
     def verify(self) -> bool:
-        """Replay every pattern constraint through pair_pattern_code alone."""
+        """Replay every pattern constraint through pair_pattern_code alone.
+        The maps are taken to be embeddings into the host; a certificate's
+        maps are checked with is_embedding before they get here."""
         if self.tau_lt == self.tau_gt:
             return False
-        if len(self.a_parts) != self.depth or len(self.z_parts) != self.depth:
+        if len(self.a_maps) != self.depth or len(self.z_maps) != self.depth:
             return False
         for m in range(self.depth):
             for k in range(self.depth):
                 if m == k:
                     continue
-                code = pair_pattern_code(self.host, self.a_parts[m].map,
-                                         self.z_parts[k].map)
+                code = pair_pattern_code(self.host, self.a_maps[m], self.z_maps[k])
                 want = self.tau_lt if m < k else self.tau_gt
                 if code != want:
                     return False
@@ -66,8 +67,8 @@ class UnstableWitness:
         """The witness restricted to its first `depth` parts (depth >= 2)."""
         if not 2 <= depth <= self.depth:
             raise InputError("truncation depth out of range")
-        return UnstableWitness(depth, self.host, self.a_parts[:depth],
-                               self.z_parts[:depth], self.tau_lt, self.tau_gt)
+        return UnstableWitness(depth, self.host, self.a_maps[:depth],
+                               self.z_maps[:depth], self.tau_lt, self.tau_gt)
 
 
 @dataclass(frozen=True)
@@ -135,7 +136,10 @@ def _search_pair(spec, a, z, depth, tau_lt: JointEmbedding, tau_gt: JointEmbeddi
     directed so that it meets the earlier parts in the required pattern:
     a new a_j meets every earlier z_k (k < j) in tau_gt, a new z_j every
     earlier a_m (m < j) in tau_lt; the diagonal partner a_j (last placed)
-    is unconstrained."""
+    is unconstrained.
+
+    A generator: it yields once per host it places, so a caller can pause
+    it there, and returns the witness (host, a_maps, z_maps) or None."""
     meet_gt = _meeting(tau_gt, 0)
     meet_lt = _meeting(tau_lt, 1)
 
@@ -150,15 +154,16 @@ def _search_pair(spec, a, z, depth, tau_lt: JointEmbedding, tau_gt: JointEmbeddi
         if constraint is None:
             return None
         for h2, sigma in place_part(host, part, spec, constraint, max_host, budget=budget):
+            yield
             if placing_a:
-                res = rec(h2, a_maps + [sigma], z_maps)
+                found = yield from rec(h2, a_maps + (sigma,), z_maps)
             else:
-                res = rec(h2, a_maps, z_maps + [sigma])
-            if res is not None:
-                return res
+                found = yield from rec(h2, a_maps, z_maps + (sigma,))
+            if found is not None:
+                return found
         return None
 
-    return rec(None, [], [])
+    return (yield from rec(None, (), ()))
 
 
 _INITIAL_SLICE = 4096
@@ -166,55 +171,48 @@ _INITIAL_SLICE = 4096
 
 def _decide_pairs(spec, a, z, depth, joints, max_host, budget):
     """Round-robin over the ordered pairs of pattern representatives
-    `joints` with doubling per-pair node slices, so an intractable
-    exhaustion on an early pair cannot mask an easy witness on a later
-    one.  The schedule is deterministic, hence so is the returned witness.
-    Each slice runs under a child budget with the deadline of `budget`,
-    which is charged what the child used.
+    `joints` with per-pair node slices growing x4 per round, so an
+    intractable exhaustion on an early pair cannot mask an easy witness on
+    a later one.  A slice is the nodes `budget` spent since the pair
+    resumed, checked at each host the pair places; a paused pair resumes
+    where it stopped.  The schedule is deterministic, hence so is the
+    returned witness.
 
     Returns (witness_tuple_with_taus | None, pairs_attempted).  None
     means every pair was fully exhausted.  A budget overrun raises and
     says how many pairs were decided by then.
     """
     pairs = [(lt, gt) for lt in joints for gt in joints if lt is not gt]
-    undecided = list(pairs)
+    undecided = [(lt, gt, _search_pair(spec, a, z, depth, lt, gt, max_host, budget))
+                 for lt, gt in pairs]
     decided = 0
     slice_cap = _INITIAL_SLICE
     while undecided:
         still = []
-        for lt, gt in undecided:
-            cap = min(slice_cap, budget.cap - budget.used)
-            if cap <= 0:
-                raise ResourceLimitExceeded(
-                    f"stability search: node budget {budget.cap} exceeded after "
-                    f"deciding {decided} of {len(pairs)} pattern pairs",
-                    budget=budget.cap)
-            child = Budget(cap, "stability pair search")
-            child.deadline = budget.deadline
+        for lt, gt, search in undecided:
+            resumed = budget.used
             try:
-                found = _search_pair(spec, a, z, depth, lt, gt, max_host, child)
-            except ResourceLimitExceeded:
-                if child.used <= cap:
-                    raise  # the deadline passed, not the slice
-                still.append((lt, gt))
+                while budget.used - resumed < slice_cap:
+                    next(search)
+            except StopIteration as done:
+                if done.value is not None:
+                    return (done.value, (pattern_of(lt), pattern_of(gt))), len(pairs)
+                decided += 1
                 continue
-            finally:
-                budget.used += child.used
-            if found is not None:
-                return (found, (pattern_of(lt), pattern_of(gt))), len(pairs)
-            decided += 1
+            except ResourceLimitExceeded as e:
+                spent = f"node budget {budget.cap}" if budget.used > budget.cap else "time budget"
+                raise ResourceLimitExceeded(
+                    f"stability search: {spent} exceeded after deciding {decided} of "
+                    f"{len(pairs)} pattern pairs", budget=e.budget) from None
+            still.append((lt, gt, search))
         undecided = still
         slice_cap *= 4
     return None, len(pairs)
 
 
-def _build_witness(a, z, depth, found_with_pair) -> UnstableWitness:
+def _build_witness(depth, found_with_pair) -> UnstableWitness:
     (host, a_maps, z_maps), (tau_lt, tau_gt) = found_with_pair
-    w = UnstableWitness(
-        depth, host,
-        tuple(Embedding(a, host, m) for m in a_maps),
-        tuple(Embedding(z, host, m) for m in z_maps),
-        tau_lt, tau_gt)
+    w = UnstableWitness(depth, host, a_maps, z_maps, tau_lt, tau_gt)
     if not w.verify():
         raise AssertionError("search produced an invalid witness")
     return w
@@ -246,6 +244,6 @@ def stable_up_to(spec: AgeSpec, a: Structure, z: Structure, depth: int,
             budget=e.budget) from None
     used = budget.used
     found, pairs = _decide_pairs(spec, a, z, depth, joints, max_host, budget)
-    witness = None if found is None else _build_witness(a, z, depth, found)
+    witness = None if found is None else _build_witness(depth, found)
     return StabilityReport(found is None, depth, max_host, budget.used - used, pairs,
                            witness)

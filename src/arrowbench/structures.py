@@ -128,34 +128,6 @@ class Structure:
         return range(self.size)
 
 
-@dataclass(frozen=True)
-class Embedding:
-    """An injective vertex map preserving and reflecting every relation."""
-
-    source: Structure
-    target: Structure
-    map: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "map", tuple(self.map))
-        if not is_embedding(self.map, self.source, self.target):
-            raise InputError(f"map {self.map} is not an embedding")
-
-    @property
-    def image(self) -> tuple[int, ...]:
-        return tuple(sorted(self.map))
-
-    def __call__(self, v: int) -> int:
-        return self.map[v]
-
-
-def compose(outer: Embedding, inner: Embedding) -> Embedding:
-    """The composite embedding outer . inner (inner's target is outer's source)."""
-    if inner.target is not outer.source and inner.target != outer.source:
-        raise InputError("embeddings do not compose: target/source mismatch")
-    return Embedding(inner.source, outer.target, tuple(outer.map[v] for v in inner.map))
-
-
 # ---------------------------------------------------------------------------
 # structure file format
 
@@ -281,12 +253,6 @@ def induced_substructure(s: Structure, vertices) -> Structure:
     return Structure(s.signature, len(vs), tuple(rels))
 
 
-def inclusion_embedding(s: Structure, vertices) -> Embedding:
-    """The inclusion of induced_substructure(s, vertices) back into s."""
-    vs = tuple(sorted(set(vertices)))
-    return Embedding(induced_substructure(s, vs), s, vs)
-
-
 def relabel(s: Structure, perm) -> Structure:
     """Apply a vertex permutation (perm[v] = new label of v)."""
     perm = tuple(perm)
@@ -366,10 +332,11 @@ def _generic_plan(a: Structure):
     return tuple(levels)
 
 
-def _embedding_maps(a: Structure, b: Structure, first_only: bool = False,
-                    roots=None) -> list[tuple[int, ...]]:
-    """Raw embedding maps (tuples), lexicographic order; with roots, only
-    those sending vertex 0 into roots."""
+def embedding_maps(a: Structure, b: Structure, first_only: bool = False,
+                   roots=None) -> list[tuple[int, ...]]:
+    """All embeddings of a into b as map tuples, lexicographic order; with
+    first_only, the first one only; with roots, only those sending vertex
+    0 into roots."""
     if a.signature != b.signature:
         raise SignatureMismatch(
             f"signature mismatch: {a.signature.key()!r} vs {b.signature.key()!r}")
@@ -384,24 +351,14 @@ def _embedding_maps(a: Structure, b: Structure, first_only: bool = False,
         a.size, b.size, _generic_plan(a), b.rel_sets, first_only, roots)
 
 
-def embeddings(a: Structure, b: Structure) -> list[Embedding]:
-    """All embeddings of a into b, lexicographic on the map tuple."""
-    return [Embedding(a, b, m) for m in _embedding_maps(a, b)]
-
-
-def embedding_maps(a: Structure, b: Structure) -> list[tuple[int, ...]]:
-    """Like embeddings() but returning raw map tuples (hot-path form)."""
-    return _embedding_maps(a, b)
-
-
 def has_embedding(a: Structure, b: Structure) -> bool:
-    return bool(_embedding_maps(a, b, first_only=True))
+    return bool(embedding_maps(a, b, first_only=True))
 
 
 @functools.lru_cache(maxsize=256)
 def _vertex_transitive(a: Structure) -> bool:
     """True iff Aut(a) moves vertex 0 onto every vertex."""
-    return all(_embedding_maps(a, a, first_only=True, roots=(v,)) for v in range(1, a.size))
+    return all(embedding_maps(a, a, first_only=True, roots=(v,)) for v in range(1, a.size))
 
 
 def has_embedding_through(a: Structure, b: Structure, roots) -> bool:
@@ -409,8 +366,8 @@ def has_embedding_through(a: Structure, b: Structure, roots) -> bool:
     vertex of `roots`.  If Aut(a) is vertex-transitive, an automorphism
     moves such a vertex onto source vertex 0, so vertex 0 tries only
     roots; otherwise the plain search runs."""
-    return bool(_embedding_maps(a, b, first_only=True,
-                                roots=roots if _vertex_transitive(a) else None))
+    return bool(embedding_maps(a, b, first_only=True,
+                               roots=roots if _vertex_transitive(a) else None))
 
 
 # ---------------------------------------------------------------------------
@@ -510,14 +467,12 @@ def _product_complete(s: Structure, colors: list[int]) -> bool:
             prof = tuple(colors[x] for x in t)
             by_profile[prof] = by_profile.get(prof, 0) + 1
         for prof, count in by_profile.items():
+            # `expect` counts every tuple of the profile, repeated entries
+            # included, so an irreflexive relation inside a cell of two or
+            # more vertices is never complete (K_n still branches)
             expect = 1
-            # distinct vertices only: tuples may repeat a vertex, so the
-            # full product formula must count repeats too; a profile is
-            # "complete" when every vertex tuple with that color profile
-            # is present.
             for c in prof:
                 expect *= sizes[c]
-            # subtract nothing: A^m tuples with repeats are legal members
             if count != expect:
                 return False
     return True

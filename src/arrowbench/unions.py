@@ -133,10 +133,9 @@ def place_part(host: Structure | None, part: Structure, spec,
         host_rels = [set(t) for t in host.relations]
     constraint = constraint or Constraint()
     pinned, excluded, required = constraint.pinned, constraint.excluded, constraint.required
-    flags_by_symbol = (spec.axiom_flags() if spec is not None
-                       else [frozenset()] * len(sig.symbols))
+    flags_by_symbol = spec.axiom_flags()
     transitive = [si for si, flags in enumerate(flags_by_symbol) if "transitive" in flags]
-    forbidden = spec.forbidden if spec is not None else ()
+    forbidden = spec.forbidden
 
     p = part.size
     sigma = [-1] * p

@@ -184,7 +184,7 @@ def test_criterion_3_pattern_counts(tmp_path, capsys):
 def test_criterion_4_stability_depth6(tmp_path, capsys):
     from arrowbench import cli
     from arrowbench.stability import UnstableWitness
-    from arrowbench.structures import Embedding, parse_structure
+    from arrowbench.structures import is_embedding, parse_structure
 
     for age, spec, a, z, label in (("linear_order", ORDERS, chain(1), chain(1),
                                     "linear orders"),
@@ -203,11 +203,12 @@ def test_criterion_4_stability_depth6(tmp_path, capsys):
         doc = json.loads(cert_path.read_text())
         payload = doc["payload"]
         host = parse_structure(payload["host"])
-        w = UnstableWitness(
-            payload["depth"], host,
-            tuple(Embedding(a, host, tuple(m)) for m in payload["a_maps"]),
-            tuple(Embedding(z, host, tuple(m)) for m in payload["z_maps"]),
-            bytes.fromhex(payload["tau_lt"]), bytes.fromhex(payload["tau_gt"]))
+        a_maps = tuple(tuple(m) for m in payload["a_maps"])
+        z_maps = tuple(tuple(m) for m in payload["z_maps"])
+        assert all(is_embedding(m, a, host) for m in a_maps), label
+        assert all(is_embedding(m, z, host) for m in z_maps), label
+        w = UnstableWitness(payload["depth"], host, a_maps, z_maps,
+                            bytes.fromhex(payload["tau_lt"]), bytes.fromhex(payload["tau_gt"]))
         assert w.verify(), label
         for d in range(2, 6):
             assert w.truncate(d).verify(), (label, d)

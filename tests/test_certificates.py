@@ -235,8 +235,8 @@ def test_stability_certificate(tmp_path):
     a = z = chain(1)
     w = unstable_witness(ORDERS, a, z, depth=4, budget=nodes())
     payload = {"depth": w.depth, "host": serialize_structure(w.host),
-               "a_maps": [list(e.map) for e in w.a_parts],
-               "z_maps": [list(e.map) for e in w.z_parts],
+               "a_maps": [list(m) for m in w.a_maps],
+               "z_maps": [list(m) for m in w.z_maps],
                "tau_lt": w.tau_lt.hex(), "tau_gt": w.tau_gt.hex()}
     from arrowbench.arrows import ArrowCertificate
 
@@ -247,6 +247,9 @@ def test_stability_certificate(tmp_path):
     # swap two a-parts: the pattern constraints break
     doc["payload"]["a_maps"][0], doc["payload"]["a_maps"][1] = (
         doc["payload"]["a_maps"][1], doc["payload"]["a_maps"][0])
+    assert not certificates.verify_certificate(doc, {"a": a, "z": z}, ORDERS, budget=nodes())
+    # a payload map that is no embedding into the host is refused
+    doc["payload"]["a_maps"][0] = [len(w.host.vertices)]
     assert not certificates.verify_certificate(doc, {"a": a, "z": z}, ORDERS, budget=nodes())
 
 

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from arrowbench.structures import serialize_structure
+from arrowbench.structures import relabel, serialize_structure
 
 from util import chain, k_graph, pure_set
 
@@ -180,6 +180,23 @@ def test_cache_transparency(files, tmp_path):
         hit = run_cli(human, env_extra={"ARROWBENCH_CACHE_DIR": cache_dir})
         assert fresh.returncode == stored.returncode == hit.returncode == 0
         assert fresh.stdout == stored.stdout == hit.stdout, human[0]
+
+
+def test_cache_keeps_relabelings_apart(files, tmp_path):
+    # a failing report's coloring is written over its run's labeling of
+    # C, so a relabeled C gets its own entry and a certificate it verifies
+    cache_dir = str(tmp_path / "cache")
+    reversed_c5 = tmp_path / "c5_reversed.st"
+    reversed_c5.write_text(serialize_structure(relabel(chain(5), [4, 3, 2, 1, 0])))
+    for c5 in (files["c5"], str(reversed_c5)):
+        cert = str(tmp_path / "c5.cert")
+        inputs = ["--age", "linear_order", "--a", files["a2"], "--b", files["b3"],
+                  "--c", c5]
+        r = run_cli(["arrow", *inputs, "--colors", "2", "--cache-dir", cache_dir,
+                     "--certificate", cert])
+        assert r.returncode == 1, r.stderr
+        assert "verified: true" in run_cli(["verify", cert, *inputs]).stdout
+    assert len(os.listdir(cache_dir)) == 2
 
 
 def test_parse_normalizes(files, tmp_path):

@@ -12,7 +12,7 @@ from arrowbench.stability import (
     stable_up_to,
     unstable_witness,
 )
-from arrowbench.structures import Embedding, Structure
+from arrowbench.structures import Structure
 from arrowbench.unions import Budget
 
 from test_ages import _small_age
@@ -28,11 +28,11 @@ def explicit_order_witness(depth):
     a_m < z_k iff m < k."""
     host = chain(2 * depth)
     pt = chain(1)
-    a_parts = tuple(Embedding(pt, host, (2 * m + 1,)) for m in range(depth))
-    z_parts = tuple(Embedding(pt, host, (2 * m,)) for m in range(depth))
+    a_maps = tuple((2 * m + 1,) for m in range(depth))
+    z_maps = tuple((2 * m,) for m in range(depth))
     tau_lt = pair_pattern_code(host, (1,), (2,))   # a below z
     tau_gt = pair_pattern_code(host, (1,), (0,))   # a above z
-    return UnstableWitness(depth, host, a_parts, z_parts, tau_lt, tau_gt)
+    return UnstableWitness(depth, host, a_maps, z_maps, tau_lt, tau_gt)
 
 
 def explicit_half_graph_witness(depth):
@@ -40,12 +40,11 @@ def explicit_half_graph_witness(depth):
     n = 2 * depth
     edges = [(m, depth + k) for m in range(depth) for k in range(depth) if m < k]
     host = graph(n, edges)
-    k1 = k_graph(1)
-    a_parts = tuple(Embedding(k1, host, (m,)) for m in range(depth))
-    z_parts = tuple(Embedding(k1, host, (depth + k,)) for k in range(depth))
+    a_maps = tuple((m,) for m in range(depth))
+    z_maps = tuple((depth + k,) for k in range(depth))
     tau_lt = pair_pattern_code(host, (0,), (depth + 1,))  # adjacent
     tau_gt = pair_pattern_code(host, (1,), (depth + 0,))  # non-adjacent
-    return UnstableWitness(depth, host, a_parts, z_parts, tau_lt, tau_gt)
+    return UnstableWitness(depth, host, a_maps, z_maps, tau_lt, tau_gt)
 
 
 def test_explicit_constructions_verify():
@@ -131,7 +130,7 @@ def test_witness_soundness_cross_check():
         for k in range(5):
             if m == k:
                 continue
-            code = pair_pattern_code(w.host, w.a_parts[m].map, w.z_parts[k].map)
+            code = pair_pattern_code(w.host, w.a_maps[m], w.z_maps[k])
             assert code == (w.tau_lt if m < k else w.tau_gt)
 
 
@@ -170,8 +169,8 @@ def test_stability_search_charges_the_budget_it_is_given():
 
 
 def test_stability_deadline_stops_the_pair_search():
-    # a pair slice that hits the deadline ends the search: it is not
-    # taken for an exhausted slice and retried with a larger one
+    # a passed deadline ends the search at once: it is not taken for a
+    # spent slice and the pair paused for a later round
     import time
 
     from arrowbench.stability import _decide_pairs
@@ -179,9 +178,22 @@ def test_stability_deadline_stops_the_pair_search():
     joints = joint_embeddings(SETS, pure_set(1), (pure_set(2),), budget=nodes(2_000_000))
     budget = Budget(10_000)
     budget.deadline = time.monotonic() - 1.0
-    with pytest.raises(ResourceLimitExceeded, match="stability pair search: time budget"):
+    with pytest.raises(ResourceLimitExceeded,
+                       match=r"stability search: time budget exceeded after "
+                             r"deciding 0 of 6 pattern pairs"):
         _decide_pairs(SETS, pure_set(1), pure_set(2), 4, joints, 12, budget)
     assert budget.used == 1
+
+
+@pytest.mark.parametrize("first_slice", [16, 64])
+def test_stable_report_nodes_do_not_depend_on_the_slices(monkeypatch, first_slice):
+    # a paused pair resumes where it stopped, so a stable report's nodes
+    # are one full search per pair under any slice schedule
+    from arrowbench import stability
+
+    monkeypatch.setattr(stability, "_INITIAL_SLICE", first_slice)
+    report = stable_up_to(SETS, pure_set(1), pure_set(2), depth=4, budget=nodes())
+    assert report.stable and report.nodes_used == 981
 
 
 def test_directed_search_stays_within_small_node_budgets():
@@ -222,6 +234,15 @@ def _pair_search_case(draw):
     return spec, a, z, depth, max_host
 
 
+def _run_to_end(search):
+    """What the `_search_pair` generator returns, driven without pauses."""
+    while True:
+        try:
+            next(search)
+        except StopIteration as done:
+            return done.value
+
+
 @settings(max_examples=40, deadline=None)
 @given(_pair_search_case(), st.data())
 def test_directed_pair_search_matches_the_filter_after_oracle(case, data):
@@ -240,12 +261,12 @@ def test_directed_pair_search_matches_the_filter_after_oracle(case, data):
     exhausted = True
     for lt, gt in pairs:
         taus = pattern_of(lt), pattern_of(gt)
-        found = _search_pair(spec, a, z, depth, lt, gt, max_host, nodes())
+        found = _run_to_end(_search_pair(spec, a, z, depth, lt, gt, max_host, nodes()))
         assert found == search_pair_oracle(spec, a, z, depth, *taus, max_host, nodes())
         if found is None:
             continue
         exhausted = False
-        assert _build_witness(a, z, depth, (found, taus)).verify()
+        assert _build_witness(depth, (found, taus)).verify()
     if every:
         report = stable_up_to(spec, a, z, depth, max_host, budget=nodes())
         assert report.stable == exhausted

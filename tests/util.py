@@ -490,15 +490,15 @@ def search_pair_oracle(spec, a, z, depth, tau_lt, tau_gt, max_host, budget):
                 # new a_j against all earlier z_k (k < j): pattern tau_gt
                 if any(pair_pattern_code(h2, sigma, zm) != tau_gt for zm in z_maps):
                     continue
-                res = rec(h2, a_maps + [sigma], z_maps)
+                res = rec(h2, a_maps + (sigma,), z_maps)
             else:
                 # new z_j against all earlier a_m (m < j): tau_lt; the
                 # diagonal partner a_j (last placed) is unconstrained
                 if any(pair_pattern_code(h2, am, sigma) != tau_lt for am in a_maps[:-1]):
                     continue
-                res = rec(h2, a_maps, z_maps + [sigma])
+                res = rec(h2, a_maps, z_maps + (sigma,))
             if res is not None:
                 return res
         return None
 
-    return rec(None, [], [])
+    return rec(None, (), ())
