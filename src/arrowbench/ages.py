@@ -149,10 +149,6 @@ def chain(n: int) -> Structure:
     return Structure.make(sig, n, {"lt": [(u, v) for u in range(n) for v in range(u + 1, n)]})
 
 
-def pure_set(n: int) -> Structure:
-    return Structure(Signature(()), n, ())
-
-
 def catalog_age(name: str) -> AgeSpec:
     """Built-in ages: set, graph, graph_kfree:N, linear_order, tournament, digraph."""
     if name == "set":

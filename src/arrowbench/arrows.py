@@ -12,7 +12,12 @@ breakers — colors must appear in first-use order, and the color vector
 must be lexicographically minimal under the automorphism group of C
 acting on positions.  Both preserve at least one counterexample whenever
 one exists, so exhaustion remains conclusive, and the first counterexample
-found is the lexicographically least one.
+found is the lexicographically least one.  Aut(C) is listed once, keeping
+one automorphism per distinct action on the positions, and the
+lex-leader test is incremental: positions are colored in order, so each
+automorphism waits on the one position that decides its first unresolved
+comparison, and coloring a position advances only the automorphisms
+waiting on it (the watched-literal scheme of SAT solvers).
 
 "Constant up to epsilon" means strict oscillation < epsilon; real
 comparisons elsewhere use absolute tolerance 1e-9.  The convex decider is
@@ -28,6 +33,7 @@ import itertools
 import operator
 from dataclasses import dataclass, field
 
+from arrowbench import groups
 from arrowbench.ages import AgeSpec, enumerate_structures, enumerate_up_to
 from arrowbench.errors import ArrowbenchError, InputError, PreconditionFailure
 from arrowbench.patterns import (
@@ -124,28 +130,33 @@ def _copy_position_sets(domain, emb_ab, copies_raw):
     return out
 
 
-def _aut_position_perms(c: Structure, domain):
-    """Aut(C) acting on the embedding positions, identity dropped."""
-    from arrowbench.groups import automorphisms
+def _aut_actions(c: Structure, domain, budget: Budget):
+    """One automorphism of C per distinct non-identity action on the
+    embedding positions, in listing order.  Two automorphisms act alike
+    exactly when they agree on every vertex that some copy of A covers."""
+    covered = sorted({v for m in domain for v in m})
+    # when the copies cover C the action is g itself (`tuple` returns it
+    # uncopied)
+    action = tuple if len(covered) == c.size else operator.itemgetter(*covered)
+    seen = {action(range(c.size))}
+    kept = []
+    for g in groups.automorphisms(c):
+        budget.check_deadline()
+        key = action(g)
+        if key not in seen:
+            seen.add(key)
+            kept.append(g)
+    return kept
 
-    images = [operator.itemgetter(*m) for m in domain]
-    # keyed by each getter's value on the identity: a tuple, or for a
-    # one-vertex A the image of that vertex alone
-    index = {image(range(c.size)): i for i, image in enumerate(images)}
-    identity = tuple(range(len(domain)))
-    perms = set()
-    for g in automorphisms(c):
-        perm = tuple([index[image(g)] for image in images])
-        if perm != identity:
-            perms.add(perm)
-    return sorted(perms)
 
-
-def _counterexample_search(n_pos, copies, k, aut_perms, budget: Budget):
-    """Lexicographically least k-coloring (as a vector over positions) in
-    which every copy sees at least two colors, or None.  Colors are
-    forced to appear in first-use order; aut_perms prune to orbit
-    lex-minima."""
+def _counterexample_search(c_size, domain, copies, k, auts, budget: Budget):
+    """Lexicographically least k-coloring (as a vector over the positions
+    of `domain`) in which every copy sees at least two colors, or None.
+    Colors are forced to appear in first-use order, and the automorphisms
+    `auts` prune to orbit lex-minima: a prefix is cut as soon as, for
+    some g, chi[i] > chi[g(i)] at the first i where chi and chi o g
+    differ, g(i) being the position of g o domain[i]."""
+    n_pos = len(domain)
     copies_at = [[] for _ in range(n_pos)]
     for ci, positions in enumerate(copies):
         for p in positions:
@@ -154,6 +165,40 @@ def _counterexample_search(n_pos, copies, k, aut_perms, budget: Budget):
     assigned_count = [0] * len(copies)
     colors_seen = [set() for _ in copies]
     chi = [-1] * n_pos
+    # a getter's value on the identity is a tuple, or for a one-vertex A
+    # the image of that vertex alone
+    images = [operator.itemgetter(*m) for m in domain]
+    index = {image(range(c_size)): i for i, image in enumerate(images)}
+
+    # Positions are assigned in order, so each automorphism's comparison
+    # chi[i] vs chi[g(i)] is decided once position max(i, g(i)) is; until
+    # then g waits there as (g, i, g(i)), and only the automorphisms
+    # waiting on a position are looked at when it is assigned.
+    waiting = [[] for _ in range(n_pos)]
+    for g in auts:
+        j = index[images[0](g)]
+        waiting[j].append((g, 0, j))
+
+    def lex_leader(p, moved) -> bool:
+        # advance everything waiting on the just-assigned position p; the
+        # lists each one re-waits on are recorded in `moved` for undoing
+        for g, i, j in waiting[p]:
+            while True:
+                x, y = chi[i], chi[j]
+                if x != y:
+                    if x > y:
+                        return False
+                    break  # chi is below its image under g on this branch
+                i += 1
+                if i == n_pos:
+                    break
+                j = index[images[i](g)]
+                w = j if j > i else i
+                if w > p:
+                    waiting[w].append((g, i, j))
+                    moved.append(w)
+                    break
+        return True
 
     def violates(p, col) -> bool:
         # does assigning chi[p]=col complete some copy monochromatically?
@@ -162,21 +207,6 @@ def _counterexample_search(n_pos, copies, k, aut_perms, budget: Budget):
                 if all(chi[q] == col or q == p for q in copies[ci]):
                     return True
         return False
-
-    def lex_ok_prefix() -> bool:
-        # sound prune: if on the assigned prefix chi is already
-        # lexicographically above some automorphic image, no completion
-        # can be the orbit minimum
-        for perm in aut_perms:
-            for i in range(n_pos):
-                x, y = chi[i], chi[perm[i]]
-                if x < 0 or y < 0:
-                    break
-                if x < y:
-                    break
-                if x > y:
-                    return False
-        return True
 
     def place(p, col):
         chi[p] = col
@@ -200,10 +230,13 @@ def _counterexample_search(n_pos, copies, k, aut_perms, budget: Budget):
             if violates(p, col):
                 continue
             place(p, col)
-            if lex_ok_prefix():
+            moved = []
+            if lex_leader(p, moved):
                 res = rec(p + 1, max_used + 1 if col == max_used else max_used)
                 if res is not None:
                     return res
+            for w in moved:
+                waiting[w].pop()
             unplace(p, col)
         return None
 
@@ -230,17 +263,17 @@ def classical_arrow(c: Structure, a: Structure, b: Structure, k: int,
             reason="A does not embed in B; every copy is vacuously monochromatic",
             payload={"k": k, "domain_size": len(domain)})
     copies = _copy_position_sets(domain, emb_ab, copies_raw)
-    aut_perms = _aut_position_perms(c, domain)
+    auts = _aut_actions(c, domain, budget)
     used = budget.used
     n = len(domain)
 
-    bad = _counterexample_search(n, copies, k, aut_perms, budget)
+    bad = _counterexample_search(c.size, domain, copies, k, auts, budget)
 
     if bad is None:
         return ArrowCertificate(
             "arrow", "holds",
             payload={"k": k, "domain_size": n, "copy_count": len(copies),
-                     "aut_perms": len(aut_perms) + 1, "nodes": budget.used - used,
+                     "aut_perms": len(auts) + 1, "nodes": budget.used - used,
                      "method": "pruned-backtracking-exhaustion"})
     coloring = [[list(m), col] for m, col in zip(domain, bad)]
     return ArrowCertificate(

@@ -45,17 +45,6 @@ def marked_signature(base: Signature, shape: tuple[int, ...]) -> Signature:
     return Signature(base.symbols + tuple(marks))
 
 
-def marked_structure(u: Structure, maps) -> Structure:
-    """u with every part coordinate recorded as a distinguished unary mark."""
-    shape = tuple(len(m) for m in maps)
-    sig = marked_signature(u.signature, shape)
-    rels = list(u.relations)
-    for m in maps:
-        for v in m:
-            rels.append(((v,),))
-    return Structure(sig, u.size, tuple(rels))
-
-
 _PATTERN_MEMO: dict[tuple, PatternCode] = {}
 _PATTERN_MEMO_MAX = 1 << 17
 
@@ -120,25 +109,6 @@ def pair_pattern_code(u: Structure, map_a, map_z) -> PatternCode:
     """Pattern of the pair (a, z) inside u, restricted to the union of
     the two images (so union support holds by construction)."""
     return _pattern_code(u, (map_a, map_z))
-
-
-def free_join(parts) -> tuple[Structure, tuple[tuple[int, ...], ...]]:
-    """Disjoint union of the parts with no cross tuples, plus the part maps."""
-    if not parts:
-        raise InputError("free join needs at least one part")
-    sig = parts[0].signature
-    offset = 0
-    rels = [[] for _ in sig.symbols]
-    maps = []
-    for s in parts:
-        if s.signature != sig:
-            raise SignatureMismatch("free join needs one common signature")
-        maps.append(tuple(range(offset, offset + s.size)))
-        for si, tuples in enumerate(s.relations):
-            rels[si].extend(tuple(x + offset for x in t) for t in tuples)
-        offset += s.size
-    u = Structure(sig, offset, tuple(tuple(r) for r in rels))
-    return u, tuple(maps)
 
 
 def iter_joint_embeddings(spec: AgeSpec, a: Structure, zs, max_size: int | None = None, *,

@@ -63,13 +63,6 @@ class UnstableWitness:
                     return False
         return True
 
-    def truncate(self, depth: int) -> "UnstableWitness":
-        """The witness restricted to its first `depth` parts (depth >= 2)."""
-        if not 2 <= depth <= self.depth:
-            raise InputError("truncation depth out of range")
-        return UnstableWitness(depth, self.host, self.a_maps[:depth],
-                               self.z_maps[:depth], self.tau_lt, self.tau_gt)
-
 
 @dataclass(frozen=True)
 class StabilityReport:
@@ -202,7 +195,7 @@ def _decide_pairs(spec, a, z, depth, joints, max_host, budget):
             except ResourceLimitExceeded as e:
                 spent = f"node budget {budget.cap}" if budget.used > budget.cap else "time budget"
                 raise ResourceLimitExceeded(
-                    f"stability search: {spent} exceeded after deciding {decided} of "
+                    f"{budget.what}: {spent} exceeded after deciding {decided} of "
                     f"{len(pairs)} pattern pairs", budget=e.budget) from None
             still.append((lt, gt, search))
         undecided = still

@@ -53,6 +53,12 @@ class Budget:
         if self.used > self.cap:
             raise ResourceLimitExceeded(
                 f"{self.what}: node budget {self.cap} exceeded", budget=self.cap)
+        if self.deadline is not None:
+            self.check_deadline()
+
+    def check_deadline(self):
+        """Raise once the deadline has passed; counts no nodes, for loops
+        whose steps are not search nodes."""
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise ResourceLimitExceeded(f"{self.what}: time budget exceeded")
 

@@ -21,7 +21,7 @@ from arrowbench.arrows import (
     convex_arrow,
     definable_arrow,
 )
-from arrowbench.patterns import free_join, pair_pattern_code, pattern_count
+from arrowbench.patterns import pair_pattern_code, pattern_count
 from arrowbench.structures import (
     canonical_form,
     embedding_maps,
@@ -33,11 +33,13 @@ from util import (
     brute_embeddings,
     chain,
     convex_minimax_oracle,
+    free_join,
     k_graph,
     nodes,
     pure_set,
     random_permutation,
     random_structure,
+    truncate_witness,
 )
 
 GRAPHS = catalog_age("graph")
@@ -211,7 +213,7 @@ def test_criterion_4_stability_depth6(tmp_path, capsys):
                             bytes.fromhex(payload["tau_lt"]), bytes.fromhex(payload["tau_gt"]))
         assert w.verify(), label
         for d in range(2, 6):
-            assert w.truncate(d).verify(), (label, d)
+            assert truncate_witness(w, d).verify(), (label, d)
     _pass(4, "stability finds depth-6 unstable witnesses for (pt,pt) in linear "
              "orders and graphs; pattern replay verifies them and every "
              "truncation to depths 2..5")

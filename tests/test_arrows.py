@@ -1,9 +1,10 @@
 import itertools
 import json
+import math
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from arrowbench import certificates
@@ -23,8 +24,13 @@ from arrowbench.arrows import (
     stable_arrow,
 )
 from arrowbench import arrows
-from arrowbench.errors import ArrowbenchError, InputError, PreconditionFailure
-from arrowbench.patterns import free_join, pair_pattern_code
+from arrowbench.errors import (
+    ArrowbenchError,
+    InputError,
+    PreconditionFailure,
+    ResourceLimitExceeded,
+)
+from arrowbench.patterns import pair_pattern_code
 from arrowbench.structures import embedding_maps, induced_substructure, is_embedding
 from arrowbench.unions import Budget
 
@@ -32,6 +38,8 @@ from util import (
     chain,
     convex_minimax_oracle,
     convex_vertex_lp_value,
+    counterexample_search_oracle,
+    free_join,
     graph,
     k_graph,
     nodes,
@@ -123,18 +131,87 @@ def test_degenerate_holds_flagged():
     assert cert.holds and cert.degenerate
 
 
-def test_aut_position_perms_match_brute_force():
-    # Aut(C) as every self-embedding; a one-vertex A has scalar positions
-    # under itemgetter, the others tuples
+def test_aut_actions_are_the_distinct_position_perms():
+    # Aut(C) as every self-embedding; the listing keeps one automorphism
+    # per distinct non-identity permutation of the positions, and a
+    # one-vertex A has scalar positions under itemgetter, the others tuples
     for c, a in ((pure_set(4), pure_set(1)), (k_graph(4), k_graph(1)),
                  (pure_set(4), pure_set(2)), (graph(5, [(i, (i + 1) % 5) for i in range(5)]),
-                                              path(2)), (chain(4), chain(2))):
+                                              path(2)), (chain(4), chain(2)),
+                 (path(4), k_graph(1)), (graph(5, [(0, 1), (2, 3)]), k_graph(2))):
         domain = embedding_maps(a, c)
         index = {m: i for i, m in enumerate(domain)}
-        want = {tuple(index[tuple(g[v] for v in m)] for m in domain)
-                for g in itertools.permutations(range(c.size)) if is_embedding(g, c, c)}
+
+        def perm(g):
+            return tuple(index[tuple(g[v] for v in m)] for m in domain)
+
+        want = {perm(g) for g in itertools.permutations(range(c.size))
+                if is_embedding(g, c, c)}
         want.discard(tuple(range(len(domain))))
-        assert arrows._aut_position_perms(c, domain) == sorted(want)
+        got = [perm(g) for g in arrows._aut_actions(c, domain, nodes())]
+        assert len(got) == len(set(got)) and set(got) == want
+
+
+def test_aut_listing_checks_the_deadline():
+    # a passed deadline stops the listing of Aut(C) before any node is
+    # spent, and the exit names the budget's search
+    import time
+
+    budget = Budget(1_000_000, "classical_arrow")
+    budget.deadline = time.monotonic() - 1.0
+    with pytest.raises(ResourceLimitExceeded, match="classical_arrow: time budget exceeded"):
+        classical_arrow(pure_set(7), pure_set(2), pure_set(3), 2, budget)
+    assert budget.used == 0
+
+
+@st.composite
+def _classical_instance(draw):
+    """(C, A, B, k) with B induced in C and A induced in B; C is a random
+    graph, a chain or a pure set on at most 7 vertices.  B has at most 4
+    vertices, so that the arrow holds often enough for the prune to cut
+    the search, and A at most as many as keep the injections of A into C
+    at 60, so that the oracle, which rescans all of Aut(C) at every
+    node, stays quick."""
+    family = draw(st.sampled_from(("graph", "linear_order", "set")))
+    n = draw(st.integers(1, 7))
+    if family == "graph":
+        pairs = list(itertools.combinations(range(n), 2))
+        keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        c = graph(n, [e for e, k in zip(pairs, keep) if k])
+    else:
+        c = chain(n) if family == "linear_order" else pure_set(n)
+    b = induced_substructure(c, draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                              max_size=4, unique=True)))
+    a_max = max(m for m in range(1, b.size + 1) if math.perm(n, m) <= 60)
+    a = induced_substructure(b, draw(st.lists(st.integers(0, b.size - 1), min_size=1,
+                                              max_size=a_max, unique=True)))
+    return c, a, b, draw(st.sampled_from((2, 3)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_classical_instance())
+@example((k_graph(6), k_graph(1), k_graph(3), 2))  # holds: 7 nodes, 10 unpruned
+@example((pure_set(7), pure_set(1), pure_set(3), 3))  # holds: 15 nodes, 47 unpruned
+@example((pure_set(7), pure_set(2), pure_set(3), 2))  # the benchmark's failing arrow
+def test_classical_arrow_matches_the_full_rescan_oracle(instance):
+    # advancing only the automorphisms waiting on the colored position
+    # prunes exactly where rescanning every position permutation does:
+    # same verdict, same least counterexample, same node count
+    c, a, b, k = instance
+    domain = embedding_maps(a, c)
+    copies = arrows._copy_position_sets(domain, embedding_maps(a, b), embedding_maps(b, c))
+    spent = nodes(20_000_000)
+    bad, aut_perms = counterexample_search_oracle(c, domain, copies, k, spent)
+    budget = nodes(20_000_000)
+    cert = classical_arrow(c, a, b, k, budget)
+    assert budget.used == spent.used
+    if bad is None:
+        assert cert.holds
+        assert cert.payload["nodes"] == spent.used
+        assert cert.payload["aut_perms"] == aut_perms
+    else:
+        assert not cert.holds
+        assert cert.payload["coloring"] == [[list(m), col] for m, col in zip(domain, bad)]
 
 
 def test_oracle_equivalence_random_instances(seed=41):

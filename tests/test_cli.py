@@ -86,6 +86,22 @@ def test_stability_budget_exit_names_the_pattern_pairs_decided(files):
             "pattern pairs") in r.stderr, r.stderr
 
 
+def test_verify_budget_exit_in_the_pair_search_names_verify(files):
+    # the re-run of a stable verdict runs out inside the pattern-pair
+    # search; its exit names the budget of `verify`, as every other does
+    p1, p2 = files["root"] / "p1.st", files["root"] / "p2.st"
+    p1.write_text(serialize_structure(pure_set(1)))
+    p2.write_text(serialize_structure(pure_set(2)))
+    cert_path = str(files["root"] / "stable.cert")
+    args = ["--age", "set", "--a", str(p1), "--z", str(p2)]
+    r = run_cli(["stability", *args, "--depth", "4", "--certificate", cert_path, "--no-cache"])
+    assert r.returncode == 1, r.stderr  # stable
+    r = run_cli(["verify", cert_path, *args, "--node-budget", "500"])
+    assert r.returncode == 3
+    assert ("verify: node budget 500 exceeded after deciding 3 of 6 pattern pairs"
+            in r.stderr), r.stderr
+
+
 def test_stability_budget_exit_names_the_pattern_enumeration(files):
     # the budget runs out while the patterns are listed, before any pair
     r = run_cli(["stability", "--age", "linear_order", "--a", files["a2"],
@@ -320,6 +336,11 @@ _PINNED_REPORTS = (
      "39816a291a5aa8d3421c747eecc3e59e4cac1c922f7717e8c945673c7c069500"),
     ("arrow --age linear_order --a C2 --b C3 --c C6 --colors 2", 0,
      "5f802cadd83752372e7d5d70bd4af0e1423d3adf1bc28f526eb791b2f0e086eb"),
+    # the lex-leader prune under |Aut(C)| = 5,040 and 720
+    ("arrow --age set --a P2 --b P3 --c P7 --colors 2", 1,
+     "d23f96e222404f7a47e079a7bd2dccaa5e26b192911f9f2b5b4248b04a9633ae"),
+    ("arrow --age graph --a K1 --b K3 --c K6 --colors 2", 0,
+     "dd4c2c6aea612df602860a1e16900aa70f0ec850e1b26e7687b3df10f84d74f0"),
     # canonical codes in hex and their digests
     ("enumerate --age graph --n 5", 0,
      "db23b18e3510879a12e92fd084b898cfc576f1448bea82438611cbd75ba49360"),
@@ -353,10 +374,10 @@ _PINNED_REPORTS = (
 def test_report_digests_are_pinned(argv, rc, digest, tmp_path):
     import hashlib
 
-    inputs = {"P1": pure_set(1), "P2": pure_set(2), "P4": pure_set(4),
-              "C1": chain(1), "C2": chain(2), "C3": chain(3), "C4": chain(4), "C6": chain(6),
-              "C8": chain(8), "K1": k_graph(1), "K2": k_graph(2), "K3": k_graph(3),
-              "K5": k_graph(5)}
+    inputs = {"P1": pure_set(1), "P2": pure_set(2), "P3": pure_set(3), "P4": pure_set(4),
+              "P7": pure_set(7), "C1": chain(1), "C2": chain(2), "C3": chain(3),
+              "C4": chain(4), "C6": chain(6), "C8": chain(8), "K1": k_graph(1),
+              "K2": k_graph(2), "K3": k_graph(3), "K5": k_graph(5), "K6": k_graph(6)}
     args = []
     for tok in argv.split():
         names = tok.split(",")  # --chain takes a comma-separated list

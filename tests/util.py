@@ -9,16 +9,23 @@ re-validates every completion with `member` instead of checking only what
 its fresh vertices can break, `canonical_search_oracle` encodes every
 leaf of the canonical search tree instead of skipping the subtrees that a
 found automorphism repeats, `occurrence_table_oracle` scans every tuple
-for each vertex's positions, and `search_pair_oracle` places every part
+for each vertex's positions, `search_pair_oracle` places every part
 unconstrained and then filters the hosts by their pair pattern codes
-instead of directing each placement by the patterns.
+instead of directing each placement by the patterns, and
+`counterexample_search_oracle` lists every automorphism's permutation of
+the positions and rescans all of them at each node of the classical
+arrow's search instead of advancing only those waiting on the position
+just colored.
 """
 
 import itertools
+import operator
 import random
 
 from arrowbench.ages import _single_vertex_members, member
-from arrowbench.patterns import pair_pattern_code
+from arrowbench.groups import automorphisms
+from arrowbench.patterns import marked_signature, pair_pattern_code
+from arrowbench.stability import UnstableWitness
 from arrowbench.structures import (
     Signature,
     Structure,
@@ -502,3 +509,119 @@ def search_pair_oracle(spec, a, z, depth, tau_lt, tau_gt, max_host, budget):
         return None
 
     return rec(None, (), ())
+
+
+def marked_structure(u, maps):
+    """u with every part coordinate recorded as a distinguished unary mark:
+    its canonical form is the pattern code that `pattern_of` and
+    `pair_pattern_code` compute without a canonical search."""
+    rels = list(u.relations)
+    for m in maps:
+        for v in m:
+            rels.append(((v,),))
+    return Structure(marked_signature(u.signature, tuple(len(m) for m in maps)), u.size,
+                     tuple(rels))
+
+
+def free_join(parts):
+    """Disjoint union of the parts with no cross tuples, plus the part maps."""
+    sig = parts[0].signature
+    offset = 0
+    rels = [[] for _ in sig.symbols]
+    maps = []
+    for s in parts:
+        maps.append(tuple(range(offset, offset + s.size)))
+        for si, tuples in enumerate(s.relations):
+            rels[si].extend(tuple(x + offset for x in t) for t in tuples)
+        offset += s.size
+    return Structure(sig, offset, tuple(tuple(r) for r in rels)), tuple(maps)
+
+
+def truncate_witness(w: UnstableWitness, depth: int) -> UnstableWitness:
+    """The witness restricted to its first `depth` parts."""
+    return UnstableWitness(depth, w.host, w.a_maps[:depth], w.z_maps[:depth],
+                           w.tau_lt, w.tau_gt)
+
+
+# ---------------------------------------------------------------------------
+# the classical arrow's search with the lex-leader prefix test rescanning
+# every position permutation of Aut(C) from position 0 at every node
+
+
+def counterexample_search_oracle(c, domain, copies, k, budget):
+    """(least counterexample or None, number of distinct position
+    permutations of Aut(C), identity included) for the classical arrow
+    over the positions `domain` and the copies of B as position sets
+    `copies`, spending one node of `budget` per search node."""
+    images = [operator.itemgetter(*m) for m in domain]
+    # keyed by each getter's value on the identity: a tuple, or for a
+    # one-vertex A the image of that vertex alone
+    index = {image(range(c.size)): i for i, image in enumerate(images)}
+    identity = tuple(range(len(domain)))
+    perms = set()
+    for g in automorphisms(c):
+        perm = tuple([index[image(g)] for image in images])
+        if perm != identity:
+            perms.add(perm)
+    aut_perms = sorted(perms)
+
+    n_pos = len(domain)
+    copies_at = [[] for _ in range(n_pos)]
+    for ci, positions in enumerate(copies):
+        for p in positions:
+            copies_at[p].append(ci)
+    copy_size = [len(ps) for ps in copies]
+    assigned_count = [0] * len(copies)
+    colors_seen = [set() for _ in copies]
+    chi = [-1] * n_pos
+
+    def violates(p, col) -> bool:
+        for ci in copies_at[p]:
+            if assigned_count[ci] == copy_size[ci] - 1 and colors_seen[ci] <= {col}:
+                if all(chi[q] == col or q == p for q in copies[ci]):
+                    return True
+        return False
+
+    def lex_ok_prefix() -> bool:
+        # if on the assigned prefix chi is already lexicographically above
+        # some automorphic image, no completion is the orbit minimum
+        for perm in aut_perms:
+            for i in range(n_pos):
+                x, y = chi[i], chi[perm[i]]
+                if x < 0 or y < 0:
+                    break
+                if x < y:
+                    break
+                if x > y:
+                    return False
+        return True
+
+    def place(p, col):
+        chi[p] = col
+        for ci in copies_at[p]:
+            assigned_count[ci] += 1
+            colors_seen[ci].add(col)
+
+    def unplace(p, col):
+        chi[p] = -1
+        for ci in copies_at[p]:
+            assigned_count[ci] -= 1
+            if not any(chi[q] == col for q in copies[ci]):
+                colors_seen[ci].discard(col)
+
+    def rec(p, max_used):
+        budget.spend()
+        if p == n_pos:
+            return tuple(chi)
+        for col in range(min(max_used + 1, k)):
+            if violates(p, col):
+                continue
+            place(p, col)
+            if lex_ok_prefix():
+                res = rec(p + 1, max_used + 1 if col == max_used else max_used)
+                if res is not None:
+                    return res
+            unplace(p, col)
+        return None
+
+    return rec(0, 0), len(aut_perms) + 1
