@@ -131,7 +131,7 @@ def test_degenerate_holds_flagged():
     assert cert.holds and cert.degenerate
 
 
-def test_aut_actions_are_the_distinct_position_perms():
+def test_aut_position_perms_match_brute_force():
     # Aut(C) as every self-embedding; the listing keeps one automorphism
     # per distinct non-identity permutation of the positions, and a
     # one-vertex A has scalar positions under itemgetter, the others tuples
