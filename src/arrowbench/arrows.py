@@ -119,10 +119,18 @@ class Coloring:
 
 
 def _copy_position_sets(domain, emb_ab, copies_raw):
+    """The distinct position sets of the copies of B, in first-seen order.
+    Two copies with one image differ by an automorphism of B, which
+    permutes `emb_ab`, so only the first copy of each image is expanded."""
     index = {m: i for i, m in enumerate(domain)}
+    images = set()
     seen = set()
     out = []
     for bm in copies_raw:
+        image = frozenset(bm)
+        if image in images:
+            continue
+        images.add(image)
         positions = tuple(sorted({index[tuple(bm[x] for x in am)] for am in emb_ab}))
         if positions not in seen:
             seen.add(positions)

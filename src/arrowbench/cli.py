@@ -20,7 +20,7 @@ import sys
 import time
 
 from arrowbench import __version__, cache, certificates
-from arrowbench.ages import AgeSpec, amalgamation_probe, enumerate_structures, load_age
+from arrowbench.ages import amalgamation_probe, enumerate_structures, load_age
 from arrowbench.arrows import (
     ArrowCertificate,
     Coloring,
@@ -108,17 +108,11 @@ def _load_coloring(path: str, universe: Structure, source: Structure) -> Colorin
     return Coloring.from_pairs(universe, source, pairs, kind=kind, colors=colors)
 
 
-def _age_of(args) -> AgeSpec | None:
-    if getattr(args, "age", None):
-        return load_age(args.age)
-    return None
-
-
-def _require_age(args) -> AgeSpec:
-    spec = _age_of(args)
-    if spec is None:
-        raise InputError("this subcommand requires --age")
-    return spec
+def _one_z(args) -> Structure:
+    """The --z structure of a one-coordinate subcommand."""
+    if len(args.z) > 1:
+        raise InputError(f"--z given {len(args.z)} times; this subcommand takes one")
+    return _load_structure(args.z[0])
 
 
 def _budget(args, what: str) -> Budget:
@@ -134,7 +128,7 @@ def _age_key(args) -> bytes:
     """The --age text (which the report records) plus the canonical age:
     signature, axiom flags per symbol and the sorted codes of the
     forbidden structures."""
-    spec = _age_of(args)
+    spec = args.spec
     if spec is None:
         return b""
     axioms = ";".join(f"{name}:{','.join(sorted(flags))}"
@@ -249,10 +243,8 @@ def _cmd_parse(args):
 
 
 def _cmd_enumerate(args):
-    spec = _require_age(args)
-
     def decide():
-        reps = enumerate_structures(spec, args.n, _budget(args, "enumerate_structures"))
+        reps = enumerate_structures(args.spec, args.n, _budget(args, "enumerate_structures"))
         return ArrowCertificate("enumerate", "holds", payload={
             "n": args.n, "count": len(reps),
             "structures": [serialize_structure(s) for s in reps]})
@@ -273,13 +265,12 @@ def _cmd_embeddings(args):
 
 
 def _cmd_patterns(args):
-    spec = _require_age(args)
     a = _load_structure(args.a)
     zs = [_load_structure(p) for p in args.z]
 
     def decide():
         entries = []
-        for je in joint_embeddings(spec, a, zs, budget=_budget(args, "joint_embeddings")):
+        for je in joint_embeddings(args.spec, a, zs, budget=_budget(args, "joint_embeddings")):
             code = pattern_of(je)
             entries.append({"code": code.hex(), "digest": code_digest(code),
                             "u": serialize_structure(je.target),
@@ -292,21 +283,18 @@ def _cmd_patterns(args):
 
 
 def _cmd_pattern_count(args):
-    spec = _require_age(args)
     a = _load_structure(args.a)
-    z = _load_structure(args.z[0])
+    z = _one_z(args)
     return _report(args, "pattern-count", {"a": a, "z": z}, {}, lambda: ArrowCertificate(
         "pattern-count", "holds",
-        payload={"count": pattern_count(spec, a, z, _budget(args, "joint_embeddings"))}))
+        payload={"count": pattern_count(args.spec, a, z, _budget(args, "joint_embeddings"))}))
 
 
 def _cmd_arrow(args):
     a, b, c = map(_load_structure, (args.a, args.b, args.c))
-    spec = _age_of(args)
-    if spec is not None:
-        for name, s in (("a", a), ("b", b), ("c", c)):
-            if not spec.member(s):
-                raise InputError(f"--{name} is not a member of the age")
+    for name, s in (("a", a), ("b", b), ("c", c)):
+        if not args.spec.member(s):
+            raise InputError(f"--{name} is not a member of the age")
     return _report(args, "arrow", {"a": a, "b": b, "c": c}, {"colors": args.colors},
                    lambda: classical_arrow(c, a, b, args.colors,
                                            _budget(args, "classical_arrow")),
@@ -314,51 +302,48 @@ def _cmd_arrow(args):
 
 
 def _cmd_arrow_search(args):
-    spec = _require_age(args)
     a, b = map(_load_structure, (args.a, args.b))
     return _report(args, "arrow-search", {"a": a, "b": b},
                    {"colors": args.colors, "max_n": args.max_n},
-                   lambda: arrow_search(spec, a, b, args.colors, args.max_n,
+                   lambda: arrow_search(args.spec, a, b, args.colors, args.max_n,
                                         _budget(args, "classical_arrow")),
                    cached=True)
 
 
 def _cmd_definable_arrow(args):
-    spec = _require_age(args)
-    a, b, c, z = map(_load_structure, (args.a, args.b, args.c, args.z[0]))
+    a, b, c = map(_load_structure, (args.a, args.b, args.c))
+    z = _one_z(args)
     return _report(args, "definable-arrow", {"a": a, "b": b, "c": c, "z": z}, {},
-                   lambda: definable_arrow(c, a, b, z, spec,
+                   lambda: definable_arrow(c, a, b, z, args.spec,
                                            _budget(args, "joint_embeddings")),
                    cached=True)
 
 
 def _cmd_stable_arrow(args):
-    spec = _require_age(args)
     a, b, c = map(_load_structure, (args.a, args.b, args.c))
     zs = [_load_structure(p) for p in args.z]
     inputs = {"a": a, "b": b, "c": c, **{f"z{i}": z for i, z in enumerate(zs)}}
     return _report(args, "stable-arrow", inputs,
                    {"depth": args.depth, "max_host": args.max_host},
-                   lambda: stable_arrow(c, a, b, zs, spec, args.depth, args.max_host,
+                   lambda: stable_arrow(c, a, b, zs, args.spec, args.depth, args.max_host,
                                         budget=_budget(args, "stability search")),
                    cached=True)
 
 
 def _cmd_roelcke(args):
-    spec = _require_age(args)
-    a, b, z = map(_load_structure, (args.a, args.b, args.z[0]))
+    a, b = map(_load_structure, (args.a, args.b))
+    z = _one_z(args)
     return _report(args, "roelcke-witness", {"a": a, "b": b, "z": z}, {"max_n": args.max_n},
-                   lambda: roelcke_witness(spec, a, b, z, args.max_n,
+                   lambda: roelcke_witness(args.spec, a, b, z, args.max_n,
                                            budget=_budget(args, "roelcke_witness")),
                    cached=True)
 
 
 def _cmd_stability(args):
-    spec = _require_age(args)
-    a, z = map(_load_structure, (args.a, args.z[0]))
+    a, z = _load_structure(args.a), _one_z(args)
 
     def decide():
-        report = stable_up_to(spec, a, z, args.depth, args.max_host,
+        report = stable_up_to(args.spec, a, z, args.depth, args.max_host,
                               budget=_budget(args, "stability search"))
         w = report.witness
         if w is None:
@@ -378,13 +363,12 @@ def _cmd_stability(args):
 
 
 def _cmd_proximal_check(args):
-    spec = _require_age(args)
     u = _load_structure(args.universe)
     a = _load_structure(args.a)
     chi = _load_coloring(args.coloring, u, a)
 
     def decide():
-        report = proximal_check(u, chi, spec, args.d_max, _budget(args, "proximal_check"))
+        report = proximal_check(u, chi, args.spec, args.d_max, _budget(args, "proximal_check"))
         return ArrowCertificate(
             "proximal-check", "holds" if report.passed_all else "fails",
             payload={"d_max": report.d_max,
@@ -396,7 +380,6 @@ def _cmd_proximal_check(args):
 
 
 def _cmd_proximal_arrow(args):
-    spec = _require_age(args)
     u = _load_structure(args.universe)
     a = _load_structure(args.a)
     b = _load_structure(args.b)
@@ -473,10 +456,8 @@ def _cmd_coherent_partitions(args):
 
 
 def _cmd_amalgamation(args):
-    spec = _require_age(args)
-
     def decide():
-        report = amalgamation_probe(spec, args.property, args.bound,
+        report = amalgamation_probe(args.spec, args.property, args.bound,
                                     _budget(args, "amalgamation_probe"))
         cex = report.counterexample
         if cex is None:
@@ -498,7 +479,6 @@ def _cmd_amalgamation(args):
 
 def _cmd_verify(args):
     doc = certificates.load_certificate(args.cert)
-    spec = _age_of(args)
     inputs: dict[str, Structure] = {}
     for name, flag in (("a", args.a), ("b", args.b), ("c", args.c),
                        ("host", args.host), ("u", args.universe)):
@@ -515,187 +495,118 @@ def _cmd_verify(args):
         if "u" not in inputs or "a" not in inputs:
             raise InputError("--coloring verification needs --universe and --a")
         coloring = _load_coloring(args.coloring, inputs["u"], inputs["a"])
-    ok = certificates.verify_certificate(doc, inputs, spec, coloring,
+    ok = certificates.verify_certificate(doc, inputs, args.spec, coloring,
                                          budget=_budget(args, "verify"))
     print("verified: " + ("true" if ok else "false"))
     return EXIT_HOLDS if ok else EXIT_FAILS
 
 
 # ---------------------------------------------------------------------------
-# parser
+# interface: one flag vocabulary and one table of subcommands
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# argparse keywords of each flag, whichever subcommand takes it; argparse
+# derives the dests (--max-n -> max_n)
+_FLAGS = {
+    **dict.fromkeys(("infile", "cert", "--a", "--b", "--c", "--host", "--universe",
+                     "--coloring", "--cache-dir"), {}),
+    **dict.fromkeys(("--n", "--colors", "--max-n", "--depth", "--max-host", "--d-max",
+                     "--max-blocks", "--bound"), {"type": int}),
+    "--z": {"action": "append", "default": []},
+    "--epsilon": {"type": float},
+    "--check": {"help": "proximal-check certificate"},
+    "--chain": {"help": "comma-separated structure files"},
+    "--property": {"choices": ["joint-embedding", "amalgamation", "free-amalgamation"]},
+    "--age": {"help": "catalog name or age file"},
+    "--json": {"action": "store_true", "help": "machine-readable report"},
+    "--certificate": {"metavar": "PATH", "help": "write the certificate document here"},
+    "--no-cache": {"action": "store_true"},
+    "--node-budget": {"type": int, "default": 5_000_000},
+    "--time-budget": {"type": float,
+                      "help": "wall-clock cap in seconds (exit 3 when exceeded)"},
+    "--parallel": {"type": int, "default": 0,
+                   "help": "accepted and unused: every search runs serially"},
+}
+
+# the flags every subcommand takes after its own; `verify` writes no
+# certificate and takes all but --certificate
+_SHARED = ("[--json] [--certificate] [--no-cache] [--cache-dir] [--node-budget] "
+           "[--time-budget] [--parallel]")
+
+# subcommand -> (handler, help line, its own flags, --age), flags written
+# as in a usage line: `--x` required, `[--x]` optional, a bare word
+# positional.  The --age entry is "--age" (required), "[--age]"
+# (accepted) or "" (refused).
+_COMMANDS = {
+    "parse": (_cmd_parse, "parse and normalize a structure file", "infile", ""),
+    "enumerate": (_cmd_enumerate, "age members of size n, up to isomorphism", "--n", "--age"),
+    "embeddings": (_cmd_embeddings, "all embeddings of A into B", "--a --b", ""),
+    "patterns": (_cmd_patterns, "joint-embedding patterns of A and Z(s)", "--a --z", "--age"),
+    "pattern-count": (_cmd_pattern_count, "number of joint-embedding patterns",
+                      "--a --z", "--age"),
+    "arrow": (_cmd_arrow, "classical embedding-Ramsey arrow", "--a --b --c --colors",
+              "--age"),
+    "arrow-search": (_cmd_arrow_search, "smallest C in the age with the arrow",
+                     "--a --b --colors --max-n", "--age"),
+    "definable-arrow": (_cmd_definable_arrow, "pattern-constant arrow", "--a --b --c --z",
+                        "--age"),
+    "stable-arrow": (_cmd_stable_arrow, "stability-restricted arrow",
+                     "--a --b --c [--z] --depth [--max-host]", "--age"),
+    "roelcke-witness": (_cmd_roelcke, "pattern-constant joint embedding",
+                        "--a --b --z [--max-n]", "--age"),
+    "stability": (_cmd_stability, "depth-bounded unstable-sequence search",
+                  "--a --z --depth [--max-host]", "--age"),
+    "proximal-check": (_cmd_proximal_check, "proximality probe for a coloring",
+                       "--universe --a --coloring --d-max", "--age"),
+    "proximal-arrow": (_cmd_proximal_arrow, "constant copy for a verified coloring",
+                       "--universe --a --b --coloring --check", "--age"),
+    "convex-arrow": (_cmd_convex_arrow, "zero-sum-game convex arrow",
+                     "--a --b --c --epsilon", ""),
+    "orbits": (_cmd_orbits, "Aut(host)-orbits on embeddings of A", "--host --a", ""),
+    "invariant-partitions": (_cmd_invariant_partitions, "partitions fixed by Aut(host)",
+                             "--host --a --max-blocks", ""),
+    "coherent-partitions": (_cmd_coherent_partitions, "partition families along a chain",
+                            "--chain --a --max-blocks", ""),
+    "amalgamation": (_cmd_amalgamation, "bounded amalgamation probe", "--property --bound",
+                     "--age"),
+    "verify": (_cmd_verify, "independently re-check a certificate",
+               "cert [--a] [--b] [--c] [--z] [--host] [--universe] [--coloring]", "[--age]"),
+}
+
+
+def _parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The top-level parser, with arguments only for the subcommand that
+    `argv` invokes.  That is its first word, as the top level's only flags
+    (--help, --version) exit; without one, every subcommand is added bare,
+    so that --help and usage errors list them all."""
+    invoked = argv[0] if argv and argv[0] in _COMMANDS else None
     ap = argparse.ArgumentParser(
         prog="arrowbench",
         description="Partition-property workbench for finite relational structures")
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def add_common(p, age=False, cert=True, age_required=False):
-        p.add_argument("--json", action="store_true", help="machine-readable report")
-        if cert:
-            p.add_argument("--certificate", metavar="PATH",
-                           help="write the certificate document here")
-        p.add_argument("--no-cache", action="store_true", dest="no_cache")
-        p.add_argument("--cache-dir", dest="cache_dir", default=None)
-        p.add_argument("--node-budget", type=int, default=5_000_000)
-        p.add_argument("--time-budget", type=float, default=None, dest="time_budget",
-                       help="wall-clock cap in seconds (exit 3 when exceeded)")
-        p.add_argument("--parallel", type=int, default=0,
-                       help="accepted and unused: every search runs serially")
-        if age:
-            p.add_argument("--age", required=age_required,
-                           help="catalog name or age file")
-
-    p = sub.add_parser("parse", help="parse and normalize a structure file")
-    p.add_argument("infile")
-    add_common(p)
-    p.set_defaults(func=_cmd_parse)
-
-    p = sub.add_parser("enumerate", help="age members of size n, up to isomorphism")
-    p.add_argument("--n", type=int, required=True)
-    add_common(p, age=True)
-    p.set_defaults(func=_cmd_enumerate)
-
-    p = sub.add_parser("embeddings", help="all embeddings of A into B")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    add_common(p)
-    p.set_defaults(func=_cmd_embeddings)
-
-    p = sub.add_parser("patterns", help="joint-embedding patterns of A and Z(s)")
-    p.add_argument("--a", required=True)
-    p.add_argument("--z", action="append", required=True)
-    add_common(p, age=True)
-    p.set_defaults(func=_cmd_patterns)
-
-    p = sub.add_parser("pattern-count", help="number of joint-embedding patterns")
-    p.add_argument("--a", required=True)
-    p.add_argument("--z", action="append", required=True)
-    add_common(p, age=True)
-    p.set_defaults(func=_cmd_pattern_count)
-
-    p = sub.add_parser("arrow", help="classical embedding-Ramsey arrow")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--c", required=True)
-    p.add_argument("--colors", type=int, required=True)
-    add_common(p, age=True, age_required=True)
-    p.set_defaults(func=_cmd_arrow)
-
-    p = sub.add_parser("arrow-search", help="smallest C in the age with the arrow")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--colors", type=int, required=True)
-    p.add_argument("--max-n", type=int, required=True, dest="max_n")
-    add_common(p, age=True)
-    p.set_defaults(func=_cmd_arrow_search)
-
-    p = sub.add_parser("definable-arrow", help="pattern-constant arrow")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--c", required=True)
-    p.add_argument("--z", action="append", required=True)
-    add_common(p, age=True)
-    p.set_defaults(func=_cmd_definable_arrow)
-
-    p = sub.add_parser("stable-arrow", help="stability-restricted arrow")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--c", required=True)
-    p.add_argument("--z", action="append", default=[])
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--max-host", type=int, default=None, dest="max_host")
-    add_common(p, age=True)
-    p.set_defaults(func=_cmd_stable_arrow)
-
-    p = sub.add_parser("roelcke-witness", help="pattern-constant joint embedding")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--z", action="append", required=True)
-    p.add_argument("--max-n", type=int, default=None, dest="max_n")
-    add_common(p, age=True)
-    p.set_defaults(func=_cmd_roelcke)
-
-    p = sub.add_parser("stability", help="depth-bounded unstable-sequence search")
-    p.add_argument("--a", required=True)
-    p.add_argument("--z", action="append", required=True)
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--max-host", type=int, default=None, dest="max_host")
-    add_common(p, age=True)
-    p.set_defaults(func=_cmd_stability)
-
-    p = sub.add_parser("proximal-check", help="proximality probe for a coloring")
-    p.add_argument("--universe", required=True)
-    p.add_argument("--a", required=True)
-    p.add_argument("--coloring", required=True)
-    p.add_argument("--d-max", type=int, required=True, dest="d_max")
-    add_common(p, age=True)
-    p.set_defaults(func=_cmd_proximal_check)
-
-    p = sub.add_parser("proximal-arrow", help="constant copy for a verified coloring")
-    p.add_argument("--universe", required=True)
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--coloring", required=True)
-    p.add_argument("--check", required=True, help="proximal-check certificate")
-    add_common(p, age=True)
-    p.set_defaults(func=_cmd_proximal_arrow)
-
-    p = sub.add_parser("convex-arrow", help="zero-sum-game convex arrow")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--c", required=True)
-    p.add_argument("--epsilon", type=float, required=True)
-    add_common(p, age=True)
-    p.set_defaults(func=_cmd_convex_arrow)
-
-    p = sub.add_parser("orbits", help="Aut(host)-orbits on embeddings of A")
-    p.add_argument("--host", required=True)
-    p.add_argument("--a", required=True)
-    add_common(p)
-    p.set_defaults(func=_cmd_orbits)
-
-    p = sub.add_parser("invariant-partitions", help="partitions fixed by Aut(host)")
-    p.add_argument("--host", required=True)
-    p.add_argument("--a", required=True)
-    p.add_argument("--max-blocks", type=int, required=True, dest="max_blocks")
-    add_common(p)
-    p.set_defaults(func=_cmd_invariant_partitions)
-
-    p = sub.add_parser("coherent-partitions", help="partition families along a chain")
-    p.add_argument("--chain", required=True, help="comma-separated structure files")
-    p.add_argument("--a", required=True)
-    p.add_argument("--max-blocks", type=int, required=True, dest="max_blocks")
-    add_common(p)
-    p.set_defaults(func=_cmd_coherent_partitions)
-
-    p = sub.add_parser("amalgamation", help="bounded amalgamation probe")
-    p.add_argument("--property", required=True,
-                   choices=["joint-embedding", "amalgamation", "free-amalgamation"])
-    p.add_argument("--bound", type=int, required=True)
-    add_common(p, age=True)
-    p.set_defaults(func=_cmd_amalgamation)
-
-    p = sub.add_parser("verify", help="independently re-check a certificate")
-    p.add_argument("cert")
-    p.add_argument("--a")
-    p.add_argument("--b")
-    p.add_argument("--c")
-    p.add_argument("--z", action="append", default=[])
-    p.add_argument("--host")
-    p.add_argument("--universe")
-    p.add_argument("--coloring")
-    add_common(p, age=True, cert=False)
-    p.set_defaults(func=_cmd_verify)
-
+    if invoked is None:
+        for name, (_, help_line, _, _) in _COMMANDS.items():
+            sub.add_parser(name, help=help_line, add_help=False)
+        return ap
+    sub.metavar = "{" + ",".join(_COMMANDS) + "}"  # the usage line of top-level errors
+    _, help_line, own, age = _COMMANDS[invoked]
+    p = sub.add_parser(invoked, help=help_line)
+    for token in (*own.split(), *_SHARED.split(), *age.split()):
+        flag = token.strip("[]")
+        if flag == "--certificate" and invoked == "verify":
+            continue
+        kwargs = dict(_FLAGS[flag])
+        if flag == token and flag.startswith("--"):
+            kwargs.pop("default", None)
+            kwargs["required"] = True
+        p.add_argument(flag, **kwargs)
     return ap
 
 
 def main(argv=None) -> int:
-    ap = _build_parser()
-    args = ap.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parser(argv).parse_args(argv)
     for flag, value in (("--node-budget", args.node_budget),
                         ("--time-budget", args.time_budget)):
         if value is not None and value <= 0:
@@ -706,7 +617,9 @@ def main(argv=None) -> int:
             print("error: --epsilon must lie in (0, 1]", file=sys.stderr)
             return EXIT_USAGE
     try:
-        return args.func(args)
+        age = getattr(args, "age", None)
+        args.spec = load_age(age) if age is not None else None
+        return _COMMANDS[args.command][0](args)
     except ResourceLimitExceeded as e:
         print(f"resource limit: {e}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -38,6 +38,7 @@ from util import (
     chain,
     convex_minimax_oracle,
     convex_vertex_lp_value,
+    copy_position_sets_oracle,
     counterexample_search_oracle,
     free_join,
     graph,
@@ -212,6 +213,18 @@ def test_classical_arrow_matches_the_full_rescan_oracle(instance):
     else:
         assert not cert.holds
         assert cert.payload["coloring"] == [[list(m), col] for m, col in zip(domain, bad)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_classical_instance())
+@example((pure_set(7), pure_set(2), pure_set(3), 2))  # 210 copies of B, 35 images
+@example((chain(6), chain(1), chain(3), 2))  # one copy per image
+def test_copy_position_sets_match_the_per_copy_oracle(instance):
+    # expanding only the first copy of B with each image keeps every
+    # distinct position set, in first-seen order
+    c, a, b, _ = instance
+    args = (embedding_maps(a, c), embedding_maps(a, b), embedding_maps(b, c))
+    assert arrows._copy_position_sets(*args) == copy_position_sets_oracle(*args)
 
 
 def test_oracle_equivalence_random_instances(seed=41):

@@ -1,10 +1,13 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
+from arrowbench import cli
 from arrowbench.structures import relabel, serialize_structure
 
 from util import chain, k_graph, pure_set
@@ -64,6 +67,81 @@ def test_missing_age_is_usage_error(files):
     r = run_cli(["arrow", "--a", files["a2"], "--b", files["b3"],
                  "--c", files["c6"], "--colors", "2"])
     assert r.returncode == 2
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("pattern-count", ["--a", "k1"]),
+    ("definable-arrow", ["--a", "k1", "--b", "k2", "--c", "k2"]),
+    ("roelcke-witness", ["--a", "k1", "--b", "k2"]),
+    ("stability", ["--a", "k1", "--depth", "3"]),
+])
+def test_one_coordinate_subcommands_refuse_a_second_z(files, capsys, command, flags):
+    argv = [command, "--age", "graph", *(files.get(f, f) for f in flags),
+            "--z", files["k1"], "--z", files["k2"], "--no-cache"]
+    assert cli.main(argv) == 2
+    assert "--z given 2 times" in capsys.readouterr().err
+
+
+def test_convex_arrow_takes_no_age(files, capsys):
+    argv = ["convex-arrow", "--a", files["a2"], "--b", files["b3"], "--c", files["c6"],
+            "--epsilon", "0.6", "--no-cache"]
+    with pytest.raises(SystemExit) as e:
+        cli.main(argv + ["--age", "linear_order"])
+    assert e.value.code == 2
+    assert "unrecognized arguments: --age" in capsys.readouterr().err
+    assert cli.main(argv) == 0
+
+
+def _argument_records(name):
+    """(option strings, dest, required, default, type, action, choices,
+    help) of each argument of subcommand `name`, in order."""
+    ap = cli._parser([name])
+    sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    return [[list(a.option_strings), a.dest, a.required, a.default,
+             a.type.__name__ if a.type else None, type(a).__name__,
+             list(a.choices) if a.choices else None, a.help]
+            for a in sub.choices[name]._actions]
+
+
+def test_subcommand_arguments_match_the_snapshot():
+    # the snapshot was taken from the parser that declared each subcommand
+    # by hand; since then --age is required by the subcommands that read
+    # it, and convex-arrow, which never read it, takes none
+    with open(os.path.join(os.path.dirname(__file__), "cli_arguments.json")) as fh:
+        want = json.load(fh)
+    age_required = {"enumerate", "patterns", "pattern-count", "arrow", "arrow-search",
+                    "definable-arrow", "stable-arrow", "roelcke-witness", "stability",
+                    "proximal-check", "proximal-arrow", "amalgamation"}
+    for name, records in want.items():
+        for r in records:
+            if r[0] == ["--age"] and name in age_required:
+                r[2] = True
+        if name == "convex-arrow":
+            records.remove(next(r for r in records if r[0] == ["--age"]))
+    assert list(cli._COMMANDS) == list(want)
+    for name in cli._COMMANDS:
+        assert _argument_records(name) == want[name], name
+
+
+def test_readme_lists_every_subcommand():
+    with open(os.path.join(PKG_ROOT, "README.md")) as fh:
+        readme = fh.read()
+    listing = readme[readme.index("Subcommands:"):].split("\n\n")[0]
+    assert re.findall(r"`([a-z-]+)`", listing) == list(cli._COMMANDS)
+
+
+def test_a_call_adds_only_its_subcommands_arguments(files, monkeypatch, capsys):
+    calls = []
+    add = argparse._ActionsContainer.add_argument
+    monkeypatch.setattr(argparse._ActionsContainer, "add_argument",
+                        lambda self, *a, **k: calls.append(a) or add(self, *a, **k))
+    assert cli.main(["parse", files["a2"]]) == 0
+    # --help and --version of the top level, then parse's own
+    assert len(calls) == 11
+    calls.clear()
+    cli.main(["verify", str(files["root"] / "missing.cert"), "--a", files["a2"]])
+    assert len(calls) == 18
+    capsys.readouterr()
 
 
 def test_missing_file_is_input_error(files):

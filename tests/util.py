@@ -625,3 +625,20 @@ def counterexample_search_oracle(c, domain, copies, k, budget):
         return None
 
     return rec(0, 0), len(aut_perms) + 1
+
+
+# ---------------------------------------------------------------------------
+# the copies of B as position sets, one tuple built per (copy of B, copy of
+# A in B) pair before deduplicating
+
+
+def copy_position_sets_oracle(domain, emb_ab, copies_raw):
+    index = {m: i for i, m in enumerate(domain)}
+    seen = set()
+    out = []
+    for bm in copies_raw:
+        positions = tuple(sorted({index[tuple(bm[x] for x in am)] for am in emb_ab}))
+        if positions not in seen:
+            seen.add(positions)
+            out.append(positions)
+    return out
