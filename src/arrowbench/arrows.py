@@ -19,11 +19,12 @@ automorphism waits on the one position that decides its first unresolved
 comparison, and coloring a position advances only the automorphisms
 waiting on it (the watched-literal scheme of SAT solvers).
 
-"Constant up to epsilon" means strict oscillation < epsilon; real
-comparisons elsewhere use absolute tolerance 1e-9.  The convex decider is
-the one place where the boundary is closed (value <= epsilon at
-tolerance), since an oscillation of [0,1]-valued colorings never exceeds
-1 and epsilon >= 1 instances must hold.
+Coloring values are compared at absolute tolerance 1e-9, which on
+integer colors is equality: a coloring is constant on a copy of B when
+every value there lies within 1e-9 of the first.  The convex decider is
+the only one that reads an epsilon, and its boundary is closed (value <=
+epsilon at tolerance), since an oscillation of [0,1]-valued colorings
+never exceeds 1 and epsilon >= 1 instances must hold.
 """
 
 from __future__ import annotations
@@ -46,6 +47,12 @@ from arrowbench.structures import Structure, embedding_maps, serialize_structure
 from arrowbench.unions import Budget
 
 REAL_TOL = 1e-9
+
+
+def _values_agree(x, y) -> bool:
+    """Two coloring values agree within REAL_TOL (on integer colors: are
+    equal)."""
+    return abs(x - y) <= REAL_TOL
 
 
 @dataclass(frozen=True)
@@ -98,6 +105,17 @@ class Coloring:
     @functools.cached_property
     def domain(self) -> tuple[tuple[int, ...], ...]:
         return tuple(embedding_maps(self.source, self.universe))
+
+    @functools.cached_property
+    def value_at(self) -> dict:
+        """embedding of the source -> its value"""
+        return dict(zip(self.domain, self.values))
+
+    def constant_on(self, b_map, emb_ab) -> bool:
+        """The values on the copies of A inside b_map: B -> universe, where
+        emb_ab lists the embeddings of A into B, all agree with the first."""
+        vals = [self.value_at[tuple(b_map[x] for x in am)] for am in emb_ab]
+        return all(_values_agree(v, vals[0]) for v in vals[1:])
 
     @classmethod
     def from_pairs(cls, universe, source, pairs: dict, kind="indexed", colors=None):
@@ -351,41 +369,6 @@ def arrow_search(spec: AgeSpec, a: Structure, b: Structure, k: int, max_n: int,
 
 
 # ---------------------------------------------------------------------------
-# epsilon-constant witnesses
-
-
-def oscillation(values) -> float:
-    vals = [float(v) for v in values]
-    if not vals:
-        return 0.0
-    return max(vals) - min(vals)
-
-
-def epsilon_constant_witness(u: Structure, chi: Coloring, b: Structure,
-                             epsilon: float) -> ArrowCertificate:
-    """First copy of B in U on which chi has oscillation strictly below
-    epsilon, scanning copies in lexicographic order."""
-    if epsilon <= 0:
-        raise InputError("epsilon must be > 0")
-    if chi.universe != u:
-        raise InputError("coloring universe mismatch")
-    a = chi.source
-    emb_ab = embedding_maps(a, b)
-    value_at = {m: v for m, v in zip(chi.domain, chi.values)}
-    for bm in embedding_maps(b, u):
-        vals = [value_at[tuple(bm[x] for x in am)] for am in emb_ab]
-        osc = oscillation(vals)
-        if osc < epsilon:
-            return ArrowCertificate(
-                "epsilon-witness", "holds",
-                degenerate=not emb_ab,
-                payload={"epsilon": epsilon, "b_map": list(bm), "oscillation": osc})
-    return ArrowCertificate(
-        "epsilon-witness", "fails", reason="no copy with small oscillation",
-        payload={"epsilon": epsilon})
-
-
-# ---------------------------------------------------------------------------
 # pattern-constant (definable / stable) arrows
 
 
@@ -499,18 +482,6 @@ def roelcke_witness(spec: AgeSpec, a: Structure, b: Structure, z: Structure,
 # proximal colorings
 
 
-@dataclass(frozen=True)
-class ProximalReport:
-    universe_digest: str
-    coloring_digest: str
-    d_max: int
-    entries: tuple  # (serialized D, passed, witness E vertex tuple | None)
-
-    @property
-    def passed_all(self) -> bool:
-        return all(passed for _, passed, _ in self.entries)
-
-
 def coloring_digest(chi: Coloring) -> str:
     import hashlib
 
@@ -523,103 +494,82 @@ def coloring_digest(chi: Coloring) -> str:
     return h.hexdigest()[:16]
 
 
-def _values_agree(x, y, kind: str) -> bool:
-    if kind == "real":
-        return abs(float(x) - float(y)) <= REAL_TOL
-    return x == y
-
-
 def proximal_check(u: Structure, chi: Coloring, spec: AgeSpec, d_max: int,
-                   budget: Budget) -> ProximalReport:
+                   budget: Budget) -> ArrowCertificate:
     """For every D in the age up to size d_max, search for a substructure
     E of U such that any two copies of E in U agree, after some copy of D
-    inside E, on the restricted colorings.
+    inside E, on the restricted colorings.  Holds when every D has one.
 
     The quantification over E is relativized to the finite universe U;
     reports always carry that universe and the depth used.
     """
-    from arrowbench.structures import canonical_form, code_digest, induced_substructure
+    from arrowbench.structures import induced_substructure
 
     if chi.universe != u:
         raise InputError("coloring universe mismatch")
     if not spec.member(u):
         raise InputError("universe must be a member of the age")
-    a = chi.source
-    value_at = {m: v for m, v in zip(chi.domain, chi.values)}
+    value_at = chi.value_at
+
+    def agree(e1, e2, dm, emb_ad) -> bool:
+        """chi agrees on the copies of A inside e1 . dm and e2 . dm"""
+        return all(_values_agree(value_at[tuple(e1[dm[x]] for x in am)],
+                                 value_at[tuple(e2[dm[x]] for x in am)]) for am in emb_ad)
+
     entries = []
-    ds = enumerate_up_to(spec, d_max, budget) if d_max >= 1 else []
-    for d_struct in ds:
-        emb_ad = embedding_maps(a, d_struct)
+    for d_struct in enumerate_up_to(spec, d_max, budget) if d_max >= 1 else []:
+        emb_ad = embedding_maps(chi.source, d_struct)
         witness = None
-        for size in range(1, u.size + 1):
-            for verts in itertools.combinations(range(u.size), size):
-                budget.spend()
-                e_struct = induced_substructure(u, verts)
-                e_embs = embedding_maps(e_struct, u)
-                ds_in_e = embedding_maps(d_struct, e_struct)
-                if not ds_in_e:
-                    continue
-                ok = True
-                for e1 in e_embs:
-                    for e2 in e_embs:
-                        found_d = False
-                        for dm in ds_in_e:
-                            agree = True
-                            for am in emb_ad:
-                                img1 = tuple(e1[dm[am[i]]] for i in range(len(am)))
-                                img2 = tuple(e2[dm[am[i]]] for i in range(len(am)))
-                                if not _values_agree(value_at[img1], value_at[img2],
-                                                     chi.kind):
-                                    agree = False
-                                    break
-                            if agree:
-                                found_d = True
-                                break
-                        if not found_d:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if ok:
-                    witness = verts
-                    break
-            if witness is not None:
+        for verts in itertools.chain.from_iterable(
+                itertools.combinations(range(u.size), size) for size in range(1, u.size + 1)):
+            budget.spend()
+            e_struct = induced_substructure(u, verts)
+            e_embs = embedding_maps(e_struct, u)
+            ds_in_e = embedding_maps(d_struct, e_struct)
+            if ds_in_e and all(any(agree(e1, e2, dm, emb_ad) for dm in ds_in_e)
+                               for e1 in e_embs for e2 in e_embs):
+                witness = list(verts)
                 break
-        entries.append((serialize_structure(d_struct), witness is not None,
-                        list(witness) if witness is not None else None))
-    return ProximalReport(
-        universe_digest=code_digest(canonical_form(u)),
-        coloring_digest=coloring_digest(chi),
-        d_max=d_max,
-        entries=tuple(entries))
+        entries.append([serialize_structure(d_struct), witness is not None, witness])
+    passed_all = all(passed for _, passed, _ in entries)
+    return ArrowCertificate("proximal-check", "holds" if passed_all else "fails",
+                            payload={"d_max": d_max, "entries": entries,
+                                     "passed_all": passed_all})
+
+
+def constant_copy(chi: Coloring, b: Structure):
+    """The first copy of B in chi's universe, in lexicographic order, on
+    which chi is constant, or None."""
+    emb_ab = embedding_maps(chi.source, b)
+    return next((bm for bm in embedding_maps(b, chi.universe) if chi.constant_on(bm, emb_ab)),
+                None)
 
 
 def proximal_arrow(u: Structure, chi: Coloring, a: Structure, b: Structure,
-                   check: ProximalReport) -> ArrowCertificate:
+                   check: dict) -> ArrowCertificate:
     """First copy of B on which a verified-proximal coloring is constant.
-    Refuses (distinct error) unless the proximality report matches and
-    passed at its recorded depth."""
+    `check` is a proximal-check certificate document; refuses (distinct
+    error) unless it is one, its inputs match, and it passed at its
+    recorded depth."""
     from arrowbench.structures import canonical_form, code_digest
 
+    if check.get("operation") != "proximal-check":
+        raise InputError("--check must point at a proximal-check certificate")
     if chi.source != a:
         raise InputError("coloring source mismatch")
-    if check.universe_digest != code_digest(canonical_form(u)) \
-            or check.coloring_digest != coloring_digest(chi):
+    recorded = check.get("inputs", {})
+    if (recorded.get("u") != code_digest(canonical_form(u))
+            or recorded.get("_coloring") != coloring_digest(chi)):
         raise PreconditionFailure("proximality report does not match these inputs")
-    if not check.passed_all:
-        raise PreconditionFailure(
-            f"proximality not established at depth {check.d_max}")
-    emb_ab = embedding_maps(a, b)
-    value_at = {m: v for m, v in zip(chi.domain, chi.values)}
-    for bm in embedding_maps(b, u):
-        vals = [value_at[tuple(bm[x] for x in am)] for am in emb_ab]
-        if all(_values_agree(v, vals[0], chi.kind) for v in vals[1:]):
-            return ArrowCertificate(
-                "proximal-arrow", "holds", degenerate=not emb_ab,
-                payload={"b_map": list(bm), "checked_depth": check.d_max})
-    return ArrowCertificate(
-        "proximal-arrow", "fails", reason="no constant copy",
-        payload={"checked_depth": check.d_max})
+    depth = check["payload"]["d_max"]
+    if check["verdict"] != "holds":
+        raise PreconditionFailure(f"proximality not established at depth {depth}")
+    bm = constant_copy(chi, b)
+    if bm is None:
+        return ArrowCertificate("proximal-arrow", "fails", reason="no constant copy",
+                                payload={"checked_depth": depth})
+    return ArrowCertificate("proximal-arrow", "holds", degenerate=not embedding_maps(a, b),
+                            payload={"b_map": list(bm), "checked_depth": depth})
 
 
 # ---------------------------------------------------------------------------

@@ -21,12 +21,11 @@ from arrowbench.arrows import (
     Coloring,
     check_coloring_is_counterexample,
     coloring_digest,
+    constant_copy,
     exhaustive_classical_check,
-    oscillation,
     REAL_TOL,
     _constant_on,
     _pattern_constant_b,
-    _values_agree,
 )
 from arrowbench.errors import CertificateError
 from arrowbench.patterns import iter_joint_embeddings, pair_pattern_code
@@ -194,45 +193,20 @@ def _verify_roelcke(doc, inputs, spec, budget):
                              embedding_maps(a, b)))
 
 
-def _verify_epsilon(doc, inputs, spec, coloring: Coloring, budget):
-    b = inputs["b"]
-    eps = doc["params"]["epsilon"]
-    if doc["verdict"] == "fails":
-        from arrowbench.arrows import epsilon_constant_witness
-
-        again = epsilon_constant_witness(coloring.universe, coloring, b, eps)
-        return again.verdict == "fails"
-    bm = tuple(doc["payload"]["b_map"])
-    if not is_embedding(bm, b, coloring.universe):
-        return False
-    value_at = {m: v for m, v in zip(coloring.domain, coloring.values)}
-    vals = [value_at[tuple(bm[x] for x in am)]
-            for am in embedding_maps(coloring.source, b)]
-    return oscillation(vals) < eps
-
-
 def _verify_proximal_check(doc, inputs, spec, coloring, budget):
     from arrowbench.arrows import proximal_check
 
     again = proximal_check(inputs["u"], coloring, spec, doc["params"]["d_max"], budget)
-    entries = [[d, p, w] for d, p, w in again.entries]
-    return entries == doc["payload"]["entries"]
+    return again.verdict == doc["verdict"] and again.payload == doc["payload"]
 
 
 def _verify_proximal_arrow(doc, inputs, spec, coloring, budget):
-    a, b = inputs["a"], inputs["b"]
-    value_at = {m: v for m, v in zip(coloring.domain, coloring.values)}
+    b = inputs["b"]
     if doc["verdict"] == "fails":
-        for bm in embedding_maps(b, coloring.universe):
-            vals = [value_at[tuple(bm[x] for x in am)] for am in embedding_maps(a, b)]
-            if all(_values_agree(v, vals[0], coloring.kind) for v in vals[1:]):
-                return False
-        return True
+        return constant_copy(coloring, b) is None
     bm = tuple(doc["payload"]["b_map"])
-    if not is_embedding(bm, b, coloring.universe):
-        return False
-    vals = [value_at[tuple(bm[x] for x in am)] for am in embedding_maps(a, b)]
-    return all(_values_agree(v, vals[0], coloring.kind) for v in vals[1:])
+    return (is_embedding(bm, b, coloring.universe)
+            and coloring.constant_on(bm, embedding_maps(coloring.source, b)))
 
 
 def _verify_convex(doc, inputs, spec, budget):
@@ -351,10 +325,13 @@ _VERIFIERS = {
 }
 
 _COLORING_VERIFIERS = {
-    "epsilon-witness": _verify_epsilon,
     "proximal-check": _verify_proximal_check,
     "proximal-arrow": _verify_proximal_arrow,
 }
+
+# the operations whose verifier reads the age
+_READS_AGE = frozenset({"arrow-search", "definable-arrow", "stable-arrow", "roelcke-witness",
+                        "stability", "amalgamation", "proximal-check"})
 
 
 def verify_certificate(doc: dict, inputs: dict[str, Structure], spec: AgeSpec | None,
@@ -364,6 +341,8 @@ def verify_certificate(doc: dict, inputs: dict[str, Structure], spec: AgeSpec | 
     CertificateError; a sound certificate with a wrong claim returns False."""
     _check_digests(doc, inputs)
     op = doc.get("operation")
+    if spec is None and op in _READS_AGE:
+        raise CertificateError(f"{op} verification needs --age")
     if op in _VERIFIERS:
         return _VERIFIERS[op](doc, inputs, spec, budget)
     if op in _COLORING_VERIFIERS:

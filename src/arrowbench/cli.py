@@ -24,7 +24,6 @@ from arrowbench.ages import amalgamation_probe, enumerate_structures, load_age
 from arrowbench.arrows import (
     ArrowCertificate,
     Coloring,
-    ProximalReport,
     arrow_search,
     classical_arrow,
     coloring_digest,
@@ -82,27 +81,30 @@ def _load_coloring(path: str, universe: Structure, source: Structure) -> Colorin
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if line.startswith("colors:"):
-            kind = "indexed"
-            colors = int(line.partition(":")[2].strip())
-            continue
-        if line.startswith("range:"):
-            if line.partition(":")[2].strip() != "real":
-                raise ParseError("range must be `real`", line=lineno)
-            kind = "real"
-            continue
-        if "->" not in line:
-            raise ParseError(f"expected `(v,...) -> value`, got {line!r}", line=lineno)
-        left, _, right = line.partition("->")
-        left = left.strip()
-        if not (left.startswith("(") and left.endswith(")")):
-            raise ParseError(f"bad embedding tuple {left!r}", line=lineno)
-        entries = tuple(int(x) for x in left[1:-1].split(",") if x.strip() != "")
-        value = right.strip()
-        if kind is None:
-            raise ParseError("coloring needs a `colors: k` or `range: real` header first",
-                             line=lineno)
-        pairs[entries] = int(value) if kind == "indexed" else float(value)
+        try:
+            if line.startswith("colors:"):
+                kind = "indexed"
+                colors = int(line.partition(":")[2].strip())
+                continue
+            if line.startswith("range:"):
+                if line.partition(":")[2].strip() != "real":
+                    raise ParseError("range must be `real`", line=lineno)
+                kind = "real"
+                continue
+            if "->" not in line:
+                raise ParseError(f"expected `(v,...) -> value`, got {line!r}", line=lineno)
+            left, _, right = line.partition("->")
+            left = left.strip()
+            if not (left.startswith("(") and left.endswith(")")):
+                raise ParseError(f"bad embedding tuple {left!r}", line=lineno)
+            entries = tuple(int(x) for x in left[1:-1].split(",") if x.strip() != "")
+            value = right.strip()
+            if kind is None:
+                raise ParseError("coloring needs a `colors: k` or `range: real` header first",
+                                 line=lineno)
+            pairs[entries] = int(value) if kind == "indexed" else float(value)
+        except ValueError:
+            raise ParseError(f"not a number in {line!r}", line=lineno) from None
     if kind is None:
         raise ParseError("empty coloring file")
     return Coloring.from_pairs(universe, source, pairs, kind=kind, colors=colors)
@@ -363,38 +365,20 @@ def _cmd_stability(args):
 
 
 def _cmd_proximal_check(args):
-    u = _load_structure(args.universe)
-    a = _load_structure(args.a)
+    u, a = map(_load_structure, (args.universe, args.a))
     chi = _load_coloring(args.coloring, u, a)
-
-    def decide():
-        report = proximal_check(u, chi, args.spec, args.d_max, _budget(args, "proximal_check"))
-        return ArrowCertificate(
-            "proximal-check", "holds" if report.passed_all else "fails",
-            payload={"d_max": report.d_max,
-                     "entries": [[d, p, w] for d, p, w in report.entries],
-                     "passed_all": report.passed_all})
-
-    return _report(args, "proximal-check", {"u": u, "a": a}, {"d_max": args.d_max}, decide,
+    return _report(args, "proximal-check", {"u": u, "a": a}, {"d_max": args.d_max},
+                   lambda: proximal_check(u, chi, args.spec, args.d_max,
+                                          _budget(args, "proximal_check")),
                    extra_inputs={"_coloring": coloring_digest(chi)})
 
 
 def _cmd_proximal_arrow(args):
-    u = _load_structure(args.universe)
-    a = _load_structure(args.a)
-    b = _load_structure(args.b)
+    u, a, b = map(_load_structure, (args.universe, args.a, args.b))
     chi = _load_coloring(args.coloring, u, a)
-    check_doc = certificates.load_certificate(args.check)
-    if check_doc.get("operation") != "proximal-check":
-        raise InputError("--check must point at a proximal-check certificate")
-    report = ProximalReport(
-        universe_digest=check_doc["inputs"]["u"],
-        coloring_digest=check_doc["inputs"]["_coloring"],
-        d_max=check_doc["payload"]["d_max"],
-        entries=tuple((d, p, tuple(w) if w is not None else None)
-                      for d, p, w in check_doc["payload"]["entries"]))
+    check = certificates.load_certificate(args.check)
     return _report(args, "proximal-arrow", {"a": a, "b": b, "u": u}, {},
-                   lambda: proximal_arrow(u, chi, a, b, report),
+                   lambda: proximal_arrow(u, chi, a, b, check),
                    extra_inputs={"_coloring": coloring_digest(chi)})
 
 
@@ -559,7 +543,7 @@ _COMMANDS = {
     "proximal-check": (_cmd_proximal_check, "proximality probe for a coloring",
                        "--universe --a --coloring --d-max", "--age"),
     "proximal-arrow": (_cmd_proximal_arrow, "constant copy for a verified coloring",
-                       "--universe --a --b --coloring --check", "--age"),
+                       "--universe --a --b --coloring --check", ""),
     "convex-arrow": (_cmd_convex_arrow, "zero-sum-game convex arrow",
                      "--a --b --c --epsilon", ""),
     "orbits": (_cmd_orbits, "Aut(host)-orbits on embeddings of A", "--host --a", ""),

@@ -16,7 +16,6 @@ from arrowbench.arrows import (
     classical_arrow,
     convex_arrow,
     definable_arrow,
-    epsilon_constant_witness,
     exhaustive_classical_check,
     proximal_arrow,
     proximal_check,
@@ -295,36 +294,6 @@ def test_search_exhausts_to_none():
 
 
 # ---------------------------------------------------------------------------
-# epsilon-constant witnesses
-
-
-def test_epsilon_constant_coloring():
-    u = chain(4)
-    chi = Coloring(u, chain(1), (0.5, 0.5, 0.5, 0.5), kind="real")
-    cert = epsilon_constant_witness(u, chi, chain(2), 0.01)
-    assert cert.holds and cert.payload["b_map"] == [0, 1]
-
-
-def test_epsilon_global_oscillation_bound():
-    u = chain(3)
-    chi = Coloring(u, chain(1), (0.1, 0.4, 0.3), kind="real")
-    cert = epsilon_constant_witness(u, chi, chain(2), 0.5)
-    assert cert.holds and cert.payload["b_map"] == [0, 1]
-
-
-def test_epsilon_positional_coloring():
-    # oracle: direct scan; only adjacent pairs have oscillation 1/3 < 0.4
-    u = chain(4)
-    chi = Coloring(u, chain(1), tuple(i / 3 for i in range(4)), kind="real")
-    cert = epsilon_constant_witness(u, chi, chain(2), 0.4)
-    assert cert.holds
-    bm = cert.payload["b_map"]
-    assert abs(bm[1] - bm[0]) == 1
-    none_cert = epsilon_constant_witness(u, chi, chain(2), 0.3)
-    assert not none_cert.holds
-
-
-# ---------------------------------------------------------------------------
 # definable arrow
 
 
@@ -501,9 +470,9 @@ def test_roelcke_witness_replay():
 def test_proximal_constant_passes_every_d():
     u = chain(4)
     chi = Coloring(u, chain(1), (1, 1, 1, 1), colors=2)
-    report = proximal_check(u, chi, ORDERS, d_max=2, budget=nodes())
-    assert report.passed_all
-    for _, passed, witness in report.entries:
+    cert = proximal_check(u, chi, ORDERS, d_max=2, budget=nodes())
+    assert cert.holds and cert.payload["passed_all"]
+    for _, passed, witness in cert.payload["entries"]:
         assert passed and witness is not None
 
 
@@ -513,36 +482,40 @@ def test_proximal_least_point_indicator():
     # works since d = the larger point always agrees
     u = chain(4)
     chi = Coloring(u, chain(1), (1, 0, 0, 0), colors=2)
-    report = proximal_check(u, chi, ORDERS, d_max=1, budget=nodes())
-    assert report.entries[0][1] is True
-    assert report.entries[0][2] == [0, 1]
+    cert = proximal_check(u, chi, ORDERS, d_max=1, budget=nodes())
+    assert cert.payload["entries"][0][1] is True
+    assert cert.payload["entries"][0][2] == [0, 1]
 
 
 def test_proximal_empty_report_below_one():
     u = chain(3)
     chi = Coloring(u, chain(1), (0, 0, 0), colors=1)
-    report = proximal_check(u, chi, ORDERS, d_max=0, budget=nodes())
-    assert report.entries == ()
-    assert report.passed_all
+    cert = proximal_check(u, chi, ORDERS, d_max=0, budget=nodes())
+    assert cert.payload == {"d_max": 0, "entries": [], "passed_all": True}
+    assert cert.holds
+
+
+def _check_doc(u, chi, d_max):
+    """The proximal-check certificate document of chi, as the CLI writes it."""
+    cert = proximal_check(u, chi, ORDERS, d_max=d_max, budget=nodes())
+    doc = certificates.envelope(cert, {"u": u, "a": chi.source}, "linear_order",
+                                {"d_max": d_max})
+    doc["inputs"]["_coloring"] = arrows.coloring_digest(chi)
+    return doc
 
 
 def test_proximal_arrow_constant():
     u = chain(5)
     chi = Coloring(u, chain(1), (1, 1, 1, 1, 1), colors=2)
-    report = proximal_check(u, chi, ORDERS, d_max=2, budget=nodes())
-    cert = proximal_arrow(u, chi, chain(1), chain(2), report)
-    assert cert.holds and cert.payload["b_map"] == [0, 1]
+    cert = proximal_arrow(u, chi, chain(1), chain(2), _check_doc(u, chi, 2))
+    assert cert.holds and cert.payload == {"b_map": [0, 1], "checked_depth": 2}
 
 
 def test_proximal_arrow_refuses_unverified():
-    import dataclasses
-
     u = chain(4)
     chi = Coloring(u, chain(1), (1, 0, 0, 0), colors=2)
-    report = proximal_check(u, chi, ORDERS, d_max=1, budget=nodes())
-    failed = dataclasses.replace(
-        report, entries=tuple((d, False, None) for d, _, _ in report.entries))
-    with pytest.raises(PreconditionFailure):
+    failed = dict(_check_doc(u, chi, 1), verdict="fails")
+    with pytest.raises(PreconditionFailure, match="not established at depth 1"):
         proximal_arrow(u, chi, chain(1), chain(2), failed)
 
 
@@ -550,9 +523,35 @@ def test_proximal_arrow_refuses_mismatched_report():
     u = chain(4)
     chi = Coloring(u, chain(1), (1, 0, 0, 0), colors=2)
     other = Coloring(u, chain(1), (0, 0, 0, 0), colors=2)
-    report = proximal_check(u, other, ORDERS, d_max=1, budget=nodes())
-    with pytest.raises(PreconditionFailure):
-        proximal_arrow(u, chi, chain(1), chain(2), report)
+    with pytest.raises(PreconditionFailure, match="does not match these inputs"):
+        proximal_arrow(u, chi, chain(1), chain(2), _check_doc(u, other, 1))
+    with pytest.raises(PreconditionFailure, match="does not match these inputs"):
+        proximal_arrow(chain(5), Coloring(chain(5), chain(1), (1, 0, 0, 0, 0), colors=2),
+                       chain(1), chain(2), _check_doc(u, chi, 1))
+
+
+def test_proximal_arrow_refuses_another_operation():
+    u = chain(4)
+    chi = Coloring(u, chain(1), (1, 0, 0, 0), colors=2)
+    with pytest.raises(InputError, match="proximal-check certificate"):
+        proximal_arrow(u, chi, chain(1), chain(2),
+                       dict(_check_doc(u, chi, 1), operation="arrow"))
+
+
+@pytest.mark.parametrize("values,want", [
+    ((0.5, 0.5 + 1e-10, 0.2, 0.9), [0, 1]),
+    ((0.1, 0.2, 0.3, 0.3), [2, 3]),
+    ((0.1, 0.2, 0.3, 0.4), None),
+    ((0, 1, 1, 0), [0, 3]),
+    ((1, 0, 2, 3), None),
+])
+def test_constant_copy_is_the_first_within_tolerance(values, want):
+    # oracle: the pairs i < j of a 4-chain in lexicographic order, by
+    # hand; two values agree within 1e-9
+    kind = "real" if isinstance(values[0], float) else "indexed"
+    chi = Coloring(chain(4), chain(1), values, kind=kind)
+    got = arrows.constant_copy(chi, chain(2))
+    assert (list(got) if got is not None else None) == want
 
 
 # ---------------------------------------------------------------------------

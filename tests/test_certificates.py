@@ -10,7 +10,6 @@ from arrowbench.arrows import (
     coloring_digest,
     convex_arrow,
     definable_arrow,
-    epsilon_constant_witness,
     proximal_check,
     roelcke_witness,
     stable_arrow,
@@ -310,36 +309,46 @@ def test_convex_certificate_rejects_forged_adversary(tmp_path):
                                                    budget=nodes()), edit
 
 
-def test_epsilon_certificate_needs_coloring(tmp_path):
+def _proximal_check_doc(tmp_path, u, chi, d_max=1):
+    cert = proximal_check(u, chi, ORDERS, d_max=d_max, budget=nodes())
+    doc = certificates.envelope(cert, {"u": u, "a": chain(1)}, "linear_order",
+                                {"d_max": d_max})
+    doc["inputs"]["_coloring"] = coloring_digest(chi)
+    return roundtrip(doc, tmp_path)
+
+
+def test_coloring_certificate_needs_coloring(tmp_path):
     u = chain(4)
     chi = Coloring(u, chain(1), tuple(i / 3 for i in range(4)), kind="real")
-    cert = epsilon_constant_witness(u, chi, chain(2), 0.4)
-    doc = certificates.envelope(cert, {"b": chain(2), "u": u}, "linear_order",
-                                {"epsilon": 0.4})
-    doc["inputs"]["_coloring"] = coloring_digest(chi)
-    loaded = roundtrip(doc, tmp_path)
-    with pytest.raises(CertificateError):
-        certificates.verify_certificate(loaded, {"b": chain(2), "u": u}, ORDERS, budget=nodes())
-    assert certificates.verify_certificate(loaded, {"b": chain(2), "u": u}, ORDERS,
+    loaded = _proximal_check_doc(tmp_path, u, chi)
+    with pytest.raises(CertificateError, match="needs the coloring"):
+        certificates.verify_certificate(loaded, {"u": u, "a": chain(1)}, ORDERS,
+                                        budget=nodes())
+    assert certificates.verify_certificate(loaded, {"u": u, "a": chain(1)}, ORDERS,
                                            coloring=chi, budget=nodes())
 
 
 def test_proximal_check_certificate(tmp_path):
     u = chain(4)
     chi = Coloring(u, chain(1), (1, 0, 0, 0), colors=2)
-    report = proximal_check(u, chi, ORDERS, d_max=1, budget=nodes())
-    from arrowbench.arrows import ArrowCertificate
-
-    payload = {"d_max": report.d_max,
-               "entries": [[d, p, list(w) if w is not None else None]
-                           for d, p, w in report.entries]}
-    cert = ArrowCertificate("proximal-check", "holds", payload=payload)
-    doc = certificates.envelope(cert, {"u": u, "a": chain(1)}, "linear_order",
-                                {"d_max": 1})
-    doc["inputs"]["_coloring"] = coloring_digest(chi)
-    loaded = roundtrip(doc, tmp_path)
+    loaded = _proximal_check_doc(tmp_path, u, chi)
+    assert loaded["verdict"] == "holds"
     assert certificates.verify_certificate(loaded, {"u": u, "a": chain(1)}, ORDERS,
                                            coloring=chi, budget=nodes())
+    for forge in ({"entries": [[*loaded["payload"]["entries"][0][:2], [1, 2]]]},
+                  {"passed_all": False}):
+        forged = dict(loaded, payload={**loaded["payload"], **forge})
+        assert not certificates.verify_certificate(forged, {"u": u, "a": chain(1)}, ORDERS,
+                                                   coloring=chi, budget=nodes())
+    # a failing check (D = C2 has no copy in U = C1) verifies only as failing
+    point = Coloring(chain(1), chain(1), (0,), colors=1)
+    failing = _proximal_check_doc(tmp_path, chain(1), point, d_max=2)
+    inputs = {"u": chain(1), "a": chain(1)}
+    assert failing["verdict"] == "fails"
+    assert certificates.verify_certificate(failing, inputs, ORDERS, coloring=point,
+                                           budget=nodes())
+    assert not certificates.verify_certificate(dict(failing, verdict="holds"), inputs, ORDERS,
+                                               coloring=point, budget=nodes())
 
 
 def _amalgamation_doc(age, which, a, b, c, f, g):

@@ -1,13 +1,18 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from arrowbench import cli
+from arrowbench import certificates, cli
 from arrowbench.structures import relabel, serialize_structure
 
 from util import chain, k_graph, pure_set
@@ -92,6 +97,95 @@ def test_convex_arrow_takes_no_age(files, capsys):
     assert cli.main(argv) == 0
 
 
+def test_proximal_arrow_takes_no_age(files, tmp_path, capsys):
+    col = tmp_path / "const.col"
+    col.write_text("colors: 2\n" + "".join(f"({v}) -> 1\n" for v in range(6)))
+    check = str(tmp_path / "check.cert")
+    base = ["--universe", files["c6"], "--a", files["pt"], "--coloring", str(col)]
+    assert cli.main(["proximal-check", "--age", "linear_order", *base, "--d-max", "1",
+                     "--certificate", check]) == 0
+    argv = ["proximal-arrow", *base, "--b", files["a2"], "--check", check, "--json"]
+    with pytest.raises(SystemExit) as e:
+        cli.main(argv + ["--age", "graph"])
+    assert e.value.code == 2
+    assert "unrecognized arguments: --age" in capsys.readouterr().err
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["age"] is None
+
+
+# one decision per verifiable operation, and the age its verifier reads
+# (None: it reads none); linear orders are unstable, so stable-arrow runs
+# over pure sets
+_VERIFY_AGE = (
+    ("arrow", "--age linear_order --a pt --b a2 --c b3 --colors 2", "--a pt --b a2 --c b3",
+     None),
+    ("arrow-search", "--age linear_order --a pt --b a2 --colors 2 --max-n 3", "--a pt --b a2",
+     "linear_order"),
+    ("definable-arrow", "--age linear_order --a pt --b a2 --c b3 --z pt",
+     "--a pt --b a2 --c b3 --z pt", "linear_order"),
+    ("stable-arrow", "--age set --a p1 --b p2 --c p3 --z p1 --depth 4",
+     "--a p1 --b p2 --c p3 --z p1", "set"),
+    ("roelcke-witness", "--age linear_order --a pt --b a2 --z pt", "--a pt --b a2 --z pt",
+     "linear_order"),
+    ("stability", "--age linear_order --a pt --z pt --depth 3", "--a pt --z pt",
+     "linear_order"),
+    ("amalgamation", "--age linear_order --property amalgamation --bound 2", "",
+     "linear_order"),
+    ("convex-arrow", "--a pt --b a2 --c b3 --epsilon 0.6", "--a pt --b a2 --c b3", None),
+    ("proximal-check", "--age linear_order --universe b3 --a pt --coloring col --d-max 1",
+     "--universe b3 --a pt --coloring col", "linear_order"),
+    ("proximal-arrow", "--universe b3 --a pt --coloring col --b a2 --check check",
+     "--universe b3 --a pt --coloring col --b a2", None),
+)
+
+
+@pytest.mark.parametrize("command,flags,verify_flags,age", _VERIFY_AGE,
+                         ids=[c for c, _, _, _ in _VERIFY_AGE])
+def test_verify_needs_the_age_its_verifier_reads(files, tmp_path, capsys, command, flags,
+                                                 verify_flags, age):
+    paths = {**files, "col": str(tmp_path / "const.col"), "check": str(tmp_path / "check.cert")}
+    for name, s in (("p1", pure_set(1)), ("p2", pure_set(2)), ("p3", pure_set(3))):
+        paths[name] = str(tmp_path / f"{name}.st")
+        (tmp_path / f"{name}.st").write_text(serialize_structure(s))
+    (tmp_path / "const.col").write_text("colors: 1\n(0) -> 0\n(1) -> 0\n(2) -> 0\n")
+    assert cli.main(["proximal-check", "--age", "linear_order", "--universe", files["b3"],
+                     "--a", files["pt"], "--coloring", paths["col"], "--d-max", "1",
+                     "--certificate", paths["check"]]) == 0
+    cert = str(tmp_path / "c.cert")
+    assert cli.main([command, *(paths.get(t, t) for t in flags.split()),
+                     "--certificate", cert, "--no-cache"]) in (0, 1)
+    verify = ["verify", cert, *(paths.get(t, t) for t in verify_flags.split())]
+    capsys.readouterr()
+    if age is None:
+        assert cli.main(verify) == 0
+        assert capsys.readouterr().out == "verified: true\n"
+        return
+    assert cli.main(verify) == 2
+    assert capsys.readouterr().err == f"error: {command} verification needs --age\n"
+    assert cli.main(verify + ["--age", age]) == 0
+
+
+@pytest.mark.parametrize("text,line", [
+    ("colors: two\n(0) -> 0\n", 1),
+    ("colors: 2\n(0) -> x\n", 2),
+    ("colors: 2\n# one point\n(a) -> 1\n", 3),
+])
+def test_malformed_coloring_file_is_a_parse_error(files, tmp_path, capsys, text, line):
+    col = tmp_path / "bad.col"
+    col.write_text(text)
+    assert cli.main(["proximal-check", "--age", "linear_order", "--universe", files["pt"],
+                     "--a", files["pt"], "--coloring", str(col), "--d-max", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: not a number in ") and err.endswith(f"at line {line}\n")
+
+
+def test_every_verifier_is_a_subcommand():
+    for table in (certificates._VERIFIERS, certificates._COLORING_VERIFIERS):
+        assert set(table) <= set(cli._COMMANDS)
+    assert certificates._READS_AGE <= set(certificates._VERIFIERS) | set(
+        certificates._COLORING_VERIFIERS)
+
+
 def _argument_records(name):
     """(option strings, dest, required, default, type, action, choices,
     help) of each argument of subcommand `name`, in order."""
@@ -106,17 +200,17 @@ def _argument_records(name):
 def test_subcommand_arguments_match_the_snapshot():
     # the snapshot was taken from the parser that declared each subcommand
     # by hand; since then --age is required by the subcommands that read
-    # it, and convex-arrow, which never read it, takes none
+    # it, and convex-arrow and proximal-arrow, which never read it, take none
     with open(os.path.join(os.path.dirname(__file__), "cli_arguments.json")) as fh:
         want = json.load(fh)
     age_required = {"enumerate", "patterns", "pattern-count", "arrow", "arrow-search",
                     "definable-arrow", "stable-arrow", "roelcke-witness", "stability",
-                    "proximal-check", "proximal-arrow", "amalgamation"}
+                    "proximal-check", "amalgamation"}
     for name, records in want.items():
         for r in records:
             if r[0] == ["--age"] and name in age_required:
                 r[2] = True
-        if name == "convex-arrow":
+        if name in ("convex-arrow", "proximal-arrow"):
             records.remove(next(r for r in records if r[0] == ["--age"]))
     assert list(cli._COMMANDS) == list(want)
     for name in cli._COMMANDS:
@@ -337,13 +431,72 @@ def test_proximal_pipeline(files, tmp_path):
                  "--a", files["pt"], "--coloring", str(col), "--d-max", "2",
                  "--certificate", check_cert])
     assert r.returncode == 0, r.stderr
-    r2 = run_cli(["proximal-arrow", "--age", "linear_order", "--universe", str(u5),
+    r2 = run_cli(["proximal-arrow", "--universe", str(u5),
                   "--a", files["pt"], "--b", files["a2"], "--coloring", str(col),
                   "--check", check_cert])
     assert r2.returncode == 0, r2.stderr
     v = run_cli(["verify", check_cert, "--age", "linear_order", "--universe", str(u5),
                  "--a", files["pt"], "--coloring", str(col)])
     assert v.returncode == 0 and "verified: true" in v.stdout
+
+
+def _main_output(argv):
+    """cli.main(argv) in this process: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+def _coloring_text(kind, values):
+    header = "colors: 2\n" if kind == "indexed" else "range: real\n"
+    return header + "".join(f"({v}) -> {x!r}\n" for v, x in enumerate(values))
+
+
+_VALUES = {"indexed": st.integers(0, 1),
+           "real": st.one_of(st.sampled_from([0.0, 0.5, 0.5 + 1e-10, 1.0]),
+                             st.floats(0, 1))}
+
+
+@settings(max_examples=25, deadline=None)
+@given(age=st.sampled_from(["linear_order", "set"]), kind=st.sampled_from(["indexed", "real"]),
+       d_max=st.integers(1, 2), data=st.data())
+def test_coloring_certificates_replay(age, kind, d_max, data):
+    # a generated proximal-check certificate, and the proximal-arrow one
+    # when the check holds, verify; a coloring changed in one value does not
+    n = data.draw(st.integers(1, 5), label="n")
+    values = data.draw(st.lists(_VALUES[kind], min_size=n, max_size=n), label="values")
+    make = chain if age == "linear_order" else pure_set
+    with tempfile.TemporaryDirectory() as d:
+        paths = {name: os.path.join(d, name) for name in ("u", "a", "b", "col", "bad", "check",
+                                                           "arrow")}
+        for name, s in (("u", make(n)), ("a", make(1)), ("b", make(2))):
+            with open(paths[name], "w") as fh:
+                fh.write(serialize_structure(s))
+        i = data.draw(st.integers(0, n - 1), label="changed")
+        changed = list(values)
+        changed[i] = (1 - values[i]) if kind == "indexed" else (1.0 if values[i] < 0.5 else 0.0)
+        for name, vals in (("col", values), ("bad", changed)):
+            with open(paths[name], "w") as fh:
+                fh.write(_coloring_text(kind, vals))
+        base = ["--universe", paths["u"], "--a", paths["a"]]
+        rc, _, _ = _main_output(["proximal-check", "--age", age, *base, "--coloring",
+                                 paths["col"], "--d-max", str(d_max),
+                                 "--certificate", paths["check"]])
+        assert rc in (0, 1)
+        arrow = ["proximal-arrow", *base, "--b", paths["b"], "--coloring", paths["col"],
+                 "--check", paths["check"], "--certificate", paths["arrow"]]
+        replays = [(paths["check"], ["--age", age])]
+        if rc == 0:
+            assert _main_output(arrow)[0] in (0, 1)
+            replays.append((paths["arrow"], ["--b", paths["b"]]))
+        else:
+            assert _main_output(arrow)[0] == 2
+        for cert, flags in replays:
+            verify = ["verify", cert, *base, *flags, "--coloring"]
+            assert _main_output(verify + [paths["col"]])[:2] == (0, "verified: true\n")
+            rc, _, err = _main_output(verify + [paths["bad"]])
+            assert rc == 2 and err == "error: coloring digest mismatch\n"
 
 
 def test_convex_cli(files, tmp_path):

@@ -71,23 +71,22 @@ def test_proximal_on_cycle_universe():
     # pigeonhole, where the restricted colorings agree
     u = cycle(5)
     chi = Coloring(u, k_graph(1), (1, 0, 0, 0, 0), colors=2)
-    report = proximal_check(u, chi, GRAPHS, d_max=1, budget=nodes())
+    entries = proximal_check(u, chi, GRAPHS, d_max=1, budget=nodes()).payload["entries"]
     slow = slow_proximal_check(u, chi, GRAPHS, 1)
-    assert [p for _, p, _ in report.entries] == slow
-    assert report.entries[0][1] is True
+    assert [p for _, p, _ in entries] == slow
+    assert entries[0][1] is True
     # one-vertex and two-vertex candidates fail, so the witness has size 3
-    assert len(report.entries[0][2]) == 3
+    assert len(entries[0][2]) == 3
     const = Coloring(u, k_graph(1), (1, 1, 1, 1, 1), colors=2)
-    report2 = proximal_check(u, const, GRAPHS, d_max=1, budget=nodes())
-    assert report2.passed_all
+    assert proximal_check(u, const, GRAPHS, d_max=1, budget=nodes()).holds
 
 
 def test_proximal_on_path_universe_matches_slow_model():
     u = path(4)
     for values in ((1, 0, 0, 1), (0, 1, 1, 0), (1, 1, 0, 0)):
         chi = Coloring(u, k_graph(1), values, colors=2)
-        report = proximal_check(u, chi, GRAPHS, d_max=2, budget=nodes())
-        assert [p for _, p, _ in report.entries] == \
+        cert = proximal_check(u, chi, GRAPHS, d_max=2, budget=nodes())
+        assert [p for _, p, _ in cert.payload["entries"]] == \
             slow_proximal_check(u, chi, GRAPHS, 2)
 
 
