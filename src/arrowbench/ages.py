@@ -36,11 +36,11 @@ from arrowbench.structures import (
     Structure,
     canonical_form,
     canonical_labeling,
-    canonical_representative,
     embedding_maps,
     has_embedding,
     in_last_root_cell,
     parse_structure,
+    read_text,
     relabel,
 )
 from arrowbench.unions import Budget, Constraint, place_part
@@ -180,19 +180,14 @@ def catalog_age(name: str) -> AgeSpec:
     raise InputError(f"unknown catalog age {name!r}")
 
 
-def load_age(source: str, read_file=None) -> AgeSpec:
+def load_age(source: str) -> AgeSpec:
     """Resolve an --age argument: a catalog name, or a path to an age file.
 
     Age file format: either a single `age: <catalog-name>` line, or
     `signature:` / `axioms: <symbol> <flag>...` / `forbidden: <paths>` /
-    `name:` lines.  read_file(path) -> text is injectable for tests.
+    `name:` lines.  Forbidden paths are relative to the age file.
     """
     import os
-
-    if read_file is None:
-        def read_file(path):
-            with open(path, "r", encoding="utf-8") as fh:
-                return fh.read()
 
     try:
         return catalog_age(source)
@@ -200,7 +195,7 @@ def load_age(source: str, read_file=None) -> AgeSpec:
         pass
     if not os.path.exists(source):
         raise InputError(f"--age {source!r}: not a catalog name and not a file")
-    text = read_file(source)
+    text = read_text(source)
     base = os.path.dirname(os.path.abspath(source))
 
     signature: Signature | None = None
@@ -231,7 +226,7 @@ def load_age(source: str, read_file=None) -> AgeSpec:
         elif key == "forbidden":
             for path in rest.split():
                 full = path if os.path.isabs(path) else os.path.join(base, path)
-                forbidden.append(parse_structure(read_file(full)))
+                forbidden.append(parse_structure(read_text(full)))
         elif key == "name":
             name = rest
         else:
@@ -246,18 +241,11 @@ def load_age(source: str, read_file=None) -> AgeSpec:
 
 
 def _single_vertex_members(spec: AgeSpec) -> list[Structure]:
-    sig = spec.signature
-    out = []
-    options = []
-    for _, arity in sig.symbols:
-        options.append(((), ((0,) * arity,)))
-    for choice in itertools.product(*options) if options else [()]:
-        rels = tuple(tuple(c) for c in choice)
-        s = Structure(sig, 1, rels)
-        if member(spec, s):
-            out.append(canonical_representative(s))
-    dedup = {canonical_form(s): s for s in out}
-    return [dedup[c] for c in sorted(dedup)]
+    """The one-vertex members by canonical code: distinct relation choices
+    are distinct types, and each is already canonically labeled."""
+    options = [((), ((0,) * arity,)) for _, arity in spec.signature.symbols]
+    singles = (Structure(spec.signature, 1, choice) for choice in itertools.product(*options))
+    return sorted((s for s in singles if member(spec, s)), key=canonical_form)
 
 
 def _extensions(spec: AgeSpec, parent: Structure, singles, budget: Budget):
@@ -269,14 +257,14 @@ def _extensions(spec: AgeSpec, parent: Structure, singles, budget: Budget):
             yield host
 
 
-def enumerate_structures(spec: AgeSpec, n: int, budget: Budget) -> list[Structure]:
-    """All members of the age of size n, one canonical representative per
-    isomorphism type, ordered by canonical code."""
-    if n < 1:
-        raise InputError("n must be >= 1")
-    singles = _single_vertex_members(spec)
-    level = singles
-    for _ in range(n - 1):
+def levels(spec: AgeSpec, budget: Budget):
+    """The members of size 1, 2, ... of the age, one level at a time: a
+    list holding one canonical representative per isomorphism type,
+    ordered by canonical code.  Each level is built once, from the one
+    before; the generator stops at the first empty level."""
+    level = singles = _single_vertex_members(spec)
+    while level:
+        yield level
         next_level: dict[bytes, Structure] = {}
         for parent in level:
             for cand in _extensions(spec, parent, singles, budget):
@@ -286,17 +274,19 @@ def enumerate_structures(spec: AgeSpec, n: int, budget: Budget) -> list[Structur
                 if code not in next_level:
                     next_level[code] = relabel(cand, perm)
         level = [next_level[c] for c in sorted(next_level)]
-        if not level:
-            break
-    return level
+
+
+def enumerate_structures(spec: AgeSpec, n: int, budget: Budget) -> list[Structure]:
+    """All members of the age of size n, one canonical representative per
+    isomorphism type, ordered by canonical code."""
+    if n < 1:
+        raise InputError("n must be >= 1")
+    return next(itertools.islice(levels(spec, budget), n - 1, None), [])
 
 
 def enumerate_up_to(spec: AgeSpec, n: int, budget: Budget) -> list[Structure]:
     """Members of every size 1..n, size-major then code order."""
-    out = []
-    for k in range(1, n + 1):
-        out.extend(enumerate_structures(spec, k, budget))
-    return out
+    return [s for level in itertools.islice(levels(spec, budget), n) for s in level]
 
 
 # ---------------------------------------------------------------------------

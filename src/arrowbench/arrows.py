@@ -35,7 +35,7 @@ import operator
 from dataclasses import dataclass, field
 
 from arrowbench import groups
-from arrowbench.ages import AgeSpec, enumerate_structures, enumerate_up_to
+from arrowbench.ages import AgeSpec, enumerate_up_to, levels
 from arrowbench.errors import ArrowbenchError, InputError, PreconditionFailure
 from arrowbench.patterns import (
     iter_joint_embeddings,
@@ -352,11 +352,14 @@ def check_coloring_is_counterexample(c, a, b, coloring_pairs) -> bool:
 
 def arrow_search(spec: AgeSpec, a: Structure, b: Structure, k: int, max_n: int,
                  budget: Budget) -> ArrowCertificate:
-    """Scan the age by size for the first C with classical_arrow holding."""
+    """Scan the age by size for the first C with classical_arrow holding;
+    each level of the age is built once."""
     if max_n < b.size:
         raise InputError("max_n must be at least |B|")
-    for n in range(max(a.size, b.size), max_n + 1):
-        for cand in enumerate_structures(spec, n, budget):
+    sizes = range(max(a.size, b.size), max_n + 1)
+    # zip asks `sizes` first, so no level past max_n is built
+    for n, level in zip(sizes, itertools.islice(levels(spec, budget), sizes.start - 1, None)):
+        for cand in level:
             cert = classical_arrow(cand, a, b, k, budget)
             if cert.holds and not cert.degenerate:
                 return ArrowCertificate(

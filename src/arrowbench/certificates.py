@@ -19,10 +19,13 @@ from arrowbench.ages import AgeSpec, verify_amalgamation_counterexample
 from arrowbench.arrows import (
     ArrowCertificate,
     Coloring,
+    arrow_search,
     check_coloring_is_counterexample,
     coloring_digest,
     constant_copy,
     exhaustive_classical_check,
+    proximal_check,
+    roelcke_witness,
     REAL_TOL,
     _constant_on,
     _pattern_constant_b,
@@ -79,18 +82,25 @@ def load_certificate(path: str) -> dict:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
         raise CertificateError(f"cannot read certificate: {e}") from None
+    if not isinstance(doc, dict):
+        raise CertificateError("certificate is not a JSON object")
     if doc.get("format") != FORMAT:
         raise CertificateError(f"unsupported certificate format {doc.get('format')!r}")
     return doc
 
 
-def _check_digests(doc: dict, inputs: dict[str, Structure]) -> None:
+class _Inputs(dict):
+    """The provided inputs by name; asking for a missing one raises."""
+
+    def __missing__(self, name):
+        raise CertificateError(f"verification needs input {name!r}: not provided")
+
+
+def _check_digests(doc: dict, inputs: _Inputs) -> None:
     recorded = doc.get("inputs", {})
     for name, digest in recorded.items():
         if name.startswith("_"):
             continue
-        if name not in inputs:
-            raise CertificateError(f"certificate names input {name!r}: not provided")
         got = input_digest(inputs[name])
         if got != digest:
             raise CertificateError(
@@ -122,8 +132,6 @@ def _verify_arrow_search(doc, inputs, spec, budget):
     k = doc["params"]["colors"]
     if doc["verdict"] == "fails":
         # negative exhaustion over the age scan is re-checked by re-running
-        from arrowbench.arrows import arrow_search
-
         again = arrow_search(spec, a, b, k, doc["params"]["max_n"], budget)
         return again.verdict == "fails"
     c = parse_structure(doc["payload"]["c"])
@@ -181,8 +189,6 @@ def _verify_pattern_arrow(doc, inputs, spec, budget):
 def _verify_roelcke(doc, inputs, spec, budget):
     a, b, z = inputs["a"], inputs["b"], inputs["z"]
     if doc["verdict"] == "fails":
-        from arrowbench.arrows import roelcke_witness
-
         again = roelcke_witness(spec, a, b, z, doc["params"].get("max_n"), budget=budget)
         return again.verdict == "fails"
     u = parse_structure(doc["payload"]["u"])
@@ -194,8 +200,6 @@ def _verify_roelcke(doc, inputs, spec, budget):
 
 
 def _verify_proximal_check(doc, inputs, spec, coloring, budget):
-    from arrowbench.arrows import proximal_check
-
     again = proximal_check(inputs["u"], coloring, spec, doc["params"]["d_max"], budget)
     return again.verdict == doc["verdict"] and again.payload == doc["payload"]
 
@@ -339,6 +343,7 @@ def verify_certificate(doc: dict, inputs: dict[str, Structure], spec: AgeSpec | 
     """Independent re-check of a certificate against the given inputs;
     every search it re-runs spends `budget`.  Digest mismatches raise
     CertificateError; a sound certificate with a wrong claim returns False."""
+    inputs = _Inputs(inputs)
     _check_digests(doc, inputs)
     op = doc.get("operation")
     if spec is None and op in _READS_AGE:

@@ -34,7 +34,13 @@ from arrowbench.arrows import (
     roelcke_witness,
     stable_arrow,
 )
-from arrowbench.errors import ArrowbenchError, InputError, ParseError, ResourceLimitExceeded
+from arrowbench.errors import (
+    ArrowbenchError,
+    InputError,
+    ParseError,
+    PreconditionFailure,
+    ResourceLimitExceeded,
+)
 from arrowbench.groups import (
     automorphisms,
     coherent_partitions,
@@ -49,6 +55,7 @@ from arrowbench.structures import (
     code_digest,
     embedding_maps,
     parse_structure,
+    read_text,
     serialize_structure,
 )
 from arrowbench.unions import Budget
@@ -59,16 +66,8 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 
-def _read_text(path: str) -> str:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as e:
-        raise InputError(f"cannot read {path}: {e}") from None
-
-
 def _load_structure(path: str) -> Structure:
-    return parse_structure(_read_text(path))
+    return parse_structure(read_text(path))
 
 
 def _load_coloring(path: str, universe: Structure, source: Structure) -> Coloring:
@@ -77,7 +76,7 @@ def _load_coloring(path: str, universe: Structure, source: Structure) -> Colorin
     kind = None
     colors = None
     pairs = {}
-    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -377,8 +376,17 @@ def _cmd_proximal_arrow(args):
     u, a, b = map(_load_structure, (args.universe, args.a, args.b))
     chi = _load_coloring(args.coloring, u, a)
     check = certificates.load_certificate(args.check)
-    return _report(args, "proximal-arrow", {"a": a, "b": b, "u": u}, {},
-                   lambda: proximal_arrow(u, chi, a, b, check),
+
+    def decide():
+        cert = proximal_arrow(u, chi, a, b, check)  # its refusals come before the re-run
+        age = check.get("age")
+        if not certificates.verify_certificate(
+                check, {"u": u, "a": a}, load_age(age) if age is not None else None, chi,
+                budget=_budget(args, "proximal_check")):
+            raise PreconditionFailure("proximal-check certificate does not verify")
+        return cert
+
+    return _report(args, "proximal-arrow", {"a": a, "b": b, "u": u}, {}, decide,
                    extra_inputs={"_coloring": coloring_digest(chi)})
 
 

@@ -132,6 +132,15 @@ class Structure:
 # structure file format
 
 
+def read_text(path: str) -> str:
+    """The text of a UTF-8 input file; InputError naming an unreadable path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as e:
+        raise InputError(f"cannot read {path}: {e}") from None
+
+
 def parse_structure(text: str) -> Structure:
     """Parse the line-oriented structure file format.
 
@@ -553,33 +562,15 @@ def _canonical_search(s: Structure, sig_key: str):
     return best[0], best[1]
 
 
-_CANON_CACHE: dict[bytes, tuple[bytes, tuple[int, ...]]] = {}
-_CANON_CACHE_MAX = 1 << 17
-
-
 def canonical_labeling(s: Structure) -> tuple[CanonicalCode, tuple[int, ...]]:
     """Canonical code plus one labeling realizing it (perm[v] = new label)."""
-    raw = _encode_labeled(s.signature.key(), s.size, s.relations)
-    hit = _CANON_CACHE.get(raw)
-    if hit is not None:
-        return hit
-    code, perm = _canonical_search(s, s.signature.key())
-    if len(_CANON_CACHE) >= _CANON_CACHE_MAX:
-        _CANON_CACHE.clear()
-    _CANON_CACHE[raw] = (code, perm)
-    return code, perm
+    return _canonical_search(s, s.signature.key())
 
 
 def canonical_form(s: Structure) -> CanonicalCode:
     """Opaque code equal across structures iff they are isomorphic
     (within one signature); stable across runs."""
     return canonical_labeling(s)[0]
-
-
-def canonical_representative(s: Structure) -> Structure:
-    """The canonically relabeled copy of s (code-minimal labeling)."""
-    _, perm = canonical_labeling(s)
-    return relabel(s, perm)
 
 
 def code_digest(code: CanonicalCode) -> str:

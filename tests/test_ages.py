@@ -203,9 +203,23 @@ def test_enumeration_resource_limit_distinct_from_emptiness():
                           (("edge", frozenset({"irreflexive", "symmetric"})),),
                           (graph(2, []), k_graph(2)), name="no-two-vertex")
     assert enumerate_structures(only_points, 2, nodes(2_000_000)) == []
+    # the level generator stops there
+    assert [len(level) for level in ages.levels(only_points, nodes(2_000_000))] == [1]
     # ... while an exhausted budget raises instead of reporting emptiness
     with pytest.raises(ResourceLimitExceeded):
         enumerate_structures(GRAPHS, 4, budget=Budget(3))
+
+
+@pytest.mark.parametrize("name,n", [("graph", 5), ("graph_kfree:3", 5), ("tournament", 4)])
+def test_enumerate_up_to_builds_each_level_once(name, n):
+    # all n levels for the nodes of the last one alone
+    spec = catalog_age(name)
+    up_to, last = nodes(2_000_000), nodes(2_000_000)
+    reps = ages.enumerate_up_to(spec, n, up_to)
+    assert reps == [s for k in range(1, n + 1)
+                    for s in enumerate_structures(spec, k, nodes(2_000_000))]
+    enumerate_structures(spec, n, last)
+    assert up_to.used == last.used > 0
 
 
 _REL = Signature((("r", 2),))

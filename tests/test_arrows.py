@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from arrowbench import certificates
-from arrowbench.ages import catalog_age
+from arrowbench.ages import catalog_age, enumerate_up_to
 from arrowbench.arrows import (
     Coloring,
     arrow_search,
@@ -291,6 +291,22 @@ def test_search_orders_ramsey_33():
 def test_search_exhausts_to_none():
     cert = arrow_search(ORDERS, chain(2), chain(3), 2, 5, nodes(20_000_000))
     assert not cert.holds
+
+
+def test_failing_search_builds_each_level_once():
+    # one enumeration up to max_n, plus the classical arrow on every
+    # candidate at least as large as B
+    a, b = k_graph(1), k_graph(3)
+    budget = nodes(20_000_000)
+    assert not arrow_search(GRAPHS, a, b, 2, 4, budget).holds
+    expected = nodes(20_000_000)
+    for cand in enumerate_up_to(GRAPHS, 4, expected):
+        if cand.size >= b.size:
+            classical_arrow(cand, a, b, 2, expected)
+    assert budget.used == expected.used
+    # no level is built when A is larger than max_n
+    idle = nodes(20_000_000)
+    assert not arrow_search(GRAPHS, k_graph(5), b, 2, 4, idle).holds and idle.used == 0
 
 
 # ---------------------------------------------------------------------------

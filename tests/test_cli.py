@@ -244,6 +244,57 @@ def test_missing_file_is_input_error(files):
     assert r.returncode == 2
 
 
+def test_unreadable_age_files_are_input_errors(files, tmp_path, capsys):
+    # a missing forbidden file, and an --age naming a directory
+    missing = tmp_path / "missing.st"
+    age = tmp_path / "kfree.age"
+    age.write_text(f"signature: edge/2\nforbidden: {missing}\n")
+    for source, path in ((str(age), str(missing)), (str(tmp_path), str(tmp_path))):
+        assert cli.main(["enumerate", "--age", source, "--n", "2"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read {path}: ")
+
+
+def test_verify_refuses_a_document_that_is_not_an_object(tmp_path, capsys):
+    cert = tmp_path / "list.cert"
+    cert.write_text("[1]\n")
+    assert cli.main(["verify", str(cert)]) == 2
+    assert capsys.readouterr().err == "error: certificate is not a JSON object\n"
+
+
+def test_verify_names_an_input_it_needs(files, tmp_path, capsys):
+    cert = tmp_path / "arrow.cert"
+    assert cli.main(["arrow", "--age", "linear_order", "--a", files["a2"], "--b", files["b3"],
+                     "--c", files["c6"], "--colors", "2", "--certificate", str(cert),
+                     "--no-cache"]) == 0
+    doc = json.loads(cert.read_text())
+    doc["inputs"] = {}
+    cert.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(["verify", str(cert), "--b", files["b3"], "--c", files["c6"]]) == 2
+    assert capsys.readouterr().err == "error: verification needs input 'a': not provided\n"
+
+
+def test_proximal_arrow_refuses_a_forged_check(tmp_path, capsys):
+    # (0,1,1) on the 3-set fails the proximal check; its certificate
+    # edited to claim `holds` passes every refusal but does not verify
+    for name, s in (("u", pure_set(3)), ("a", pure_set(1)), ("b", pure_set(2))):
+        (tmp_path / f"{name}.st").write_text(serialize_structure(s))
+    (tmp_path / "col").write_text("colors: 2\n(0) -> 0\n(1) -> 1\n(2) -> 1\n")
+    base = [f"--{flag}={tmp_path / name}"
+            for flag, name in (("universe", "u.st"), ("a", "a.st"), ("coloring", "col"))]
+    check = tmp_path / "check.cert"
+    assert cli.main(["proximal-check", "--age", "set", *base, "--d-max", "3",
+                     "--certificate", str(check)]) == 1
+    doc = json.loads(check.read_text())
+    doc["verdict"] = "holds"
+    check.write_text(certificates.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(["proximal-arrow", *base, f"--b={tmp_path / 'b.st'}",
+                     f"--check={check}"]) == 2
+    assert capsys.readouterr().err == "error: proximal-check certificate does not verify\n"
+    assert cli.main(["verify", str(check), "--age", "set", *base]) == 1
+
+
 def test_resource_limit_exit_three(files):
     r = run_cli(["stability", "--age", "linear_order", "--a", files["pt"],
                  "--z", files["pt"], "--depth", "5", "--node-budget", "10"])

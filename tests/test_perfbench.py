@@ -57,3 +57,11 @@ def test_traced_orbits_counts_automorphisms(graphs, tmp_path):
     result = _traced(argv, [graphs[1], graphs[3]], tmp_path)
     assert json.loads(result["stdout"])["payload"]["aut_order"] == 6
     assert result["trace"]["counters"]["groups.aut_order_sum"] > 0
+
+
+def test_traced_enumerate_counts_types_and_labelings(tmp_path):
+    argv = ["enumerate", "--age", "graph", "--n", "4", "--json", "--no-cache"]
+    result = _traced(argv, [], tmp_path)
+    counters = result["trace"]["counters"]
+    assert counters["enumerate.types"] == json.loads(result["stdout"])["payload"]["count"] == 11
+    assert counters["enumerate.canon_calls"] > 0

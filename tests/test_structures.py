@@ -358,8 +358,8 @@ def test_canonical_search_matches_unpruned_search(s):
 
 
 def test_complete_graph_search_skips_repeated_subtrees(monkeypatch):
-    # one _encode_labeled call per leaf, plus one for the cache key; the
-    # full search tree of K9 has 9! = 362,880 leaves, so stop early
+    # one _encode_labeled call per leaf; the full search tree of K9 has
+    # 9! = 362,880 leaves, so stop early
     calls = []
     encode = structures._encode_labeled
 
@@ -370,7 +370,6 @@ def test_complete_graph_search_skips_repeated_subtrees(monkeypatch):
         return encode(*args)
 
     monkeypatch.setattr(structures, "_encode_labeled", spy)
-    monkeypatch.setattr(structures, "_CANON_CACHE", {})
     canonical_labeling(k_graph(9))
     assert len(calls) < 100
 
