@@ -38,9 +38,10 @@ from arrowbench import groups
 from arrowbench.ages import AgeSpec, enumerate_up_to, levels
 from arrowbench.errors import ArrowbenchError, InputError, PreconditionFailure
 from arrowbench.patterns import (
+    JointEmbedding,
     iter_joint_embeddings,
-    joint_embeddings,
     pair_pattern_code,
+    pattern_of,
 )
 from arrowbench.stability import stable_up_to
 from arrowbench.structures import Structure, embedding_maps, serialize_structure
@@ -420,14 +421,23 @@ def _pattern_arrow(operation, c, a, b, zs, spec, budget, extra) -> ArrowCertific
         return ArrowCertificate(operation, "holds", degenerate=True,
                                 reason="A does not embed in B; constancy is vacuous",
                                 payload=extra)
+    # each placement is its own pattern, so the walk checks every pattern
+    # once; a fail names the failing placement with the least pattern code
     checked = 0
-    for u, (c_map, *z_maps) in joint_embeddings(spec, c, zs, budget=budget):
+    least = None
+    for u, maps in iter_joint_embeddings(spec, c, zs, budget=budget):
         checked += 1
+        c_map, *z_maps = maps
         if _pattern_constant_b(u, c_map, z_maps, emb_bc, emb_ab) is None:
-            offending = {"u": serialize_structure(u), "c_map": list(c_map),
-                         "z_maps": [list(m) for m in z_maps]}
-            return ArrowCertificate(operation, "fails",
-                                    payload={"offending": offending, **extra})
+            code = pattern_of(JointEmbedding(u, maps))
+            if least is None or code < least[0]:
+                least = code, u, c_map, z_maps
+    if least is not None:
+        _, u, c_map, z_maps = least
+        offending = {"u": serialize_structure(u), "c_map": list(c_map),
+                     "z_maps": [list(m) for m in z_maps]}
+        return ArrowCertificate(operation, "fails",
+                                payload={"offending": offending, **extra})
     return ArrowCertificate(operation, "holds",
                             payload={"joint_patterns_checked": checked, **extra})
 

@@ -4,9 +4,9 @@ A certificate is a JSON text document: envelope (operation, verdict,
 input digests, parameters) plus the operation payload.  verify() never
 consults the result cache and re-checks the claim from scratch using
 only embedding enumeration and pattern codes: fail certificates are
-re-scored directly, holds certificates are re-decided by an independent
-route (exhaustive coloring enumeration for the classical arrow, raw
-non-deduplicated joint-embedding enumeration for the pattern arrows).
+re-scored directly; a holding classical arrow is re-decided by an
+independent route (exhaustive coloring enumeration), and a holding
+pattern arrow by a re-run of the decider's walk over the placements.
 """
 
 from __future__ import annotations
@@ -96,6 +96,27 @@ class _Inputs(dict):
         raise CertificateError(f"verification needs input {name!r}: not provided")
 
 
+class _Fields(dict):
+    """A JSON object of the certificate at `path`; reading a field it
+    lacks raises CertificateError naming the field."""
+
+    def __init__(self, obj: dict, path: str):
+        super().__init__((k, _fields(v, f"{path}{k}.")) for k, v in obj.items())
+        self.path = path
+
+    def __missing__(self, name):
+        raise CertificateError(f"certificate lacks field {self.path}{name}")
+
+
+def _fields(value, path: str = ""):
+    """The document with every JSON object in it a _Fields."""
+    if isinstance(value, dict):
+        return _Fields(value, path)
+    if isinstance(value, list):
+        return [_fields(v, f"{path[:-1]}[{i}].") for i, v in enumerate(value)]
+    return value
+
+
 def _check_digests(doc: dict, inputs: _Inputs) -> None:
     recorded = doc.get("inputs", {})
     for name, digest in recorded.items():
@@ -159,9 +180,10 @@ def _stability_precondition_ok(doc, a, zs, spec, budget) -> bool:
 def _verify_pattern_arrow(doc, inputs, spec, budget):
     """definable-arrow and stable-arrow, whose coordinates are the z*
     inputs in order.  A stable-arrow's stability precondition is re-run
-    first.  A fail is re-scored on its offending joint embedding; a holds
-    is re-decided by raw joint-embedding enumeration (no pattern
-    deduplication), early-exit per candidate."""
+    first.  A fail is re-scored on its offending joint embedding.  A
+    holds is a re-run, not an independent route: it walks the same
+    placements as the decider, one per pattern, with the same check,
+    stopping at the first that fails."""
     a, b, c = inputs["a"], inputs["b"], inputs["c"]
     # the coordinates in the order given: z, or z0, z1, ..., z9, z10, ...
     names = sorted((n for n in doc["inputs"] if n.startswith("z")), key=lambda n: (len(n), n))
@@ -342,7 +364,9 @@ def verify_certificate(doc: dict, inputs: dict[str, Structure], spec: AgeSpec | 
                        coloring: Coloring | None = None, *, budget: Budget) -> bool:
     """Independent re-check of a certificate against the given inputs;
     every search it re-runs spends `budget`.  Digest mismatches raise
-    CertificateError; a sound certificate with a wrong claim returns False."""
+    CertificateError, as does a field the verifier reads and the document
+    lacks; a sound certificate with a wrong claim returns False."""
+    doc = _fields(doc)
     inputs = _Inputs(inputs)
     _check_digests(doc, inputs)
     op = doc.get("operation")

@@ -9,8 +9,16 @@ targets commutes with every coordinate map.
 
 Enumeration proceeds by overlap pattern first (which image vertices are
 identified), then by relation completion within the age, pruning early
-through age membership.  The pattern <-> double-coset correspondence
-behind these objects is background only; nothing here depends on it.
+through age membership.  The placements it yields are their own
+patterns: the first part lands on 0..|A|-1, each later vertex is
+numbered by the first part coordinate mapped onto it, and every vertex
+lies in some image.  So an isomorphism of two placements that commutes
+with every coordinate map fixes every vertex, hence is the identity, and
+distinct placements have distinct pattern codes.  Deciders that only
+need each pattern once walk `iter_joint_embeddings` and code nothing;
+`joint_embeddings` codes the placements only to sort them.  The pattern
+<-> double-coset correspondence behind these objects is background only;
+nothing here depends on it.
 """
 
 from __future__ import annotations
@@ -114,7 +122,7 @@ def pair_pattern_code(u: Structure, map_a, map_z) -> PatternCode:
 def iter_joint_embeddings(spec: AgeSpec, a: Structure, zs, max_size: int | None = None, *,
                           budget: Budget):
     """Yield (u, maps) for every joint placement of (a, *zs) within the
-    age, in deterministic search order, without pattern deduplication."""
+    age, in deterministic search order: one per pattern, uncoded."""
     parts = [a, *zs]
     for s in parts:
         if s.signature != spec.signature:
@@ -129,15 +137,18 @@ def iter_joint_embeddings(spec: AgeSpec, a: Structure, zs, max_size: int | None 
 
 def joint_embeddings(spec: AgeSpec, a: Structure, zs, max_size: int | None = None, *,
                      budget: Budget) -> list[JointEmbedding]:
-    """One joint embedding per pattern, ordered by pattern code."""
-    found: dict[PatternCode, JointEmbedding] = {}
-    for u, maps in iter_joint_embeddings(spec, a, zs, max_size, budget=budget):
-        found.setdefault(_pattern_code(u, maps), JointEmbedding(u, maps))
-    return [found[c] for c in sorted(found)]
+    """One joint embedding per pattern, ordered by pattern code: every
+    placement, since distinct placements have distinct patterns (see the
+    module docstring).  Only callers that need code order (`stability`
+    and the `patterns` listing) pay for the codes."""
+    return sorted((JointEmbedding(u, maps)
+                   for u, maps in iter_joint_embeddings(spec, a, zs, max_size, budget=budget)),
+                  key=pattern_of)
 
 
 def pattern_count(spec: AgeSpec, a: Structure, z: Structure, budget: Budget) -> int:
-    """Number of joint-embedding patterns of (a, z) within the age; always
-    finite here since the union size is capped at |a|+|z|.  Tabulating
-    this as |a|, |z| grow probes precompactness behaviour."""
-    return len(joint_embeddings(spec, a, (z,), budget=budget))
+    """Number of joint-embedding patterns of (a, z) within the age, that
+    is of placements; always finite here since the union size is capped
+    at |a|+|z|.  Tabulating this as |a|, |z| grow probes precompactness
+    behaviour."""
+    return sum(1 for _ in iter_joint_embeddings(spec, a, (z,), budget=budget))

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -8,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from arrowbench import certificates
-from arrowbench.ages import catalog_age, enumerate_up_to
+from arrowbench.ages import AgeSpec, catalog_age, enumerate_up_to
 from arrowbench.arrows import (
     Coloring,
     arrow_search,
@@ -30,7 +31,12 @@ from arrowbench.errors import (
     ResourceLimitExceeded,
 )
 from arrowbench.patterns import pair_pattern_code
-from arrowbench.structures import embedding_maps, induced_substructure, is_embedding
+from arrowbench.structures import (
+    Signature,
+    embedding_maps,
+    induced_substructure,
+    is_embedding,
+)
 from arrowbench.unions import Budget
 
 from util import (
@@ -44,6 +50,7 @@ from util import (
     k_graph,
     nodes,
     path,
+    pattern_arrow_oracle,
     pure_set,
 )
 
@@ -424,6 +431,60 @@ def test_stable_arrow_two_coordinates():
     two_plain = Structure.make(sig, 2, {})
     cert = stable_arrow(two_plain, plain, plain, (red, blue), spec, depth=3, budget=nodes())
     assert cert.verdict in ("holds", "fails")
+
+
+# ---------------------------------------------------------------------------
+# both pattern-constant arrows walk the placements uncoded; the oracle
+# deduplicates them by pattern code and checks them in code order
+
+
+_BICOLOR = AgeSpec(Signature((("red", 1), ("blue", 1))), (), (), name="bicolor")
+
+
+@functools.cache
+def _members_up_to(spec, n):
+    return enumerate_up_to(spec, n, nodes(2_000_000))
+
+
+@st.composite
+def _pattern_arrow_case(draw, ages, max_a=2):
+    """(age, A, B, C, zs): members with |A| <= |B| <= |C| <= 3 (2 for
+    digraphs, whose C3/Z2 placements take half a second), |A| <= max_a
+    and one or two coordinates of at most 2 vertices each, in one of
+    `ages`."""
+    spec = draw(st.sampled_from(ages))
+    members = _members_up_to(spec, 2 if spec.name == "digraph" else 3)
+    c = draw(st.sampled_from(members))
+    b = draw(st.sampled_from([s for s in members if s.size <= c.size]))
+    a = draw(st.sampled_from([s for s in members if s.size <= min(b.size, max_a)]))
+    small = [s for s in members if s.size <= 2]
+    zs = tuple(draw(st.lists(st.sampled_from(small), min_size=1, max_size=2)))
+    return spec, a, b, c, zs
+
+
+@settings(max_examples=60, deadline=None)
+@given(_pattern_arrow_case(tuple(catalog_age(name) for name in (
+    "set", "graph", "graph_kfree:3", "linear_order", "tournament", "digraph"))))
+@example((SETS, pure_set(1), pure_set(2), pure_set(3), (pure_set(1),)))  # holds
+@example((ORDERS, chain(1), chain(2), chain(3), (chain(2),)))  # fails
+def test_definable_arrow_matches_the_code_order_oracle(case):
+    spec, a, b, c, (z, *_) = case
+    cert = definable_arrow(c, a, b, z, spec, nodes(2_000_000))
+    assert cert == pattern_arrow_oracle("definable-arrow", c, a, b, (z,), spec,
+                                        nodes(2_000_000), {})
+
+
+@settings(max_examples=30, deadline=None)
+@given(_pattern_arrow_case((SETS, _BICOLOR), max_a=1))
+@example((SETS, pure_set(1), pure_set(2), pure_set(3), (pure_set(1),) * 2))  # fails
+@example((SETS, pure_set(1), pure_set(2), pure_set(3), (pure_set(1),)))  # holds
+def test_stable_arrow_matches_the_code_order_oracle(case):
+    # with one-vertex A, these unary ages pass the precondition at depth 4
+    spec, a, b, c, zs = case
+    cert = stable_arrow(c, a, b, zs, spec, depth=4, budget=nodes())
+    extra = {"stability_precondition": cert.payload["stability_precondition"]}
+    assert cert == pattern_arrow_oracle("stable-arrow", c, a, b, zs, spec,
+                                        nodes(2_000_000), extra)
 
 
 # ---------------------------------------------------------------------------

@@ -274,6 +274,30 @@ def test_verify_names_an_input_it_needs(files, tmp_path, capsys):
     assert capsys.readouterr().err == "error: verification needs input 'a': not provided\n"
 
 
+@pytest.mark.parametrize("op,inputs,edit,field", [
+    ("arrow", "--a a2 --b b3 --c c5", lambda doc: doc.update(payload={}),
+     "payload.coloring"),
+    ("definable-arrow", "--a pt --b a2 --c b3 --z pt", lambda doc: doc.update(payload={}),
+     "payload.offending"),
+    ("definable-arrow", "--a pt --b a2 --c b3 --z pt",
+     lambda doc: doc["payload"]["offending"].pop("z_maps"), "payload.offending.z_maps"),
+])
+def test_verify_names_a_field_the_certificate_lacks(files, tmp_path, capsys, op, inputs,
+                                                    edit, field):
+    # a failing certificate with a payload field removed is malformed
+    # (exit 2), not `verified: false` (exit 1) or a KeyError traceback
+    flags = ["--age", "linear_order", *(files.get(w, w) for w in inputs.split())]
+    extra = ["--colors", "2"] if op == "arrow" else []
+    cert = tmp_path / "fail.cert"
+    assert cli.main([op, *flags, *extra, "--certificate", str(cert), "--no-cache"]) == 1
+    doc = json.loads(cert.read_text())
+    edit(doc)
+    cert.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(["verify", str(cert), *flags]) == 2
+    assert capsys.readouterr().err == f"error: certificate lacks field {field}\n"
+
+
 def test_proximal_arrow_refuses_a_forged_check(tmp_path, capsys):
     # (0,1,1) on the 3-set fails the proximal check; its certificate
     # edited to claim `holds` passes every refusal but does not verify
@@ -646,6 +670,11 @@ _PINNED_REPORTS = (
      "1727d78365ea6b766edd7d999d5f6b2f0979e2658dfa1cc2d34c12dc20bdceca"),
     ("patterns --age graph --a K1 --z K2", 0,
      "bbce0f7b00afc396423a7ed8c4ad7ab2399bc4f56779320ed183796cf64de079"),
+    # a failing pattern arrow's least-coded witness, and a pattern count
+    ("definable-arrow --age linear_order --a C1 --b C2 --c C4 --z C2", 1,
+     "f8717c18fe71341c4d5429222c695e15f10a220eff102fb1d5b3b2c8162dcbd3"),
+    ("pattern-count --age graph --a K3 --z K2", 0,
+     "4a072122d8a8746aa42f86ae3863c1ec25e9982742e8915b350bafa745c17fe6"),
     # 122 coherent families along a chain of orders
     ("coherent-partitions --chain C2,C3,C4 --a C2 --max-blocks 3", 0,
      "5b46071e0aad0c806d2b0988674918ba0ef9bd3e46ecc4848ea8767ffe0b1252"),

@@ -2,6 +2,7 @@ import itertools
 import random
 from math import comb, factorial
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -162,6 +163,41 @@ def test_joint_embeddings_are_union_supported_embeddings_into_members(case, data
         assert set().union(*je.maps) == set(range(je.target.size))
         assert all(is_embedding(m, s, je.target) for s, m in zip(parts, je.maps))
         assert spec.member(je.target)
+
+
+def _placements_and_codes(spec, members, data, max_parts=3):
+    """The placements of 2 to `max_parts` parts drawn from `members` (4
+    vertices in all at most) and the set of their pattern codes."""
+    parts = data.draw(st.lists(st.sampled_from(members), min_size=2, max_size=max_parts)
+                      .filter(lambda ps: sum(p.size for p in ps) <= 4))
+    placed = list(iter_joint_embeddings(spec, parts[0], parts[1:], budget=nodes(2_000_000)))
+    return placed, {pattern_of(JointEmbedding(u, maps)) for u, maps in placed}
+
+
+@pytest.mark.parametrize("name", ["set", "graph", "graph_kfree:3", "linear_order",
+                                  "tournament", "digraph"])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_placements_are_their_own_patterns(name, data):
+    # what lets the pattern arrows walk the placements uncoded: no two
+    # placements share a pattern code
+    spec = catalog_age(name)
+    placed, codes = _placements_and_codes(spec, enumerate_up_to(spec, 2, nodes(2_000_000)),
+                                          data)
+    assert len(codes) == len(placed)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_small_age(), st.data())
+def test_placements_are_their_own_patterns_in_custom_ages(case, data):
+    # the same on random axiom flags, unary and ternary symbols (the
+    # generic kernel); a ternary symbol allows two one-vertex parts only
+    spec, n = case
+    ternary = spec.signature.max_arity > 2
+    members = enumerate_up_to(spec, 1 if ternary else min(n, 2), nodes(2_000_000))
+    assume(members)
+    placed, codes = _placements_and_codes(spec, members, data, 2 if ternary else 3)
+    assert len(codes) == len(placed)
 
 
 def test_free_join_first_candidate():

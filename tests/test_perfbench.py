@@ -1,7 +1,8 @@
 """Smoke test of the benchmark's traced worker: the tracer wraps program
 functions by name (`groups.automorphisms`, `patterns.joint_embeddings`,
-the kernels, ...) and counts what some of them return, so a traced run
-breaks when one of them is renamed or changes its return type."""
+`patterns.iter_joint_embeddings`, the kernels, ...) and counts what some
+of them return or yield, so a traced run breaks when one of them is
+renamed or changes its return type."""
 
 import json
 import os
@@ -45,11 +46,20 @@ def graphs(tmp_path):
 
 
 def test_traced_definable_arrow_counts_patterns(graphs, tmp_path):
+    # the arrow walks the placements, one per pattern, without listing them
     argv = ["definable-arrow", "--age", "graph", "--a", graphs[1], "--b", graphs[2],
             "--c", graphs[4], "--z", graphs[1], "--json", "--no-cache"]
     result = _traced(argv, [graphs[n] for n in (1, 2, 4)], tmp_path)
     checked = json.loads(result["stdout"])["payload"]["joint_patterns_checked"]
-    assert result["trace"]["counters"]["patterns.patterns_found"] == checked == 20
+    assert result["trace"]["counters"]["patterns.iter_joint_embeddings.yields"] == checked == 20
+
+
+def test_traced_pattern_listing_counts_patterns(graphs, tmp_path):
+    argv = ["patterns", "--age", "graph", "--a", graphs[1], "--z", graphs[1], "--json",
+            "--no-cache"]
+    result = _traced(argv, [graphs[1]], tmp_path)
+    count = json.loads(result["stdout"])["payload"]["count"]
+    assert result["trace"]["counters"]["patterns.patterns_found"] == count == 3
 
 
 def test_traced_orbits_counts_automorphisms(graphs, tmp_path):

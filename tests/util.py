@@ -15,7 +15,9 @@ instead of directing each placement by the patterns, and
 `counterexample_search_oracle` lists every automorphism's permutation of
 the positions and rescans all of them at each node of the classical
 arrow's search instead of advancing only those waiting on the position
-just colored.
+just colored, and `pattern_arrow_oracle` keeps one joint embedding per
+pattern code and checks them in code order instead of walking the
+placements as they come.
 """
 
 import itertools
@@ -23,8 +25,15 @@ import operator
 import random
 
 from arrowbench.ages import _single_vertex_members, member
+from arrowbench.arrows import ArrowCertificate, _pattern_constant_b
 from arrowbench.groups import automorphisms
-from arrowbench.patterns import marked_signature, pair_pattern_code
+from arrowbench.patterns import (
+    JointEmbedding,
+    iter_joint_embeddings,
+    marked_signature,
+    pair_pattern_code,
+    pattern_of,
+)
 from arrowbench.stability import UnstableWitness
 from arrowbench.structures import (
     Signature,
@@ -37,6 +46,7 @@ from arrowbench.structures import (
     induced_substructure,
     is_embedding,
     relabel,
+    serialize_structure,
 )
 from arrowbench.unions import Budget, _pair_states, place_part
 
@@ -642,3 +652,35 @@ def copy_position_sets_oracle(domain, emb_ab, copies_raw):
             seen.add(positions)
             out.append(positions)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the pattern-constant arrows deduplicating the joint embeddings by pattern
+# code, then checking one per pattern in code order
+
+
+def pattern_arrow_oracle(operation, c, a, b, zs, spec, budget, extra):
+    """Oracle for `arrows._pattern_arrow`: the certificate of the arrow
+    checked on one joint embedding per pattern code, in code order; a
+    fail names the first pattern that fails."""
+    emb_bc = embedding_maps(b, c)
+    if not emb_bc:
+        return ArrowCertificate(operation, "fails", degenerate=True,
+                                reason="no copy of B in C", payload=extra)
+    emb_ab = embedding_maps(a, b)
+    if not emb_ab:
+        return ArrowCertificate(operation, "holds", degenerate=True,
+                                reason="A does not embed in B; constancy is vacuous",
+                                payload=extra)
+    found = {}
+    for u, maps in iter_joint_embeddings(spec, c, zs, budget=budget):
+        found.setdefault(pattern_of(JointEmbedding(u, maps)), (u, maps))
+    for code in sorted(found):
+        u, (c_map, *z_maps) = found[code]
+        if _pattern_constant_b(u, c_map, z_maps, emb_bc, emb_ab) is None:
+            offending = {"u": serialize_structure(u), "c_map": list(c_map),
+                         "z_maps": [list(m) for m in z_maps]}
+            return ArrowCertificate(operation, "fails",
+                                    payload={"offending": offending, **extra})
+    return ArrowCertificate(operation, "holds",
+                            payload={"joint_patterns_checked": len(found), **extra})
