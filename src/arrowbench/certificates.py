@@ -50,8 +50,9 @@ def input_digest(s: Structure) -> str:
     return code_digest(canonical_form(s))
 
 
-def envelope(cert: ArrowCertificate, inputs: dict[str, Structure], age: str | None,
-             params: dict) -> dict:
+def envelope(cert: ArrowCertificate, inputs: dict, age: str | None, params: dict) -> dict:
+    """The certificate document of `cert`; `inputs` maps names to structures,
+    recorded by digest, and `_`-names to digests, recorded after them."""
     doc = {
         "format": FORMAT,
         "tool_version": __version__,
@@ -60,7 +61,8 @@ def envelope(cert: ArrowCertificate, inputs: dict[str, Structure], age: str | No
         "degenerate": cert.degenerate,
         "reason": cert.reason,
         "age": age,
-        "inputs": {name: input_digest(s) for name, s in sorted(inputs.items())},
+        "inputs": {name: s if name.startswith("_") else input_digest(s) for name, s in
+                   sorted(inputs.items(), key=lambda item: (item[0].startswith("_"), item[0]))},
         "params": dict(sorted(params.items())),
         "payload": cert.payload,
     }
@@ -76,7 +78,14 @@ def write_certificate(doc: dict, path: str) -> None:
         fh.write(dumps(doc))
 
 
+# envelope field -> its JSON types, and their name
+_ENVELOPE = {"operation": (str, "string"), "age": ((str, type(None)), "string or null"),
+             "inputs": (dict, "object"), "params": (dict, "object"), "payload": (dict, "object")}
+
+
 def load_certificate(path: str) -> dict:
+    """The certificate document at `path`, with every JSON object in it a
+    _Fields; an envelope field of the wrong JSON type raises, naming it."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -86,7 +95,10 @@ def load_certificate(path: str) -> dict:
         raise CertificateError("certificate is not a JSON object")
     if doc.get("format") != FORMAT:
         raise CertificateError(f"unsupported certificate format {doc.get('format')!r}")
-    return doc
+    for field, (types, name) in _ENVELOPE.items():
+        if field in doc and not isinstance(doc[field], types):
+            raise CertificateError(f"certificate field {field} is not a JSON {name}")
+    return _fields(doc)
 
 
 class _Inputs(dict):
@@ -136,7 +148,7 @@ def _joint_embedding_ok(spec: AgeSpec, u: Structure, parts, maps) -> bool:
             and set().union(*maps) == set(range(u.size)))
 
 
-def _verify_arrow(doc, inputs, spec, budget):
+def _verify_arrow(doc, inputs, spec, coloring, budget):
     a, b, c = inputs["a"], inputs["b"], inputs["c"]
     k = doc["params"]["colors"]
     if doc["verdict"] == "fails":
@@ -148,7 +160,7 @@ def _verify_arrow(doc, inputs, spec, budget):
     return exhaustive_classical_check(c, a, b, k, budget)
 
 
-def _verify_arrow_search(doc, inputs, spec, budget):
+def _verify_arrow_search(doc, inputs, spec, coloring, budget):
     a, b = inputs["a"], inputs["b"]
     k = doc["params"]["colors"]
     if doc["verdict"] == "fails":
@@ -177,7 +189,7 @@ def _stability_precondition_ok(doc, a, zs, spec, budget) -> bool:
     return True
 
 
-def _verify_pattern_arrow(doc, inputs, spec, budget):
+def _verify_pattern_arrow(doc, inputs, spec, coloring, budget):
     """definable-arrow and stable-arrow, whose coordinates are the z*
     inputs in order.  A stable-arrow's stability precondition is re-run
     first.  A fail is re-scored on its offending joint embedding.  A
@@ -208,7 +220,7 @@ def _verify_pattern_arrow(doc, inputs, spec, budget):
                for u, (c_map, *z_maps) in iter_joint_embeddings(spec, c, zs, budget=budget))
 
 
-def _verify_roelcke(doc, inputs, spec, budget):
+def _verify_roelcke(doc, inputs, spec, coloring, budget):
     a, b, z = inputs["a"], inputs["b"], inputs["z"]
     if doc["verdict"] == "fails":
         again = roelcke_witness(spec, a, b, z, doc["params"].get("max_n"), budget=budget)
@@ -235,7 +247,7 @@ def _verify_proximal_arrow(doc, inputs, spec, coloring, budget):
             and coloring.constant_on(bm, embedding_maps(coloring.source, b)))
 
 
-def _verify_convex(doc, inputs, spec, budget):
+def _verify_convex(doc, inputs, spec, coloring, budget):
     a, b, c = inputs["a"], inputs["b"], inputs["c"]
     payload = doc["payload"]
     eps = doc["params"]["epsilon"]
@@ -296,7 +308,7 @@ def _verify_convex(doc, inputs, spec, budget):
     return (doc["verdict"] == "holds") == holds
 
 
-def _verify_stability(doc, inputs, spec, budget):
+def _verify_stability(doc, inputs, spec, coloring, budget):
     a, z = inputs["a"], inputs["z"]
     payload = doc["payload"]
     if doc["verdict"] == "holds":
@@ -316,7 +328,7 @@ def _verify_stability(doc, inputs, spec, budget):
     return report.stable
 
 
-def _verify_amalgamation(doc, inputs, spec, budget):
+def _verify_amalgamation(doc, inputs, spec, coloring, budget):
     from arrowbench.ages import AmalgamationInstance, amalgamation_probe
 
     payload = doc["payload"]
@@ -339,25 +351,19 @@ def _verify_amalgamation(doc, inputs, spec, budget):
     return verify_amalgamation_counterexample(spec, inst, which, budget)
 
 
+# operation -> (verifier, what it reads besides the inputs: the age, the coloring)
 _VERIFIERS = {
-    "arrow": _verify_arrow,
-    "arrow-search": _verify_arrow_search,
-    "definable-arrow": _verify_pattern_arrow,
-    "stable-arrow": _verify_pattern_arrow,
-    "roelcke-witness": _verify_roelcke,
-    "convex-arrow": _verify_convex,
-    "stability": _verify_stability,
-    "amalgamation": _verify_amalgamation,
+    "arrow": (_verify_arrow, ()),
+    "arrow-search": (_verify_arrow_search, ("age",)),
+    "definable-arrow": (_verify_pattern_arrow, ("age",)),
+    "stable-arrow": (_verify_pattern_arrow, ("age",)),
+    "roelcke-witness": (_verify_roelcke, ("age",)),
+    "convex-arrow": (_verify_convex, ()),
+    "stability": (_verify_stability, ("age",)),
+    "amalgamation": (_verify_amalgamation, ("age",)),
+    "proximal-check": (_verify_proximal_check, ("age", "coloring")),
+    "proximal-arrow": (_verify_proximal_arrow, ("coloring",)),
 }
-
-_COLORING_VERIFIERS = {
-    "proximal-check": _verify_proximal_check,
-    "proximal-arrow": _verify_proximal_arrow,
-}
-
-# the operations whose verifier reads the age
-_READS_AGE = frozenset({"arrow-search", "definable-arrow", "stable-arrow", "roelcke-witness",
-                        "stability", "amalgamation", "proximal-check"})
 
 
 def verify_certificate(doc: dict, inputs: dict[str, Structure], spec: AgeSpec | None,
@@ -366,18 +372,18 @@ def verify_certificate(doc: dict, inputs: dict[str, Structure], spec: AgeSpec | 
     every search it re-runs spends `budget`.  Digest mismatches raise
     CertificateError, as does a field the verifier reads and the document
     lacks; a sound certificate with a wrong claim returns False."""
-    doc = _fields(doc)
+    doc = doc if isinstance(doc, _Fields) else _fields(doc)  # load_certificate wraps
     inputs = _Inputs(inputs)
     _check_digests(doc, inputs)
     op = doc.get("operation")
-    if spec is None and op in _READS_AGE:
+    if op not in _VERIFIERS:
+        raise CertificateError(f"operation {op!r} has no verifier")
+    verifier, reads = _VERIFIERS[op]
+    if spec is None and "age" in reads:
         raise CertificateError(f"{op} verification needs --age")
-    if op in _VERIFIERS:
-        return _VERIFIERS[op](doc, inputs, spec, budget)
-    if op in _COLORING_VERIFIERS:
+    if "coloring" in reads:
         if coloring is None:
             raise CertificateError(f"{op} verification needs the coloring")
         if doc["inputs"].get("_coloring") != coloring_digest(coloring):
             raise CertificateError("coloring digest mismatch")
-        return _COLORING_VERIFIERS[op](doc, inputs, spec, coloring, budget)
-    raise CertificateError(f"operation {op!r} has no verifier")
+    return verifier(doc, inputs, spec, coloring, budget)

@@ -10,6 +10,15 @@ double as replayable regression fixtures; human output is built from
 that document alone, so a result-cache hit prints what a fresh run
 prints.  No timestamps anywhere: a fixed invocation produces
 byte-identical reports.
+
+A report's `inputs` and `params` come from its subcommand's row in
+_COMMANDS.  --a, --b, --c and --host are inputs of those names,
+--universe is `u` and the positional structure file `structure`; --z is
+`z` where the row takes it once and z0, z1, ... where it repeats; --chain
+is f0, f1, ...; a --coloring, read against u and a, enters as its digest
+`_coloring`.  Every other flag of the row is a param.  `verify` names its
+inputs by the row of the certificate's operation, and an envelope field
+of the wrong JSON type is an input error (exit 2).
 """
 
 from __future__ import annotations
@@ -66,10 +75,6 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 
-def _load_structure(path: str) -> Structure:
-    return parse_structure(read_text(path))
-
-
 def _load_coloring(path: str, universe: Structure, source: Structure) -> Coloring:
     """Coloring file: header `colors: k` or `range: real`, then one line
     `(v,...) -> value` per embedding of the source into the universe."""
@@ -109,13 +114,6 @@ def _load_coloring(path: str, universe: Structure, source: Structure) -> Colorin
     return Coloring.from_pairs(universe, source, pairs, kind=kind, colors=colors)
 
 
-def _one_z(args) -> Structure:
-    """The --z structure of a one-coordinate subcommand."""
-    if len(args.z) > 1:
-        raise InputError(f"--z given {len(args.z)} times; this subcommand takes one")
-    return _load_structure(args.z[0])
-
-
 def _budget(args, what: str) -> Budget:
     """The run's one budget: --node-budget nodes, labelled `what`, and a
     deadline --time-budget seconds from now when that is given."""
@@ -139,26 +137,69 @@ def _age_key(args) -> bytes:
                           axioms.encode(), *forbidden])
 
 
-def _report(args, operation: str, inputs: dict, params: dict, decide,
-            cached: bool = False, extra_inputs: dict | None = None) -> int:
-    """Report the certificate document of decide() -> ArrowCertificate:
-    replayed from the result cache when `cached`, enabled and hit, else
-    enveloped (with `extra_inputs` digests) and stored.  The exit code
-    follows the verdict."""
-    directory = None if args.no_cache or not cached else cache.cache_dir(args.cache_dir)
-    hit = None
-    if directory:
-        key = cache.cache_key(operation,
-                              [serialize_structure(s) for _, s in sorted(inputs.items())],
-                              params, _age_key(args))
-        hit = cache.lookup(directory, key)
+# structure flag -> its name among a certificate's inputs
+_INPUT_NAMES = {"infile": "structure", "--a": "a", "--b": "b", "--c": "c", "--host": "host",
+                "--universe": "u"}
+
+# the flags that name files; every other flag of a row is a param
+_FILE_FLAGS = frozenset({*_INPUT_NAMES, "--z", "--chain", "--coloring", "--check", "cert"})
+
+
+def _load(args, own: str, z_from: str | None = None):
+    """Read the files that the usage line `own` names: (loaded, inputs,
+    params), named as the module docstring says, with --z named by the
+    usage line `z_from` (`own` by default).  `loaded` is a copy of `args`
+    in which each given file flag holds what it names."""
+    one_z = any(t.strip("[]") == "--z" for t in (own if z_from is None else z_from).split())
+    loaded, inputs, params = argparse.Namespace(**vars(args)), {}, {}
+    for token in own.split():
+        flag = token.strip("[].")
+        dest = flag.lstrip("-").replace("-", "_")
+        value = getattr(args, dest)
+        if flag not in _FILE_FLAGS:
+            params[dest] = value
+            continue
+        if value in (None, []) or flag == "cert":  # not given; verify reads its cert itself
+            continue
+        if flag in _INPUT_NAMES:
+            value = inputs[_INPUT_NAMES[flag]] = parse_structure(read_text(value))
+        elif flag == "--z" and one_z:
+            if len(value) > 1:
+                raise InputError(f"--z given {len(value)} times; this subcommand takes one")
+            value = inputs["z"] = parse_structure(read_text(value[0]))
+        elif flag in ("--z", "--chain"):
+            value = [parse_structure(read_text(path))
+                     for path in (value if flag == "--z" else value.split(","))]
+            inputs.update((f"{'z' if flag == '--z' else 'f'}{i}", s) for i, s in enumerate(value))
+        elif flag == "--coloring":
+            if "u" not in inputs or "a" not in inputs:
+                raise InputError("--coloring verification needs --universe and --a")
+            value = _load_coloring(value, inputs["u"], inputs["a"])
+            inputs["_coloring"] = coloring_digest(value)
+        else:
+            value = certificates.load_certificate(value)  # --check
+        setattr(loaded, dest, value)
+    return loaded, inputs, params
+
+
+def _report(args, loaded, inputs: dict, params: dict) -> int:
+    """Report the certificate document of the subcommand's handler on
+    `loaded`: replayed from the result cache when the subcommand is in
+    _CACHED, caching is on and the key hits, else enveloped and stored.
+    The exit code follows the verdict."""
+    operation = args.command
+    directory = None if args.no_cache or operation not in _CACHED else cache.cache_dir(
+        args.cache_dir)
+    key = cache.cache_key(operation, [s if name.startswith("_") else serialize_structure(s)
+                                      for name, s in sorted(inputs.items())],
+                          params, _age_key(args)) if directory else None
+    hit = cache.lookup(directory, key)
     if hit is not None:
         doc = json.loads(hit)
     else:
-        doc = certificates.envelope(decide(), inputs, getattr(args, "age", None), params)
-        doc["inputs"].update(extra_inputs or {})
-        if directory:
-            cache.store(directory, key, certificates.dumps(doc))
+        doc = certificates.envelope(_COMMANDS[operation][0](loaded), inputs,
+                                    getattr(args, "age", None), params)
+        cache.store(directory, key, certificates.dumps(doc))
     if args.certificate:
         certificates.write_certificate(doc, args.certificate)
     if args.json:
@@ -233,261 +274,164 @@ _HUMAN_LINES = {
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each but verify's decides on the loaded flags of its
+# subcommand (see _load) and returns the certificate
 
 
 def _cmd_parse(args):
-    s = _load_structure(args.infile)
-    return _report(args, "parse", {"structure": s}, {}, lambda: ArrowCertificate(
-        "parse", "holds", payload={"normalized": serialize_structure(s),
-                                   "canonical_digest": code_digest(canonical_form(s))}))
+    s = args.infile
+    return ArrowCertificate("parse", "holds", payload={
+        "normalized": serialize_structure(s),
+        "canonical_digest": code_digest(canonical_form(s))})
 
 
 def _cmd_enumerate(args):
-    def decide():
-        reps = enumerate_structures(args.spec, args.n, _budget(args, "enumerate_structures"))
-        return ArrowCertificate("enumerate", "holds", payload={
-            "n": args.n, "count": len(reps),
-            "structures": [serialize_structure(s) for s in reps]})
-
-    return _report(args, "enumerate", {}, {"n": args.n}, decide)
+    reps = enumerate_structures(args.spec, args.n, _budget(args, "enumerate_structures"))
+    return ArrowCertificate("enumerate", "holds", payload={
+        "n": args.n, "count": len(reps),
+        "structures": [serialize_structure(s) for s in reps]})
 
 
 def _cmd_embeddings(args):
-    a = _load_structure(args.a)
-    b = _load_structure(args.b)
-
-    def decide():
-        maps = embedding_maps(a, b)
-        return ArrowCertificate("embeddings", "holds",
-                                payload={"count": len(maps), "maps": [list(m) for m in maps]})
-
-    return _report(args, "embeddings", {"a": a, "b": b}, {}, decide)
+    maps = embedding_maps(args.a, args.b)
+    return ArrowCertificate("embeddings", "holds",
+                            payload={"count": len(maps), "maps": [list(m) for m in maps]})
 
 
 def _cmd_patterns(args):
-    a = _load_structure(args.a)
-    zs = [_load_structure(p) for p in args.z]
-
-    def decide():
-        entries = []
-        for je in joint_embeddings(args.spec, a, zs, budget=_budget(args, "joint_embeddings")):
-            code = pattern_of(je)
-            entries.append({"code": code.hex(), "digest": code_digest(code),
-                            "u": serialize_structure(je.target),
-                            "maps": [list(m) for m in je.maps]})
-        return ArrowCertificate("patterns", "holds",
-                                payload={"count": len(entries), "patterns": entries})
-
-    inputs = {"a": a, **{f"z{i}": z for i, z in enumerate(zs)}}
-    return _report(args, "patterns", inputs, {}, decide)
+    entries = []
+    budget = _budget(args, "joint_embeddings")
+    for je in joint_embeddings(args.spec, args.a, args.z, budget=budget):
+        code = pattern_of(je)
+        entries.append({"code": code.hex(), "digest": code_digest(code),
+                        "u": serialize_structure(je.target),
+                        "maps": [list(m) for m in je.maps]})
+    return ArrowCertificate("patterns", "holds",
+                            payload={"count": len(entries), "patterns": entries})
 
 
 def _cmd_pattern_count(args):
-    a = _load_structure(args.a)
-    z = _one_z(args)
-    return _report(args, "pattern-count", {"a": a, "z": z}, {}, lambda: ArrowCertificate(
-        "pattern-count", "holds",
-        payload={"count": pattern_count(args.spec, a, z, _budget(args, "joint_embeddings"))}))
+    return ArrowCertificate("pattern-count", "holds", payload={
+        "count": pattern_count(args.spec, args.a, args.z, _budget(args, "joint_embeddings"))})
 
 
 def _cmd_arrow(args):
-    a, b, c = map(_load_structure, (args.a, args.b, args.c))
-    for name, s in (("a", a), ("b", b), ("c", c)):
-        if not args.spec.member(s):
+    for name in ("a", "b", "c"):
+        if not args.spec.member(getattr(args, name)):
             raise InputError(f"--{name} is not a member of the age")
-    return _report(args, "arrow", {"a": a, "b": b, "c": c}, {"colors": args.colors},
-                   lambda: classical_arrow(c, a, b, args.colors,
-                                           _budget(args, "classical_arrow")),
-                   cached=True)
+    return classical_arrow(args.c, args.a, args.b, args.colors, _budget(args, "classical_arrow"))
 
 
 def _cmd_arrow_search(args):
-    a, b = map(_load_structure, (args.a, args.b))
-    return _report(args, "arrow-search", {"a": a, "b": b},
-                   {"colors": args.colors, "max_n": args.max_n},
-                   lambda: arrow_search(args.spec, a, b, args.colors, args.max_n,
-                                        _budget(args, "classical_arrow")),
-                   cached=True)
+    return arrow_search(args.spec, args.a, args.b, args.colors, args.max_n,
+                        _budget(args, "classical_arrow"))
 
 
 def _cmd_definable_arrow(args):
-    a, b, c = map(_load_structure, (args.a, args.b, args.c))
-    z = _one_z(args)
-    return _report(args, "definable-arrow", {"a": a, "b": b, "c": c, "z": z}, {},
-                   lambda: definable_arrow(c, a, b, z, args.spec,
-                                           _budget(args, "joint_embeddings")),
-                   cached=True)
+    return definable_arrow(args.c, args.a, args.b, args.z, args.spec,
+                           _budget(args, "joint_embeddings"))
 
 
 def _cmd_stable_arrow(args):
-    a, b, c = map(_load_structure, (args.a, args.b, args.c))
-    zs = [_load_structure(p) for p in args.z]
-    inputs = {"a": a, "b": b, "c": c, **{f"z{i}": z for i, z in enumerate(zs)}}
-    return _report(args, "stable-arrow", inputs,
-                   {"depth": args.depth, "max_host": args.max_host},
-                   lambda: stable_arrow(c, a, b, zs, args.spec, args.depth, args.max_host,
-                                        budget=_budget(args, "stability search")),
-                   cached=True)
+    return stable_arrow(args.c, args.a, args.b, args.z, args.spec, args.depth, args.max_host,
+                        budget=_budget(args, "stability search"))
 
 
 def _cmd_roelcke(args):
-    a, b = map(_load_structure, (args.a, args.b))
-    z = _one_z(args)
-    return _report(args, "roelcke-witness", {"a": a, "b": b, "z": z}, {"max_n": args.max_n},
-                   lambda: roelcke_witness(args.spec, a, b, z, args.max_n,
-                                           budget=_budget(args, "roelcke_witness")),
-                   cached=True)
+    return roelcke_witness(args.spec, args.a, args.b, args.z, args.max_n,
+                           budget=_budget(args, "roelcke_witness"))
 
 
 def _cmd_stability(args):
-    a, z = _load_structure(args.a), _one_z(args)
-
-    def decide():
-        report = stable_up_to(args.spec, a, z, args.depth, args.max_host,
-                              budget=_budget(args, "stability search"))
-        w = report.witness
-        if w is None:
-            return ArrowCertificate(
-                "stability", "fails", reason="no unstable witness within the bounds",
-                payload={"stable_up_to": True, "depth": report.depth,
-                         "max_host": report.max_host, "nodes": report.nodes_used,
-                         "pattern_pairs_checked": report.pattern_pairs_checked})
-        return ArrowCertificate("stability", "holds", payload={
-            "depth": w.depth, "host": serialize_structure(w.host),
-            "a_maps": [list(m) for m in w.a_maps],
-            "z_maps": [list(m) for m in w.z_maps],
-            "tau_lt": w.tau_lt.hex(), "tau_gt": w.tau_gt.hex()})
-
-    return _report(args, "stability", {"a": a, "z": z},
-                   {"depth": args.depth, "max_host": args.max_host}, decide, cached=True)
+    report = stable_up_to(args.spec, args.a, args.z, args.depth, args.max_host,
+                          budget=_budget(args, "stability search"))
+    w = report.witness
+    if w is None:
+        return ArrowCertificate(
+            "stability", "fails", reason="no unstable witness within the bounds",
+            payload={"stable_up_to": True, "depth": report.depth,
+                     "max_host": report.max_host, "nodes": report.nodes_used,
+                     "pattern_pairs_checked": report.pattern_pairs_checked})
+    return ArrowCertificate("stability", "holds", payload={
+        "depth": w.depth, "host": serialize_structure(w.host),
+        "a_maps": [list(m) for m in w.a_maps],
+        "z_maps": [list(m) for m in w.z_maps],
+        "tau_lt": w.tau_lt.hex(), "tau_gt": w.tau_gt.hex()})
 
 
 def _cmd_proximal_check(args):
-    u, a = map(_load_structure, (args.universe, args.a))
-    chi = _load_coloring(args.coloring, u, a)
-    return _report(args, "proximal-check", {"u": u, "a": a}, {"d_max": args.d_max},
-                   lambda: proximal_check(u, chi, args.spec, args.d_max,
-                                          _budget(args, "proximal_check")),
-                   extra_inputs={"_coloring": coloring_digest(chi)})
+    return proximal_check(args.universe, args.coloring, args.spec, args.d_max,
+                          _budget(args, "proximal_check"))
 
 
 def _cmd_proximal_arrow(args):
-    u, a, b = map(_load_structure, (args.universe, args.a, args.b))
-    chi = _load_coloring(args.coloring, u, a)
-    check = certificates.load_certificate(args.check)
-
-    def decide():
-        cert = proximal_arrow(u, chi, a, b, check)  # its refusals come before the re-run
-        age = check.get("age")
-        if not certificates.verify_certificate(
-                check, {"u": u, "a": a}, load_age(age) if age is not None else None, chi,
-                budget=_budget(args, "proximal_check")):
-            raise PreconditionFailure("proximal-check certificate does not verify")
-        return cert
-
-    return _report(args, "proximal-arrow", {"a": a, "b": b, "u": u}, {}, decide,
-                   extra_inputs={"_coloring": coloring_digest(chi)})
+    u, check = args.universe, args.check
+    cert = proximal_arrow(u, args.coloring, args.a, args.b, check)  # its refusals come first
+    age = check.get("age")
+    if not certificates.verify_certificate(
+            check, {"u": u, "a": args.a}, load_age(age) if age is not None else None,
+            args.coloring, budget=_budget(args, "proximal_check")):
+        raise PreconditionFailure("proximal-check certificate does not verify")
+    return cert
 
 
 def _cmd_convex_arrow(args):
-    a, b, c = map(_load_structure, (args.a, args.b, args.c))
-    return _report(args, "convex-arrow", {"a": a, "b": b, "c": c}, {"epsilon": args.epsilon},
-                   lambda: convex_arrow(c, a, b, args.epsilon, _budget(args, "convex LP")),
-                   cached=True)
+    return convex_arrow(args.c, args.a, args.b, args.epsilon, _budget(args, "convex LP"))
 
 
 def _cmd_orbits(args):
-    host = _load_structure(args.host)
-    a = _load_structure(args.a)
-
-    def decide():
-        group = automorphisms(host)
-        part = orbits_on_embeddings(host, a, group)
-        return ArrowCertificate("orbits", "holds", payload={
-            "base": [list(m) for m in part.base],
-            "blocks": [list(b) for b in part.blocks],
-            "aut_order": len(group)})
-
-    return _report(args, "orbits", {"host": host, "a": a}, {}, decide)
+    group = automorphisms(args.host)
+    part = orbits_on_embeddings(args.host, args.a, group)
+    return ArrowCertificate("orbits", "holds", payload={
+        "base": [list(m) for m in part.base],
+        "blocks": [list(b) for b in part.blocks],
+        "aut_order": len(group)})
 
 
 def _cmd_invariant_partitions(args):
-    host = _load_structure(args.host)
-    a = _load_structure(args.a)
-
-    def decide():
-        parts = invariant_partitions(host, a, args.max_blocks,
-                                     _budget(args, "invariant_partitions"))
-        return ArrowCertificate("invariant-partitions", "holds", payload={
-            "count": len(parts), "partitions": [[list(b) for b in p.blocks] for p in parts]})
-
-    return _report(args, "invariant-partitions", {"host": host, "a": a},
-                   {"max_blocks": args.max_blocks}, decide)
+    parts = invariant_partitions(args.host, args.a, args.max_blocks,
+                                 _budget(args, "invariant_partitions"))
+    return ArrowCertificate("invariant-partitions", "holds", payload={
+        "count": len(parts), "partitions": [[list(b) for b in p.blocks] for p in parts]})
 
 
 def _cmd_coherent_partitions(args):
-    chain = [_load_structure(p) for p in args.chain.split(",")]
-    a = _load_structure(args.a)
-
-    def decide():
-        report = coherent_partitions(chain, a, args.max_blocks,
-                                     _budget(args, "coherent_partitions"))
-        return ArrowCertificate(
-            "coherent-partitions", "holds" if report.families else "fails", payload={
-                "families": [[[list(b) for b in p.blocks] for p in fam]
-                             for fam in report.families],
-                "family_count": len(report.families),
-                "only_trivial": report.only_trivial,
-                "inconclusive": report.inconclusive,
-            })
-
-    inputs = {**{f"f{i}": s for i, s in enumerate(chain)}, "a": a}
-    return _report(args, "coherent-partitions", inputs, {"max_blocks": args.max_blocks},
-                   decide)
+    report = coherent_partitions(args.chain, args.a, args.max_blocks,
+                                 _budget(args, "coherent_partitions"))
+    return ArrowCertificate(
+        "coherent-partitions", "holds" if report.families else "fails", payload={
+            "families": [[[list(b) for b in p.blocks] for p in fam]
+                         for fam in report.families],
+            "family_count": len(report.families),
+            "only_trivial": report.only_trivial,
+            "inconclusive": report.inconclusive,
+        })
 
 
 def _cmd_amalgamation(args):
-    def decide():
-        report = amalgamation_probe(args.spec, args.property, args.bound,
-                                    _budget(args, "amalgamation_probe"))
-        cex = report.counterexample
-        if cex is None:
-            return ArrowCertificate("amalgamation", "holds", payload={
-                "holds_up_to": report.holds_up_to,
-                "instances_checked": report.instances_checked,
-                "search_cap": report.search_cap})
-        return ArrowCertificate("amalgamation", "fails", payload={
-            "counterexample": {
-                "a": serialize_structure(cex.a) if cex.a is not None else None,
-                "b": serialize_structure(cex.b), "c": serialize_structure(cex.c),
-                "f": list(cex.f), "g": list(cex.g)},
+    report = amalgamation_probe(args.spec, args.property, args.bound,
+                                _budget(args, "amalgamation_probe"))
+    cex = report.counterexample
+    if cex is None:
+        return ArrowCertificate("amalgamation", "holds", payload={
+            "holds_up_to": report.holds_up_to,
             "instances_checked": report.instances_checked,
             "search_cap": report.search_cap})
-
-    return _report(args, "amalgamation", {}, {"property": args.property, "bound": args.bound},
-                   decide)
+    return ArrowCertificate("amalgamation", "fails", payload={
+        "counterexample": {
+            "a": serialize_structure(cex.a) if cex.a is not None else None,
+            "b": serialize_structure(cex.b), "c": serialize_structure(cex.c),
+            "f": list(cex.f), "g": list(cex.g)},
+        "instances_checked": report.instances_checked,
+        "search_cap": report.search_cap})
 
 
 def _cmd_verify(args):
     doc = certificates.load_certificate(args.cert)
-    inputs: dict[str, Structure] = {}
-    for name, flag in (("a", args.a), ("b", args.b), ("c", args.c),
-                       ("host", args.host), ("u", args.universe)):
-        if flag:
-            inputs[name] = _load_structure(flag)
-    for i, zpath in enumerate(args.z):
-        z = _load_structure(zpath)
-        if len(args.z) == 1 and "z" in doc.get("inputs", {}):
-            inputs["z"] = z
-        else:
-            inputs[f"z{i}"] = z
-    coloring = None
-    if args.coloring:
-        if "u" not in inputs or "a" not in inputs:
-            raise InputError("--coloring verification needs --universe and --a")
-        coloring = _load_coloring(args.coloring, inputs["u"], inputs["a"])
-    ok = certificates.verify_certificate(doc, inputs, args.spec, coloring,
+    # the inputs are named as the certificate's operation names them
+    row = _COMMANDS.get(doc.get("operation"), (None, None, ""))
+    loaded, inputs, _ = _load(args, _COMMANDS["verify"][2], row[2])
+    ok = certificates.verify_certificate(doc, inputs, args.spec, loaded.coloring,
                                          budget=_budget(args, "verify"))
     print("verified: " + ("true" if ok else "false"))
     return EXIT_HOLDS if ok else EXIT_FAILS
@@ -527,13 +471,13 @@ _SHARED = ("[--json] [--certificate] [--no-cache] [--cache-dir] [--node-budget] 
 
 # subcommand -> (handler, help line, its own flags, --age), flags written
 # as in a usage line: `--x` required, `[--x]` optional, a bare word
-# positional.  The --age entry is "--age" (required), "[--age]"
-# (accepted) or "" (refused).
+# positional, `--z...` repeatable (`--z` alone: one coordinate).  The
+# --age entry is "--age" (required), "[--age]" (accepted) or "" (refused).
 _COMMANDS = {
     "parse": (_cmd_parse, "parse and normalize a structure file", "infile", ""),
     "enumerate": (_cmd_enumerate, "age members of size n, up to isomorphism", "--n", "--age"),
     "embeddings": (_cmd_embeddings, "all embeddings of A into B", "--a --b", ""),
-    "patterns": (_cmd_patterns, "joint-embedding patterns of A and Z(s)", "--a --z", "--age"),
+    "patterns": (_cmd_patterns, "joint-embedding patterns of A and Z(s)", "--a --z...", "--age"),
     "pattern-count": (_cmd_pattern_count, "number of joint-embedding patterns",
                       "--a --z", "--age"),
     "arrow": (_cmd_arrow, "classical embedding-Ramsey arrow", "--a --b --c --colors",
@@ -543,7 +487,7 @@ _COMMANDS = {
     "definable-arrow": (_cmd_definable_arrow, "pattern-constant arrow", "--a --b --c --z",
                         "--age"),
     "stable-arrow": (_cmd_stable_arrow, "stability-restricted arrow",
-                     "--a --b --c [--z] --depth [--max-host]", "--age"),
+                     "--a --b --c [--z...] --depth [--max-host]", "--age"),
     "roelcke-witness": (_cmd_roelcke, "pattern-constant joint embedding",
                         "--a --b --z [--max-n]", "--age"),
     "stability": (_cmd_stability, "depth-bounded unstable-sequence search",
@@ -562,8 +506,12 @@ _COMMANDS = {
     "amalgamation": (_cmd_amalgamation, "bounded amalgamation probe", "--property --bound",
                      "--age"),
     "verify": (_cmd_verify, "independently re-check a certificate",
-               "cert [--a] [--b] [--c] [--z] [--host] [--universe] [--coloring]", "[--age]"),
+               "cert [--a] [--b] [--c] [--z...] [--host] [--universe] [--coloring]", "[--age]"),
 }
+
+# the subcommands whose reports the result cache keeps
+_CACHED = frozenset({"arrow", "arrow-search", "definable-arrow", "stable-arrow",
+                     "roelcke-witness", "stability", "convex-arrow"})
 
 
 def _parser(argv: list[str]) -> argparse.ArgumentParser:
@@ -585,11 +533,11 @@ def _parser(argv: list[str]) -> argparse.ArgumentParser:
     _, help_line, own, age = _COMMANDS[invoked]
     p = sub.add_parser(invoked, help=help_line)
     for token in (*own.split(), *_SHARED.split(), *age.split()):
-        flag = token.strip("[]")
+        flag = token.strip("[].")
         if flag == "--certificate" and invoked == "verify":
             continue
         kwargs = dict(_FLAGS[flag])
-        if flag == token and flag.startswith("--"):
+        if not token.startswith("[") and flag.startswith("--"):
             kwargs.pop("default", None)
             kwargs["required"] = True
         p.add_argument(flag, **kwargs)
@@ -611,7 +559,9 @@ def main(argv=None) -> int:
     try:
         age = getattr(args, "age", None)
         args.spec = load_age(age) if age is not None else None
-        return _COMMANDS[args.command][0](args)
+        if args.command == "verify":
+            return _cmd_verify(args)
+        return _report(args, *_load(args, _COMMANDS[args.command][2]))
     except ResourceLimitExceeded as e:
         print(f"resource limit: {e}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -113,6 +113,26 @@ def test_proximal_arrow_takes_no_age(files, tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["age"] is None
 
 
+def _paths(files, tmp_path):
+    """The module's files plus pure sets p1-p3, a one-colour coloring
+    `col` of b3's points and a passing proximal-check certificate `check`
+    of it, for argv tokens to name."""
+    paths = {**files, "col": str(tmp_path / "const.col"), "check": str(tmp_path / "check.cert")}
+    for n in (1, 2, 3):
+        paths[f"p{n}"] = str(tmp_path / f"p{n}.st")
+        (tmp_path / f"p{n}.st").write_text(serialize_structure(pure_set(n)))
+    (tmp_path / "const.col").write_text("colors: 1\n(0) -> 0\n(1) -> 0\n(2) -> 0\n")
+    assert cli.main(["proximal-check", "--age", "linear_order", "--universe", files["b3"],
+                     "--a", files["pt"], "--coloring", paths["col"], "--d-max", "1",
+                     "--certificate", paths["check"]]) == 0
+    return paths
+
+
+def _argv(paths, text):
+    """`text` split, each name in `paths` (also inside a comma list) its path."""
+    return [",".join(paths.get(n, n) for n in token.split(",")) for token in text.split()]
+
+
 # one decision per verifiable operation, and the age its verifier reads
 # (None: it reads none); linear orders are unstable, so stable-arrow runs
 # over pure sets
@@ -143,18 +163,10 @@ _VERIFY_AGE = (
                          ids=[c for c, _, _, _ in _VERIFY_AGE])
 def test_verify_needs_the_age_its_verifier_reads(files, tmp_path, capsys, command, flags,
                                                  verify_flags, age):
-    paths = {**files, "col": str(tmp_path / "const.col"), "check": str(tmp_path / "check.cert")}
-    for name, s in (("p1", pure_set(1)), ("p2", pure_set(2)), ("p3", pure_set(3))):
-        paths[name] = str(tmp_path / f"{name}.st")
-        (tmp_path / f"{name}.st").write_text(serialize_structure(s))
-    (tmp_path / "const.col").write_text("colors: 1\n(0) -> 0\n(1) -> 0\n(2) -> 0\n")
-    assert cli.main(["proximal-check", "--age", "linear_order", "--universe", files["b3"],
-                     "--a", files["pt"], "--coloring", paths["col"], "--d-max", "1",
-                     "--certificate", paths["check"]]) == 0
+    paths = _paths(files, tmp_path)
     cert = str(tmp_path / "c.cert")
-    assert cli.main([command, *(paths.get(t, t) for t in flags.split()),
-                     "--certificate", cert, "--no-cache"]) in (0, 1)
-    verify = ["verify", cert, *(paths.get(t, t) for t in verify_flags.split())]
+    assert cli.main([command, *_argv(paths, flags), "--certificate", cert, "--no-cache"]) in (0, 1)
+    verify = ["verify", cert, *_argv(paths, verify_flags)]
     capsys.readouterr()
     if age is None:
         assert cli.main(verify) == 0
@@ -180,10 +192,9 @@ def test_malformed_coloring_file_is_a_parse_error(files, tmp_path, capsys, text,
 
 
 def test_every_verifier_is_a_subcommand():
-    for table in (certificates._VERIFIERS, certificates._COLORING_VERIFIERS):
-        assert set(table) <= set(cli._COMMANDS)
-    assert certificates._READS_AGE <= set(certificates._VERIFIERS) | set(
-        certificates._COLORING_VERIFIERS)
+    assert set(certificates._VERIFIERS) <= set(cli._COMMANDS)
+    for _, reads in certificates._VERIFIERS.values():
+        assert set(reads) <= {"age", "coloring"}
 
 
 def _argument_records(name):
@@ -274,18 +285,28 @@ def test_verify_names_an_input_it_needs(files, tmp_path, capsys):
     assert capsys.readouterr().err == "error: verification needs input 'a': not provided\n"
 
 
-@pytest.mark.parametrize("op,inputs,edit,field", [
+@pytest.mark.parametrize("op,inputs,edit,error", [
     ("arrow", "--a a2 --b b3 --c c5", lambda doc: doc.update(payload={}),
-     "payload.coloring"),
+     "lacks field payload.coloring"),
     ("definable-arrow", "--a pt --b a2 --c b3 --z pt", lambda doc: doc.update(payload={}),
-     "payload.offending"),
+     "lacks field payload.offending"),
     ("definable-arrow", "--a pt --b a2 --c b3 --z pt",
-     lambda doc: doc["payload"]["offending"].pop("z_maps"), "payload.offending.z_maps"),
+     lambda doc: doc["payload"]["offending"].pop("z_maps"),
+     "lacks field payload.offending.z_maps"),
+    ("arrow", "--a a2 --b b3 --c c5", lambda doc: doc.update(payload=[]),
+     "field payload is not a JSON object"),
+    ("arrow", "--a a2 --b b3 --c c5", lambda doc: doc.update(params=[]),
+     "field params is not a JSON object"),
+    ("arrow", "--a a2 --b b3 --c c5", lambda doc: doc.update(inputs=[]),
+     "field inputs is not a JSON object"),
+    ("arrow", "--a a2 --b b3 --c c5", lambda doc: doc.update(operation=["arrow"]),
+     "field operation is not a JSON string"),
 ])
 def test_verify_names_a_field_the_certificate_lacks(files, tmp_path, capsys, op, inputs,
-                                                    edit, field):
-    # a failing certificate with a payload field removed is malformed
-    # (exit 2), not `verified: false` (exit 1) or a KeyError traceback
+                                                    edit, error):
+    # a failing certificate with a payload field removed, or an envelope
+    # field of the wrong JSON type, is malformed (exit 2), not `verified:
+    # false` (exit 1) or a KeyError or TypeError traceback
     flags = ["--age", "linear_order", *(files.get(w, w) for w in inputs.split())]
     extra = ["--colors", "2"] if op == "arrow" else []
     cert = tmp_path / "fail.cert"
@@ -295,7 +316,28 @@ def test_verify_names_a_field_the_certificate_lacks(files, tmp_path, capsys, op,
     cert.write_text(json.dumps(doc))
     capsys.readouterr()
     assert cli.main(["verify", str(cert), *flags]) == 2
-    assert capsys.readouterr().err == f"error: certificate lacks field {field}\n"
+    assert capsys.readouterr().err == f"error: certificate {error}\n"
+
+
+@pytest.mark.parametrize("edit,error", [
+    (lambda doc: doc.pop("payload"), "certificate lacks field payload"),
+    (lambda doc: doc.update(payload=[]), "certificate field payload is not a JSON object"),
+])
+def test_proximal_arrow_refuses_a_malformed_check(files, tmp_path, capsys, edit, error):
+    # the check is read as `verify` reads a certificate: a malformed one
+    # exits 2 naming the field, not with a KeyError or TypeError traceback
+    col = tmp_path / "const.col"
+    col.write_text("colors: 2\n" + "".join(f"({v}) -> 1\n" for v in range(6)))
+    check = tmp_path / "check.cert"
+    base = ["--universe", files["c6"], "--a", files["pt"], "--coloring", str(col)]
+    assert cli.main(["proximal-check", "--age", "linear_order", *base, "--d-max", "1",
+                     "--certificate", str(check)]) == 0
+    doc = json.loads(check.read_text())
+    edit(doc)
+    check.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(["proximal-arrow", *base, "--b", files["a2"], "--check", str(check)]) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
 
 
 def test_proximal_arrow_refuses_a_forged_check(tmp_path, capsys):
@@ -443,6 +485,94 @@ def test_cache_transparency(files, tmp_path):
         hit = run_cli(human, env_extra={"ARROWBENCH_CACHE_DIR": cache_dir})
         assert fresh.returncode == stored.returncode == hit.returncode == 0
         assert fresh.stdout == stored.stdout == hit.stdout, human[0]
+
+
+# one small decision per subcommand but verify, and the params of its report
+_PARAMS = {
+    "parse": ("a2", {}),
+    "enumerate": ("--age graph --n 2", {"n": 2}),
+    "embeddings": ("--a pt --b a2", {}),
+    "patterns": ("--age linear_order --a pt --z pt --z pt", {}),
+    "pattern-count": ("--age linear_order --a pt --z pt", {}),
+    "arrow": ("--age linear_order --a pt --b a2 --c b3 --colors 2", {"colors": 2}),
+    "arrow-search": ("--age linear_order --a pt --b a2 --colors 2 --max-n 3",
+                     {"colors": 2, "max_n": 3}),
+    "definable-arrow": ("--age linear_order --a pt --b a2 --c b3 --z pt", {}),
+    "stable-arrow": ("--age set --a p1 --b p2 --c p3 --z p1 --depth 4",
+                     {"depth": 4, "max_host": None}),
+    "roelcke-witness": ("--age linear_order --a pt --b a2 --z pt", {"max_n": None}),
+    "stability": ("--age linear_order --a pt --z pt --depth 2 --max-host 3",
+                  {"depth": 2, "max_host": 3}),
+    "proximal-check": ("--age linear_order --universe b3 --a pt --coloring col --d-max 1",
+                       {"d_max": 1}),
+    "proximal-arrow": ("--universe b3 --a pt --b a2 --coloring col --check check", {}),
+    "convex-arrow": ("--a pt --b a2 --c b3 --epsilon 0.6", {"epsilon": 0.6}),
+    "orbits": ("--host b3 --a pt", {}),
+    "invariant-partitions": ("--host b3 --a pt --max-blocks 2", {"max_blocks": 2}),
+    "coherent-partitions": ("--chain a2,b3 --a pt --max-blocks 2", {"max_blocks": 2}),
+    "amalgamation": ("--age linear_order --property amalgamation --bound 2",
+                     {"property": "amalgamation", "bound": 2}),
+}
+
+# the flags that name files rather than params
+_FILE_FLAGS = {"infile", "cert", "--a", "--b", "--c", "--host", "--universe", "--z", "--chain",
+               "--coloring", "--check"}
+
+
+@pytest.mark.parametrize("command", [c for c in cli._COMMANDS if c != "verify"])
+def test_report_params_are_the_value_flags(files, tmp_path, capsys, command):
+    # a report's params are exactly its subcommand's value flags, by dest
+    flags, params = _PARAMS[command]
+    own = cli._COMMANDS[command][2]
+    value_flags = {t.strip("[].") for t in own.split()} - _FILE_FLAGS
+    assert set(params) == {f.lstrip("-").replace("-", "_") for f in value_flags}
+    argv = [command, *_argv(_paths(files, tmp_path), flags), "--json", "--no-cache"]
+    capsys.readouterr()
+    assert cli.main(argv) in (0, 1)
+    assert json.loads(capsys.readouterr().out)["params"] == params
+
+
+# per cached decider: a decision, a flag and two values of it; each value
+# flag of the subcommand is varied, and definable-arrow, which has none,
+# varies its age
+_CACHE_VARIANTS = (
+    ("arrow --age linear_order --a pt --b a2 --c b3", "--colors", "2", "3"),
+    ("arrow-search --age linear_order --a pt --b a2 --max-n 3", "--colors", "2", "3"),
+    ("arrow-search --age linear_order --a pt --b a2 --colors 2", "--max-n", "2", "3"),
+    ("definable-arrow --a k1 --b k2 --c k2 --z k1", "--age", "graph", "graph_kfree:3"),
+    ("stable-arrow --age set --a p1 --b p2 --c p3 --z p1", "--depth", "4", "5"),
+    ("stable-arrow --age set --a p1 --b p2 --c p3 --z p1 --depth 4", "--max-host", "3", "4"),
+    ("roelcke-witness --age linear_order --a pt --b a2 --z pt", "--max-n", "2", "3"),
+    ("stability --age linear_order --a pt --z pt", "--depth", "2", "3"),
+    ("stability --age linear_order --a pt --z pt --depth 3", "--max-host", "2", "3"),
+    ("convex-arrow --a pt --b a2 --c b3", "--epsilon", "0.6", "0.5"),
+)
+
+
+def test_cache_variants_vary_every_value_flag():
+    for command in cli._CACHED:
+        varied = {flag for argv, flag, _, _ in _CACHE_VARIANTS if argv.split()[0] == command}
+        want = {"--" + p.replace("_", "-") for p in _PARAMS[command][1]}
+        assert varied == (want or {"--age"}), command
+
+
+@pytest.mark.parametrize("argv,flag,first,second", _CACHE_VARIANTS,
+                         ids=[f"{a.split()[0]}{f}" for a, f, _, _ in _CACHE_VARIANTS])
+def test_every_value_flag_reaches_the_cache_key(files, tmp_path, capsys, argv, flag, first,
+                                                second):
+    # two runs that share a cache and differ in one flag: the second is
+    # decided afresh, reports its own flag and leaves a second entry
+    paths = _paths(files, tmp_path)
+    cache_dir = str(tmp_path / "cache")
+    reports = []
+    for value in (first, second):
+        capsys.readouterr()
+        assert cli.main([*_argv(paths, argv), flag, value, "--json", "--cache-dir",
+                         cache_dir]) in (0, 1)
+        reports.append(json.loads(capsys.readouterr().out))
+    assert len(os.listdir(cache_dir)) == 2
+    assert cli.main([*_argv(paths, argv), flag, second, "--json", "--no-cache"]) in (0, 1)
+    assert reports[1] == json.loads(capsys.readouterr().out) != reports[0]
 
 
 def test_cache_keeps_relabelings_apart(files, tmp_path):
