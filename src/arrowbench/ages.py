@@ -30,6 +30,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from arrowbench import groups
 from arrowbench.errors import InputError, ParseError, SignatureMismatch
 from arrowbench.structures import (
     Signature,
@@ -349,6 +350,23 @@ def amalgamation_probe(spec: AgeSpec, which: str, bound: int,
 
     joint-embedding quantifies over (B, C) only (no common part);
     amalgamation and free-amalgamation over (A, B, C, f, g).
+
+    Every instance counts in `instances_checked`, but completions are
+    searched for one instance per symmetry class.  (C, B) has the answer
+    of (B, C), since one completion holds both, so joint embedding
+    searches the pairs (i, j) with j >= i: had (i, j) with j < i failed,
+    (j, i) would have failed first.  For (A, B, C), the instances (f, g)
+    and (beta.f.alpha, gamma.g.alpha), for automorphisms alpha, beta,
+    gamma of A, B, C, have the same answer: a completion (D, beta',
+    gamma') of (f, g) carries over to the other through beta'.beta^-1
+    and gamma'.gamma^-1, on the same D, and these map the new parts of
+    one instance onto those of the other, so a free completion stays
+    free.  Aut(A) acts on the Aut(B)-orbits of the maps A -> B (f.alpha's
+    orbit depends only on f's), so the orbit of (f, g) is every pair
+    whose Aut(B)- and Aut(C)-orbits are those of (f.alpha, g.alpha) for
+    some alpha.  Once a search finds a completion, those |Aut(A)| orbit
+    pairs are done; the walk keeps the order of a search of every
+    instance, and so meets the same first failing instance.
     """
     if bound < 1:
         raise InputError("bound must be >= 1")
@@ -358,9 +376,11 @@ def amalgamation_probe(spec: AgeSpec, which: str, bound: int,
     checked = 0
 
     if which == "joint-embedding":
-        for b in reps:
-            for c in reps:
+        for i, b in enumerate(reps):
+            for j, c in enumerate(reps):
                 checked += 1
+                if j < i:
+                    continue
                 found = next(place_part(b, c, spec, max_size=b.size + c.size,
                                         budget=budget), None)
                 if found is None:
@@ -369,24 +389,32 @@ def amalgamation_probe(spec: AgeSpec, which: str, bound: int,
         return AmalgamationReport(which, bound, None, instances_checked=checked)
 
     free = which == "free-amalgamation"
-    for a in reps:
-        for b in reps:
-            if b.size < a.size:
-                continue
-            fs = embedding_maps(a, b)
+    auts = [groups.automorphisms(s) for s in reps]
+    for a, aut_a in zip(reps, auts):
+        # per member s at least as large as A: s, the maps A -> s, and
+        # the Aut(s)-orbit of each map
+        into = []
+        for s, aut_s in zip(reps, auts):
+            if s.size >= a.size:
+                part = groups.orbits_on_embeddings(s, a, aut_s)
+                orbit = {part.base[i]: k for k, block in enumerate(part.blocks) for i in block}
+                into.append((s, part.base, orbit))
+        for b, fs, f_orbit in into:
             if not fs:
                 continue
-            for c in reps:
-                if c.size < a.size:
-                    continue
-                gs = embedding_maps(a, c)
+            for c, gs, g_orbit in into:
+                done: set[tuple[int, int]] = set()
                 for f in fs:
                     for g in gs:
                         checked += 1
+                        if (f_orbit[f], g_orbit[g]) in done:
+                            continue
                         inst = AmalgamationInstance(a, b, c, f, g)
                         if _find_completion(spec, inst, free, budget) is None:
                             return AmalgamationReport(which, None, inst,
                                                       instances_checked=checked)
+                        done.update((f_orbit[tuple(f[x] for x in alpha)],
+                                     g_orbit[tuple(g[x] for x in alpha)]) for alpha in aut_a)
     return AmalgamationReport(which, bound, None, instances_checked=checked)
 
 

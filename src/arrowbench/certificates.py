@@ -15,7 +15,12 @@ import functools
 import json
 
 from arrowbench import __version__
-from arrowbench.ages import AgeSpec, verify_amalgamation_counterexample
+from arrowbench.ages import (
+    AgeSpec,
+    AmalgamationInstance,
+    amalgamation_probe,
+    verify_amalgamation_counterexample,
+)
 from arrowbench.arrows import (
     ArrowCertificate,
     Coloring,
@@ -328,25 +333,44 @@ def _verify_stability(doc, inputs, spec, coloring, budget):
     return report.stable
 
 
-def _verify_amalgamation(doc, inputs, spec, coloring, budget):
-    from arrowbench.ages import AmalgamationInstance, amalgamation_probe
+# counterexample field -> its JSON types, and their name; a list holds integers
+_COUNTEREXAMPLE = {"a": ((str, type(None)), "string or null"), "b": (str, "string"),
+                   "c": (str, "string"), "f": (list, "list of integers"),
+                   "g": (list, "list of integers")}
 
+
+def _amalgamation_instance(payload) -> AmalgamationInstance:
+    """The instance a failing amalgamation certificate names; a field of
+    the wrong JSON type raises, naming it."""
+    cex = payload["counterexample"]
+    if not isinstance(cex, dict):
+        raise CertificateError("certificate field payload.counterexample is not a JSON object")
+    for field, (types, name) in _COUNTEREXAMPLE.items():
+        value = cex.get(field) if field == "a" else cex[field]
+        if not isinstance(value, types) or (
+                types is list and any(type(v) is not int for v in value)):
+            raise CertificateError(
+                f"certificate field payload.counterexample.{field} is not a JSON {name}")
+    a = parse_structure(cex["a"]) if cex.get("a") else None
+    return AmalgamationInstance(a, parse_structure(cex["b"]), parse_structure(cex["c"]),
+                                tuple(cex["f"]), tuple(cex["g"]))
+
+
+def _verify_amalgamation(doc, inputs, spec, coloring, budget):
     payload = doc["payload"]
     which = doc["params"]["property"]
     if doc["verdict"] == "holds":
         report = amalgamation_probe(spec, which, doc["params"]["bound"], budget)
-        return report.counterexample is None
-    cex = payload["counterexample"]
-    a = parse_structure(cex["a"]) if cex.get("a") else None
-    inst = AmalgamationInstance(
-        a, parse_structure(cex["b"]), parse_structure(cex["c"]),
-        tuple(cex["f"]), tuple(cex["g"]))
+        return (report.counterexample is None
+                and (payload["holds_up_to"], payload["instances_checked"], payload["search_cap"])
+                == (report.holds_up_to, report.instances_checked, report.search_cap))
+    inst = _amalgamation_instance(payload)
     # a counterexample outside the age proves nothing (and every
     # completion of a non-member fails)
-    if any(s is not None and not spec.member(s) for s in (a, inst.b, inst.c)):
+    if any(s is not None and not spec.member(s) for s in (inst.a, inst.b, inst.c)):
         return False
-    if a is not None:
-        if not is_embedding(inst.f, a, inst.b) or not is_embedding(inst.g, a, inst.c):
+    if inst.a is not None:
+        if not is_embedding(inst.f, inst.a, inst.b) or not is_embedding(inst.g, inst.a, inst.c):
             return False
     return verify_amalgamation_counterexample(spec, inst, which, budget)
 

@@ -45,6 +45,7 @@ from arrowbench.arrows import (
 )
 from arrowbench.errors import (
     ArrowbenchError,
+    CertificateError,
     InputError,
     ParseError,
     PreconditionFailure,
@@ -368,9 +369,10 @@ def _cmd_proximal_arrow(args):
     u, check = args.universe, args.check
     cert = proximal_arrow(u, args.coloring, args.a, args.b, check)  # its refusals come first
     age = check.get("age")
-    if not certificates.verify_certificate(
-            check, {"u": u, "a": args.a}, load_age(age) if age is not None else None,
-            args.coloring, budget=_budget(args, "proximal_check")):
+    if age is None:
+        raise CertificateError("proximal-check certificate records no age")
+    if not certificates.verify_certificate(check, {"u": u, "a": args.a}, load_age(age),
+                                           args.coloring, budget=_budget(args, "proximal_check")):
         raise PreconditionFailure("proximal-check certificate does not verify")
     return cert
 

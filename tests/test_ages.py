@@ -13,6 +13,7 @@ from arrowbench.ages import (
     amalgamation_probe,
     catalog_age,
     enumerate_structures,
+    enumerate_up_to,
     load_age,
     member,
     verify_amalgamation_counterexample,
@@ -31,6 +32,7 @@ from arrowbench.structures import (
 from arrowbench.unions import Budget, Constraint, place_part
 
 from util import (
+    amalgamation_probe_oracle,
     brute_isomorphic,
     chain,
     cycle,
@@ -233,18 +235,20 @@ _MIXED = AgeSpec(_UNARY_TERNARY, (("r", frozenset({"irreflexive", "symmetric"}))
 
 
 @st.composite
-def _small_age(draw):
+def _small_age(draw, more_symbols=True):
     """(age, n): a catalog age, or a custom age over one binary symbol
-    with random axiom flags, maybe a unary symbol, a random forbidden
-    structure and a ternary symbol; n keeps either enumeration quick (a
-    ternary symbol comes with an irreflexive binary one and a forbidden
-    ternary loop, which keeps its 2-vertex completions to about 1,000)."""
+    with random axiom flags and maybe a random forbidden structure, and,
+    with `more_symbols`, maybe a unary and a ternary symbol; n keeps
+    either enumeration quick (a ternary symbol comes with an irreflexive
+    binary one and a forbidden ternary loop, which keeps its 2-vertex
+    completions to about 1,000)."""
     if draw(st.booleans()):
         name = draw(st.sampled_from(("set", "graph", "graph_kfree:3", "linear_order",
                                      "tournament", "digraph")))
         return catalog_age(name), draw(st.integers(1, 3 if name == "digraph" else 4))
-    ternary = draw(st.booleans())
-    symbols = [("r", 2)] + [("u", 1)] * draw(st.booleans()) + [("t", 3)] * ternary
+    ternary = more_symbols and draw(st.booleans())
+    unary = more_symbols and draw(st.booleans())
+    symbols = [("r", 2)] + [("u", 1)] * unary + [("t", 3)] * ternary
     sig = Signature(tuple(symbols))
     flags = draw(st.frozensets(st.sampled_from(AXIOM_FLAGS)))
     if {"symmetric", "antisymmetric", "total"} <= flags:
@@ -372,6 +376,36 @@ def test_free_positive_implies_plain_positive():
 def test_joint_embedding_probe():
     assert amalgamation_probe(GRAPHS, "joint-embedding", 3, nodes()).counterexample is None
     assert amalgamation_probe(ORDERS, "joint-embedding", 3, nodes()).counterexample is None
+
+
+_PROPERTIES = ("joint-embedding", "amalgamation", "free-amalgamation")
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_age(more_symbols=False), st.sampled_from(_PROPERTIES), st.integers(2, 3))
+@example((catalog_age("digraph"), 3), "free-amalgamation", 3)
+@example((ORDERS, 3), "free-amalgamation", 3)
+@example((TRIANGLE_FREE, 3), "amalgamation", 3)
+def test_amalgamation_probe_matches_the_every_instance_oracle(case, which, bound):
+    # one completion search per symmetry orbit gives the report of a
+    # search of every instance: the same bound, first failing instance and
+    # count; a bound of 3 is kept to ages with at most 20 members up to it
+    spec, _ = case
+    if len(enumerate_up_to(spec, bound, nodes())) > 20:
+        bound = 2
+    assert (amalgamation_probe(spec, which, bound, nodes())
+            == amalgamation_probe_oracle(spec, which, bound, nodes()))
+
+
+def test_graph_free_amalgamation_searches_one_instance_per_orbit(monkeypatch):
+    # graphs up to 3 vertices: 761 instances in 119 orbits of
+    # Aut(A) x Aut(B) x Aut(C)
+    calls = []
+    find = ages._find_completion
+    monkeypatch.setattr(ages, "_find_completion", lambda *a: calls.append(a) or find(*a))
+    report = amalgamation_probe(GRAPHS, "free-amalgamation", 3, nodes())
+    assert report.holds_up_to == 3 and report.instances_checked == 761
+    assert len(calls) == 119
 
 
 def test_transitive_flag_matches_pairwise_definition(seed=5):

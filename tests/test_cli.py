@@ -319,9 +319,49 @@ def test_verify_names_a_field_the_certificate_lacks(files, tmp_path, capsys, op,
     assert capsys.readouterr().err == f"error: certificate {error}\n"
 
 
+def _amalgamation_cert(tmp_path, age, which, rc):
+    """The certificate document of a bound-2 probe, and its path."""
+    cert = tmp_path / "amalgamation.cert"
+    assert cli.main(["amalgamation", "--age", age, "--property", which, "--bound", "2",
+                     "--certificate", str(cert), "--no-cache"]) == rc
+    return json.loads(cert.read_text()), cert
+
+
+@pytest.mark.parametrize("field,forged", [("holds_up_to", 7), ("instances_checked", 99999)])
+def test_verify_compares_a_holding_amalgamation_payload(tmp_path, capsys, field, forged):
+    # a holding probe is verified by a re-run, whose report must be the
+    # one the certificate records
+    doc, cert = _amalgamation_cert(tmp_path, "graph", "free-amalgamation", 0)
+    assert cli.main(["verify", str(cert), "--age", "graph"]) == 0
+    doc["payload"][field] = forged
+    cert.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(["verify", str(cert), "--age", "graph"]) == 1
+    assert capsys.readouterr().out == "verified: false\n"
+
+
+@pytest.mark.parametrize("edit,field,name", [
+    (lambda p: p["counterexample"].update(f="x"), "counterexample.f", "list of integers"),
+    (lambda p: p["counterexample"].update(b=5), "counterexample.b", "string"),
+    (lambda p: p.update(counterexample=[]), "counterexample", "object"),
+])
+def test_verify_names_a_malformed_amalgamation_counterexample(tmp_path, capsys, edit, field,
+                                                             name):
+    # exit 2 naming the field, not a TypeError or AttributeError traceback
+    doc, cert = _amalgamation_cert(tmp_path, "linear_order", "free-amalgamation", 1)
+    edit(doc["payload"])
+    cert.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(["verify", str(cert), "--age", "linear_order"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: certificate field payload.{field} is not a JSON {name}\n")
+
+
 @pytest.mark.parametrize("edit,error", [
     (lambda doc: doc.pop("payload"), "certificate lacks field payload"),
     (lambda doc: doc.update(payload=[]), "certificate field payload is not a JSON object"),
+    # proximal-arrow takes no --age, so the check's own must be there
+    (lambda doc: doc.update(age=None), "proximal-check certificate records no age"),
 ])
 def test_proximal_arrow_refuses_a_malformed_check(files, tmp_path, capsys, edit, error):
     # the check is read as `verify` reads a certificate: a malformed one
@@ -770,6 +810,14 @@ _PINNED_REPORTS = (
      "d4fdf6e6a6b792c35609a06222d9d135ae1f5286bee65c9f701084ee389ef17c"),
     ("amalgamation --age graph_kfree:3 --property amalgamation --bound 3", 0,
      "39816a291a5aa8d3421c747eecc3e59e4cac1c922f7717e8c945673c7c069500"),
+    # one completion search per symmetry orbit: a holding probe, a failing
+    # one and the bound-4 graphs (25,549 instances in 1,762 orbits)
+    ("amalgamation --age graph --property free-amalgamation --bound 3", 0,
+     "04bbf5ca3392c16a8ba480f67b75ca6ca21e7d4c13e3cfa412859501f02be499"),
+    ("amalgamation --age linear_order --property free-amalgamation --bound 3", 1,
+     "34dd3c4f6c6f662002bb2fc620ef5578ca37b9495bdc35537e575dde8b1dd48b"),
+    ("amalgamation --age graph --property free-amalgamation --bound 4", 0,
+     "6e44e97ba50b94f96599f43c04afa06fec03c8ff6e50e86b751488e1d0fb5047"),
     ("arrow --age linear_order --a C2 --b C3 --c C6 --colors 2", 0,
      "5f802cadd83752372e7d5d70bd4af0e1423d3adf1bc28f526eb791b2f0e086eb"),
     # the lex-leader prune under |Aut(C)| = 5,040 and 720

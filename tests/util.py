@@ -11,20 +11,29 @@ leaf of the canonical search tree instead of skipping the subtrees that a
 found automorphism repeats, `occurrence_table_oracle` scans every tuple
 for each vertex's positions, `search_pair_oracle` places every part
 unconstrained and then filters the hosts by their pair pattern codes
-instead of directing each placement by the patterns, and
+instead of directing each placement by the patterns,
 `counterexample_search_oracle` lists every automorphism's permutation of
 the positions and rescans all of them at each node of the classical
 arrow's search instead of advancing only those waiting on the position
-just colored, and `pattern_arrow_oracle` keeps one joint embedding per
+just colored, `pattern_arrow_oracle` keeps one joint embedding per
 pattern code and checks them in code order instead of walking the
-placements as they come.
+placements as they come, and `amalgamation_probe_oracle` searches a
+completion for every amalgamation instance instead of one per symmetry
+orbit.
 """
 
 import itertools
 import operator
 import random
 
-from arrowbench.ages import _single_vertex_members, member
+from arrowbench.ages import (
+    AmalgamationInstance,
+    AmalgamationReport,
+    _find_completion,
+    _single_vertex_members,
+    enumerate_up_to,
+    member,
+)
 from arrowbench.arrows import ArrowCertificate, _pattern_constant_b
 from arrowbench.groups import automorphisms
 from arrowbench.patterns import (
@@ -684,3 +693,36 @@ def pattern_arrow_oracle(operation, c, a, b, zs, spec, budget, extra):
                                     payload={"offending": offending, **extra})
     return ArrowCertificate(operation, "holds",
                             payload={"joint_patterns_checked": len(found), **extra})
+
+
+# ---------------------------------------------------------------------------
+# amalgamation probes searching a completion for every instance
+
+
+def amalgamation_probe_oracle(spec, which, bound, budget):
+    """Oracle for `ages.amalgamation_probe`: the report of a walk that
+    searches every pair (B, C), or every instance (A, B, C, f, g), in
+    the probe's order and stops at the first without a completion."""
+    reps = enumerate_up_to(spec, bound, budget)
+    checked = 0
+    if which == "joint-embedding":
+        for b in reps:
+            for c in reps:
+                checked += 1
+                if next(place_part(b, c, spec, max_size=b.size + c.size,
+                                   budget=budget), None) is None:
+                    inst = AmalgamationInstance(None, b, c, (), ())
+                    return AmalgamationReport(which, None, inst, instances_checked=checked)
+        return AmalgamationReport(which, bound, None, instances_checked=checked)
+    for a in reps:
+        for b in reps:
+            for c in reps:
+                for f in embedding_maps(a, b):
+                    for g in embedding_maps(a, c):
+                        checked += 1
+                        inst = AmalgamationInstance(a, b, c, f, g)
+                        if _find_completion(spec, inst, which == "free-amalgamation",
+                                            budget) is None:
+                            return AmalgamationReport(which, None, inst,
+                                                      instances_checked=checked)
+    return AmalgamationReport(which, bound, None, instances_checked=checked)
