@@ -28,6 +28,7 @@ records rather than asserts to be complete.
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass
 
 from arrowbench import groups
@@ -182,20 +183,29 @@ def catalog_age(name: str) -> AgeSpec:
 
 
 def load_age(source: str) -> AgeSpec:
+    """The age of an --age argument (see resolve_age)."""
+    return resolve_age(source)[1]
+
+
+def resolve_age(source: str) -> tuple[str, AgeSpec]:
     """Resolve an --age argument: a catalog name, or a path to an age file.
+    Returns the text that names the age from any working directory (the
+    name as given, or the file's absolute path) and the age.
 
     Age file format: either a single `age: <catalog-name>` line, or
     `signature:` / `axioms: <symbol> <flag>...` / `forbidden: <paths>` /
     `name:` lines.  Forbidden paths are relative to the age file.
     """
-    import os
-
     try:
-        return catalog_age(source)
+        return source, catalog_age(source)
     except InputError:
         pass
     if not os.path.exists(source):
         raise InputError(f"--age {source!r}: not a catalog name and not a file")
+    return os.path.abspath(source), _read_age_file(source)
+
+
+def _read_age_file(source: str) -> AgeSpec:
     text = read_text(source)
     base = os.path.dirname(os.path.abspath(source))
 

@@ -7,12 +7,16 @@ only embedding enumeration and pattern codes: fail certificates are
 re-scored directly; a holding classical arrow is re-decided by an
 independent route (exhaustive coloring enumeration), and a holding
 pattern arrow by a re-run of the decider's walk over the placements.
+Before any re-check, a document is checked against the JSON shapes that
+_VERIFIERS declares for its operation's params and payload.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
+import re
 
 from arrowbench import __version__
 from arrowbench.ages import (
@@ -83,27 +87,21 @@ def write_certificate(doc: dict, path: str) -> None:
         fh.write(dumps(doc))
 
 
-# envelope field -> its JSON types, and their name
-_ENVELOPE = {"operation": (str, "string"), "age": ((str, type(None)), "string or null"),
-             "inputs": (dict, "object"), "params": (dict, "object"), "payload": (dict, "object")}
+class _Checked(dict):
+    """A certificate document that load_certificate found to have its
+    declared shape, which verify_certificate does not check again."""
 
 
 def load_certificate(path: str) -> dict:
-    """The certificate document at `path`, with every JSON object in it a
-    _Fields; an envelope field of the wrong JSON type raises, naming it."""
+    """The certificate document at `path`; one that does not have its
+    declared shape (see _check_shape) raises CertificateError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
         raise CertificateError(f"cannot read certificate: {e}") from None
-    if not isinstance(doc, dict):
-        raise CertificateError("certificate is not a JSON object")
-    if doc.get("format") != FORMAT:
-        raise CertificateError(f"unsupported certificate format {doc.get('format')!r}")
-    for field, (types, name) in _ENVELOPE.items():
-        if field in doc and not isinstance(doc[field], types):
-            raise CertificateError(f"certificate field {field} is not a JSON {name}")
-    return _fields(doc)
+    _check_shape(doc)
+    return _Checked(doc)
 
 
 class _Inputs(dict):
@@ -113,30 +111,8 @@ class _Inputs(dict):
         raise CertificateError(f"verification needs input {name!r}: not provided")
 
 
-class _Fields(dict):
-    """A JSON object of the certificate at `path`; reading a field it
-    lacks raises CertificateError naming the field."""
-
-    def __init__(self, obj: dict, path: str):
-        super().__init__((k, _fields(v, f"{path}{k}.")) for k, v in obj.items())
-        self.path = path
-
-    def __missing__(self, name):
-        raise CertificateError(f"certificate lacks field {self.path}{name}")
-
-
-def _fields(value, path: str = ""):
-    """The document with every JSON object in it a _Fields."""
-    if isinstance(value, dict):
-        return _Fields(value, path)
-    if isinstance(value, list):
-        return [_fields(v, f"{path[:-1]}[{i}].") for i, v in enumerate(value)]
-    return value
-
-
 def _check_digests(doc: dict, inputs: _Inputs) -> None:
-    recorded = doc.get("inputs", {})
-    for name, digest in recorded.items():
+    for name, digest in doc["inputs"].items():
         if name.startswith("_"):
             continue
         got = input_digest(inputs[name])
@@ -157,10 +133,10 @@ def _verify_arrow(doc, inputs, spec, coloring, budget):
     a, b, c = inputs["a"], inputs["b"], inputs["c"]
     k = doc["params"]["colors"]
     if doc["verdict"] == "fails":
-        if doc.get("degenerate"):
+        if doc["degenerate"]:
             return not embedding_maps(b, c)
         return check_coloring_is_counterexample(c, a, b, doc["payload"]["coloring"])
-    if doc.get("degenerate"):
+    if doc["degenerate"]:
         return bool(embedding_maps(b, c)) and not embedding_maps(a, b)
     return exhaustive_classical_check(c, a, b, k, budget)
 
@@ -182,14 +158,14 @@ def _stability_precondition_ok(doc, a, zs, spec, budget) -> bool:
     """One stable entry per coordinate, in order, at the certificate's
     depth, each re-derived by stable_up_to at that depth and host bound."""
     depth = doc["params"]["depth"]
-    entries = doc["payload"].get("stability_precondition")
-    if not isinstance(entries, list) or len(entries) != len(zs):
+    entries = doc["payload"]["stability_precondition"]
+    if len(entries) != len(zs):
         return False
     for i, (z, entry) in enumerate(zip(zs, entries)):
-        if (entry.get("z_index"), entry.get("stable"), entry.get("depth")) != (i, True, depth):
+        if (entry["z_index"], entry["stable"], entry["depth"]) != (i, True, depth):
             return False
         report = stable_up_to(spec, a, z, depth, doc["params"].get("max_host"), budget=budget)
-        if not report.stable or report.max_host != entry.get("max_host"):
+        if not report.stable or report.max_host != entry["max_host"]:
             return False
     return True
 
@@ -210,7 +186,7 @@ def _verify_pattern_arrow(doc, inputs, spec, coloring, budget):
         return False
     emb_bc = embedding_maps(b, c)
     emb_ab = embedding_maps(a, b)
-    if doc.get("degenerate"):
+    if doc["degenerate"]:
         if doc["verdict"] == "fails":
             return not emb_bc
         return bool(emb_bc) and not emb_ab
@@ -260,7 +236,7 @@ def _verify_convex(doc, inputs, spec, coloring, budget):
     domain = embedding_maps(a, c)
     copies = embedding_maps(b, c)
     emb_ab = embedding_maps(a, b)
-    if doc.get("degenerate"):
+    if doc["degenerate"]:
         return not emb_ab or not domain
     index = {m: i for i, m in enumerate(domain)}
     weights = {}
@@ -290,7 +266,7 @@ def _verify_convex(doc, inputs, spec, coloring, budget):
     # adversary mixture re-scored as a lower bound: a positive value
     # needs one, and each row must be a weighted [0,1]-coloring of the
     # whole domain on an ordered pair of A-copies in B
-    adv = payload.get("adversary", [])
+    adv = payload["adversary"]
     if value > 1e-6 and not adv:
         return False
     if adv:
@@ -329,80 +305,195 @@ def _verify_stability(doc, inputs, spec, coloring, budget):
         return UnstableWitness(payload["depth"], host, a_maps, z_maps,
                                bytes.fromhex(payload["tau_lt"]),
                                bytes.fromhex(payload["tau_gt"])).verify()
-    report = stable_up_to(spec, a, z, payload["depth"], payload["max_host"], budget=budget)
-    return report.stable
-
-
-# counterexample field -> its JSON types, and their name; a list holds integers
-_COUNTEREXAMPLE = {"a": ((str, type(None)), "string or null"), "b": (str, "string"),
-                   "c": (str, "string"), "f": (list, "list of integers"),
-                   "g": (list, "list of integers")}
-
-
-def _amalgamation_instance(payload) -> AmalgamationInstance:
-    """The instance a failing amalgamation certificate names; a field of
-    the wrong JSON type raises, naming it."""
-    cex = payload["counterexample"]
-    if not isinstance(cex, dict):
-        raise CertificateError("certificate field payload.counterexample is not a JSON object")
-    for field, (types, name) in _COUNTEREXAMPLE.items():
-        value = cex.get(field) if field == "a" else cex[field]
-        if not isinstance(value, types) or (
-                types is list and any(type(v) is not int for v in value)):
-            raise CertificateError(
-                f"certificate field payload.counterexample.{field} is not a JSON {name}")
-    a = parse_structure(cex["a"]) if cex.get("a") else None
-    return AmalgamationInstance(a, parse_structure(cex["b"]), parse_structure(cex["c"]),
-                                tuple(cex["f"]), tuple(cex["g"]))
+    # the search that the params ask for, whose report the payload must
+    # be; a payload at another depth or host bound is refused without it
+    depth, max_host = doc["params"]["depth"], doc["params"].get("max_host")
+    if payload["depth"] != depth or max_host not in (None, payload["max_host"]):
+        return False
+    report = stable_up_to(spec, a, z, depth, max_host, budget=budget)
+    return report.stable and (True, report.max_host, report.pattern_pairs_checked) == (
+        payload["stable_up_to"], payload["max_host"], payload["pattern_pairs_checked"])
 
 
 def _verify_amalgamation(doc, inputs, spec, coloring, budget):
-    payload = doc["payload"]
-    which = doc["params"]["property"]
-    if doc["verdict"] == "holds":
-        report = amalgamation_probe(spec, which, doc["params"]["bound"], budget)
-        return (report.counterexample is None
-                and (payload["holds_up_to"], payload["instances_checked"], payload["search_cap"])
-                == (report.holds_up_to, report.instances_checked, report.search_cap))
-    inst = _amalgamation_instance(payload)
-    # a counterexample outside the age proves nothing (and every
-    # completion of a non-member fails)
-    if any(s is not None and not spec.member(s) for s in (inst.a, inst.b, inst.c)):
-        return False
-    if inst.a is not None:
-        if not is_embedding(inst.f, inst.a, inst.b) or not is_embedding(inst.g, inst.a, inst.c):
+    payload, params = doc["payload"], doc["params"]
+    fails = doc["verdict"] == "fails"
+    if fails:
+        cex = payload["counterexample"]
+        inst = AmalgamationInstance(parse_structure(cex["a"]) if cex["a"] is not None else None,
+                                    parse_structure(cex["b"]), parse_structure(cex["c"]),
+                                    tuple(cex["f"]), tuple(cex["g"]))
+        # a counterexample outside the age or past the bound proves
+        # nothing (and every completion of a non-member fails)
+        if any(s is not None and (s.size > params["bound"] or not spec.member(s))
+               for s in (inst.a, inst.b, inst.c)):
             return False
-    return verify_amalgamation_counterexample(spec, inst, which, budget)
+        if inst.a is not None and not (is_embedding(inst.f, inst.a, inst.b)
+                                       and is_embedding(inst.g, inst.a, inst.c)):
+            return False
+        if not verify_amalgamation_counterexample(spec, inst, params["property"], budget):
+            return False
+    # the re-run probe's report must be the one the certificate records
+    report = amalgamation_probe(spec, params["property"], params["bound"], budget)
+    return ((report.counterexample is not None) == fails
+            and (payload["instances_checked"], payload["search_cap"])
+            == (report.instances_checked, report.search_cap)
+            and (fails or payload["holds_up_to"] == report.holds_up_to))
 
 
-# operation -> (verifier, what it reads besides the inputs: the age, the coloring)
+# JSON shapes.  A type stands for a JSON value of it: str a string, bytes
+# a string of hex digits, int an integer, float a number, bool a boolean,
+# dict any object, None null; a string stands for itself.  A tuple is any
+# one of its shapes, [s, ...] a list of items of shape s, a list of shapes
+# without the ellipsis a list of as many items of those shapes, and
+# {field: s} an object with at least those fields, where a field named
+# with a trailing "?" may be absent.
+_MAP = [int, ...]  # an embedding, as the list of its images
+
+# the fields of every certificate document besides its format
+_DOCUMENT = {"tool_version": str, "operation": str, "verdict": ("holds", "fails"),
+             "degenerate": bool, "reason": (str, None), "age": (str, None),
+             "inputs": dict, "params": dict, "payload": dict}
+
+_PATTERN_ARROW = {"holds": {"joint_patterns_checked": int},
+                  "fails": {"offending": {"u": str, "c_map": _MAP, "z_maps": [_MAP, ...]}}}
+_ROELCKE_WITNESS = {"u": str, "b_map": _MAP, "z_map": _MAP}
+
+# operation -> (verifier, what it reads besides the inputs: the age, the
+# coloring; its params; its payload fields by the certificate's kind: ""
+# for every kind, then "holds" or "fails", each prefixed "degenerate "
+# when the certificate is)
 _VERIFIERS = {
-    "arrow": (_verify_arrow, ()),
-    "arrow-search": (_verify_arrow_search, ("age",)),
-    "definable-arrow": (_verify_pattern_arrow, ("age",)),
-    "stable-arrow": (_verify_pattern_arrow, ("age",)),
-    "roelcke-witness": (_verify_roelcke, ("age",)),
-    "convex-arrow": (_verify_convex, ()),
-    "stability": (_verify_stability, ("age",)),
-    "amalgamation": (_verify_amalgamation, ("age",)),
-    "proximal-check": (_verify_proximal_check, ("age", "coloring")),
-    "proximal-arrow": (_verify_proximal_arrow, ("coloring",)),
+    "arrow": (_verify_arrow, (), {"colors": int}, {
+        "": {"k": int},
+        "holds": {"domain_size": int, "copy_count": int, "aut_perms": int, "nodes": int,
+                  "method": str},
+        "fails": {"coloring": [[_MAP, int], ...]},
+        "degenerate holds": {"domain_size": int},
+        "degenerate fails": {"copy_count": int}}),
+    "arrow-search": (_verify_arrow_search, ("age",), {"colors": int, "max_n": int}, {
+        "": {"k": int}, "holds": {"n": int, "c": str, "inner": dict}, "fails": {"max_n": int}}),
+    "definable-arrow": (_verify_pattern_arrow, ("age",), {}, _PATTERN_ARROW),
+    "stable-arrow": (_verify_pattern_arrow, ("age",), {"depth": int, "max_host?": (int, None)}, {
+        **_PATTERN_ARROW, "": {"stability_precondition": [
+            {"z_index": int, "stable": bool, "depth": int, "max_host": int}, ...]}}),
+    "roelcke-witness": (_verify_roelcke, ("age",), {"max_n?": (int, None)}, {
+        "": {"candidates_checked": int},
+        "holds": _ROELCKE_WITNESS, "degenerate holds": _ROELCKE_WITNESS}),
+    "convex-arrow": (_verify_convex, (), {"epsilon": float}, {"": {
+        "epsilon": float, "value": float, "gap": float, "combination": [[_MAP, float], ...],
+        "adversary": [{"coloring": [float, ...], "pair": [_MAP, _MAP], "weight": float},
+                      ...]}}),
+    "stability": (_verify_stability, ("age",), {"depth": int, "max_host?": (int, None)}, {
+        "": {"depth": int},
+        "holds": {"host": str, "a_maps": [_MAP, ...], "z_maps": [_MAP, ...], "tau_lt": bytes,
+                  "tau_gt": bytes},
+        "fails": {"stable_up_to": bool, "max_host": int, "nodes": int,
+                  "pattern_pairs_checked": int}}),
+    "amalgamation": (_verify_amalgamation, ("age",), {"bound": int, "property": str}, {
+        "": {"instances_checked": int, "search_cap": str},
+        "holds": {"holds_up_to": int},
+        "fails": {"counterexample": {"a": (str, None), "b": str, "c": str, "f": _MAP,
+                                     "g": _MAP}}}),
+    "proximal-check": (_verify_proximal_check, ("age", "coloring"), {"d_max": int}, {"": {
+        "d_max": int, "entries": [[str, bool, (_MAP, None)], ...], "passed_all": bool}}),
+    "proximal-arrow": (_verify_proximal_arrow, ("coloring",), {}, {
+        "": {"checked_depth": int},
+        "holds": {"b_map": _MAP}, "degenerate holds": {"b_map": _MAP}}),
 }
+
+_HEX = re.compile("(?:[0-9a-f]{2})*")
+_NAMES = {str: "string", bytes: "string of hex digits", int: "integer", float: "number",
+          bool: "boolean", dict: "object", None: "null"}
+
+
+def _name(shape) -> str:
+    """What an error message calls a JSON value of `shape`."""
+    if isinstance(shape, tuple):
+        return " or ".join(map(_name, shape))
+    if isinstance(shape, str):
+        return json.dumps(shape)
+    if isinstance(shape, list):
+        if shape[-1] is not ...:
+            return f"list of {len(shape)} items"
+        return f"list of {_NAMES[shape[0]]}s" if isinstance(shape[0], type) else "list"
+    return "object" if isinstance(shape, dict) else _NAMES[shape]
+
+
+def _check(value, shape, path: str) -> None:
+    """Raise CertificateError naming `path`, the field that holds `value`,
+    or a field inside it, unless `value` has `shape`."""
+    if isinstance(shape, tuple):
+        for alternative in shape:
+            try:
+                return _check(value, alternative, path)
+            except CertificateError:
+                pass
+    elif isinstance(shape, dict):
+        if type(value) is dict:
+            for key, item in shape.items():
+                field = key.rstrip("?")
+                where = f"{path}.{field}" if path else field
+                if field in value:
+                    if type(value[field]) is not item:  # else a plain JSON type fits
+                        _check(value[field], item, where)
+                elif field == key:
+                    raise CertificateError(f"certificate lacks field {where}")
+            return
+    elif isinstance(shape, list):
+        items = itertools.repeat(shape[0]) if shape[-1] is ... else shape
+        if type(value) is list and (shape[-1] is ... or len(value) == len(shape)):
+            for i, (item, item_shape) in enumerate(zip(value, items)):
+                if type(item) is not item_shape:
+                    _check(item, item_shape, f"{path}[{i}]")
+            return
+    elif shape is float:
+        if type(value) in (int, float):
+            return
+    elif shape is bytes:
+        if type(value) is str and _HEX.fullmatch(value):
+            return
+    elif shape is None or isinstance(shape, str):
+        if value == shape:
+            return
+    elif type(value) is shape:
+        return
+    raise CertificateError(f"certificate field {path} is not a JSON {_name(shape)}")
+
+
+def _check_shape(doc) -> None:
+    """Raise CertificateError, naming the first field that is missing or
+    of another shape, unless `doc` is a certificate document of this
+    format with the fields of _DOCUMENT and the params and payload that
+    its operation's row of _VERIFIERS declares for its kind."""
+    if type(doc) is not dict:
+        raise CertificateError("certificate is not a JSON object")
+    if doc.get("format") != FORMAT:
+        raise CertificateError(f"unsupported certificate format {doc.get('format')!r}")
+    _check(doc, _DOCUMENT, "")
+    if doc["operation"] in _VERIFIERS:
+        _, _, params, payload = _VERIFIERS[doc["operation"]]
+        _check(doc["params"], params, "params")
+        kind = ("degenerate " if doc["degenerate"] else "") + doc["verdict"]
+        for key in (kind, ""):
+            _check(doc["payload"], payload.get(key, {}), "payload")
 
 
 def verify_certificate(doc: dict, inputs: dict[str, Structure], spec: AgeSpec | None,
                        coloring: Coloring | None = None, *, budget: Budget) -> bool:
     """Independent re-check of a certificate against the given inputs;
-    every search it re-runs spends `budget`.  Digest mismatches raise
-    CertificateError, as does a field the verifier reads and the document
-    lacks; a sound certificate with a wrong claim returns False."""
-    doc = doc if isinstance(doc, _Fields) else _fields(doc)  # load_certificate wraps
+    every search it re-runs spends `budget`.  A document without its
+    declared shape (see _check_shape; one from load_certificate has been
+    checked there) raises CertificateError, as do digest mismatches; a
+    sound certificate with a wrong claim returns False."""
+    if not isinstance(doc, _Checked):
+        _check_shape(doc)
     inputs = _Inputs(inputs)
     _check_digests(doc, inputs)
-    op = doc.get("operation")
+    op = doc["operation"]
     if op not in _VERIFIERS:
         raise CertificateError(f"operation {op!r} has no verifier")
-    verifier, reads = _VERIFIERS[op]
+    verifier, reads, _, _ = _VERIFIERS[op]
     if spec is None and "age" in reads:
         raise CertificateError(f"{op} verification needs --age")
     if "coloring" in reads:

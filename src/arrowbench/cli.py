@@ -16,9 +16,12 @@ _COMMANDS.  --a, --b, --c and --host are inputs of those names,
 --universe is `u` and the positional structure file `structure`; --z is
 `z` where the row takes it once and z0, z1, ... where it repeats; --chain
 is f0, f1, ...; a --coloring, read against u and a, enters as its digest
-`_coloring`.  Every other flag of the row is a param.  `verify` names its
-inputs by the row of the certificate's operation, and an envelope field
-of the wrong JSON type is an input error (exit 2).
+`_coloring`.  Every other flag of the row is a param.  An --age that
+names a file is recorded as its absolute path.  `verify` names its inputs
+by the row of the certificate's operation; a certificate without the
+shape that `certificates` declares for its operation, such as a missing
+field, a field of another JSON type or a verdict other than `holds` or
+`fails`, is an input error (exit 2).
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import sys
 import time
 
 from arrowbench import __version__, cache, certificates
-from arrowbench.ages import amalgamation_probe, enumerate_structures, load_age
+from arrowbench.ages import amalgamation_probe, enumerate_structures, load_age, resolve_age
 from arrowbench.arrows import (
     ArrowCertificate,
     Coloring,
@@ -368,7 +371,7 @@ def _cmd_proximal_check(args):
 def _cmd_proximal_arrow(args):
     u, check = args.universe, args.check
     cert = proximal_arrow(u, args.coloring, args.a, args.b, check)  # its refusals come first
-    age = check.get("age")
+    age = check["age"]
     if age is None:
         raise CertificateError("proximal-check certificate records no age")
     if not certificates.verify_certificate(check, {"u": u, "a": args.a}, load_age(age),
@@ -431,7 +434,7 @@ def _cmd_amalgamation(args):
 def _cmd_verify(args):
     doc = certificates.load_certificate(args.cert)
     # the inputs are named as the certificate's operation names them
-    row = _COMMANDS.get(doc.get("operation"), (None, None, ""))
+    row = _COMMANDS.get(doc["operation"], (None, None, ""))
     loaded, inputs, _ = _load(args, _COMMANDS["verify"][2], row[2])
     ok = certificates.verify_certificate(doc, inputs, args.spec, loaded.coloring,
                                          budget=_budget(args, "verify"))
@@ -559,8 +562,10 @@ def main(argv=None) -> int:
             print("error: --epsilon must lie in (0, 1]", file=sys.stderr)
             return EXIT_USAGE
     try:
+        # a report records, and its cache key holds, the --age text that
+        # names the age from any working directory
         age = getattr(args, "age", None)
-        args.spec = load_age(age) if age is not None else None
+        args.age, args.spec = resolve_age(age) if age is not None else (None, None)
         if args.command == "verify":
             return _cmd_verify(args)
         return _report(args, *_load(args, _COMMANDS[args.command][2]))

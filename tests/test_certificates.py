@@ -16,7 +16,7 @@ from arrowbench.arrows import (
 )
 from arrowbench.errors import CertificateError
 from arrowbench.stability import stable_up_to, unstable_witness
-from arrowbench.structures import serialize_structure
+from arrowbench.structures import Structure, serialize_structure
 
 from util import chain, k_graph, nodes, pure_set
 
@@ -351,29 +351,34 @@ def test_proximal_check_certificate(tmp_path):
                                                coloring=point, budget=nodes())
 
 
-def _amalgamation_doc(age, which, a, b, c, f, g):
+def _amalgamation_doc(a, b, c, f, g, report):
+    """A failing linear_order free-amalgamation certificate at bound 2
+    on the given counterexample, recording the counts of `report`."""
     from arrowbench.arrows import ArrowCertificate
 
     cex = {"a": serialize_structure(a) if a is not None else None,
            "b": serialize_structure(b), "c": serialize_structure(c),
            "f": list(f), "g": list(g)}
     cert = ArrowCertificate("amalgamation", "fails",
-                            payload={"counterexample": cex, "instances_checked": 1,
-                                     "search_cap": "completions searched up to |B|+|C| vertices"})
-    return certificates.envelope(cert, {}, age, {"bound": 3, "property": which})
+                            payload={"counterexample": cex,
+                                     "instances_checked": report.instances_checked,
+                                     "search_cap": report.search_cap})
+    return certificates.envelope(cert, {}, "linear_order",
+                                 {"bound": 2, "property": "free-amalgamation"})
 
 
 def test_amalgamation_counterexample_outside_the_age_is_rejected(tmp_path):
-    # every completion of a non-member B fails, so only a membership
-    # check stops a forged counterexample built on one
-    forged = _amalgamation_doc("graph_kfree:3", "amalgamation",
-                               k_graph(1), k_graph(3), k_graph(1), [0], [0])
-    spec = catalog_age("graph_kfree:3")
-    assert not certificates.verify_certificate(roundtrip(forged, tmp_path), {}, spec,
+    # linear orders do not freely amalgamate, so the re-run probe finds a
+    # counterexample and the recorded counts are its own.  Two unordered
+    # points B and a 2-chain C over a common point have no free completion
+    # either, so only a membership check stops a forged counterexample on
+    # that non-member B
+    report = amalgamation_probe(ORDERS, "free-amalgamation", 2, nodes())
+    unordered = Structure.make(chain(1).signature, 2, {"lt": []})
+    forged = _amalgamation_doc(chain(1), unordered, chain(2), [0], [0], report)
+    assert not certificates.verify_certificate(roundtrip(forged, tmp_path), {}, ORDERS,
                                                budget=nodes())
     # a genuine counterexample still verifies
-    report = amalgamation_probe(ORDERS, "free-amalgamation", 2, nodes())
     cex = report.counterexample
-    doc = _amalgamation_doc("linear_order", "free-amalgamation",
-                            cex.a, cex.b, cex.c, cex.f, cex.g)
+    doc = _amalgamation_doc(cex.a, cex.b, cex.c, cex.f, cex.g, report)
     assert certificates.verify_certificate(roundtrip(doc, tmp_path), {}, ORDERS, budget=nodes())

@@ -192,9 +192,18 @@ def test_malformed_coloring_file_is_a_parse_error(files, tmp_path, capsys, text,
 
 
 def test_every_verifier_is_a_subcommand():
+    # each row declares the params that its subcommand records, and
+    # payload fields only under kinds a certificate has, so that a
+    # misspelt kind cannot skip its checks
+    kinds = {"", "holds", "fails", "degenerate holds", "degenerate fails"}
     assert set(certificates._VERIFIERS) <= set(cli._COMMANDS)
-    for _, reads in certificates._VERIFIERS.values():
+    for op, (_, reads, params, payload) in certificates._VERIFIERS.items():
         assert set(reads) <= {"age", "coloring"}
+        assert set(payload) <= kinds, op
+        flags = [token.strip("[].") for token in cli._COMMANDS[op][2].split()]
+        assert {name.rstrip("?") for name in params} == {
+            flag.lstrip("-").replace("-", "_") for flag in flags
+            if flag not in cli._FILE_FLAGS}, op
 
 
 def _argument_records(name):
@@ -357,6 +366,95 @@ def test_verify_names_a_malformed_amalgamation_counterexample(tmp_path, capsys, 
         f"error: certificate field payload.{field} is not a JSON {name}\n")
 
 
+@pytest.mark.parametrize("decision,edit,error", [
+    ("arrow --age linear_order --a a2 --b b3 --c c5 --colors 2",
+     lambda doc: doc["payload"].update(coloring="x"), "payload.coloring is not a JSON list"),
+    ("arrow --age linear_order --a a2 --b b3 --c c5 --colors 2",
+     lambda doc: doc["payload"].update(coloring=[[0, 1]]),
+     "payload.coloring[0][0] is not a JSON list of integers"),
+    ("arrow --age linear_order --a a2 --b b3 --c c6 --colors 2",
+     lambda doc: doc.update(verdict="bogus"), 'verdict is not a JSON "holds" or "fails"'),
+    ("stability --age set --a p1 --z p1 --depth 3", lambda doc: doc["payload"].update(host=5),
+     "payload.host is not a JSON string"),
+    ("stability --age set --a p1 --z p1 --depth 3",
+     lambda doc: doc["payload"].update(tau_lt="zz"),
+     "payload.tau_lt is not a JSON string of hex digits"),
+    ("convex-arrow --a pt --b a2 --c c5 --epsilon 0.5",
+     lambda doc: doc["payload"].update(value="0.5"), "payload.value is not a JSON number"),
+    ("convex-arrow --a pt --b a2 --c c5 --epsilon 0.5", lambda doc: doc.update(degenerate="no"),
+     "degenerate is not a JSON boolean"),
+])
+def test_verify_names_a_mistyped_field(files, tmp_path, capsys, decision, edit, error):
+    # each was a traceback (exit 1), `verified: false` or, for the
+    # verdict, `verified: true`
+    paths = _paths(files, tmp_path)
+    cert = tmp_path / "c.cert"
+    assert cli.main([*_argv(paths, decision), "--certificate", str(cert), "--no-cache"]) in (0, 1)
+    doc = json.loads(cert.read_text())
+    edit(doc)
+    cert.write_text(json.dumps(doc))
+    capsys.readouterr()
+    # verify takes the decision's flags but the last, a param
+    assert cli.main(["verify", str(cert), *_argv(paths, decision)[1:-2]]) == 2
+    assert capsys.readouterr().err == f"error: certificate field {error}\n"
+
+
+@pytest.mark.parametrize("edit", [
+    # the counterexample (|B| = 2) lies past the bound
+    lambda doc: doc["params"].update(bound=1),
+    lambda doc: doc["payload"].update(instances_checked=99999),
+    lambda doc: doc["payload"].update(search_cap="every completion"),
+])
+def test_verify_compares_a_failing_amalgamation_payload(tmp_path, capsys, edit):
+    doc, cert = _amalgamation_cert(tmp_path, "linear_order", "free-amalgamation", 1)
+    assert cli.main(["verify", str(cert), "--age", "linear_order"]) == 0
+    edit(doc)
+    cert.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(["verify", str(cert), "--age", "linear_order"]) == 1
+    assert capsys.readouterr().out == "verified: false\n"
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc["params"].update(depth=9),
+    lambda doc: doc["params"].update(max_host=11),
+    lambda doc: doc["payload"].update(max_host=11),
+    lambda doc: doc["payload"].update(pattern_pairs_checked=5),
+])
+def test_verify_compares_a_stable_payload_with_the_search_its_params_ask_for(
+        files, tmp_path, capsys, edit):
+    paths = _paths(files, tmp_path)
+    cert = tmp_path / "stable.cert"
+    flags = _argv(paths, "--age set --a p1 --z p2")
+    assert cli.main(["stability", *flags, "--depth", "4", "--certificate", str(cert),
+                     "--no-cache"]) == 1
+    assert cli.main(["verify", str(cert), *flags]) == 0
+    doc = json.loads(cert.read_text())
+    assert doc["payload"]["max_host"] == 12
+    edit(doc)
+    cert.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(["verify", str(cert), *flags]) == 1
+    assert capsys.readouterr().out == "verified: false\n"
+
+
+def test_verify_refuses_a_stable_claim_on_an_unstable_pair(files, tmp_path, capsys):
+    # P1/P1 is unstable at depth 3 over sets; a forged stable payload
+    # that records the re-run's own host bound and count is still refused
+    paths = _paths(files, tmp_path)
+    cert = tmp_path / "unstable.cert"
+    flags = _argv(paths, "--age set --a p1 --z p1")
+    assert cli.main(["stability", *flags, "--depth", "3", "--certificate", str(cert),
+                     "--no-cache"]) == 0
+    doc = json.loads(cert.read_text())
+    doc.update(verdict="fails", payload={"depth": 3, "stable_up_to": False, "max_host": 6,
+                                         "nodes": 0, "pattern_pairs_checked": 2})
+    cert.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(["verify", str(cert), *flags]) == 1
+    assert capsys.readouterr().out == "verified: false\n"
+
+
 @pytest.mark.parametrize("edit,error", [
     (lambda doc: doc.pop("payload"), "certificate lacks field payload"),
     (lambda doc: doc.update(payload=[]), "certificate field payload is not a JSON object"),
@@ -399,6 +497,28 @@ def test_proximal_arrow_refuses_a_forged_check(tmp_path, capsys):
                      f"--check={check}"]) == 2
     assert capsys.readouterr().err == "error: proximal-check certificate does not verify\n"
     assert cli.main(["verify", str(check), "--age", "set", *base]) == 1
+
+
+def test_proximal_arrow_reads_the_age_file_of_a_check_made_elsewhere(files, tmp_path, capsys,
+                                                                     monkeypatch):
+    # the check records its age file by absolute path, so proximal-arrow
+    # reads the same age from any working directory
+    made, elsewhere = tmp_path / "made", tmp_path / "elsewhere"
+    made.mkdir()
+    elsewhere.mkdir()
+    (made / "my.age").write_text("age: linear_order\n")
+    col = tmp_path / "const.col"
+    col.write_text("colors: 2\n" + "".join(f"({v}) -> 1\n" for v in range(6)))
+    check = tmp_path / "check.cert"
+    base = ["--universe", files["c6"], "--a", files["pt"], "--coloring", str(col)]
+    monkeypatch.chdir(made)
+    assert cli.main(["proximal-check", "--age", "my.age", *base, "--d-max", "1",
+                     "--certificate", str(check)]) == 0
+    assert json.loads(check.read_text())["age"] == str(made / "my.age")
+    monkeypatch.chdir(elsewhere)
+    capsys.readouterr()
+    assert cli.main(["proximal-arrow", *base, "--b", files["a2"], "--check", str(check)]) == 0
+    assert capsys.readouterr().out.startswith("proximal-arrow: holds\n")
 
 
 def test_resource_limit_exit_three(files):
@@ -742,6 +862,135 @@ def test_coloring_certificates_replay(age, kind, d_max, data):
             assert _main_output(verify + [paths["col"]])[:2] == (0, "verified: true\n")
             rc, _, err = _main_output(verify + [paths["bad"]])
             assert rc == 2 and err == "error: coloring digest mismatch\n"
+
+
+@st.composite
+def _decisions(draw):
+    """A decision of a verifiable operation on small drawn inputs:
+    (argvs, verify flags, structures, coloring values).  The last argv
+    writes the certificate `cert`; the tokens a, b, c, z, pt, u, col and
+    check name the files that _run_decision writes."""
+    op = draw(st.sampled_from(sorted(certificates._VERIFIERS)))
+    # stable-arrow needs stable coordinates: pure sets at depth 4
+    age = "set" if op == "stable-arrow" else draw(st.sampled_from(["linear_order", "set"]))
+    make = chain if age == "linear_order" else pure_set
+    n = {name: draw(st.integers(1, top), label=name)
+         for name, top in (("a", 2), ("b", 3), ("c", 4), ("z", 2))}
+    if op == "convex-arrow":
+        n["c"] = max(n["b"], n["c"])  # a copy of B in C
+    if op == "stable-arrow":
+        n["a"] = 1
+    values = draw(st.lists(st.integers(0, 1), min_size=1, max_size=4), label="coloring")
+    if op == "proximal-arrow":
+        values = values[:1] * len(values)  # constant, so that the check at --d-max 1 passes
+    structures = {name: make(size) for name, size in n.items()}
+    structures.update(pt=make(1), u=make(len(values)))
+    k = draw(st.integers(1, 2), label="k")
+    max_host = draw(st.sampled_from(["", " --max-host 8"]), label="max_host")
+    zs = " --z z" * draw(st.integers(0, 2), label="coordinates")
+    check = f"--universe u --a pt --coloring col --d-max {k if op == 'proximal-check' else 1}"
+    flags, verify = {
+        "arrow": (f"--a a --b b --c c --colors {k}", "--a a --b b --c c"),
+        "arrow-search": (f"--a a --b b --colors {k} --max-n {max(n['b'], 3)}", "--a a --b b"),
+        "definable-arrow": ("--a a --b b --c c --z z", "--a a --b b --c c --z z"),
+        "stable-arrow": (f"--a a --b b --c c{zs} --depth 4{max_host}", f"--a a --b b --c c{zs}"),
+        "roelcke-witness": ("--a a --b b --z z" + draw(st.sampled_from(["", " --max-n 3"])),
+                            "--a a --b b --z z"),
+        # depth 4 can be stable, and is quick with a one-point A
+        "stability": (f"--a a --z z --depth {k + 1 + (n['a'] == 1)}{max_host}", "--a a --z z"),
+        "amalgamation": (f"--property {draw(st.sampled_from(cli._FLAGS['--property']['choices']))}"
+                         f" --bound {k + 1}", ""),
+        "convex-arrow": (f"--a a --b b --c c --epsilon {0.5 * k}", "--a a --b b --c c"),
+        "proximal-check": (check, "--universe u --a pt --coloring col"),
+        "proximal-arrow": ("--universe u --a pt --b b --coloring col --check check",
+                           "--universe u --a pt --b b --coloring col"),
+    }[op]
+    decide = f"{op}{f' --age {age}' if cli._COMMANDS[op][3] else ''} {flags}"
+    argvs = [f"proximal-check --age {age} {check} --certificate check"] * (op == "proximal-arrow")
+    argvs.append(decide + " --certificate cert --no-cache")
+    return argvs, f"--age {age} {verify}", structures, values
+
+
+def _run_decision(decision, directory):
+    """Run the argvs of a drawn decision in `directory`: the certificate
+    document, its path and the argv that verifies it."""
+    argvs, verify, structures, values = decision
+    paths = {name: os.path.join(directory, name)
+             for name in (*structures, "col", "check", "cert")}
+    for name, s in structures.items():
+        with open(paths[name], "w") as fh:
+            fh.write(serialize_structure(s))
+    with open(paths["col"], "w") as fh:
+        fh.write(_coloring_text("indexed", values))
+    for argv in argvs:
+        assert _main_output(_argv(paths, argv))[0] in (0, 1), argv
+    with open(paths["cert"]) as fh:
+        doc = json.load(fh)
+    return doc, paths["cert"], ["verify", paths["cert"], *_argv(paths, verify)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_decisions())
+def test_every_decided_certificate_has_its_declared_shape(decision):
+    with tempfile.TemporaryDirectory() as d:
+        doc, path, _ = _run_decision(decision, d)
+        assert certificates.load_certificate(path) == doc
+
+
+def _declared_fields(value, shape, path=()):
+    """(path, shape, optional) of every field that `shape` declares and
+    `value` has, at any depth."""
+    if isinstance(shape, dict):
+        for key, item in shape.items():
+            field = key.rstrip("?")
+            if field in value:
+                yield path + (field,), item, field != key
+                yield from _declared_fields(value[field], item, path + (field,))
+    elif isinstance(shape, list):
+        items = [shape[0]] * len(value) if shape[-1] is ... else shape
+        for i, (item, item_shape) in enumerate(zip(value, items)):
+            yield from _declared_fields(item, item_shape, path + (i,))
+
+
+def _json_types(shape) -> set:
+    """The Python types of the JSON values that `shape` admits."""
+    if isinstance(shape, tuple):
+        return set().union(*map(_json_types, shape))
+    if isinstance(shape, (dict, list)):
+        return {type(shape)}
+    return {str} if shape in (str, bytes) or isinstance(shape, str) else {
+        float: {int, float}, None: {type(None)}}.get(shape, {shape})
+
+
+_JSON_VALUES = ("x", 7, 0.5, True, None, [], [1], {})
+
+
+@settings(max_examples=150, deadline=None)
+@given(_decisions(), st.data())
+def test_verify_refuses_a_deleted_or_retyped_declared_field(decision, data):
+    # whatever declared field goes or changes its JSON type, verify exits
+    # 2 naming it, before any re-check: never 1 and never a traceback
+    with tempfile.TemporaryDirectory() as d:
+        doc, path, verify = _run_decision(decision, d)
+        _, _, params, payload = certificates._VERIFIERS[doc["operation"]]
+        kind = ("degenerate " if doc["degenerate"] else "") + doc["verdict"]
+        shape = {**certificates._DOCUMENT, "params": params,
+                 "payload": {**payload.get(kind, {}), **payload.get("", {})}}
+        field, field_shape, optional = data.draw(
+            st.sampled_from(list(_declared_fields(doc, shape))), label="field")
+        parent = doc
+        for step in field[:-1]:
+            parent = parent[step]
+        if not optional and data.draw(st.booleans(), label="delete"):
+            del parent[field[-1]]
+        else:
+            parent[field[-1]] = data.draw(st.sampled_from(
+                [v for v in _JSON_VALUES if type(v) not in _json_types(field_shape)]),
+                label="value")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        rc, out, err = _main_output(verify)
+        assert rc == 2 and err.startswith("error: certificate "), (field, rc, out, err)
 
 
 def test_convex_cli(files, tmp_path):
