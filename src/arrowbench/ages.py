@@ -325,15 +325,17 @@ class AmalgamationReport:
 def _find_completion(spec: AgeSpec, inst: AmalgamationInstance, free: bool,
                      budget) -> tuple[Structure, tuple[int, ...], tuple[int, ...]] | None:
     """Search a completion D with embeddings beta: B->D, gamma: C->D such
-    that beta.f == gamma.g; the free variant also requires no relation
-    tuple to meet both new parts.  Returns (D, beta, gamma) or None."""
+    that beta.f == gamma.g; the free variant also requires the new parts
+    to be disjoint and no relation tuple to meet both.  Returns (D, beta,
+    gamma) or None."""
     b, c = inst.b, inst.c
     pinned = {}
     if inst.a is not None:
         for av in range(inst.a.size):
             pinned[inst.g[av]] = inst.f[av]
     new_b = set(range(b.size)) - set(inst.f)
-    for host, sigma in place_part(b, c, spec, Constraint(pinned=pinned),
+    constraint = Constraint(pinned, frozenset(new_b) if free else frozenset())
+    for host, sigma in place_part(b, c, spec, constraint,
                                   max_size=b.size + c.size, budget=budget):
         if free:
             new_c = {sigma[v] for v in range(c.size)} - set(inst.f)

@@ -188,9 +188,8 @@ def _counterexample_search(c_size, domain, copies, k, auts, budget: Budget):
     for ci, positions in enumerate(copies):
         for p in positions:
             copies_at[p].append(ci)
-    copy_size = [len(ps) for ps in copies]
-    assigned_count = [0] * len(copies)
-    colors_seen = [set() for _ in copies]
+    # count[ci][col]: the positions of copy ci colored col
+    count = [[0] * k for _ in copies]
     chi = [-1] * n_pos
     # a getter's value on the identity is a tuple, or for a one-vertex A
     # the image of that vertex alone
@@ -229,25 +228,17 @@ def _counterexample_search(c_size, domain, copies, k, auts, budget: Budget):
 
     def violates(p, col) -> bool:
         # does assigning chi[p]=col complete some copy monochromatically?
-        for ci in copies_at[p]:
-            if assigned_count[ci] == copy_size[ci] - 1 and colors_seen[ci] <= {col}:
-                if all(chi[q] == col or q == p for q in copies[ci]):
-                    return True
-        return False
+        return any(count[ci][col] == len(copies[ci]) - 1 for ci in copies_at[p])
 
     def place(p, col):
         chi[p] = col
         for ci in copies_at[p]:
-            assigned_count[ci] += 1
-            colors_seen[ci].add(col)
+            count[ci][col] += 1
 
     def unplace(p, col):
         chi[p] = -1
         for ci in copies_at[p]:
-            assigned_count[ci] -= 1
-            cnt = sum(1 for q in copies[ci] if chi[q] == col)
-            if cnt == 0:
-                colors_seen[ci].discard(col)
+            count[ci][col] -= 1
 
     def rec(p, max_used):
         budget.spend()

@@ -39,7 +39,7 @@ from arrowbench.arrows import (
     _constant_on,
     _pattern_constant_b,
 )
-from arrowbench.errors import CertificateError
+from arrowbench.errors import CertificateError, InputError
 from arrowbench.patterns import iter_joint_embeddings, pair_pattern_code
 from arrowbench.stability import UnstableWitness, stable_up_to
 from arrowbench.structures import (
@@ -122,6 +122,19 @@ def _check_digests(doc: dict, inputs: _Inputs) -> None:
                 f"provided file has {got}")
 
 
+def _structure(text: str, field: str, spec: AgeSpec) -> Structure:
+    """The structure that the text of certificate field `field` holds; text
+    that is not a structure of the age's signature raises CertificateError
+    naming the field."""
+    try:
+        s = parse_structure(text)
+    except InputError as e:
+        raise CertificateError(f"certificate field {field} is not a structure: {e}") from None
+    if s.signature != spec.signature:
+        raise CertificateError(f"certificate field {field} is not in the age's signature")
+    return s
+
+
 def _joint_embedding_ok(spec: AgeSpec, u: Structure, parts, maps) -> bool:
     """maps embed the parts into a member u, and their images cover u."""
     return (spec.member(u) and len(maps) == len(parts)
@@ -148,7 +161,7 @@ def _verify_arrow_search(doc, inputs, spec, coloring, budget):
         # negative exhaustion over the age scan is re-checked by re-running
         again = arrow_search(spec, a, b, k, doc["params"]["max_n"], budget)
         return again.verdict == "fails"
-    c = parse_structure(doc["payload"]["c"])
+    c = _structure(doc["payload"]["c"], "payload.c", spec)
     if not spec.member(c):
         return False
     return exhaustive_classical_check(c, a, b, k, budget)
@@ -192,7 +205,7 @@ def _verify_pattern_arrow(doc, inputs, spec, coloring, budget):
         return bool(emb_bc) and not emb_ab
     if doc["verdict"] == "fails":
         off = doc["payload"]["offending"]
-        u = parse_structure(off["u"])
+        u = _structure(off["u"], "payload.offending.u", spec)
         c_map = tuple(off["c_map"])
         z_maps = [tuple(m) for m in off["z_maps"]]
         return (_joint_embedding_ok(spec, u, [c, *zs], [c_map, *z_maps])
@@ -206,7 +219,7 @@ def _verify_roelcke(doc, inputs, spec, coloring, budget):
     if doc["verdict"] == "fails":
         again = roelcke_witness(spec, a, b, z, doc["params"].get("max_n"), budget=budget)
         return again.verdict == "fails"
-    u = parse_structure(doc["payload"]["u"])
+    u = _structure(doc["payload"]["u"], "payload.u", spec)
     b_map = tuple(doc["payload"]["b_map"])
     z_map = tuple(doc["payload"]["z_map"])
     return (_joint_embedding_ok(spec, u, [b, z], [b_map, z_map])
@@ -292,23 +305,27 @@ def _verify_convex(doc, inputs, spec, coloring, budget):
 def _verify_stability(doc, inputs, spec, coloring, budget):
     a, z = inputs["a"], inputs["z"]
     payload = doc["payload"]
+    # the depth the params ask for, which the decider refuses below 2; a
+    # witness's host also keeps to their host bound
+    depth, max_host = doc["params"]["depth"], doc["params"].get("max_host")
+    if not payload["depth"] == depth >= 2:
+        return False
     if doc["verdict"] == "holds":
         # a witness of instability
-        host = parse_structure(payload["host"])
-        if not spec.member(host):
+        host = _structure(payload["host"], "payload.host", spec)
+        if not spec.member(host) or (max_host is not None and host.size > max_host):
             return False
         a_maps = tuple(tuple(m) for m in payload["a_maps"])
         z_maps = tuple(tuple(m) for m in payload["z_maps"])
         if not (all(is_embedding(m, a, host) for m in a_maps)
                 and all(is_embedding(m, z, host) for m in z_maps)):
             return False
-        return UnstableWitness(payload["depth"], host, a_maps, z_maps,
+        return UnstableWitness(depth, host, a_maps, z_maps,
                                bytes.fromhex(payload["tau_lt"]),
                                bytes.fromhex(payload["tau_gt"])).verify()
     # the search that the params ask for, whose report the payload must
-    # be; a payload at another depth or host bound is refused without it
-    depth, max_host = doc["params"]["depth"], doc["params"].get("max_host")
-    if payload["depth"] != depth or max_host not in (None, payload["max_host"]):
+    # be; a payload at another host bound is refused without it
+    if max_host not in (None, payload["max_host"]):
         return False
     report = stable_up_to(spec, a, z, depth, max_host, budget=budget)
     return report.stable and (True, report.max_host, report.pattern_pairs_checked) == (
@@ -320,9 +337,9 @@ def _verify_amalgamation(doc, inputs, spec, coloring, budget):
     fails = doc["verdict"] == "fails"
     if fails:
         cex = payload["counterexample"]
-        inst = AmalgamationInstance(parse_structure(cex["a"]) if cex["a"] is not None else None,
-                                    parse_structure(cex["b"]), parse_structure(cex["c"]),
-                                    tuple(cex["f"]), tuple(cex["g"]))
+        a, b, c = (None if cex[x] is None else
+                   _structure(cex[x], f"payload.counterexample.{x}", spec) for x in "abc")
+        inst = AmalgamationInstance(a, b, c, tuple(cex["f"]), tuple(cex["g"]))
         # a counterexample outside the age or past the bound proves
         # nothing (and every completion of a non-member fails)
         if any(s is not None and (s.size > params["bound"] or not spec.member(s))

@@ -5,19 +5,26 @@ enumeration, amalgamation probes, union-witness searches and the
 unstable-sequence search: parts are embedded one at a time into a host,
 enumerating first the identification with existing vertices (the
 all-fresh placement comes first, so the free join is the first candidate
-overall) and then the relation completion on tuples that touch a fresh
-vertex, sparsest completion first.  Every yielded host is a complete structure and a
-member of the ambient age, so callers can prune eagerly after each
-placement.
+overall) and then the relation completion.  Every tuple through a fresh
+vertex that lies outside the part's image and that no constraint fixes
+is free, and carries a menu of the tuple sets it may add, sparsest
+first: a pair of a binary symbol takes one of the states `_pair_states`
+allows for both of its tuples, any other tuple is absent, then present.
+One recursion walks the menus of the pairs, then those of the other
+tuples, spending one node per call.  Every yielded host is a complete
+structure and a member of the ambient age, so callers can prune eagerly
+after each placement.
 
 A `Constraint` restricts one placement beyond membership and is checked
 as soon as it is determined (forward checking): pinned part vertices and
 excluded host vertices cut the identification candidates, a required
 tuple among old vertices is checked when its last part vertex is
 assigned, and a required tuple through a fresh vertex is fixed before
-the completion search, so it never branches on it.  The hosts yielded
-are exactly those the unconstrained search yields and that satisfy the
-constraint, in the same order; only the nodes spent differ.
+the completion search: it leaves its pair's menu only the states that
+agree with it (and sets a pair left one state), and any other tuple is
+not branched on.  The hosts yielded are exactly those the unconstrained
+search yields and that satisfy the constraint, in the same order; only
+the nodes spent differ.
 
 Placed hosts are members by construction: the host and the part are
 members, tuples among old vertices never change and the part's image is
@@ -153,18 +160,16 @@ def place_part(host: Structure | None, part: Structure, spec,
         required_at[max(~x for x in t if x < 0)].append((si, t, present))
 
     def assignment_ok(k: int, w: int) -> bool:
-        # relations among already-assigned part vertices whose images are
-        # all pre-existing; tuples touching a fresh image get forced later
-        assigned = sorted(j for j in range(p) if sigma[j] >= 0 or j == k)
+        # part vertices 0..k-1 are assigned; only tuples whose images are
+        # all pre-existing are checked here, so a fresh image passes
+        if w >= n0:
+            return True
         for si, ((_, arity), tset) in enumerate(zip(sig.symbols, part_sets)):
-            for t in itertools.product(assigned, repeat=arity):
-                if k not in t:
-                    continue
-                img = tuple((sigma[j] if j != k else w) for j in t)
-                if any(x >= n0 for x in img):
-                    continue
-                if (img in host_rels[si]) != (t in tset):
-                    return False
+            for t in itertools.product(range(k + 1), repeat=arity):
+                if k in t:
+                    img = tuple(sigma[j] if j != k else w for j in t)
+                    if all(x < n0 for x in img) and (img in host_rels[si]) != (t in tset):
+                        return False
         for si, t, present in required_at[k]:
             img = tuple(x if x >= 0 else w if ~x == k else sigma[~x] for x in t)
             if all(x < n0 for x in img) and (img in host_rels[si]) != present:
@@ -206,86 +211,52 @@ def place_part(host: Structure | None, part: Structure, spec,
                 return
             elif present and len(img) != 2:
                 base_rels[si].add(img)  # binary pairs are set below
-        free_binary: list[tuple[int, tuple[int, int]]] = []
-        free_other: list[tuple[int, tuple[int, ...]]] = []
+        # each free tuple's menu: the tuple sets it may add, sparsest first
+        pair_menus, other_menus = [], []
         for si, (_, arity) in enumerate(sig.symbols):
-            if arity == 2:
-                seen_pairs = set()
-                for f in sorted(fresh):
-                    for u in range(m):
-                        if u == f:
-                            continue
-                        pair = (min(f, u), max(f, u))
-                        if pair in seen_pairs:
-                            continue
-                        seen_pairs.add(pair)
-                        if f in image and u in image:
-                            continue  # inside the part image: forced
-                        free_binary.append((si, pair))
-            else:
+            if arity != 2:
                 for t in itertools.product(range(m), repeat=arity):
-                    if not any(x in fresh for x in t):
-                        continue
-                    if all(x in image for x in t):
-                        continue
-                    if (si, t) in fixed:
-                        continue
-                    free_other.append((si, t))
-        free_binary.sort()
-        free_other.sort()
-        state_menus = []
-        branched = []
-        for si, (x, y) in free_binary:
-            fwd, bwd = fixed.get((si, (x, y))), fixed.get((si, (y, x)))
-            menu = [s for s in _pair_states(flags_by_symbol[si])
-                    if fwd in (None, s[0]) and bwd in (None, s[1])]
-            if not menu:
-                return  # the flags forbid the required state
-            if len(menu) == 1 and (fwd, bwd) != (None, None):
-                (fwd, bwd), = menu  # the constraint leaves one state: set it
-                if fwd:
-                    base_rels[si].add((x, y))
-                if bwd:
-                    base_rels[si].add((y, x))
+                    if (any(x in fresh for x in t) and not all(x in image for x in t)
+                            and (si, t) not in fixed):
+                        other_menus.append(((), ((si, t),)))  # absent first
                 continue
-            state_menus.append(menu)
-            branched.append((si, (x, y)))
-        free_binary = branched
+            for x, y in itertools.combinations(range(m), 2):
+                if y not in fresh or (x in image and y in image):
+                    continue  # among old vertices, or inside the part image
+                fwd, bwd = fixed.get((si, (x, y))), fixed.get((si, (y, x)))
+                menu = [tuple((si, t) for t, on in (((x, y), f), ((y, x), b)) if on)
+                        for f, b in _pair_states(flags_by_symbol[si])
+                        if fwd in (None, f) and bwd in (None, b)]
+                if not menu:
+                    return  # the flags forbid the required state
+                if len(menu) == 1 and (fwd, bwd) != (None, None):
+                    for sj, t in menu[0]:  # the constraint leaves one state: set it
+                        base_rels[sj].add(t)
+                else:
+                    pair_menus.append(menu)
 
-        def rec_other(idx: int, rels):
-            budget.spend()
-            if idx == len(free_other):
-                if all(_transitive_through(rels[si], fresh, m) for si in transitive):
-                    cand = Structure._trusted(sig, m, tuple(tuple(sorted(r)) for r in rels))
-                    if not any(bad.size <= m and has_embedding_through(bad, cand, fresh)
-                               for bad in forbidden):
-                        yield cand
-                return
-            si, t = free_other[idx]
-            yield from rec_other(idx + 1, rels)  # absent first
-            rels[si].add(t)
-            yield from rec_other(idx + 1, rels)
-            rels[si].remove(t)
+        def leaf(rels):
+            if all(_transitive_through(rels[si], fresh, m) for si in transitive):
+                cand = Structure._trusted(sig, m, tuple(tuple(sorted(r)) for r in rels))
+                if not any(bad.size <= m and has_embedding_through(bad, cand, fresh)
+                           for bad in forbidden):
+                    yield cand
 
-        def rec_binary(idx: int, rels):
+        def walk(menus, idx: int, rels, then):
+            # one node per call, the end of each phase included
             budget.spend()
-            if idx == len(free_binary):
-                yield from rec_other(0, rels)
+            if idx == len(menus):
+                yield from then(rels)
                 return
-            si, (x, y) = free_binary[idx]
-            for fwd, bwd in state_menus[idx]:
-                added = []
-                if fwd:
-                    rels[si].add((x, y))
-                    added.append((x, y))
-                if bwd:
-                    rels[si].add((y, x))
-                    added.append((y, x))
-                yield from rec_binary(idx + 1, rels)
-                for t in added:
+            for added in menus[idx]:
+                for si, t in added:
+                    rels[si].add(t)
+                yield from walk(menus, idx + 1, rels, then)
+                for si, t in added:
                     rels[si].remove(t)
 
-        yield from rec_binary(0, base_rels)
+        yield from walk(pair_menus, 0, base_rels,
+                        lambda rels: walk(other_menus, 0, rels, leaf))
 
     def assign(k: int, m: int):
         budget.spend()

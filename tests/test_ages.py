@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import random
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from arrowbench import ages
+from arrowbench import ages, stability
 from arrowbench.ages import (
     AXIOM_FLAGS,
     AgeSpec,
@@ -19,6 +20,7 @@ from arrowbench.ages import (
     verify_amalgamation_counterexample,
 )
 from arrowbench.errors import InputError, ResourceLimitExceeded, SignatureMismatch
+from arrowbench.stability import stable_up_to
 from arrowbench.structures import (
     Signature,
     Structure,
@@ -373,6 +375,18 @@ def test_free_positive_implies_plain_positive():
             assert plain.counterexample is None
 
 
+def test_free_amalgamation_keeps_the_new_parts_apart():
+    # members have at most 2 points, so the free amalgam of two 2-point
+    # sets over one point is no member; the amalgam that identifies the
+    # new points is a member, but not a free amalgam
+    spec = AgeSpec(SETS.signature, (), (pure_set(3),))
+    report = amalgamation_probe(spec, "free-amalgamation", 2, nodes())
+    inst = report.counterexample
+    assert (inst.a.size, inst.b.size, inst.c.size) == (1, 2, 2)
+    assert verify_amalgamation_counterexample(spec, inst, "free-amalgamation", nodes())
+    assert amalgamation_probe(spec, "amalgamation", 2, nodes()).holds_up_to == 2
+
+
 def test_joint_embedding_probe():
     assert amalgamation_probe(GRAPHS, "joint-embedding", 3, nodes()).counterexample is None
     assert amalgamation_probe(ORDERS, "joint-embedding", 3, nodes()).counterexample is None
@@ -517,3 +531,53 @@ def test_placement_matches_the_generate_then_member_oracle(case):
     # break must keep exactly the completions a full `member` call keeps,
     # in the same order and for the same node spend
     assert _placements(place_part, case) == _placements(place_part_oracle, case)
+
+
+_DIGRAPH = catalog_age("digraph").signature
+# (age, a, z, depth, max host, node cap): pattern-directed placements,
+# most under excluded host vertices and, outside the set age, required
+# tuples; the ternary age's search is cut by its node cap
+_STABILITY_PLACEMENTS = {
+    "set": (catalog_age("set"), pure_set(1), pure_set(2), 3, None, 10_000),
+    "graph": (GRAPHS, k_graph(1), k_graph(2), 3, None, 10_000),
+    "linear_order": (ORDERS, chain(1), chain(2), 3, None, 10_000),
+    "digraph": (catalog_age("digraph"), Structure.make(_DIGRAPH, 1, {}),
+                Structure.make(_DIGRAPH, 2, {"arc": [(0, 1)]}), 3, None, 100_000),
+    "mixed": (_CUSTOM_AGES["mixed"], Structure(_MIXED, 1, (((0,),), (), ())), _MIXED_POINT,
+              2, 3, 5_000),
+}
+# sha256 of every placement's yielded (nodes spent so far, host, sigma)
+# and its nodes spent at exhaustion, in search order
+_PINNED_PLACEMENTS = {
+    "set":
+        "679ceec9452c35e946b072406164931ea0b51faf42fe87c658acf6aa3ce9326f",
+    "graph":
+        "76263163532ec464c0a3286eda3b7de4df3763dba05bfcbf9f344f1abea86c1d",
+    "linear_order":
+        "c3140e25b80f23dcca5e463ae529d312db72e85049beee6f6409966be6b227a4",
+    "digraph":
+        "58c898d00adca164b40486a0f51d6c4c488a2ebe67afe79f95885dfa53878344",
+    "mixed":
+        "afd41ddfc2433bf44d36d71df5032a59ee87798908f9999712122e2d444a926b",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_STABILITY_PLACEMENTS))
+def test_constrained_placement_node_spend_is_pinned(name, monkeypatch):
+    # a rewrite of the completion search must keep each placement's hosts,
+    # their order and the nodes spent between them
+    spec, a, z, depth, max_host, cap = _STABILITY_PLACEMENTS[name]
+    log = []
+
+    def logged(host, part, spec, constraint, max_size, *, budget):
+        for h, sigma in place_part(host, part, spec, constraint, max_size, budget=budget):
+            log.append((budget.used, h.size, h.relations, sigma))
+            yield h, sigma
+        log.append(budget.used)
+
+    monkeypatch.setattr(stability, "place_part", logged)
+    try:
+        stable_up_to(spec, a, z, depth, max_host, budget=Budget(cap))
+    except ResourceLimitExceeded:
+        log.append("cut")
+    assert hashlib.sha256(repr(log).encode()).hexdigest() == _PINNED_PLACEMENTS[name]

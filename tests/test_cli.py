@@ -399,6 +399,65 @@ def test_verify_names_a_mistyped_field(files, tmp_path, capsys, decision, edit, 
     assert capsys.readouterr().err == f"error: certificate field {error}\n"
 
 
+# a decision, its verify flags and the path of a structure-text field of
+# its certificate's payload
+_STRUCTURE_FIELDS = (
+    ("stability --age set --a p1 --z p1 --depth 3", "--age set --a p1 --z p1", "host"),
+    ("arrow-search --age linear_order --a pt --b a2 --colors 2 --max-n 3",
+     "--age linear_order --a pt --b a2", "c"),
+    ("roelcke-witness --age linear_order --a pt --b a2 --z pt",
+     "--age linear_order --a pt --b a2 --z pt", "u"),
+    ("definable-arrow --age linear_order --a pt --b a2 --c b3 --z pt",
+     "--age linear_order --a pt --b a2 --c b3 --z pt", "offending.u"),
+    *(("amalgamation --age linear_order --property free-amalgamation --bound 2",
+       "--age linear_order", f"counterexample.{x}") for x in "abc"),
+)
+
+
+@pytest.mark.parametrize("decision,verify_flags,field", _STRUCTURE_FIELDS,
+                         ids=[f for _, _, f in _STRUCTURE_FIELDS])
+@pytest.mark.parametrize("text,error", [
+    ("x", "is not a structure: expected 'key: value', got 'x' at line 1"),
+    (serialize_structure(k_graph(2)), "is not in the age's signature"),
+], ids=["unparsed", "signature"])
+def test_verify_names_a_structure_field_that_does_not_parse(files, tmp_path, capsys, decision,
+                                                           verify_flags, field, text, error):
+    # exit 2 naming the field, not the parser's or member()'s message alone
+    paths = _paths(files, tmp_path)
+    cert = tmp_path / "c.cert"
+    assert cli.main([*_argv(paths, decision), "--certificate", str(cert), "--no-cache"]) in (0, 1)
+    doc = json.loads(cert.read_text())
+    *outer, last = field.split(".")
+    holder = doc["payload"]
+    for key in outer:
+        holder = holder[key]
+    holder[last] = text
+    cert.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(["verify", str(cert), *_argv(paths, verify_flags)]) == 2
+    assert capsys.readouterr().err == f"error: certificate field payload.{field} {error}\n"
+
+
+@pytest.mark.parametrize("witness_depth,params", [
+    (2, {"depth": 5}), (3, {"depth": 1}), (3, {"max_host": 1})])
+def test_verify_holds_a_witness_to_the_params_it_records(files, tmp_path, capsys,
+                                                        witness_depth, params):
+    # the decider writes a witness at its params' depth, which is >= 2,
+    # on a host within their host bound
+    paths = _paths(files, tmp_path)
+    cert = tmp_path / "unstable.cert"
+    flags = _argv(paths, "--age set --a p1 --z p1")
+    assert cli.main(["stability", *flags, "--depth", str(witness_depth), "--certificate",
+                     str(cert), "--no-cache"]) == 0
+    assert cli.main(["verify", str(cert), *flags]) == 0
+    doc = json.loads(cert.read_text())
+    doc["params"].update(params)
+    cert.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(["verify", str(cert), *flags]) == 1
+    assert capsys.readouterr().out == "verified: false\n"
+
+
 @pytest.mark.parametrize("edit", [
     # the counterexample (|B| = 2) lies past the bound
     lambda doc: doc["params"].update(bound=1),
