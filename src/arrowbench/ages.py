@@ -401,7 +401,7 @@ def amalgamation_probe(spec: AgeSpec, which: str, bound: int,
         return AmalgamationReport(which, bound, None, instances_checked=checked)
 
     free = which == "free-amalgamation"
-    auts = [groups.automorphisms(s) for s in reps]
+    auts = [groups.automorphisms(s, budget) for s in reps]
     for a, aut_a in zip(reps, auts):
         # per member s at least as large as A: s, the maps A -> s, and
         # the Aut(s)-orbit of each map
@@ -429,8 +429,3 @@ def amalgamation_probe(spec: AgeSpec, which: str, bound: int,
                                      g_orbit[tuple(g[x] for x in alpha)]) for alpha in aut_a)
     return AmalgamationReport(which, bound, None, instances_checked=checked)
 
-
-def verify_amalgamation_counterexample(spec: AgeSpec, inst: AmalgamationInstance,
-                                       which: str, budget: Budget) -> bool:
-    """Independent re-check: no completion exists within the size cap."""
-    return _find_completion(spec, inst, which == "free-amalgamation", budget) is None

@@ -35,7 +35,7 @@ import operator
 from dataclasses import dataclass, field
 
 from arrowbench import groups
-from arrowbench.ages import AgeSpec, enumerate_up_to, levels
+from arrowbench.ages import AgeSpec, amalgamation_probe, enumerate_up_to, levels
 from arrowbench.errors import ArrowbenchError, InputError, PreconditionFailure
 from arrowbench.patterns import (
     JointEmbedding,
@@ -167,7 +167,7 @@ def _aut_actions(c: Structure, domain, budget: Budget):
     action = tuple if len(covered) == c.size else operator.itemgetter(*covered)
     seen = {action(range(c.size))}
     kept = []
-    for g in groups.automorphisms(c):
+    for g in groups.automorphisms(c, budget):
         budget.check_deadline()
         key = action(g)
         if key not in seen:
@@ -327,12 +327,12 @@ def exhaustive_classical_check(c: Structure, a: Structure, b: Structure, k: int,
     return True
 
 
-def check_coloring_is_counterexample(c, a, b, coloring_pairs) -> bool:
-    """Re-score a claimed bad coloring using embedding_maps() only: total on
-    the domain and no copy of B monochromatic."""
+def check_coloring_is_counterexample(c, a, b, k, coloring_pairs) -> bool:
+    """Re-score a claimed bad k-coloring using embedding_maps() only: total
+    on the domain, every color in 0..k-1 and no copy of B monochromatic."""
     domain = embedding_maps(a, c)
-    values = {tuple(m): col for m, col in ((tuple(mm), cc) for mm, cc in coloring_pairs)}
-    if set(values) != set(domain):
+    values = {tuple(m): col for m, col in coloring_pairs}
+    if set(values) != set(domain) or not all(0 <= col < k for col in values.values()):
         return False
     emb_ab = embedding_maps(a, b)
     for bm in embedding_maps(b, c):
@@ -441,6 +441,23 @@ def definable_arrow(c: Structure, a: Structure, b: Structure, z: Structure,
     return _pattern_arrow("definable-arrow", c, a, b, (z,), spec, budget, {})
 
 
+def stability_precondition(spec: AgeSpec, a: Structure, zs, depth: int,
+                           max_host: int | None, *, budget: Budget) -> list[dict]:
+    """The stable-arrow payload's entry for each coordinate in order: the
+    pair (A, Z_i) is stable at `depth` and `max_host`.  Raises
+    PreconditionFailure at the first pair that is not."""
+    entries = []
+    for i, z in enumerate(zs):
+        report = stable_up_to(spec, a, z, depth, max_host, budget=budget)
+        if not report.stable:
+            raise PreconditionFailure(
+                f"pair (A, Z_{i}) has an unstable witness at depth <= {depth}; "
+                "the stability-restricted arrow does not apply")
+        entries.append({"z_index": i, "stable": True, "depth": report.depth,
+                        "max_host": report.max_host})
+    return entries
+
+
 def stable_arrow(c: Structure, a: Structure, b: Structure, zs, spec: AgeSpec,
                  depth: int, max_host: int | None = None, *,
                  budget: Budget) -> ArrowCertificate:
@@ -448,17 +465,48 @@ def stable_arrow(c: Structure, a: Structure, b: Structure, zs, spec: AgeSpec,
     depth-bounded stability precondition on every pair (A, Z_i)."""
     zs = tuple(zs)
     _require_members(spec, (a, b, c) + zs)
-    precondition = []
-    for i, z in enumerate(zs):
-        report = stable_up_to(spec, a, z, depth, max_host, budget=budget)
-        precondition.append({"z_index": i, "stable": report.stable,
-                             "depth": report.depth, "max_host": report.max_host})
-        if not report.stable:
-            raise PreconditionFailure(
-                f"pair (A, Z_{i}) has an unstable witness at depth <= {depth}; "
-                "the stability-restricted arrow does not apply")
+    precondition = stability_precondition(spec, a, zs, depth, max_host, budget=budget)
     return _pattern_arrow("stable-arrow", c, a, b, zs, spec, budget,
                           {"stability_precondition": precondition})
+
+
+def stability_search(spec: AgeSpec, a: Structure, z: Structure, depth: int,
+                     max_host: int | None = None, *, budget: Budget) -> ArrowCertificate:
+    """The depth-bounded search for an unstable (A, Z)-sequence: holds with
+    the witness it finds, fails when every pattern pair is exhausted."""
+    report = stable_up_to(spec, a, z, depth, max_host, budget=budget)
+    w = report.witness
+    if w is None:
+        return ArrowCertificate(
+            "stability", "fails", reason="no unstable witness within the bounds",
+            payload={"stable_up_to": True, "depth": report.depth,
+                     "max_host": report.max_host, "nodes": report.nodes_used,
+                     "pattern_pairs_checked": report.pattern_pairs_checked})
+    return ArrowCertificate("stability", "holds", payload={
+        "depth": w.depth, "host": serialize_structure(w.host),
+        "a_maps": [list(m) for m in w.a_maps],
+        "z_maps": [list(m) for m in w.z_maps],
+        "tau_lt": w.tau_lt.hex(), "tau_gt": w.tau_gt.hex()})
+
+
+def amalgamation_search(spec: AgeSpec, which: str, bound: int,
+                        budget: Budget) -> ArrowCertificate:
+    """The bounded probe of the amalgamation property `which`: holds up to
+    `bound`, or fails on the first instance without a completion."""
+    report = amalgamation_probe(spec, which, bound, budget)
+    cex = report.counterexample
+    if cex is None:
+        return ArrowCertificate("amalgamation", "holds", payload={
+            "holds_up_to": report.holds_up_to,
+            "instances_checked": report.instances_checked,
+            "search_cap": report.search_cap})
+    return ArrowCertificate("amalgamation", "fails", payload={
+        "counterexample": {
+            "a": serialize_structure(cex.a) if cex.a is not None else None,
+            "b": serialize_structure(cex.b), "c": serialize_structure(cex.c),
+            "f": list(cex.f), "g": list(cex.g)},
+        "instances_checked": report.instances_checked,
+        "search_cap": report.search_cap})
 
 
 def roelcke_witness(spec: AgeSpec, a: Structure, b: Structure, z: Structure,

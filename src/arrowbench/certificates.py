@@ -1,47 +1,74 @@
-"""Self-contained certificate files and their independent verifier.
+"""Self-contained certificate files and their verifier.
 
 A certificate is a JSON text document: envelope (operation, verdict,
 input digests, parameters) plus the operation payload.  verify() never
-consults the result cache and re-checks the claim from scratch using
-only embedding enumeration and pattern codes: fail certificates are
-re-scored directly; a holding classical arrow is re-decided by an
-independent route (exhaustive coloring enumeration), and a holding
-pattern arrow by a re-run of the decider's walk over the placements.
-Before any re-check, a document is checked against the JSON shapes that
-_VERIFIERS declares for its operation's params and payload.
+consults the result cache.  Before any re-check, a document is checked
+against the JSON shapes that _VERIFIERS declares for its operation's
+params and payload.  Then each claim is re-checked by one of two routes:
+
+- independent: the witness is re-scored with embedding enumeration and
+  pattern codes alone;
+- re-run: the decider runs again on the certificate's inputs and params,
+  and the claim passes only when the re-run's operation, verdict,
+  degenerate flag, reason and payload equal the document's, compared as
+  JSON values (_reproduces).
+
+By operation and verdict:
+
+- arrow: holds, independent (every k-coloring enumerated); fails,
+  independent (the coloring re-scored: total, colors in 0..k-1, no copy
+  of B monochromatic); payload k must be params colors;
+- arrow-search: holds, independent (C a member, then as arrow); fails,
+  re-run;
+- definable-arrow and stable-arrow: holds, re-run; fails, independent
+  (the offending joint embedding re-scored), after a stable-arrow's
+  stability precondition entries are compared with a re-run of it;
+- roelcke-witness: holds, independent (the witness replayed); fails,
+  re-run;
+- stability: holds, independent (the witness replayed at the params'
+  depth and host bound); fails, re-run;
+- amalgamation and proximal-check: re-run;
+- proximal-arrow: independent (the copies of B re-scored);
+- convex-arrow: independent (the combination and the adversary
+  re-scored);
+- and every degenerate arrow, pattern-arrow and convex-arrow
+  certificate: re-run.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import json
 import re
 
 from arrowbench import __version__
-from arrowbench.ages import (
-    AgeSpec,
-    AmalgamationInstance,
-    amalgamation_probe,
-    verify_amalgamation_counterexample,
-)
+from arrowbench.ages import AgeSpec
 from arrowbench.arrows import (
     ArrowCertificate,
     Coloring,
+    amalgamation_search,
     arrow_search,
     check_coloring_is_counterexample,
+    classical_arrow,
     coloring_digest,
     constant_copy,
+    convex_arrow,
+    definable_arrow,
     exhaustive_classical_check,
     proximal_check,
     roelcke_witness,
+    stability_precondition,
+    stability_search,
+    stable_arrow,
     REAL_TOL,
     _constant_on,
     _pattern_constant_b,
 )
-from arrowbench.errors import CertificateError, InputError
-from arrowbench.patterns import iter_joint_embeddings, pair_pattern_code
-from arrowbench.stability import UnstableWitness, stable_up_to
+from arrowbench.errors import CertificateError, InputError, PreconditionFailure
+from arrowbench.patterns import pair_pattern_code
+from arrowbench.stability import UnstableWitness
 from arrowbench.structures import (
     Structure,
     canonical_form,
@@ -142,15 +169,31 @@ def _joint_embedding_ok(spec: AgeSpec, u: Structure, parts, maps) -> bool:
             and set().union(*maps) == set(range(u.size)))
 
 
+def _reproduces(recorded, rerun) -> bool:
+    """`rerun()`, a re-run of a decider, gives `recorded`, compared as JSON
+    values; a certificate is compared by all that its decider decides:
+    its operation, verdict, degenerate flag, reason and payload.  A re-run
+    that the decider refuses (params or inputs it never accepts, or a
+    failed precondition) gives nothing."""
+    try:
+        again = rerun()
+    except (InputError, PreconditionFailure):
+        return False
+    if isinstance(again, ArrowCertificate):
+        again = dataclasses.asdict(again)
+        recorded = {key: recorded[key] for key in again}
+    return json.dumps(again, sort_keys=True) == json.dumps(recorded, sort_keys=True)
+
+
 def _verify_arrow(doc, inputs, spec, coloring, budget):
     a, b, c = inputs["a"], inputs["b"], inputs["c"]
     k = doc["params"]["colors"]
-    if doc["verdict"] == "fails":
-        if doc["degenerate"]:
-            return not embedding_maps(b, c)
-        return check_coloring_is_counterexample(c, a, b, doc["payload"]["coloring"])
     if doc["degenerate"]:
-        return bool(embedding_maps(b, c)) and not embedding_maps(a, b)
+        return _reproduces(doc, lambda: classical_arrow(c, a, b, k, budget))
+    if doc["payload"]["k"] != k:
+        return False
+    if doc["verdict"] == "fails":
+        return check_coloring_is_counterexample(c, a, b, k, doc["payload"]["coloring"])
     return exhaustive_classical_check(c, a, b, k, budget)
 
 
@@ -158,67 +201,48 @@ def _verify_arrow_search(doc, inputs, spec, coloring, budget):
     a, b = inputs["a"], inputs["b"]
     k = doc["params"]["colors"]
     if doc["verdict"] == "fails":
-        # negative exhaustion over the age scan is re-checked by re-running
-        again = arrow_search(spec, a, b, k, doc["params"]["max_n"], budget)
-        return again.verdict == "fails"
+        return _reproduces(doc, lambda: arrow_search(spec, a, b, k, doc["params"]["max_n"],
+                                                     budget))
     c = _structure(doc["payload"]["c"], "payload.c", spec)
-    if not spec.member(c):
+    if doc["payload"]["k"] != k or not spec.member(c):
         return False
     return exhaustive_classical_check(c, a, b, k, budget)
 
 
-def _stability_precondition_ok(doc, a, zs, spec, budget) -> bool:
-    """One stable entry per coordinate, in order, at the certificate's
-    depth, each re-derived by stable_up_to at that depth and host bound."""
-    depth = doc["params"]["depth"]
-    entries = doc["payload"]["stability_precondition"]
-    if len(entries) != len(zs):
-        return False
-    for i, (z, entry) in enumerate(zip(zs, entries)):
-        if (entry["z_index"], entry["stable"], entry["depth"]) != (i, True, depth):
-            return False
-        report = stable_up_to(spec, a, z, depth, doc["params"].get("max_host"), budget=budget)
-        if not report.stable or report.max_host != entry["max_host"]:
-            return False
-    return True
-
-
 def _verify_pattern_arrow(doc, inputs, spec, coloring, budget):
     """definable-arrow and stable-arrow, whose coordinates are the z*
-    inputs in order.  A stable-arrow's stability precondition is re-run
-    first.  A fail is re-scored on its offending joint embedding.  A
-    holds is a re-run, not an independent route: it walks the same
-    placements as the decider, one per pattern, with the same check,
-    stopping at the first that fails."""
+    inputs in order.  A fail is re-scored on its offending joint
+    embedding, after a stable-arrow's stability precondition is re-run.
+    A holds, and a degenerate certificate, is a re-run of the decider."""
     a, b, c = inputs["a"], inputs["b"], inputs["c"]
     # the coordinates in the order given: z, or z0, z1, ..., z9, z10, ...
     names = sorted((n for n in doc["inputs"] if n.startswith("z")), key=lambda n: (len(n), n))
     zs = [inputs[name] for name in names]
-    if (doc["operation"] == "stable-arrow"
-            and not _stability_precondition_ok(doc, a, zs, spec, budget)):
+    params, payload = doc["params"], doc["payload"]
+    if doc["verdict"] == "holds" or doc["degenerate"]:
+        if doc["operation"] == "definable-arrow":
+            return _reproduces(doc, lambda: definable_arrow(c, a, b, inputs["z"], spec, budget))
+        return _reproduces(doc, lambda: stable_arrow(c, a, b, zs, spec, params["depth"],
+                                                     params.get("max_host"), budget=budget))
+    if doc["operation"] == "stable-arrow" and not _reproduces(
+            payload["stability_precondition"],
+            lambda: stability_precondition(spec, a, zs, params["depth"],
+                                           params.get("max_host"), budget=budget)):
         return False
-    emb_bc = embedding_maps(b, c)
-    emb_ab = embedding_maps(a, b)
-    if doc["degenerate"]:
-        if doc["verdict"] == "fails":
-            return not emb_bc
-        return bool(emb_bc) and not emb_ab
-    if doc["verdict"] == "fails":
-        off = doc["payload"]["offending"]
-        u = _structure(off["u"], "payload.offending.u", spec)
-        c_map = tuple(off["c_map"])
-        z_maps = [tuple(m) for m in off["z_maps"]]
-        return (_joint_embedding_ok(spec, u, [c, *zs], [c_map, *z_maps])
-                and _pattern_constant_b(u, c_map, z_maps, emb_bc, emb_ab) is None)
-    return all(_pattern_constant_b(u, c_map, z_maps, emb_bc, emb_ab) is not None
-               for u, (c_map, *z_maps) in iter_joint_embeddings(spec, c, zs, budget=budget))
+    off = payload["offending"]
+    u = _structure(off["u"], "payload.offending.u", spec)
+    c_map = tuple(off["c_map"])
+    z_maps = [tuple(m) for m in off["z_maps"]]
+    return (_joint_embedding_ok(spec, u, [c, *zs], [c_map, *z_maps])
+            and _pattern_constant_b(u, c_map, z_maps, embedding_maps(b, c),
+                                    embedding_maps(a, b)) is None)
 
 
 def _verify_roelcke(doc, inputs, spec, coloring, budget):
     a, b, z = inputs["a"], inputs["b"], inputs["z"]
     if doc["verdict"] == "fails":
-        again = roelcke_witness(spec, a, b, z, doc["params"].get("max_n"), budget=budget)
-        return again.verdict == "fails"
+        return _reproduces(doc, lambda: roelcke_witness(
+            spec, a, b, z, doc["params"].get("max_n"), budget=budget))
     u = _structure(doc["payload"]["u"], "payload.u", spec)
     b_map = tuple(doc["payload"]["b_map"])
     z_map = tuple(doc["payload"]["z_map"])
@@ -228,8 +252,8 @@ def _verify_roelcke(doc, inputs, spec, coloring, budget):
 
 
 def _verify_proximal_check(doc, inputs, spec, coloring, budget):
-    again = proximal_check(inputs["u"], coloring, spec, doc["params"]["d_max"], budget)
-    return again.verdict == doc["verdict"] and again.payload == doc["payload"]
+    return _reproduces(doc, lambda: proximal_check(inputs["u"], coloring, spec,
+                                                   doc["params"]["d_max"], budget))
 
 
 def _verify_proximal_arrow(doc, inputs, spec, coloring, budget):
@@ -245,12 +269,12 @@ def _verify_convex(doc, inputs, spec, coloring, budget):
     a, b, c = inputs["a"], inputs["b"], inputs["c"]
     payload = doc["payload"]
     eps = doc["params"]["epsilon"]
+    if doc["degenerate"]:
+        return _reproduces(doc, lambda: convex_arrow(c, a, b, eps, budget))
     value = payload["value"]
     domain = embedding_maps(a, c)
     copies = embedding_maps(b, c)
     emb_ab = embedding_maps(a, b)
-    if doc["degenerate"]:
-        return not emb_ab or not domain
     index = {m: i for i, m in enumerate(domain)}
     weights = {}
     for m, w in payload["combination"]:
@@ -289,7 +313,7 @@ def _verify_convex(doc, inputs, spec, coloring, budget):
             bits, pair = row["coloring"], [tuple(m) for m in row["pair"]]
             if (row["weight"] < 0 or len(bits) != len(domain)
                     or any(not -REAL_TOL <= x <= 1 + REAL_TOL for x in bits)
-                    or len(pair) != 2 or any(m not in pos_of for m in pair)):
+                    or any(m not in pos_of for m in pair)):
                 return False
             rows.append((row["weight"], bits, pos_of[pair[0]], pos_of[pair[1]]))
         if abs(sum(w for w, _, _, _ in rows) - 1.0) > 1e-6:
@@ -305,57 +329,36 @@ def _verify_convex(doc, inputs, spec, coloring, budget):
 def _verify_stability(doc, inputs, spec, coloring, budget):
     a, z = inputs["a"], inputs["z"]
     payload = doc["payload"]
-    # the depth the params ask for, which the decider refuses below 2; a
-    # witness's host also keeps to their host bound
     depth, max_host = doc["params"]["depth"], doc["params"].get("max_host")
+    if doc["verdict"] == "fails":
+        return _reproduces(doc, lambda: stability_search(spec, a, z, depth, max_host,
+                                                         budget=budget))
+    # a witness of instability at the depth the params ask for, which the
+    # decider refuses below 2, on a host within their host bound
     if not payload["depth"] == depth >= 2:
         return False
-    if doc["verdict"] == "holds":
-        # a witness of instability
-        host = _structure(payload["host"], "payload.host", spec)
-        if not spec.member(host) or (max_host is not None and host.size > max_host):
-            return False
-        a_maps = tuple(tuple(m) for m in payload["a_maps"])
-        z_maps = tuple(tuple(m) for m in payload["z_maps"])
-        if not (all(is_embedding(m, a, host) for m in a_maps)
-                and all(is_embedding(m, z, host) for m in z_maps)):
-            return False
-        return UnstableWitness(depth, host, a_maps, z_maps,
-                               bytes.fromhex(payload["tau_lt"]),
-                               bytes.fromhex(payload["tau_gt"])).verify()
-    # the search that the params ask for, whose report the payload must
-    # be; a payload at another host bound is refused without it
-    if max_host not in (None, payload["max_host"]):
+    host = _structure(payload["host"], "payload.host", spec)
+    if not spec.member(host) or (max_host is not None and host.size > max_host):
         return False
-    report = stable_up_to(spec, a, z, depth, max_host, budget=budget)
-    return report.stable and (True, report.max_host, report.pattern_pairs_checked) == (
-        payload["stable_up_to"], payload["max_host"], payload["pattern_pairs_checked"])
+    a_maps = tuple(tuple(m) for m in payload["a_maps"])
+    z_maps = tuple(tuple(m) for m in payload["z_maps"])
+    if not (all(is_embedding(m, a, host) for m in a_maps)
+            and all(is_embedding(m, z, host) for m in z_maps)):
+        return False
+    return UnstableWitness(depth, host, a_maps, z_maps, bytes.fromhex(payload["tau_lt"]),
+                           bytes.fromhex(payload["tau_gt"])).verify()
 
 
 def _verify_amalgamation(doc, inputs, spec, coloring, budget):
-    payload, params = doc["payload"], doc["params"]
-    fails = doc["verdict"] == "fails"
-    if fails:
-        cex = payload["counterexample"]
-        a, b, c = (None if cex[x] is None else
-                   _structure(cex[x], f"payload.counterexample.{x}", spec) for x in "abc")
-        inst = AmalgamationInstance(a, b, c, tuple(cex["f"]), tuple(cex["g"]))
-        # a counterexample outside the age or past the bound proves
-        # nothing (and every completion of a non-member fails)
-        if any(s is not None and (s.size > params["bound"] or not spec.member(s))
-               for s in (inst.a, inst.b, inst.c)):
-            return False
-        if inst.a is not None and not (is_embedding(inst.f, inst.a, inst.b)
-                                       and is_embedding(inst.g, inst.a, inst.c)):
-            return False
-        if not verify_amalgamation_counterexample(spec, inst, params["property"], budget):
-            return False
-    # the re-run probe's report must be the one the certificate records
-    report = amalgamation_probe(spec, params["property"], params["bound"], budget)
-    return ((report.counterexample is not None) == fails
-            and (payload["instances_checked"], payload["search_cap"])
-            == (report.instances_checked, report.search_cap)
-            and (fails or payload["holds_up_to"] == report.holds_up_to))
+    params = doc["params"]
+    if doc["verdict"] == "fails":
+        # a counterexample structure that does not parse is malformed
+        cex = doc["payload"]["counterexample"]
+        for x in "abc":
+            if cex[x] is not None:
+                _structure(cex[x], f"payload.counterexample.{x}", spec)
+    return _reproduces(doc, lambda: amalgamation_search(spec, params["property"],
+                                                        params["bound"], budget))
 
 
 # JSON shapes.  A type stands for a JSON value of it: str a string, bytes
@@ -498,11 +501,12 @@ def _check_shape(doc) -> None:
 
 def verify_certificate(doc: dict, inputs: dict[str, Structure], spec: AgeSpec | None,
                        coloring: Coloring | None = None, *, budget: Budget) -> bool:
-    """Independent re-check of a certificate against the given inputs;
-    every search it re-runs spends `budget`.  A document without its
-    declared shape (see _check_shape; one from load_certificate has been
-    checked there) raises CertificateError, as do digest mismatches; a
-    sound certificate with a wrong claim returns False."""
+    """Re-check of a certificate against the given inputs, by the route
+    that the module docstring gives for it; every search spends `budget`.
+    A document without its declared shape (see _check_shape; one from
+    load_certificate has been checked there) raises CertificateError, as
+    do digest mismatches; a sound certificate with a wrong claim returns
+    False."""
     if not isinstance(doc, _Checked):
         _check_shape(doc)
     inputs = _Inputs(inputs)

@@ -32,10 +32,11 @@ import sys
 import time
 
 from arrowbench import __version__, cache, certificates
-from arrowbench.ages import amalgamation_probe, enumerate_structures, load_age, resolve_age
+from arrowbench.ages import enumerate_structures, load_age, resolve_age
 from arrowbench.arrows import (
     ArrowCertificate,
     Coloring,
+    amalgamation_search,
     arrow_search,
     classical_arrow,
     coloring_digest,
@@ -44,6 +45,7 @@ from arrowbench.arrows import (
     proximal_arrow,
     proximal_check,
     roelcke_witness,
+    stability_search,
     stable_arrow,
 )
 from arrowbench.errors import (
@@ -61,7 +63,6 @@ from arrowbench.groups import (
     orbits_on_embeddings,
 )
 from arrowbench.patterns import joint_embeddings, pattern_count, pattern_of
-from arrowbench.stability import stable_up_to
 from arrowbench.structures import (
     Structure,
     canonical_form,
@@ -347,20 +348,8 @@ def _cmd_roelcke(args):
 
 
 def _cmd_stability(args):
-    report = stable_up_to(args.spec, args.a, args.z, args.depth, args.max_host,
-                          budget=_budget(args, "stability search"))
-    w = report.witness
-    if w is None:
-        return ArrowCertificate(
-            "stability", "fails", reason="no unstable witness within the bounds",
-            payload={"stable_up_to": True, "depth": report.depth,
-                     "max_host": report.max_host, "nodes": report.nodes_used,
-                     "pattern_pairs_checked": report.pattern_pairs_checked})
-    return ArrowCertificate("stability", "holds", payload={
-        "depth": w.depth, "host": serialize_structure(w.host),
-        "a_maps": [list(m) for m in w.a_maps],
-        "z_maps": [list(m) for m in w.z_maps],
-        "tau_lt": w.tau_lt.hex(), "tau_gt": w.tau_gt.hex()})
+    return stability_search(args.spec, args.a, args.z, args.depth, args.max_host,
+                            budget=_budget(args, "stability search"))
 
 
 def _cmd_proximal_check(args):
@@ -385,7 +374,7 @@ def _cmd_convex_arrow(args):
 
 
 def _cmd_orbits(args):
-    group = automorphisms(args.host)
+    group = automorphisms(args.host, _budget(args, "automorphisms"))
     part = orbits_on_embeddings(args.host, args.a, group)
     return ArrowCertificate("orbits", "holds", payload={
         "base": [list(m) for m in part.base],
@@ -414,21 +403,8 @@ def _cmd_coherent_partitions(args):
 
 
 def _cmd_amalgamation(args):
-    report = amalgamation_probe(args.spec, args.property, args.bound,
-                                _budget(args, "amalgamation_probe"))
-    cex = report.counterexample
-    if cex is None:
-        return ArrowCertificate("amalgamation", "holds", payload={
-            "holds_up_to": report.holds_up_to,
-            "instances_checked": report.instances_checked,
-            "search_cap": report.search_cap})
-    return ArrowCertificate("amalgamation", "fails", payload={
-        "counterexample": {
-            "a": serialize_structure(cex.a) if cex.a is not None else None,
-            "b": serialize_structure(cex.b), "c": serialize_structure(cex.c),
-            "f": list(cex.f), "g": list(cex.g)},
-        "instances_checked": report.instances_checked,
-        "search_cap": report.search_cap})
+    return amalgamation_search(args.spec, args.property, args.bound,
+                               _budget(args, "amalgamation_probe"))
 
 
 def _cmd_verify(args):

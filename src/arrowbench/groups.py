@@ -31,21 +31,20 @@ class InvariantPartition:
     blocks: tuple[tuple[int, ...], ...]  # partition of base indices
 
 
-def automorphisms(s: Structure) -> tuple[tuple[int, ...], ...]:
+def automorphisms(s: Structure, budget: Budget) -> tuple[tuple[int, ...], ...]:
     """All automorphisms of s as permutations, in lexicographic order
-    (identity first)."""
-    return tuple(embedding_maps(s, s))
+    (identity first).  The listing spends no node of `budget` but checks
+    its deadline once per image of vertex 0."""
+    return tuple(embedding_maps(s, s, deadline=budget))
 
 
-def orbits_on_embeddings(s: Structure, a: Structure, group=None) -> InvariantPartition:
-    """The orbit partition of Aut(s) acting on embeddings(a, s) by g.e = g o e;
-    `group` is automorphisms(s) when the caller has listed it already."""
+def orbits_on_embeddings(s: Structure, a: Structure, group) -> InvariantPartition:
+    """The orbit partition of Aut(s) acting on embeddings(a, s) by g.e = g o e,
+    for `group` the listing automorphisms(s)."""
     if a.signature != s.signature:
         raise SignatureMismatch("orbit computation needs one common signature")
     base = embedding_maps(a, s)
     index = {m: i for i, m in enumerate(base)}
-    if group is None:
-        group = automorphisms(s)
     seen = [False] * len(base)
     blocks = []
     for i, m in enumerate(base):
@@ -93,6 +92,8 @@ def invariant_partitions(
     """
     if max_blocks < 1:
         raise InputError("max_blocks must be >= 1")
+    if group is None:
+        group = automorphisms(s, budget)
     orbit_part = orbits_on_embeddings(s, a, group)
     orbit_ids = list(range(len(orbit_part.blocks)))
     out = []
@@ -143,7 +144,7 @@ def coherent_partitions(
         if induced_substructure(upper, range(lower.size)) != lower:
             raise InputError("each chain member must be induced in the next on 0..n-1")
 
-    groups = [automorphisms(f) for f in chain]
+    groups = [automorphisms(f, budget) for f in chain]
     per_level = [invariant_partitions(f, a, max_blocks, budget, group=g)
                  for f, g in zip(chain, groups)]
     bases = [embedding_maps(a, f) for f in chain]

@@ -2,8 +2,11 @@
 
 Both kernels enumerate embeddings in lexicographic order on the vertex map
 read as a tuple; with first_only they stop after the first one.  With
-roots (vertices of the target) source vertex 0 tries only those, so the
-result is the maps whose image of vertex 0 lies in roots, in the same order.
+roots (vertices of the target, in increasing order) source vertex 0 tries
+only those, so the result is the maps whose image of vertex 0 lies in
+roots, in the same order.  The kernels take the roots one at a time, as
+their outer loop reaches each, so an iterator of roots can act between
+the images of vertex 0 (check a deadline, say).
 """
 
 
@@ -27,7 +30,7 @@ def embeddings_binary(na, nb, labels_a, labels_b, n_adj, a_flat, b_flat, first_o
     used = [False] * nb
     asq = na * na
     bsq = nb * nb
-    level0 = range(nb) if roots is None else sorted(roots)
+    level0 = range(nb) if roots is None else roots
 
     def rec(i):
         if i == na:
@@ -75,7 +78,7 @@ def embeddings_generic(na, nb, level_checks, b_sets, first_only=False, roots=Non
     out = []
     f = [0] * na
     used = [False] * nb
-    level0 = range(nb) if roots is None else sorted(roots)
+    level0 = range(nb) if roots is None else roots
 
     def rec(i):
         if i == na:

@@ -3,9 +3,15 @@
 An unstable sequence of depth n is a host structure carrying embeddings
 a_1..a_n of A and z_1..z_n of Z together with two distinct pair patterns
 tau_lt and tau_gt such that [a_m, z_k] = tau_lt whenever m < k and
-tau_gt whenever m > k; the diagonal pairs are unconstrained.  Full
-stability quantifies over all depths and is not decidable by finite
-search, so every result here is explicitly depth- and host-bounded.
+tau_gt whenever m > k; the diagonal pairs are unconstrained.  Every
+result here is depth- and host-bounded, and a stable one reaches past
+its depth: restricting a depth-n unstable sequence to its first d pairs
+gives a depth-d sequence with the same pair patterns, on the union of
+those images, a member of the age (ages are hereditary) with at most
+d(|A| + |Z|) vertices.  So under the default host bound, which is that
+number, a stable verdict at depth d excludes unstable sequences of every
+depth >= d; under a smaller max_host m it excludes those whose first d
+pairs span at most m vertices.
 
 The search enumerates ordered pairs of distinct candidate patterns in
 code order, then grows a host by placing a-parts and z-parts

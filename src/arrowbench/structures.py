@@ -341,16 +341,28 @@ def _generic_plan(a: Structure):
     return tuple(levels)
 
 
+def _checking_deadline(vertices, budget):
+    """`vertices` one at a time, each after a check of `budget`'s deadline."""
+    for v in vertices:
+        budget.check_deadline()
+        yield v
+
+
 def embedding_maps(a: Structure, b: Structure, first_only: bool = False,
-                   roots=None) -> list[tuple[int, ...]]:
+                   roots=None, deadline=None) -> list[tuple[int, ...]]:
     """All embeddings of a into b as map tuples, lexicographic order; with
     first_only, the first one only; with roots, only those sending vertex
-    0 into roots."""
+    0 into roots.  With deadline, a `unions.Budget`, its deadline is
+    checked once per image of vertex 0 that the search tries."""
     if a.signature != b.signature:
         raise SignatureMismatch(
             f"signature mismatch: {a.signature.key()!r} vs {b.signature.key()!r}")
     if a.size > b.size:
         return []
+    if roots is not None:
+        roots = sorted(roots)
+    if deadline is not None:
+        roots = _checking_deadline(range(b.size) if roots is None else roots, deadline)
     if a.signature.max_arity <= 2:
         labels_a, n_adj, a_flat = _source_payload(a)
         labels_b, _, b_flat = _binary_payload(b)

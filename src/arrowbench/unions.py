@@ -30,19 +30,22 @@ Placed hosts are members by construction: the host and the part are
 members, tuples among old vertices never change and the part's image is
 a copy of the part, so a completion can only break the age through a
 fresh vertex.  The pair-local axiom flags hold because every free pair
-takes a state `_pair_states` allows; transitivity is checked on the
+takes a state `_pair_states` allows, and, where its binary symbol is the
+only symbol of arity >= 2, no state that makes the pair a copy of a
+2-vertex forbidden structure; transitivity is checked on the
 triples through a fresh vertex, and a forbidden structure is looked for
 only among copies that use a fresh vertex.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from dataclasses import dataclass, field
 
 from arrowbench.errors import ResourceLimitExceeded
-from arrowbench.structures import Structure, has_embedding_through
+from arrowbench.structures import Structure, _generic_plan, has_embedding_through
 
 class Budget:
     """Node counter with an optional deadline (a time.monotonic() instant),
@@ -101,6 +104,31 @@ def _pair_states(flags: frozenset):
     return tuple(states)
 
 
+@functools.lru_cache(maxsize=256)
+def _forbidden_pair_states(sig, forbidden) -> frozenset:
+    """(type of x, type of y, forward, backward) of each pair (x, y) that
+    is a copy of a 2-vertex forbidden structure, a vertex's type being its
+    unary and loop memberships.  Empty unless a binary symbol is the
+    signature's only symbol of arity >= 2: then a pair's type and state
+    settle the structure it induces, so these states leave its menu."""
+    wide = [si for si, (_, arity) in enumerate(sig.symbols) if arity >= 2]
+    if len(wide) != 1 or sig.symbols[wide[0]][1] != 2:
+        return frozenset()
+    si = wide[0]
+    out = set()
+    for bad in forbidden:
+        if bad.size == 2:
+            t0, t1 = _vertex_type(sig, bad.rel_sets, 0), _vertex_type(sig, bad.rel_sets, 1)
+            fwd, bwd = (0, 1) in bad.rel_sets[si], (1, 0) in bad.rel_sets[si]
+            out.update({(t0, t1, fwd, bwd), (t1, t0, bwd, fwd)})
+    return frozenset(out)
+
+
+def _vertex_type(sig, rels, v: int) -> tuple[bool, ...]:
+    """The memberships of v's unary tuple and loop, per symbol."""
+    return tuple((v,) * arity in r for (_, arity), r in zip(sig.symbols, rels))
+
+
 def _transitive_through(rel, fresh: range, m: int) -> bool:
     """True iff every triple u->w->v of `rel` with a fresh vertex among
     u, w, v has u->v.  Triples among old vertices are the host's."""
@@ -149,11 +177,13 @@ def place_part(host: Structure | None, part: Structure, spec,
     flags_by_symbol = spec.axiom_flags()
     transitive = [si for si, flags in enumerate(flags_by_symbol) if "transitive" in flags]
     forbidden = spec.forbidden
+    forbidden_pairs = _forbidden_pair_states(sig, forbidden)
 
     p = part.size
     sigma = [-1] * p
     taken: set[int] = set()
-    part_sets = part.rel_sets
+    # per part vertex k, every tuple over 0..k through k with its membership
+    plan = _generic_plan(part)
     # each required tuple is checked once its last part vertex is assigned
     required_at: list[list] = [[] for _ in range(p)]
     for si, t, present in required:
@@ -164,12 +194,10 @@ def place_part(host: Structure | None, part: Structure, spec,
         # all pre-existing are checked here, so a fresh image passes
         if w >= n0:
             return True
-        for si, ((_, arity), tset) in enumerate(zip(sig.symbols, part_sets)):
-            for t in itertools.product(range(k + 1), repeat=arity):
-                if k in t:
-                    img = tuple(sigma[j] if j != k else w for j in t)
-                    if all(x < n0 for x in img) and (img in host_rels[si]) != (t in tset):
-                        return False
+        for si, t, present in plan[k]:
+            img = tuple(sigma[j] if j != k else w for j in t)
+            if all(x < n0 for x in img) and (img in host_rels[si]) != present:
+                return False
         for si, t, present in required_at[k]:
             img = tuple(x if x >= 0 else w if ~x == k else sigma[~x] for x in t)
             if all(x < n0 for x in img) and (img in host_rels[si]) != present:
@@ -213,6 +241,7 @@ def place_part(host: Structure | None, part: Structure, spec,
                 base_rels[si].add(img)  # binary pairs are set below
         # each free tuple's menu: the tuple sets it may add, sparsest first
         pair_menus, other_menus = [], []
+        types = [_vertex_type(sig, base_rels, v) for v in range(m)] if forbidden_pairs else ()
         for si, (_, arity) in enumerate(sig.symbols):
             if arity != 2:
                 for t in itertools.product(range(m), repeat=arity):
@@ -226,9 +255,11 @@ def place_part(host: Structure | None, part: Structure, spec,
                 fwd, bwd = fixed.get((si, (x, y))), fixed.get((si, (y, x)))
                 menu = [tuple((si, t) for t, on in (((x, y), f), ((y, x), b)) if on)
                         for f, b in _pair_states(flags_by_symbol[si])
-                        if fwd in (None, f) and bwd in (None, b)]
+                        if fwd in (None, f) and bwd in (None, b)
+                        and not (forbidden_pairs
+                                 and (types[x], types[y], f, b) in forbidden_pairs)]
                 if not menu:
-                    return  # the flags forbid the required state
+                    return  # the flags and forbidden pairs leave no state
                 if len(menu) == 1 and (fwd, bwd) != (None, None):
                     for sj, t in menu[0]:  # the constraint leaves one state: set it
                         base_rels[sj].add(t)

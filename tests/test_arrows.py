@@ -111,7 +111,7 @@ def test_order_six_chain_holds():
 def test_order_five_chain_fails_with_checkable_coloring():
     cert = classical_arrow(chain(5), chain(2), chain(3), 2, nodes(20_000_000))
     assert not cert.holds
-    assert check_coloring_is_counterexample(chain(5), chain(2), chain(3),
+    assert check_coloring_is_counterexample(chain(5), chain(2), chain(3), 2,
                                             cert.payload["coloring"])
     assert not oracle_classical(chain(5), chain(2), chain(3), 2)
 

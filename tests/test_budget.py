@@ -15,12 +15,13 @@ from util import chain
 BOUNDED = (
     (unions, "place_part"), (unions, "place_parts"),
     (ages, "enumerate_structures"), (ages, "enumerate_up_to"),
-    (ages, "amalgamation_probe"), (ages, "verify_amalgamation_counterexample"),
+    (ages, "amalgamation_probe"),
     (patterns, "iter_joint_embeddings"), (patterns, "joint_embeddings"),
     (patterns, "pattern_count"),
     (stability, "stable_up_to"), (stability, "unstable_witness"),
     (arrows, "classical_arrow"), (arrows, "arrow_search"), (arrows, "definable_arrow"),
-    (arrows, "stable_arrow"), (arrows, "roelcke_witness"), (arrows, "proximal_check"),
+    (arrows, "stable_arrow"), (arrows, "stability_precondition"), (arrows, "stability_search"),
+    (arrows, "amalgamation_search"), (arrows, "roelcke_witness"), (arrows, "proximal_check"),
     (arrows, "convex_arrow"), (arrows, "exhaustive_classical_check"),
     (certificates, "verify_certificate"),
     (groups, "invariant_partitions"), (groups, "coherent_partitions"),

@@ -474,11 +474,55 @@ def test_verify_compares_a_failing_amalgamation_payload(tmp_path, capsys, edit):
     assert capsys.readouterr().out == "verified: false\n"
 
 
+# a decision, its verify flags and a forgery that verify once let
+# through: a re-run was compared on hand-picked fields only, and a
+# coloring's colors were not held to its number of colors
+_FORGERIES = (
+    ("definable-arrow --age graph --a k1 --b k2 --c k4 --z k1",
+     "--age graph --a k1 --b k2 --c k4 --z k1",
+     lambda doc: doc["payload"].update(joint_patterns_checked=99999)),
+    ("arrow-search --age graph --a k1 --b k2 --colors 2 --max-n 2", "--age graph --a k1 --b k2",
+     lambda doc: doc.update(reason="no witness C up to size 50",
+                            payload=dict(doc["payload"], max_n=50))),
+    ("roelcke-witness --age graph --a k1 --b k2 --z k1 --max-n 2",
+     "--age graph --a k1 --b k2 --z k1",
+     lambda doc: doc["payload"].update(candidates_checked=99999)),
+    # degenerate: no copy of K4 in K2
+    ("arrow --age graph --a k1 --b k4 --c k2 --colors 2", "--a k1 --b k4 --c k2",
+     lambda doc: doc["payload"].update(copy_count=5)),
+    # C6 -/-> (C3)^C2_3; recorded as a 2-coloring, the same coloring would
+    # certify C6 -/-> (C3)^C2_2, against R(3,3) = 6
+    *(("arrow --age linear_order --a a2 --b b3 --c c6 --colors 3", "--a a2 --b b3 --c c6", edit)
+      for edit in (lambda doc: (doc["params"].update(colors=2), doc["payload"].update(k=2)),
+                   lambda doc: doc["params"].update(colors=2),
+                   lambda doc: doc["payload"].update(k=2))),
+)
+
+
+@pytest.mark.parametrize("decision,verify_flags,edit", _FORGERIES, ids=[
+    "definable-arrow", "arrow-search", "roelcke-witness", "degenerate-arrow",
+    "arrow-colors-and-k", "arrow-colors", "arrow-k"])
+def test_verify_refuses_a_forged_certificate(files, tmp_path, capsys, decision, verify_flags,
+                                             edit):
+    paths = {**files, "k4": str(tmp_path / "k4.st")}
+    (tmp_path / "k4.st").write_text(serialize_structure(k_graph(4)))
+    cert = tmp_path / "c.cert"
+    assert cli.main([*_argv(paths, decision), "--certificate", str(cert), "--no-cache"]) in (0, 1)
+    assert cli.main(["verify", str(cert), *_argv(paths, verify_flags)]) == 0
+    doc = json.loads(cert.read_text())
+    edit(doc)
+    cert.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(["verify", str(cert), *_argv(paths, verify_flags)]) == 1
+    assert capsys.readouterr().out == "verified: false\n"
+
+
 @pytest.mark.parametrize("edit", [
     lambda doc: doc["params"].update(depth=9),
     lambda doc: doc["params"].update(max_host=11),
     lambda doc: doc["payload"].update(max_host=11),
     lambda doc: doc["payload"].update(pattern_pairs_checked=5),
+    lambda doc: doc["payload"].update(nodes=1),
 ])
 def test_verify_compares_a_stable_payload_with_the_search_its_params_ask_for(
         files, tmp_path, capsys, edit):
@@ -991,9 +1035,12 @@ def _run_decision(decision, directory):
 @settings(max_examples=100, deadline=None)
 @given(_decisions())
 def test_every_decided_certificate_has_its_declared_shape(decision):
+    # and verifies: a re-run compared with the whole certificate must not
+    # refuse what the decider wrote
     with tempfile.TemporaryDirectory() as d:
-        doc, path, _ = _run_decision(decision, d)
+        doc, path, verify = _run_decision(decision, d)
         assert certificates.load_certificate(path) == doc
+        assert _main_output(verify)[:2] == (0, "verified: true\n")
 
 
 def _declared_fields(value, shape, path=()):

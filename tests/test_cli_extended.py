@@ -8,6 +8,7 @@ import random
 import string
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -152,15 +153,28 @@ def test_orbits_lists_the_group_once(files, capsys, monkeypatch):
     listed = []
     original = groups.automorphisms
 
-    def counted(s):
+    def counted(s, budget):
         listed.append(s)
-        return original(s)
+        return original(s, budget)
 
     monkeypatch.setattr(groups, "automorphisms", counted)
     monkeypatch.setattr(cli, "automorphisms", counted)
     assert cli.main(["orbits", "--host", files["c4cyc"], "--a", files["k1"], "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["payload"]["aut_order"] == 8
     assert len(listed) == 1
+
+
+def test_orbits_listing_keeps_the_time_budget(tmp_path):
+    # Aut(P10) has 3,628,800 elements; the listing checks the deadline
+    # once per image of vertex 0
+    for name, n in (("p10", 10), ("p2", 2)):
+        (tmp_path / f"{name}.st").write_text(serialize_structure(pure_set(n)))
+    start = time.monotonic()
+    r = run_cli(["orbits", "--host", str(tmp_path / "p10.st"), "--a", str(tmp_path / "p2.st"),
+                 "--time-budget", "1"])
+    assert r.returncode == 3, r.stderr
+    assert time.monotonic() - start < 5
+    assert r.stderr == "resource limit: automorphisms: time budget exceeded\n"
 
 
 def test_embeddings_cli(files):

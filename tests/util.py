@@ -578,7 +578,7 @@ def counterexample_search_oracle(c, domain, copies, k, budget):
     index = {image(range(c.size)): i for i, image in enumerate(images)}
     identity = tuple(range(len(domain)))
     perms = set()
-    for g in automorphisms(c):
+    for g in automorphisms(c, budget):
         perm = tuple([index[image(g)] for image in images])
         if perm != identity:
             perms.add(perm)
