@@ -281,7 +281,7 @@ def levels(spec: AgeSpec, budget: Budget):
             for cand in _extensions(spec, parent, singles, budget):
                 if not in_last_root_cell(cand, cand.size - 1):  # the fresh vertex
                     continue
-                code, perm = canonical_labeling(cand)
+                code, perm = canonical_labeling(cand, budget)
                 if code not in next_level:
                     next_level[code] = relabel(cand, perm)
         level = [next_level[c] for c in sorted(next_level)]
@@ -408,7 +408,7 @@ def amalgamation_probe(spec: AgeSpec, which: str, bound: int,
         into = []
         for s, aut_s in zip(reps, auts):
             if s.size >= a.size:
-                part = groups.orbits_on_embeddings(s, a, aut_s)
+                part = groups.orbits_on_embeddings(s, a, aut_s, budget)
                 orbit = {part.base[i]: k for k, block in enumerate(part.blocks) for i in block}
                 into.append((s, part.base, orbit))
         for b, fs, f_orbit in into:

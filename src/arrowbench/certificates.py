@@ -4,35 +4,18 @@ A certificate is a JSON text document: envelope (operation, verdict,
 input digests, parameters) plus the operation payload.  verify() never
 consults the result cache.  Before any re-check, a document is checked
 against the JSON shapes that _VERIFIERS declares for its operation's
-params and payload.  Then each claim is re-checked by one of two routes:
+params and payload.  Then each claim is re-checked by one of two routes,
+which the operation's row of _VERIFIERS chooses by the certificate's
+verdict and degenerate flag:
 
-- independent: the witness is re-scored with embedding enumeration and
-  pattern codes alone;
-- re-run: the decider runs again on the certificate's inputs and params,
-  and the claim passes only when the re-run's operation, verdict,
-  degenerate flag, reason and payload equal the document's, compared as
-  JSON values (_reproduces).
-
-By operation and verdict:
-
-- arrow: holds, independent (every k-coloring enumerated); fails,
-  independent (the coloring re-scored: total, colors in 0..k-1, no copy
-  of B monochromatic); payload k must be params colors;
-- arrow-search: holds, independent (C a member, then as arrow); fails,
-  re-run;
-- definable-arrow and stable-arrow: holds, re-run; fails, independent
-  (the offending joint embedding re-scored), after a stable-arrow's
-  stability precondition entries are compared with a re-run of it;
-- roelcke-witness: holds, independent (the witness replayed); fails,
-  re-run;
-- stability: holds, independent (the witness replayed at the params'
-  depth and host bound); fails, re-run;
-- amalgamation and proximal-check: re-run;
-- proximal-arrow: independent (the copies of B re-scored);
-- convex-arrow: independent (the combination and the adversary
-  re-scored);
-- and every degenerate arrow, pattern-arrow and convex-arrow
-  certificate: re-run.
+- independent: the check that the row names for them re-scores the
+  witness with embedding enumeration and pattern codes alone;
+- re-run: for every verdict that the row names no check for, the
+  operation's decider runs again through its row of DECIDERS, the row
+  that the command line decides through, on the certificate's inputs
+  and params.  The claim passes only when the re-run's operation,
+  verdict, degenerate flag, reason and payload equal the document's,
+  compared as JSON values (_reproduces).
 """
 
 from __future__ import annotations
@@ -64,6 +47,7 @@ from arrowbench.arrows import (
     stable_arrow,
     REAL_TOL,
     _constant_on,
+    _copy_position_sets,
     _pattern_constant_b,
 )
 from arrowbench.errors import CertificateError, InputError, PreconditionFailure
@@ -114,11 +98,6 @@ def write_certificate(doc: dict, path: str) -> None:
         fh.write(dumps(doc))
 
 
-class _Checked(dict):
-    """A certificate document that load_certificate found to have its
-    declared shape, which verify_certificate does not check again."""
-
-
 def load_certificate(path: str) -> dict:
     """The certificate document at `path`; one that does not have its
     declared shape (see _check_shape) raises CertificateError."""
@@ -128,7 +107,7 @@ def load_certificate(path: str) -> dict:
     except (OSError, json.JSONDecodeError) as e:
         raise CertificateError(f"cannot read certificate: {e}") from None
     _check_shape(doc)
-    return _Checked(doc)
+    return doc
 
 
 class _Inputs(dict):
@@ -185,52 +164,82 @@ def _reproduces(recorded, rerun) -> bool:
     return json.dumps(again, sort_keys=True) == json.dumps(recorded, sort_keys=True)
 
 
-def _verify_arrow(doc, inputs, spec, coloring, budget):
+def _zs(inputs) -> list[Structure]:
+    """The coordinates among `inputs` in order: z, or z0, z1, ..., z9, z10, ..."""
+    return [inputs[n] for n in sorted((n for n in inputs if n.startswith("z")),
+                                      key=lambda n: (len(n), n))]
+
+
+# operation -> (the label of the budget that its subcommand spends, its
+# decider called on the inputs by the names that a certificate gives
+# them, the params, the age, the coloring and a budget).  The subcommand
+# decides and verify re-runs through the same call, which looks its
+# decider up by name as it runs, so that a name rebound in this module
+# (a tracer's wrapper, say) is what both call.
+DECIDERS = {
+    "arrow": ("classical_arrow", lambda i, p, spec, chi, budget: classical_arrow(
+        i["c"], i["a"], i["b"], p["colors"], budget)),
+    "arrow-search": ("classical_arrow", lambda i, p, spec, chi, budget: arrow_search(
+        spec, i["a"], i["b"], p["colors"], p["max_n"], budget)),
+    "definable-arrow": ("joint_embeddings", lambda i, p, spec, chi, budget: definable_arrow(
+        i["c"], i["a"], i["b"], i["z"], spec, budget)),
+    "stable-arrow": ("stability search", lambda i, p, spec, chi, budget: stable_arrow(
+        i["c"], i["a"], i["b"], _zs(i), spec, p["depth"], p.get("max_host"), budget=budget)),
+    "roelcke-witness": ("roelcke_witness", lambda i, p, spec, chi, budget: roelcke_witness(
+        spec, i["a"], i["b"], i["z"], p.get("max_n"), budget=budget)),
+    "stability": ("stability search", lambda i, p, spec, chi, budget: stability_search(
+        spec, i["a"], i["z"], p["depth"], p.get("max_host"), budget=budget)),
+    "proximal-check": ("proximal_check", lambda i, p, spec, chi, budget: proximal_check(
+        i["u"], chi, spec, p["d_max"], budget)),
+    "convex-arrow": ("convex LP", lambda i, p, spec, chi, budget: convex_arrow(
+        i["c"], i["a"], i["b"], p["epsilon"], budget)),
+    "amalgamation": ("amalgamation_probe", lambda i, p, spec, chi, budget: amalgamation_search(
+        spec, p["property"], p["bound"], budget)),
+}
+
+
+def _rerun(doc, inputs, spec, coloring, budget) -> bool:
+    """The certificate is what its decider decides again (see _reproduces);
+    one of an operation without a decider does not verify."""
+    op = doc["operation"]
+    return op in DECIDERS and _reproduces(
+        doc, lambda: DECIDERS[op][1](inputs, doc["params"], spec, coloring, budget))
+
+
+def _exhaustive(c, a, b, k, payload, budget) -> bool:
+    """`payload`, a holding arrow payload, records k and the numbers of
+    copies of A in C and of position sets of copies of B, and every
+    k-coloring of the copies of A is constant on some copy of B."""
+    domain = embedding_maps(a, c)
+    copies = _copy_position_sets(domain, embedding_maps(a, b), embedding_maps(b, c))
+    return ((payload["k"], payload["domain_size"], payload["copy_count"])
+            == (k, len(domain), len(copies)) and exhaustive_classical_check(c, a, b, k, budget))
+
+
+def _arrow_holds(doc, inputs, spec, coloring, budget):
+    a, b, c = inputs["a"], inputs["b"], inputs["c"]
+    return _exhaustive(c, a, b, doc["params"]["colors"], doc["payload"], budget)
+
+
+def _arrow_fails(doc, inputs, spec, coloring, budget):
     a, b, c = inputs["a"], inputs["b"], inputs["c"]
     k = doc["params"]["colors"]
-    if doc["degenerate"]:
-        return _reproduces(doc, lambda: classical_arrow(c, a, b, k, budget))
-    if doc["payload"]["k"] != k:
-        return False
-    if doc["verdict"] == "fails":
-        return check_coloring_is_counterexample(c, a, b, k, doc["payload"]["coloring"])
-    return exhaustive_classical_check(c, a, b, k, budget)
+    return doc["payload"]["k"] == k and check_coloring_is_counterexample(
+        c, a, b, k, doc["payload"]["coloring"])
 
 
-def _verify_arrow_search(doc, inputs, spec, coloring, budget):
-    a, b = inputs["a"], inputs["b"]
-    k = doc["params"]["colors"]
-    if doc["verdict"] == "fails":
-        return _reproduces(doc, lambda: arrow_search(spec, a, b, k, doc["params"]["max_n"],
-                                                     budget))
-    c = _structure(doc["payload"]["c"], "payload.c", spec)
-    if doc["payload"]["k"] != k or not spec.member(c):
-        return False
-    return exhaustive_classical_check(c, a, b, k, budget)
+def _arrow_search_holds(doc, inputs, spec, coloring, budget):
+    payload, k = doc["payload"], doc["params"]["colors"]
+    c = parse_structure(payload["c"])
+    return (payload["k"] == k and payload["n"] == c.size and spec.member(c)
+            and _exhaustive(c, inputs["a"], inputs["b"], k, payload["inner"], budget))
 
 
-def _verify_pattern_arrow(doc, inputs, spec, coloring, budget):
-    """definable-arrow and stable-arrow, whose coordinates are the z*
-    inputs in order.  A fail is re-scored on its offending joint
-    embedding, after a stable-arrow's stability precondition is re-run.
-    A holds, and a degenerate certificate, is a re-run of the decider."""
-    a, b, c = inputs["a"], inputs["b"], inputs["c"]
-    # the coordinates in the order given: z, or z0, z1, ..., z9, z10, ...
-    names = sorted((n for n in doc["inputs"] if n.startswith("z")), key=lambda n: (len(n), n))
-    zs = [inputs[name] for name in names]
-    params, payload = doc["params"], doc["payload"]
-    if doc["verdict"] == "holds" or doc["degenerate"]:
-        if doc["operation"] == "definable-arrow":
-            return _reproduces(doc, lambda: definable_arrow(c, a, b, inputs["z"], spec, budget))
-        return _reproduces(doc, lambda: stable_arrow(c, a, b, zs, spec, params["depth"],
-                                                     params.get("max_host"), budget=budget))
-    if doc["operation"] == "stable-arrow" and not _reproduces(
-            payload["stability_precondition"],
-            lambda: stability_precondition(spec, a, zs, params["depth"],
-                                           params.get("max_host"), budget=budget)):
-        return False
-    off = payload["offending"]
-    u = _structure(off["u"], "payload.offending.u", spec)
+def _offending_rescored(doc, inputs, spec, coloring, budget):
+    """The offending joint embedding of a pattern arrow re-scored."""
+    off = doc["payload"]["offending"]
+    a, b, c, zs = inputs["a"], inputs["b"], inputs["c"], _zs(inputs)
+    u = parse_structure(off["u"])
     c_map = tuple(off["c_map"])
     z_maps = [tuple(m) for m in off["z_maps"]]
     return (_joint_embedding_ok(spec, u, [c, *zs], [c_map, *z_maps])
@@ -238,12 +247,16 @@ def _verify_pattern_arrow(doc, inputs, spec, coloring, budget):
                                     embedding_maps(a, b)) is None)
 
 
-def _verify_roelcke(doc, inputs, spec, coloring, budget):
+def _stable_arrow_fails(doc, inputs, spec, coloring, budget):
+    params = doc["params"]
+    return _reproduces(doc["payload"]["stability_precondition"], lambda: stability_precondition(
+        spec, inputs["a"], _zs(inputs), params["depth"], params.get("max_host"),
+        budget=budget)) and _offending_rescored(doc, inputs, spec, coloring, budget)
+
+
+def _roelcke_holds(doc, inputs, spec, coloring, budget):
     a, b, z = inputs["a"], inputs["b"], inputs["z"]
-    if doc["verdict"] == "fails":
-        return _reproduces(doc, lambda: roelcke_witness(
-            spec, a, b, z, doc["params"].get("max_n"), budget=budget))
-    u = _structure(doc["payload"]["u"], "payload.u", spec)
+    u = parse_structure(doc["payload"]["u"])
     b_map = tuple(doc["payload"]["b_map"])
     z_map = tuple(doc["payload"]["z_map"])
     return (_joint_embedding_ok(spec, u, [b, z], [b_map, z_map])
@@ -251,26 +264,22 @@ def _verify_roelcke(doc, inputs, spec, coloring, budget):
                              embedding_maps(a, b)))
 
 
-def _verify_proximal_check(doc, inputs, spec, coloring, budget):
-    return _reproduces(doc, lambda: proximal_check(inputs["u"], coloring, spec,
-                                                   doc["params"]["d_max"], budget))
-
-
-def _verify_proximal_arrow(doc, inputs, spec, coloring, budget):
-    b = inputs["b"]
-    if doc["verdict"] == "fails":
-        return constant_copy(coloring, b) is None
+def _proximal_copy(doc, inputs, spec, coloring, budget):
     bm = tuple(doc["payload"]["b_map"])
-    return (is_embedding(bm, b, coloring.universe)
-            and coloring.constant_on(bm, embedding_maps(coloring.source, b)))
+    return (is_embedding(bm, inputs["b"], coloring.universe)
+            and coloring.constant_on(bm, embedding_maps(coloring.source, inputs["b"])))
 
 
-def _verify_convex(doc, inputs, spec, coloring, budget):
+def _no_constant_copy(doc, inputs, spec, coloring, budget):
+    return constant_copy(coloring, inputs["b"]) is None
+
+
+def _convex(doc, inputs, spec, coloring, budget):
     a, b, c = inputs["a"], inputs["b"], inputs["c"]
     payload = doc["payload"]
     eps = doc["params"]["epsilon"]
-    if doc["degenerate"]:
-        return _reproduces(doc, lambda: convex_arrow(c, a, b, eps, budget))
+    if payload["epsilon"] != eps:
+        return False
     value = payload["value"]
     domain = embedding_maps(a, c)
     copies = embedding_maps(b, c)
@@ -326,18 +335,15 @@ def _verify_convex(doc, inputs, spec, coloring, budget):
     return (doc["verdict"] == "holds") == holds
 
 
-def _verify_stability(doc, inputs, spec, coloring, budget):
+def _stability_holds(doc, inputs, spec, coloring, budget):
     a, z = inputs["a"], inputs["z"]
     payload = doc["payload"]
     depth, max_host = doc["params"]["depth"], doc["params"].get("max_host")
-    if doc["verdict"] == "fails":
-        return _reproduces(doc, lambda: stability_search(spec, a, z, depth, max_host,
-                                                         budget=budget))
     # a witness of instability at the depth the params ask for, which the
     # decider refuses below 2, on a host within their host bound
     if not payload["depth"] == depth >= 2:
         return False
-    host = _structure(payload["host"], "payload.host", spec)
+    host = parse_structure(payload["host"])
     if not spec.member(host) or (max_host is not None and host.size > max_host):
         return False
     a_maps = tuple(tuple(m) for m in payload["a_maps"])
@@ -349,25 +355,14 @@ def _verify_stability(doc, inputs, spec, coloring, budget):
                            bytes.fromhex(payload["tau_gt"])).verify()
 
 
-def _verify_amalgamation(doc, inputs, spec, coloring, budget):
-    params = doc["params"]
-    if doc["verdict"] == "fails":
-        # a counterexample structure that does not parse is malformed
-        cex = doc["payload"]["counterexample"]
-        for x in "abc":
-            if cex[x] is not None:
-                _structure(cex[x], f"payload.counterexample.{x}", spec)
-    return _reproduces(doc, lambda: amalgamation_search(spec, params["property"],
-                                                        params["bound"], budget))
-
-
 # JSON shapes.  A type stands for a JSON value of it: str a string, bytes
 # a string of hex digits, int an integer, float a number, bool a boolean,
-# dict any object, None null; a string stands for itself.  A tuple is any
-# one of its shapes, [s, ...] a list of items of shape s, a list of shapes
-# without the ellipsis a list of as many items of those shapes, and
-# {field: s} an object with at least those fields, where a field named
-# with a trailing "?" may be absent.
+# dict any object, None null, and Structure a string that holds the text
+# of a structure in the age's signature; a string stands for itself.  A
+# tuple is any one of its shapes, [s, ...] a list of items of shape s, a
+# list of shapes without the ellipsis a list of as many items of those
+# shapes, and {field: s} an object with at least those fields, where a
+# field named with a trailing "?" may be absent.
 _MAP = [int, ...]  # an embedding, as the list of its images
 
 # the fields of every certificate document besides its format
@@ -375,56 +370,62 @@ _DOCUMENT = {"tool_version": str, "operation": str, "verdict": ("holds", "fails"
              "degenerate": bool, "reason": (str, None), "age": (str, None),
              "inputs": dict, "params": dict, "payload": dict}
 
+_ARROW_HOLDS = {"k": int, "domain_size": int, "copy_count": int, "aut_perms": int,
+                "nodes": int, "method": str}
 _PATTERN_ARROW = {"holds": {"joint_patterns_checked": int},
-                  "fails": {"offending": {"u": str, "c_map": _MAP, "z_maps": [_MAP, ...]}}}
-_ROELCKE_WITNESS = {"u": str, "b_map": _MAP, "z_map": _MAP}
+                  "fails": {"offending": {"u": Structure, "c_map": _MAP,
+                                          "z_maps": [_MAP, ...]}}}
+_ROELCKE_WITNESS = {"u": Structure, "b_map": _MAP, "z_map": _MAP}
 
-# operation -> (verifier, what it reads besides the inputs: the age, the
-# coloring; its params; its payload fields by the certificate's kind: ""
-# for every kind, then "holds" or "fails", each prefixed "degenerate "
-# when the certificate is)
+# operation -> (its independent check by the certificate's kind, "holds"
+# or "fails", prefixed "degenerate " when the certificate is: a kind not
+# named here is re-run (see _rerun); what it reads besides the inputs:
+# the age, the coloring; its params; its payload fields by kind, where
+# "" stands for every kind)
 _VERIFIERS = {
-    "arrow": (_verify_arrow, (), {"colors": int}, {
-        "": {"k": int},
-        "holds": {"domain_size": int, "copy_count": int, "aut_perms": int, "nodes": int,
-                  "method": str},
-        "fails": {"coloring": [[_MAP, int], ...]},
+    "arrow": ({"holds": _arrow_holds, "fails": _arrow_fails}, (), {"colors": int}, {
+        "": {"k": int}, "holds": _ARROW_HOLDS, "fails": {"coloring": [[_MAP, int], ...]},
         "degenerate holds": {"domain_size": int},
         "degenerate fails": {"copy_count": int}}),
-    "arrow-search": (_verify_arrow_search, ("age",), {"colors": int, "max_n": int}, {
-        "": {"k": int}, "holds": {"n": int, "c": str, "inner": dict}, "fails": {"max_n": int}}),
-    "definable-arrow": (_verify_pattern_arrow, ("age",), {}, _PATTERN_ARROW),
-    "stable-arrow": (_verify_pattern_arrow, ("age",), {"depth": int, "max_host?": (int, None)}, {
+    "arrow-search": ({"holds": _arrow_search_holds}, ("age",), {"colors": int, "max_n": int}, {
+        "": {"k": int}, "holds": {"n": int, "c": Structure, "inner": _ARROW_HOLDS},
+        "fails": {"max_n": int}}),
+    "definable-arrow": ({"fails": _offending_rescored}, ("age",), {}, _PATTERN_ARROW),
+    "stable-arrow": ({"fails": _stable_arrow_fails}, ("age",),
+                     {"depth": int, "max_host?": (int, None)}, {
         **_PATTERN_ARROW, "": {"stability_precondition": [
             {"z_index": int, "stable": bool, "depth": int, "max_host": int}, ...]}}),
-    "roelcke-witness": (_verify_roelcke, ("age",), {"max_n?": (int, None)}, {
+    "roelcke-witness": ({"holds": _roelcke_holds, "degenerate holds": _roelcke_holds},
+                        ("age",), {"max_n?": (int, None)}, {
         "": {"candidates_checked": int},
         "holds": _ROELCKE_WITNESS, "degenerate holds": _ROELCKE_WITNESS}),
-    "convex-arrow": (_verify_convex, (), {"epsilon": float}, {"": {
+    "convex-arrow": ({"holds": _convex, "fails": _convex}, (), {"epsilon": float}, {"": {
         "epsilon": float, "value": float, "gap": float, "combination": [[_MAP, float], ...],
         "adversary": [{"coloring": [float, ...], "pair": [_MAP, _MAP], "weight": float},
                       ...]}}),
-    "stability": (_verify_stability, ("age",), {"depth": int, "max_host?": (int, None)}, {
+    "stability": ({"holds": _stability_holds}, ("age",),
+                  {"depth": int, "max_host?": (int, None)}, {
         "": {"depth": int},
-        "holds": {"host": str, "a_maps": [_MAP, ...], "z_maps": [_MAP, ...], "tau_lt": bytes,
-                  "tau_gt": bytes},
+        "holds": {"host": Structure, "a_maps": [_MAP, ...], "z_maps": [_MAP, ...],
+                  "tau_lt": bytes, "tau_gt": bytes},
         "fails": {"stable_up_to": bool, "max_host": int, "nodes": int,
                   "pattern_pairs_checked": int}}),
-    "amalgamation": (_verify_amalgamation, ("age",), {"bound": int, "property": str}, {
+    "amalgamation": ({}, ("age",), {"bound": int, "property": str}, {
         "": {"instances_checked": int, "search_cap": str},
         "holds": {"holds_up_to": int},
-        "fails": {"counterexample": {"a": (str, None), "b": str, "c": str, "f": _MAP,
-                                     "g": _MAP}}}),
-    "proximal-check": (_verify_proximal_check, ("age", "coloring"), {"d_max": int}, {"": {
+        "fails": {"counterexample": {"a": (Structure, None), "b": Structure, "c": Structure,
+                                     "f": _MAP, "g": _MAP}}}),
+    "proximal-check": ({}, ("age", "coloring"), {"d_max": int}, {"": {
         "d_max": int, "entries": [[str, bool, (_MAP, None)], ...], "passed_all": bool}}),
-    "proximal-arrow": (_verify_proximal_arrow, ("coloring",), {}, {
+    "proximal-arrow": ({"holds": _proximal_copy, "degenerate holds": _proximal_copy,
+                        "fails": _no_constant_copy}, ("coloring",), {}, {
         "": {"checked_depth": int},
         "holds": {"b_map": _MAP}, "degenerate holds": {"b_map": _MAP}}),
 }
 
 _HEX = re.compile("(?:[0-9a-f]{2})*")
-_NAMES = {str: "string", bytes: "string of hex digits", int: "integer", float: "number",
-          bool: "boolean", dict: "object", None: "null"}
+_NAMES = {str: "string", bytes: "string of hex digits", Structure: "string", int: "integer",
+          float: "number", bool: "boolean", dict: "object", None: "null"}
 
 
 def _name(shape) -> str:
@@ -440,14 +441,20 @@ def _name(shape) -> str:
     return "object" if isinstance(shape, dict) else _NAMES[shape]
 
 
-def _check(value, shape, path: str) -> None:
+class _Mistyped(CertificateError):
+    """A field that is missing or of another JSON type, which the next
+    alternative of a tuple shape may fit."""
+
+
+def _check(value, shape, path: str, spec: AgeSpec | None) -> None:
     """Raise CertificateError naming `path`, the field that holds `value`,
-    or a field inside it, unless `value` has `shape`."""
+    or a field inside it, unless `value` has `shape`; the text of a
+    Structure is read in the signature of `spec` when it is given."""
     if isinstance(shape, tuple):
         for alternative in shape:
             try:
-                return _check(value, alternative, path)
-            except CertificateError:
+                return _check(value, alternative, path, spec)
+            except _Mistyped:
                 pass
     elif isinstance(shape, dict):
         if type(value) is dict:
@@ -456,16 +463,16 @@ def _check(value, shape, path: str) -> None:
                 where = f"{path}.{field}" if path else field
                 if field in value:
                     if type(value[field]) is not item:  # else a plain JSON type fits
-                        _check(value[field], item, where)
+                        _check(value[field], item, where, spec)
                 elif field == key:
-                    raise CertificateError(f"certificate lacks field {where}")
+                    raise _Mistyped(f"certificate lacks field {where}")
             return
     elif isinstance(shape, list):
         items = itertools.repeat(shape[0]) if shape[-1] is ... else shape
         if type(value) is list and (shape[-1] is ... or len(value) == len(shape)):
             for i, (item, item_shape) in enumerate(zip(value, items)):
                 if type(item) is not item_shape:
-                    _check(item, item_shape, f"{path}[{i}]")
+                    _check(item, item_shape, f"{path}[{i}]", spec)
             return
     elif shape is float:
         if type(value) in (int, float):
@@ -473,48 +480,55 @@ def _check(value, shape, path: str) -> None:
     elif shape is bytes:
         if type(value) is str and _HEX.fullmatch(value):
             return
+    elif shape is Structure:
+        if type(value) is str:
+            if spec is not None:
+                _structure(value, path, spec)
+            return
     elif shape is None or isinstance(shape, str):
         if value == shape:
             return
     elif type(value) is shape:
         return
-    raise CertificateError(f"certificate field {path} is not a JSON {_name(shape)}")
+    raise _Mistyped(f"certificate field {path} is not a JSON {_name(shape)}")
 
 
-def _check_shape(doc) -> None:
+def _kind(doc) -> str:
+    return ("degenerate " if doc["degenerate"] else "") + doc["verdict"]
+
+
+def _check_shape(doc, spec: AgeSpec | None = None) -> None:
     """Raise CertificateError, naming the first field that is missing or
     of another shape, unless `doc` is a certificate document of this
     format with the fields of _DOCUMENT and the params and payload that
-    its operation's row of _VERIFIERS declares for its kind."""
+    its operation's row of _VERIFIERS declares for its kind; the
+    structures in it are read in the signature of `spec` when given."""
     if type(doc) is not dict:
         raise CertificateError("certificate is not a JSON object")
     if doc.get("format") != FORMAT:
         raise CertificateError(f"unsupported certificate format {doc.get('format')!r}")
-    _check(doc, _DOCUMENT, "")
+    _check(doc, _DOCUMENT, "", spec)
     if doc["operation"] in _VERIFIERS:
         _, _, params, payload = _VERIFIERS[doc["operation"]]
-        _check(doc["params"], params, "params")
-        kind = ("degenerate " if doc["degenerate"] else "") + doc["verdict"]
-        for key in (kind, ""):
-            _check(doc["payload"], payload.get(key, {}), "payload")
+        _check(doc["params"], params, "params", spec)
+        for key in (_kind(doc), ""):
+            _check(doc["payload"], payload.get(key, {}), "payload", spec)
 
 
 def verify_certificate(doc: dict, inputs: dict[str, Structure], spec: AgeSpec | None,
                        coloring: Coloring | None = None, *, budget: Budget) -> bool:
     """Re-check of a certificate against the given inputs, by the route
-    that the module docstring gives for it; every search spends `budget`.
-    A document without its declared shape (see _check_shape; one from
-    load_certificate has been checked there) raises CertificateError, as
-    do digest mismatches; a sound certificate with a wrong claim returns
-    False."""
-    if not isinstance(doc, _Checked):
-        _check_shape(doc)
+    that its operation's row of _VERIFIERS declares for its kind; every
+    search spends `budget`.  A document without its declared shape (see
+    _check_shape) raises CertificateError, as do digest mismatches; a
+    sound certificate with a wrong claim returns False."""
+    _check_shape(doc, spec)
     inputs = _Inputs(inputs)
     _check_digests(doc, inputs)
     op = doc["operation"]
     if op not in _VERIFIERS:
         raise CertificateError(f"operation {op!r} has no verifier")
-    verifier, reads, _, _ = _VERIFIERS[op]
+    checks, reads, _, _ = _VERIFIERS[op]
     if spec is None and "age" in reads:
         raise CertificateError(f"{op} verification needs --age")
     if "coloring" in reads:
@@ -522,4 +536,4 @@ def verify_certificate(doc: dict, inputs: dict[str, Structure], spec: AgeSpec | 
             raise CertificateError(f"{op} verification needs the coloring")
         if doc["inputs"].get("_coloring") != coloring_digest(coloring):
             raise CertificateError("coloring digest mismatch")
-    return verifier(doc, inputs, spec, coloring, budget)
+    return checks.get(_kind(doc), _rerun)(doc, inputs, spec, coloring, budget)

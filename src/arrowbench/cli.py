@@ -17,7 +17,9 @@ _COMMANDS.  --a, --b, --c and --host are inputs of those names,
 `z` where the row takes it once and z0, z1, ... where it repeats; --chain
 is f0, f1, ...; a --coloring, read against u and a, enters as its digest
 `_coloring`.  Every other flag of the row is a param.  An --age that
-names a file is recorded as its absolute path.  `verify` names its inputs
+names a file is recorded as its absolute path.  A subcommand whose
+certificates `verify` can re-run decides on these inputs and params
+through its row of certificates.DECIDERS, as that re-run does.  `verify` names its inputs
 by the row of the certificate's operation; a certificate without the
 shape that `certificates` declares for its operation, such as a missing
 field, a field of another JSON type or a verdict other than `holds` or
@@ -33,21 +35,7 @@ import time
 
 from arrowbench import __version__, cache, certificates
 from arrowbench.ages import enumerate_structures, load_age, resolve_age
-from arrowbench.arrows import (
-    ArrowCertificate,
-    Coloring,
-    amalgamation_search,
-    arrow_search,
-    classical_arrow,
-    coloring_digest,
-    convex_arrow,
-    definable_arrow,
-    proximal_arrow,
-    proximal_check,
-    roelcke_witness,
-    stability_search,
-    stable_arrow,
-)
+from arrowbench.arrows import ArrowCertificate, Coloring, coloring_digest, proximal_arrow
 from arrowbench.errors import (
     ArrowbenchError,
     CertificateError,
@@ -151,10 +139,10 @@ _FILE_FLAGS = frozenset({*_INPUT_NAMES, "--z", "--chain", "--coloring", "--check
 
 
 def _load(args, own: str, z_from: str | None = None):
-    """Read the files that the usage line `own` names: (loaded, inputs,
-    params), named as the module docstring says, with --z named by the
-    usage line `z_from` (`own` by default).  `loaded` is a copy of `args`
-    in which each given file flag holds what it names."""
+    """Read the files that the usage line `own` names: a copy of `args` in
+    which each given file flag holds what it names, `inputs` the inputs
+    and `params` the params, named as the module docstring says, with --z
+    named by the usage line `z_from` (`own` by default)."""
     one_z = any(t.strip("[]") == "--z" for t in (own if z_from is None else z_from).split())
     loaded, inputs, params = argparse.Namespace(**vars(args)), {}, {}
     for token in own.split():
@@ -184,15 +172,16 @@ def _load(args, own: str, z_from: str | None = None):
         else:
             value = certificates.load_certificate(value)  # --check
         setattr(loaded, dest, value)
-    return loaded, inputs, params
+    loaded.inputs, loaded.params = inputs, params
+    return loaded
 
 
-def _report(args, loaded, inputs: dict, params: dict) -> int:
+def _report(args) -> int:
     """Report the certificate document of the subcommand's handler on
-    `loaded`: replayed from the result cache when the subcommand is in
-    _CACHED, caching is on and the key hits, else enveloped and stored.
-    The exit code follows the verdict."""
-    operation = args.command
+    `args`, as _load gives them: replayed from the result cache when the
+    subcommand is in _CACHED, caching is on and the key hits, else
+    enveloped and stored.  The exit code follows the verdict."""
+    operation, inputs, params = args.command, args.inputs, args.params
     directory = None if args.no_cache or operation not in _CACHED else cache.cache_dir(
         args.cache_dir)
     key = cache.cache_key(operation, [s if name.startswith("_") else serialize_structure(s)
@@ -202,7 +191,7 @@ def _report(args, loaded, inputs: dict, params: dict) -> int:
     if hit is not None:
         doc = json.loads(hit)
     else:
-        doc = certificates.envelope(_COMMANDS[operation][0](loaded), inputs,
+        doc = certificates.envelope(_COMMANDS[operation][0](args), inputs,
                                     getattr(args, "age", None), params)
         cache.store(directory, key, certificates.dumps(doc))
     if args.certificate:
@@ -283,6 +272,13 @@ _HUMAN_LINES = {
 # subcommand (see _load) and returns the certificate
 
 
+def _decide(args):
+    """Decide through the subcommand's row of certificates.DECIDERS."""
+    label, call = certificates.DECIDERS[args.command]
+    return call(args.inputs, args.params, args.spec, getattr(args, "coloring", None),
+                _budget(args, label))
+
+
 def _cmd_parse(args):
     s = args.infile
     return ArrowCertificate("parse", "holds", payload={
@@ -321,40 +317,11 @@ def _cmd_pattern_count(args):
 
 
 def _cmd_arrow(args):
+    # verify of an arrow reads no age, so only its subcommand checks it
     for name in ("a", "b", "c"):
         if not args.spec.member(getattr(args, name)):
             raise InputError(f"--{name} is not a member of the age")
-    return classical_arrow(args.c, args.a, args.b, args.colors, _budget(args, "classical_arrow"))
-
-
-def _cmd_arrow_search(args):
-    return arrow_search(args.spec, args.a, args.b, args.colors, args.max_n,
-                        _budget(args, "classical_arrow"))
-
-
-def _cmd_definable_arrow(args):
-    return definable_arrow(args.c, args.a, args.b, args.z, args.spec,
-                           _budget(args, "joint_embeddings"))
-
-
-def _cmd_stable_arrow(args):
-    return stable_arrow(args.c, args.a, args.b, args.z, args.spec, args.depth, args.max_host,
-                        budget=_budget(args, "stability search"))
-
-
-def _cmd_roelcke(args):
-    return roelcke_witness(args.spec, args.a, args.b, args.z, args.max_n,
-                           budget=_budget(args, "roelcke_witness"))
-
-
-def _cmd_stability(args):
-    return stability_search(args.spec, args.a, args.z, args.depth, args.max_host,
-                            budget=_budget(args, "stability search"))
-
-
-def _cmd_proximal_check(args):
-    return proximal_check(args.universe, args.coloring, args.spec, args.d_max,
-                          _budget(args, "proximal_check"))
+    return _decide(args)
 
 
 def _cmd_proximal_arrow(args):
@@ -369,13 +336,10 @@ def _cmd_proximal_arrow(args):
     return cert
 
 
-def _cmd_convex_arrow(args):
-    return convex_arrow(args.c, args.a, args.b, args.epsilon, _budget(args, "convex LP"))
-
-
 def _cmd_orbits(args):
-    group = automorphisms(args.host, _budget(args, "automorphisms"))
-    part = orbits_on_embeddings(args.host, args.a, group)
+    budget = _budget(args, "automorphisms")
+    group = automorphisms(args.host, budget)
+    part = orbits_on_embeddings(args.host, args.a, group, budget)
     return ArrowCertificate("orbits", "holds", payload={
         "base": [list(m) for m in part.base],
         "blocks": [list(b) for b in part.blocks],
@@ -402,17 +366,12 @@ def _cmd_coherent_partitions(args):
         })
 
 
-def _cmd_amalgamation(args):
-    return amalgamation_search(args.spec, args.property, args.bound,
-                               _budget(args, "amalgamation_probe"))
-
-
 def _cmd_verify(args):
     doc = certificates.load_certificate(args.cert)
     # the inputs are named as the certificate's operation names them
     row = _COMMANDS.get(doc["operation"], (None, None, ""))
-    loaded, inputs, _ = _load(args, _COMMANDS["verify"][2], row[2])
-    ok = certificates.verify_certificate(doc, inputs, args.spec, loaded.coloring,
+    loaded = _load(args, _COMMANDS["verify"][2], row[2])
+    ok = certificates.verify_certificate(doc, loaded.inputs, args.spec, loaded.coloring,
                                          budget=_budget(args, "verify"))
     print("verified: " + ("true" if ok else "false"))
     return EXIT_HOLDS if ok else EXIT_FAILS
@@ -463,28 +422,28 @@ _COMMANDS = {
                       "--a --z", "--age"),
     "arrow": (_cmd_arrow, "classical embedding-Ramsey arrow", "--a --b --c --colors",
               "--age"),
-    "arrow-search": (_cmd_arrow_search, "smallest C in the age with the arrow",
+    "arrow-search": (_decide, "smallest C in the age with the arrow",
                      "--a --b --colors --max-n", "--age"),
-    "definable-arrow": (_cmd_definable_arrow, "pattern-constant arrow", "--a --b --c --z",
+    "definable-arrow": (_decide, "pattern-constant arrow", "--a --b --c --z",
                         "--age"),
-    "stable-arrow": (_cmd_stable_arrow, "stability-restricted arrow",
+    "stable-arrow": (_decide, "stability-restricted arrow",
                      "--a --b --c [--z...] --depth [--max-host]", "--age"),
-    "roelcke-witness": (_cmd_roelcke, "pattern-constant joint embedding",
+    "roelcke-witness": (_decide, "pattern-constant joint embedding",
                         "--a --b --z [--max-n]", "--age"),
-    "stability": (_cmd_stability, "depth-bounded unstable-sequence search",
+    "stability": (_decide, "depth-bounded unstable-sequence search",
                   "--a --z --depth [--max-host]", "--age"),
-    "proximal-check": (_cmd_proximal_check, "proximality probe for a coloring",
+    "proximal-check": (_decide, "proximality probe for a coloring",
                        "--universe --a --coloring --d-max", "--age"),
     "proximal-arrow": (_cmd_proximal_arrow, "constant copy for a verified coloring",
                        "--universe --a --b --coloring --check", ""),
-    "convex-arrow": (_cmd_convex_arrow, "zero-sum-game convex arrow",
+    "convex-arrow": (_decide, "zero-sum-game convex arrow",
                      "--a --b --c --epsilon", ""),
     "orbits": (_cmd_orbits, "Aut(host)-orbits on embeddings of A", "--host --a", ""),
     "invariant-partitions": (_cmd_invariant_partitions, "partitions fixed by Aut(host)",
                              "--host --a --max-blocks", ""),
     "coherent-partitions": (_cmd_coherent_partitions, "partition families along a chain",
                             "--chain --a --max-blocks", ""),
-    "amalgamation": (_cmd_amalgamation, "bounded amalgamation probe", "--property --bound",
+    "amalgamation": (_decide, "bounded amalgamation probe", "--property --bound",
                      "--age"),
     "verify": (_cmd_verify, "independently re-check a certificate",
                "cert [--a] [--b] [--c] [--z...] [--host] [--universe] [--coloring]", "[--age]"),
@@ -544,7 +503,7 @@ def main(argv=None) -> int:
         args.age, args.spec = resolve_age(age) if age is not None else (None, None)
         if args.command == "verify":
             return _cmd_verify(args)
-        return _report(args, *_load(args, _COMMANDS[args.command][2]))
+        return _report(_load(args, _COMMANDS[args.command][2]))
     except ResourceLimitExceeded as e:
         print(f"resource limit: {e}", file=sys.stderr)
         return EXIT_RESOURCE

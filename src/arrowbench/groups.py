@@ -38,9 +38,11 @@ def automorphisms(s: Structure, budget: Budget) -> tuple[tuple[int, ...], ...]:
     return tuple(embedding_maps(s, s, deadline=budget))
 
 
-def orbits_on_embeddings(s: Structure, a: Structure, group) -> InvariantPartition:
+def orbits_on_embeddings(s: Structure, a: Structure, group,
+                         budget: Budget) -> InvariantPartition:
     """The orbit partition of Aut(s) acting on embeddings(a, s) by g.e = g o e,
-    for `group` the listing automorphisms(s)."""
+    for `group` the listing automorphisms(s).  Spends no node of `budget`
+    but checks its deadline once per embedding."""
     if a.signature != s.signature:
         raise SignatureMismatch("orbit computation needs one common signature")
     base = embedding_maps(a, s)
@@ -48,6 +50,7 @@ def orbits_on_embeddings(s: Structure, a: Structure, group) -> InvariantPartitio
     seen = [False] * len(base)
     blocks = []
     for i, m in enumerate(base):
+        budget.check_deadline()
         if seen[i]:
             continue
         orbit = set()
@@ -94,7 +97,7 @@ def invariant_partitions(
         raise InputError("max_blocks must be >= 1")
     if group is None:
         group = automorphisms(s, budget)
-    orbit_part = orbits_on_embeddings(s, a, group)
+    orbit_part = orbits_on_embeddings(s, a, group, budget)
     orbit_ids = list(range(len(orbit_part.blocks)))
     out = []
     for grouping in _partitions_of(orbit_ids, max_blocks):

@@ -499,9 +499,10 @@ def _product_complete(s: Structure, colors: list[int]) -> bool:
     return True
 
 
-def _canonical_search(s: Structure, sig_key: str):
+def _canonical_search(s: Structure, sig_key: str, budget=None):
     """Least leaf encoding of the individualization-refinement tree, and
-    the first leaf (in depth-first order) that realizes it.
+    the first leaf (in depth-first order) that realizes it.  With budget,
+    a `unions.Budget`, its deadline is checked at each leaf.
 
     A leaf whose encoding equals the best one gives an automorphism
     best_perm^-1 . perm.  At a node reached by individualizing `path`, a
@@ -517,6 +518,8 @@ def _canonical_search(s: Structure, sig_key: str):
     automorphisms: list[tuple[int, ...]] = []
 
     def leaf(perm):
+        if budget is not None:
+            budget.check_deadline()
         enc = _encode_labeled(
             sig_key, n,
             [[tuple(perm[x] for x in t) for t in tuples] for tuples in s.relations])
@@ -574,9 +577,11 @@ def _canonical_search(s: Structure, sig_key: str):
     return best[0], best[1]
 
 
-def canonical_labeling(s: Structure) -> tuple[CanonicalCode, tuple[int, ...]]:
-    """Canonical code plus one labeling realizing it (perm[v] = new label)."""
-    return _canonical_search(s, s.signature.key())
+def canonical_labeling(s: Structure, budget=None) -> tuple[CanonicalCode, tuple[int, ...]]:
+    """Canonical code plus one labeling realizing it (perm[v] = new label);
+    with budget, a `unions.Budget`, its deadline is checked at each leaf
+    of the search."""
+    return _canonical_search(s, s.signature.key(), budget)
 
 
 def canonical_form(s: Structure) -> CanonicalCode:

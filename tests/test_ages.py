@@ -144,9 +144,9 @@ def test_enumeration_labels_only_candidates_in_the_designated_cell(monkeypatch):
     calls = []
     labeling = ages.canonical_labeling
 
-    def counted(s):
+    def counted(s, budget):
         calls.append(s)
-        return labeling(s)
+        return labeling(s, budget)
 
     monkeypatch.setattr(ages, "canonical_labeling", counted)
     assert len(enumerate_structures(GRAPHS, 6, nodes(2_000_000))) == 156

@@ -2,15 +2,16 @@
 gives `budget` a default, so no search runs under a cap of its own."""
 
 import inspect
+import time
 
 import pytest
 
 from arrowbench import ages, arrows, certificates, groups, patterns, stability, unions
 from arrowbench.errors import ResourceLimitExceeded
-from arrowbench.structures import embedding_maps
+from arrowbench.structures import canonical_labeling, embedding_maps
 from arrowbench.unions import Budget
 
-from util import chain
+from util import chain, k_graph, pure_set
 
 BOUNDED = (
     (unions, "place_part"), (unions, "place_parts"),
@@ -24,7 +25,8 @@ BOUNDED = (
     (arrows, "amalgamation_search"), (arrows, "roelcke_witness"), (arrows, "proximal_check"),
     (arrows, "convex_arrow"), (arrows, "exhaustive_classical_check"),
     (certificates, "verify_certificate"),
-    (groups, "invariant_partitions"), (groups, "coherent_partitions"),
+    (groups, "orbits_on_embeddings"), (groups, "invariant_partitions"),
+    (groups, "coherent_partitions"),
 )
 
 
@@ -59,3 +61,22 @@ def test_exhaustive_check_refuses_before_it_enumerates():
     with pytest.raises(ResourceLimitExceeded, match="verify: node budget 32767 exceeded"):
         arrows.exhaustive_classical_check(chain(6), chain(2), chain(3), 2, budget)
     assert budget.used == 2 ** 15
+
+
+def _expired(what):
+    budget = Budget(1_000_000, what)
+    budget.deadline = time.monotonic() - 1.0
+    return budget
+
+
+def test_orbits_check_the_deadline_after_the_group_is_listed():
+    # the group was listed in time; the orbit loop still stops at the deadline
+    group = groups.automorphisms(pure_set(4), Budget(1_000_000))
+    with pytest.raises(ResourceLimitExceeded, match="automorphisms: time budget exceeded"):
+        groups.orbits_on_embeddings(pure_set(4), pure_set(2), group, _expired("automorphisms"))
+
+
+def test_canonical_labeling_checks_the_deadline_at_its_leaves():
+    # K6 is not product-complete, so its search reaches a leaf
+    with pytest.raises(ResourceLimitExceeded, match="enumerate_structures: time budget"):
+        canonical_labeling(k_graph(6), budget=_expired("enumerate_structures"))

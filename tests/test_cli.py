@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import os
 import re
@@ -193,17 +194,37 @@ def test_malformed_coloring_file_is_a_parse_error(files, tmp_path, capsys, text,
 
 def test_every_verifier_is_a_subcommand():
     # each row declares the params that its subcommand records, and
-    # payload fields only under kinds a certificate has, so that a
-    # misspelt kind cannot skip its checks
-    kinds = {"", "holds", "fails", "degenerate holds", "degenerate fails"}
+    # payload fields and independent checks only under kinds a
+    # certificate has, so that a misspelt kind can neither skip its
+    # checks nor fall back to a re-run; every decider has a verifier
+    kinds = {"holds", "fails", "degenerate holds", "degenerate fails"}
     assert set(certificates._VERIFIERS) <= set(cli._COMMANDS)
-    for op, (_, reads, params, payload) in certificates._VERIFIERS.items():
+    assert set(certificates.DECIDERS) <= set(certificates._VERIFIERS)
+    for op, (checks, reads, params, payload) in certificates._VERIFIERS.items():
+        assert set(checks) <= kinds, op
         assert set(reads) <= {"age", "coloring"}
-        assert set(payload) <= kinds, op
+        assert set(payload) <= kinds | {""}, op
         flags = [token.strip("[].") for token in cli._COMMANDS[op][2].split()]
         assert {name.rstrip("?") for name in params} == {
             flag.lstrip("-").replace("-", "_") for flag in flags
             if flag not in cli._FILE_FLAGS}, op
+
+
+def test_the_readme_route_table_matches_the_verifiers():
+    # a kind re-runs exactly where _VERIFIERS names no independent check
+    kinds = ("holds", "fails", "degenerate holds", "degenerate fails")
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        lines = fh.read().splitlines()
+    start = lines.index("| operation | `holds` | `fails` | degenerate `holds` "
+                        "| degenerate `fails` |") + 2
+    rows = {}
+    for line in itertools.takewhile(lambda line: line.startswith("|"), lines[start:]):
+        op, *cells = (cell.strip() for cell in line.strip("|").split("|"))
+        rows[op.strip("`")] = cells
+    assert set(rows) == set(certificates._VERIFIERS)
+    for op, (checks, _, _, _) in certificates._VERIFIERS.items():
+        assert [cell == "re-run" for cell in rows[op]] == [
+            kind not in checks for kind in kinds], op
 
 
 def _argument_records(name):
@@ -496,12 +517,26 @@ _FORGERIES = (
       for edit in (lambda doc: (doc["params"].update(colors=2), doc["payload"].update(k=2)),
                    lambda doc: doc["params"].update(colors=2),
                    lambda doc: doc["payload"].update(k=2))),
+    # the counts that an independent route re-derives: C6 -> (C3)^C2_2
+    *(("arrow --age linear_order --a a2 --b b3 --c c6 --colors 2", "--a a2 --b b3 --c c6", edit)
+      for edit in (lambda doc: doc["payload"].update(domain_size=16),
+                   lambda doc: doc["payload"].update(copy_count=21))),
+    # K3 is the least graph whose 2-colored vertices span a monochromatic edge
+    *(("arrow-search --age graph --a k1 --b k2 --colors 2 --max-n 4", "--age graph --a k1 --b k2",
+       edit)
+      for edit in (lambda doc: doc["payload"].update(n=2),
+                   lambda doc: doc["payload"]["inner"].update(copy_count=4),
+                   lambda doc: doc["payload"]["inner"].update(k=1))),
+    ("convex-arrow --a pt --b a2 --c c6 --epsilon 0.5", "--a pt --b a2 --c c6",
+     lambda doc: doc["payload"].update(epsilon=0.9)),
 )
 
 
 @pytest.mark.parametrize("decision,verify_flags,edit", _FORGERIES, ids=[
     "definable-arrow", "arrow-search", "roelcke-witness", "degenerate-arrow",
-    "arrow-colors-and-k", "arrow-colors", "arrow-k"])
+    "arrow-colors-and-k", "arrow-colors", "arrow-k", "arrow-domain-size", "arrow-copy-count",
+    "arrow-search-n", "arrow-search-inner-copy-count", "arrow-search-inner-k",
+    "convex-epsilon"])
 def test_verify_refuses_a_forged_certificate(files, tmp_path, capsys, decision, verify_flags,
                                              edit):
     paths = {**files, "k4": str(tmp_path / "k4.st")}
@@ -535,6 +570,22 @@ def test_verify_compares_a_stable_payload_with_the_search_its_params_ask_for(
     doc = json.loads(cert.read_text())
     assert doc["payload"]["max_host"] == 12
     edit(doc)
+    cert.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(["verify", str(cert), *flags]) == 1
+    assert capsys.readouterr().out == "verified: false\n"
+
+
+def test_verify_refuses_a_degenerate_failing_proximal_arrow(files, tmp_path, capsys):
+    # a kind that its decider never writes and that has no independent
+    # check re-runs, and proximal-arrow has no decider to re-run
+    paths = _paths(files, tmp_path)
+    cert = tmp_path / "c.cert"
+    flags = _argv(paths, "--universe b3 --a pt --coloring col --b a2")
+    assert cli.main(["proximal-arrow", *flags, "--check", paths["check"], "--certificate",
+                     str(cert)]) == 0
+    doc = json.loads(cert.read_text())
+    doc.update(verdict="fails", degenerate=True)
     cert.write_text(json.dumps(doc))
     capsys.readouterr()
     assert cli.main(["verify", str(cert), *flags]) == 1

@@ -44,18 +44,20 @@ def test_closure_laws():
 
 
 def test_p3_point_orbits():
-    part = orbits_on_embeddings(path(3), k_graph(1), automorphisms(path(3), nodes()))
+    part = orbits_on_embeddings(path(3), k_graph(1), automorphisms(path(3), nodes()),
+                                nodes())
     blocks = {tuple(sorted(part.base[i][0] for i in blk)) for blk in part.blocks}
     assert blocks == {(0, 2), (1,)}
 
 
 def test_c4_transitive():
-    part = orbits_on_embeddings(cycle(4), k_graph(1), automorphisms(cycle(4), nodes()))
+    part = orbits_on_embeddings(cycle(4), k_graph(1), automorphisms(cycle(4), nodes()),
+                                nodes())
     assert len(part.blocks) == 1
 
 
 def test_rigid_host_singleton_orbits():
-    part = orbits_on_embeddings(chain(5), chain(1), automorphisms(chain(5), nodes()))
+    part = orbits_on_embeddings(chain(5), chain(1), automorphisms(chain(5), nodes()), nodes())
     assert len(part.blocks) == 5
     assert all(len(b) == 1 for b in part.blocks)
 
@@ -89,7 +91,7 @@ def test_discrete_partition_iff_trivial_orbits():
 def test_partitions_are_invariant_and_coarsen_orbits():
     for host, a in ((cycle(4), k_graph(1)), (path(3), k_graph(1))):
         group = automorphisms(host, nodes())
-        orbit = orbits_on_embeddings(host, a, group)
+        orbit = orbits_on_embeddings(host, a, group, nodes())
         base = orbit.base
         index = {m: i for i, m in enumerate(base)}
         for p in invariant_partitions(host, a, max_blocks=4, budget=nodes()):
