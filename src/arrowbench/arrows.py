@@ -632,46 +632,51 @@ _PIVOT_TOL = 1e-9
 
 
 def _simplex(cost, a_ub, rhs, budget: Budget):
-    """Maximise cost . x over x >= 0 with a_ub x <= rhs (rhs >= 0) by a
-    dense-tableau simplex from the slack basis, charging one node per
-    pivot to `budget`.  Dantzig's rule runs on the deterministically
-    perturbed rhs + 1e-7 (i + 1) / rows at row i, so that zero rows do
-    not stall it; the true rhs rides along as a second column, and x is
-    read from it.  Returns (x, y), where y[i] >= 0 is the dual of row i:
-    the reduced cost of its slack; if the LP is unbounded, returns
-    (ray, None)."""
-    import numpy as np
-
-    rows, cols = a_ub.shape
+    """Maximise cost . x over x >= 0 with a_ub x <= rhs (rhs >= 0), given
+    as lists (a_ub by rows), by a dense-tableau simplex from the slack
+    basis, charging one node per pivot to `budget`.  Dantzig's rule runs
+    on the deterministically perturbed rhs + 1e-7 (i + 1) / rows at row
+    i, so that zero rows do not stall it; the true rhs rides along as a
+    second column, and x is read from it.  A pivot updates only the rows
+    with a nonzero entry in the pivot column, at the pivot row's nonzero
+    entries: every other entry of the dense update would be x - 0.0.
+    Returns (x, y), where y[i] >= 0 is the dual of row i: the reduced cost
+    of its slack; if the LP is unbounded, returns (ray, None)."""
+    rows, cols = len(a_ub), len(cost)
     # rows: a_ub, the reduced costs; columns: x, one slack per row, the
     # perturbed rhs, the true rhs
-    t = np.zeros((rows + 1, cols + rows + 2))
-    t[:rows, :cols] = a_ub
-    t[:rows, cols:-2] = np.eye(rows)
-    t[:rows, -2] = rhs + 1e-7 * np.arange(1, rows + 1) / rows
-    t[:rows, -1] = rhs
-    t[-1, :cols] = -cost
+    t = []
+    for i, (row, b) in enumerate(zip(a_ub, rhs)):
+        slack = [0.0] * rows
+        slack[i] = 1.0
+        t.append(list(row) + slack + [b + 1e-7 * (i + 1) / rows, b])
+    obj = [-v for v in cost] + [0.0] * (rows + 2)
+    t.append(obj)
     basis = list(range(cols, cols + rows))
-    x = np.zeros(cols + rows)
+    x = [0.0] * (cols + rows)
     while True:
-        j = int(t[-1, :-2].argmin())
-        if t[-1, j] >= -_PIVOT_TOL:
-            x[basis] = t[:-1, -1]
-            return x[:cols], t[-1, cols:-2]
-        col = t[:-1, j]
-        up = col > _PIVOT_TOL
-        if not up.any():
+        j = min(range(cols + rows), key=obj.__getitem__)
+        if obj[j] >= -_PIVOT_TOL:
+            for i, v in enumerate(basis):
+                x[v] = t[i][-1]
+            return x[:cols], obj[cols:-2]
+        up = [i for i in range(rows) if t[i][j] > _PIVOT_TOL]
+        if not up:
             x[j] = 1.0
-            x[basis] = -col
+            for i, v in enumerate(basis):
+                x[v] = -t[i][j]
             return x[:cols], None
-        ratio = np.full(rows, np.inf)
-        ratio[up] = np.maximum(t[:-1, -2][up], 0.0) / col[up]
-        r = int(ratio.argmin())
+        # the first row of least ratio
+        r = min(up, key=lambda i: max(t[i][-2], 0.0) / t[i][j])
         budget.spend()
-        t[r] /= t[r, j]
-        col = t[:, j].copy()
-        col[r] = 0.0
-        t -= col[:, None] * t[r]
+        pivot = t[r][j]
+        t[r] = [v / pivot for v in t[r]]
+        entries = [(k, v) for k, v in enumerate(t[r]) if v]
+        for i, row in enumerate(t):
+            f = row[j]
+            if f and i != r:
+                for k, v in entries:
+                    row[k] -= f * v
         basis[r] = j
 
 
@@ -697,8 +702,6 @@ def convex_arrow(c: Structure, a: Structure, b: Structure,
     Its duals are the adversary's mixed strategy: pair weights y and
     [0,1]-colorings z / y.  Verdict: value <= epsilon (at tolerance 1e-9).
     """
-    import numpy as np
-
     if epsilon <= 0:
         raise InputError("epsilon must be > 0")
     domain = embedding_maps(a, c)
@@ -722,47 +725,58 @@ def convex_arrow(c: Structure, a: Structure, b: Structure,
                      "combination": [[list(mm), w] for mm in copies],
                      "adversary": []})
     index = {mm: i for i, mm in enumerate(domain)}
-    slots = np.array([[index[tuple(bm[x] for x in am)] for am in emb_ab] for bm in copies])
+    # slots[m][j]: the position of copy m of B's j-th copy of A
+    slots = [[index[tuple(bm[x] for x in am)] for am in emb_ab] for bm in copies]
     pairs = list(itertools.combinations(range(p_cnt), 2))
 
-    # marg[pair, pos] . mu is the margin at pos: the mass of copies
-    # putting pos in the pair's first slot minus those putting it second
-    marg = np.zeros((len(pairs), n, m_cnt))
-    for p, (j1, j2) in enumerate(pairs):
-        marg[p, slots[:, j1], np.arange(m_cnt)] = 1.0
-        marg[p, slots[:, j2], np.arange(m_cnt)] = -1.0
+    # columns: mu, t[pair, pos]; rows: margin <= t, then sum_pos t <= 1.
+    # The margin at pos is the mass of copies putting pos in the pair's
+    # first slot minus those putting it second
     n_marg = len(pairs) * n
-    # columns: mu, t[pair, pos]; rows: margin <= t, then sum_pos t <= 1
-    a_ub = np.block([
-        [marg.reshape(n_marg, m_cnt), -np.eye(n_marg)],
-        [np.zeros((len(pairs), m_cnt)), np.kron(np.eye(len(pairs)), np.ones(n))]])
-    rhs = np.zeros(len(a_ub))
-    rhs[n_marg:] = 1.0
-    cvec = np.zeros(a_ub.shape[1])
-    cvec[:m_cnt] = 1.0
+    a_ub = [[0.0] * (m_cnt + n_marg) for _ in range(n_marg + len(pairs))]
+    for p, (j1, j2) in enumerate(pairs):
+        for m, s in enumerate(slots):
+            a_ub[p * n + s[j1]][m] = 1.0
+            a_ub[p * n + s[j2]][m] = -1.0
+        for row in range(p * n, p * n + n):
+            a_ub[row][m_cnt + row] = -1.0
+            a_ub[n_marg + p][m_cnt + row] = 1.0
+    rhs = [0.0] * n_marg + [1.0] * len(pairs)
+    cvec = [1.0] * m_cnt + [0.0] * n_marg
     sol, duals = _simplex(cvec, a_ub, rhs, budget)
-    mu = [max(0.0, float(x)) for x in sol[:m_cnt]]
+    mu = [max(0.0, x) for x in sol[:m_cnt]]
     total = sum(mu)
     lam = [x / total for x in mu]
 
     # primal check: worst oscillation of the returned combination
-    direct = float(np.clip(marg @ lam, 0.0, None).sum(axis=1).max())
+    direct = 0.0
+    for j1, j2 in pairs:
+        margin = [0.0] * n
+        for s, w in zip(slots, lam):
+            margin[s[j1]] += w
+            margin[s[j2]] -= w
+        direct = max(direct, sum(max(v, 0.0) for v in margin))
     if duals is None:  # a ray: every margin of lambda is 0
         value, adversary, bound = 0.0, [], 0.0
     else:
         value = 1.0 / total
         # dual certificate: adversary mixture proving a matching lower
         # bound; y weighs the sum rows (one per pair), z the margin rows
-        y, z = duals[n_marg:], duals[:n_marg].reshape(len(pairs), n)
+        y = duals[n_marg:]
         keep = [p for p in range(len(pairs)) if y[p] > 1e-12]
-        weights = y[keep] / y[keep].sum()
-        colorings = np.clip(z[keep] / y[keep, None], 0.0, 1.0)
-        adversary = [{"coloring": col.tolist(),
+        y_sum = sum(y[p] for p in keep)
+        weights = [y[p] / y_sum for p in keep]
+        colorings = [[min(max(z / y[p], 0.0), 1.0) for z in duals[p * n:p * n + n]]
+                     for p in keep]
+        adversary = [{"coloring": col,
                       "pair": [list(emb_ab[pairs[p][0]]), list(emb_ab[pairs[p][1]])],
-                      "weight": float(w)}
+                      "weight": w}
                      for p, w, col in zip(keep, weights, colorings)]
-        bound = float(np.einsum("k,kn,knm->m", weights, colorings, marg[keep]).min())
-    gap = float(abs(direct - bound))
+        # each copy of B's payoff against the mixture; the least bounds the value
+        bound = min(sum(w * (col[s[pairs[p][0]]] - col[s[pairs[p][1]]])
+                        for p, w, col in zip(keep, weights, colorings))
+                    for s in slots)
+    gap = abs(direct - bound)
     # refuse what _verify_convex would reject: value must lie within 1e-6
     # of both the combination's worst case and the adversary's bound
     if gap > 1e-6 or not direct - 1e-6 <= value <= bound + 1e-6:

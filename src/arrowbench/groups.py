@@ -42,7 +42,8 @@ def orbits_on_embeddings(s: Structure, a: Structure, group,
                          budget: Budget) -> InvariantPartition:
     """The orbit partition of Aut(s) acting on embeddings(a, s) by g.e = g o e,
     for `group` the listing automorphisms(s).  Spends no node of `budget`
-    but checks its deadline once per embedding."""
+    but checks its deadline once per group element applied, so that a
+    large orbit is no unchecked stretch."""
     if a.signature != s.signature:
         raise SignatureMismatch("orbit computation needs one common signature")
     base = embedding_maps(a, s)
@@ -50,11 +51,11 @@ def orbits_on_embeddings(s: Structure, a: Structure, group,
     seen = [False] * len(base)
     blocks = []
     for i, m in enumerate(base):
-        budget.check_deadline()
         if seen[i]:
             continue
         orbit = set()
         for g in group:
+            budget.check_deadline()
             orbit.add(index[tuple(g[v] for v in m)])
         for j in orbit:
             seen[j] = True

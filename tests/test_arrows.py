@@ -773,11 +773,8 @@ def test_convex_refuses_suboptimal_solver_point(monkeypatch):
 
     def suboptimal(cost, a_ub, rhs, budget):
         x, y = solve(cost, a_ub, rhs, budget)
-        m_cnt = int(cost.sum())
-        x = x.copy()
-        x[0] = x[:m_cnt].sum()
-        x[1:m_cnt] = 0.0
-        return x, y
+        m_cnt = int(sum(cost))
+        return [sum(x[:m_cnt])] + [0.0] * (m_cnt - 1) + x[m_cnt:], y
 
     monkeypatch.setattr(arrows, "_simplex", suboptimal)
     with pytest.raises(ArrowbenchError, match="convex LP"):

@@ -8,7 +8,7 @@ import pytest
 
 from arrowbench import ages, arrows, certificates, groups, patterns, stability, unions
 from arrowbench.errors import ResourceLimitExceeded
-from arrowbench.structures import canonical_labeling, embedding_maps
+from arrowbench.structures import Signature, Structure, canonical_labeling, embedding_maps
 from arrowbench.unions import Budget
 
 from util import chain, k_graph, pure_set
@@ -74,6 +74,29 @@ def test_orbits_check_the_deadline_after_the_group_is_listed():
     group = groups.automorphisms(pure_set(4), Budget(1_000_000))
     with pytest.raises(ResourceLimitExceeded, match="automorphisms: time budget exceeded"):
         groups.orbits_on_embeddings(pure_set(4), pure_set(2), group, _expired("automorphisms"))
+
+
+class _ExpiresOnSecondCheck(Budget):
+    def __init__(self):
+        super().__init__(1_000_000, "orbits")
+        self.checks = 0
+
+    def check_deadline(self):
+        self.checks += 1
+        if self.checks > 1:
+            raise ResourceLimitExceeded("orbits: time budget exceeded")
+
+
+def test_orbits_check_the_deadline_inside_one_orbit():
+    # A has one embedding, the marked vertex, and Aut(host) is the
+    # symmetric group on the other three: the single orbit is the loop
+    marked = Signature((("u", 1),))
+    host = Structure.make(marked, 4, {"u": [(0,)]})
+    group = groups.automorphisms(host, Budget(1_000_000))
+    assert len(group) == 6
+    with pytest.raises(ResourceLimitExceeded, match="orbits: time budget exceeded"):
+        groups.orbits_on_embeddings(host, Structure.make(marked, 1, {"u": [(0,)]}),
+                                    group, _ExpiresOnSecondCheck())
 
 
 def test_canonical_labeling_checks_the_deadline_at_its_leaves():

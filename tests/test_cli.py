@@ -1192,7 +1192,8 @@ def test_convex_cli_does_not_import_scipy(files):
     code = ("import sys; from arrowbench.cli import main; "
             f"code = main(['convex-arrow', '--a', {files['a2']!r}, '--b', {files['b3']!r}, "
             f"'--c', {files['c6']!r}, '--epsilon', '0.6', '--no-cache']); "
-            "assert code == 0, code; assert 'scipy' not in sys.modules")
+            "assert code == 0, code; assert 'scipy' not in sys.modules; "
+            "assert 'numpy' not in sys.modules")
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                        cwd=PKG_ROOT)
     assert r.returncode == 0, r.stderr
