@@ -11,13 +11,29 @@ size n-1 by one vertex in every way the age allows and keeps one
 candidate per canonical code: isomorphic candidates relabel to the same
 representative, so the level's code-keyed table is the only seen-set.
 A candidate is labeled only when its fresh vertex lies in its designated
-cell, the last cell of the root refinement (`structures.in_last_root_cell`).
+cell, the last cell of the root refinement (`structures.designated_root`),
+and the labeling starts from the refinement that this cell test built.
 That cell reads no labels, so no type is lost: for a type G and a vertex
 w of its designated cell, G - w is in the age (ages are hereditary), so
 it is isomorphic to a representative P of size n-1, and the extensions
 of P, which place every one-vertex member on a fresh vertex, include a
 copy of G whose fresh vertex corresponds to w and so lies in the copy's
 designated cell.
+
+Before its cell test, an extension of P is skipped when its set of
+tuples through the fresh vertex is an image of an earlier extension's
+set under the group that P's generators generate.  These are the
+automorphisms that P's own canonical search met, conjugated by its
+labeling: leaf automorphisms, and a transposition and a cycle of each
+cell of two or more vertices where the search stopped at a node whose
+relations are unions of full products of cells.  Soundness needs only
+that each generator is an automorphism of P: for g in the group,
+g plus fresh -> fresh is an isomorphism from the earlier extension onto
+the skipped one, which therefore has the same code and passes the
+label-free cell test exactly when the earlier one did.  So each level,
+every report and every node count stay as without the skip, since every
+extension is still placed; generators that miss part of Aut(P) only
+prune less.
 
 Amalgamation probes are bounded searches, never claims about the whole
 age: a positive report only says "no failure up to this size bound", and
@@ -38,9 +54,9 @@ from arrowbench.structures import (
     Structure,
     canonical_form,
     canonical_labeling,
+    designated_root,
     embedding_maps,
     has_embedding,
-    in_last_root_cell,
     parse_structure,
     read_text,
     relabel,
@@ -268,22 +284,71 @@ def _extensions(spec: AgeSpec, parent: Structure, singles, budget: Budget):
             yield host
 
 
+def _through(s: Structure, v: int) -> frozenset:
+    """Every tuple of s through vertex v, as (symbol index, tuple)."""
+    return frozenset((si, t) for si, tuples in enumerate(s.relations) for t in tuples if v in t)
+
+
+def _orbit(tuples: frozenset, generators) -> set[frozenset]:
+    """The images of a set of (symbol index, tuple) under the group that
+    the vertex permutations `generators` generate."""
+    orbit = {tuples}
+    todo = [tuples]
+    while todo:
+        x = todo.pop()
+        for g in generators:
+            y = frozenset([(si, tuple([g[v] for v in t])) for si, t in x])
+            if y not in orbit:
+                orbit.add(y)
+                todo.append(y)
+    return orbit
+
+
+def _conjugated(automorphisms, perm) -> tuple[tuple[int, ...], ...]:
+    """Automorphisms g of a structure s as automorphisms of relabel(s,
+    perm): perm . g . perm^-1, in sorted order."""
+    out = set()
+    for g in automorphisms:
+        h = [0] * len(perm)
+        for v, w in enumerate(g):
+            h[perm[v]] = perm[w]
+        out.add(tuple(h))
+    return tuple(sorted(out))
+
+
 def levels(spec: AgeSpec, budget: Budget):
     """The members of size 1, 2, ... of the age, one level at a time: a
     list holding one canonical representative per isomorphism type,
     ordered by canonical code.  Each level is built once, from the one
     before; the generator stops at the first empty level."""
-    level = singles = _single_vertex_members(spec)
+    for level in _levels_with_generators(spec, budget):
+        yield [rep for rep, _ in level]
+
+
+def _levels_with_generators(spec: AgeSpec, budget: Budget):
+    """`levels`, each representative paired with automorphisms of it: the
+    ones its canonical search met, conjugated by its labeling.  They
+    drive the orbit skip of the module docstring."""
+    singles = _single_vertex_members(spec)
+    level = [(s, ()) for s in singles]
     while level:
         yield level
-        next_level: dict[bytes, Structure] = {}
-        for parent in level:
+        next_level: dict[bytes, tuple[Structure, tuple]] = {}
+        for parent, generators in level:
+            fresh = parent.size
+            generators = [g + (fresh,) for g in generators]
+            covered: set[frozenset] = set()
             for cand in _extensions(spec, parent, singles, budget):
-                if not in_last_root_cell(cand, cand.size - 1):  # the fresh vertex
+                new = _through(cand, fresh)
+                if new in covered:
                     continue
-                code, perm = canonical_labeling(cand, budget)
+                covered |= _orbit(new, generators)
+                root = designated_root(cand, fresh)
+                if root is None:
+                    continue
+                code, perm, automorphisms = canonical_labeling(cand, budget, root)
                 if code not in next_level:
-                    next_level[code] = relabel(cand, perm)
+                    next_level[code] = relabel(cand, perm), _conjugated(automorphisms, perm)
         level = [next_level[c] for c in sorted(next_level)]
 
 

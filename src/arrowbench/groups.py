@@ -42,20 +42,24 @@ def orbits_on_embeddings(s: Structure, a: Structure, group,
                          budget: Budget) -> InvariantPartition:
     """The orbit partition of Aut(s) acting on embeddings(a, s) by g.e = g o e,
     for `group` the listing automorphisms(s).  Spends no node of `budget`
-    but checks its deadline once per group element applied, so that a
+    but checks its deadline while it lists the embeddings (once per image
+    of vertex 0) and once per 1,024 group elements applied, so that a
     large orbit is no unchecked stretch."""
     if a.signature != s.signature:
         raise SignatureMismatch("orbit computation needs one common signature")
-    base = embedding_maps(a, s)
+    base = embedding_maps(a, s, deadline=budget)
     index = {m: i for i, m in enumerate(base)}
     seen = [False] * len(base)
     blocks = []
+    applied = 0
     for i, m in enumerate(base):
         if seen[i]:
             continue
         orbit = set()
         for g in group:
-            budget.check_deadline()
+            if applied % 1024 == 0:
+                budget.check_deadline()
+            applied += 1
             orbit.add(index[tuple(g[v] for v in m)])
         for j in orbit:
             seen[j] = True
@@ -137,8 +141,9 @@ def coherent_partitions(
     """Families (P_1,...,P_m) of invariant partitions along a prefix-nested
     chain F_1 <= ... <= F_m, where pulling P_{i+1} back along the
     inclusion-induced map on embeddings gives exactly P_i.  The level
-    partitions spend `budget` as in invariant_partitions, and each family
-    kept spends one node per level.
+    partitions spend `budget` as in invariant_partitions, each family
+    kept spends one node per level, and the listings of embeddings check
+    its deadline.
     """
     if not chain:
         return CoherentChainReport((), only_trivial=True, inconclusive=False)
@@ -151,7 +156,7 @@ def coherent_partitions(
     groups = [automorphisms(f, budget) for f in chain]
     per_level = [invariant_partitions(f, a, max_blocks, budget, group=g)
                  for f, g in zip(chain, groups)]
-    bases = [embedding_maps(a, f) for f in chain]
+    bases = [embedding_maps(a, f, deadline=budget) for f in chain]
     # the partitions of each level keyed by their pullback to the level
     # below (level 0: all under the key ()), each group in level order
     by_pullback = [{(): per_level[0]}]

@@ -436,10 +436,12 @@ def _refine(n: int, occurrences, colors: list[int]) -> list[int]:
         colors = new_colors
 
 
-def in_last_root_cell(s: Structure, v: int) -> bool:
-    """True iff vertex v lies in the last cell of the root refinement
-    (`_refine` on the unit colouring).  That cell is label-free, so an
-    isomorphism maps it onto the other structure's last root cell.
+def designated_root(s: Structure, v: int):
+    """The root refinement of s (`_refine` on the unit colouring) as its
+    occurrence table and colouring, when vertex v lies in the last cell
+    of that refinement, the designated cell; None otherwise.  The cell is
+    label-free, so an isomorphism maps it onto the other structure's
+    designated cell.  `canonical_labeling` starts from the result.
 
     Cells only split in place, so the last cell lies inside the last
     cell of the first round, whose key for the unit colouring is the
@@ -448,9 +450,9 @@ def in_last_root_cell(s: Structure, v: int) -> bool:
     occurrences = _occurrence_table(s)
     keys = [sorted([(si, occ) for si, occ, _ in row]) for row in occurrences]
     if keys[v] != max(keys):
-        return False
+        return None
     colors = _refine(s.size, occurrences, [0] * s.size)
-    return colors[v] == max(colors)
+    return (occurrences, colors) if colors[v] == max(colors) else None
 
 
 def _occurrence_table(s: Structure):
@@ -499,10 +501,12 @@ def _product_complete(s: Structure, colors: list[int]) -> bool:
     return True
 
 
-def _canonical_search(s: Structure, sig_key: str, budget=None):
-    """Least leaf encoding of the individualization-refinement tree, and
-    the first leaf (in depth-first order) that realizes it.  With budget,
-    a `unions.Budget`, its deadline is checked at each leaf.
+def _canonical_search(s: Structure, sig_key: str, budget=None, root=None):
+    """Least leaf encoding of the individualization-refinement tree, the
+    first leaf (in depth-first order) that realizes it, and automorphisms
+    of s that the search met.  With budget, a `unions.Budget`, its
+    deadline is checked at each leaf; with root, the `designated_root` of
+    s, the search starts from that refinement instead of computing it.
 
     A leaf whose encoding equals the best one gives an automorphism
     best_perm^-1 . perm.  At a node reached by individualizing `path`, a
@@ -511,11 +515,22 @@ def _canonical_search(s: Structure, sig_key: str, budget=None):
     automorphism maps the explored subtree onto the skipped one and keeps
     leaf encodings, so the skipped subtree only repeats leaves already
     met, and the first minimal leaf is never skipped.
+
+    The automorphisms returned are those leaf automorphisms, and at each
+    node where the search stops early (`_product_complete`) a
+    transposition and a cycle of every cell of two or more vertices:
+    there every relation is a union of full products of cells, so each
+    permutation inside a cell is an automorphism.  They need not generate
+    all of Aut(s).
     """
-    occurrences = _occurrence_table(s)
     n = s.size
+    if root is None:
+        occurrences = _occurrence_table(s)
+        root = occurrences, _refine(n, occurrences, [0] * n)
+    occurrences, root_colors = root
     best: list = [None, None]  # encoding, perm
     automorphisms: list[tuple[int, ...]] = []
+    cell_moves: list[tuple[int, ...]] = []
 
     def leaf(perm):
         if budget is not None:
@@ -544,6 +559,11 @@ def _canonical_search(s: Structure, sig_key: str, budget=None):
                 for v in cell:
                     flat[v] = label
                     label += 1
+            for cell in cells:
+                if len(cell) > 1:
+                    cell_moves.append(_cycled(n, cell[:2]))
+                    if len(cell) > 2:
+                        cell_moves.append(_cycled(n, cell))
             leaf(tuple(flat))
             return
         target = next(c for c in cells if len(c) > 1)
@@ -573,15 +593,27 @@ def _canonical_search(s: Structure, sig_key: str, budget=None):
             branched[v] = c
             descend(_refine(n, occurrences, branched), path + (v,))
 
-    descend(_refine(n, occurrences, [0] * n), ())
-    return best[0], best[1]
+    descend(root_colors, ())
+    return best[0], best[1], automorphisms + cell_moves
 
 
-def canonical_labeling(s: Structure, budget=None) -> tuple[CanonicalCode, tuple[int, ...]]:
-    """Canonical code plus one labeling realizing it (perm[v] = new label);
-    with budget, a `unions.Budget`, its deadline is checked at each leaf
-    of the search."""
-    return _canonical_search(s, s.signature.key(), budget)
+def _cycled(n: int, cell: list[int]) -> tuple[int, ...]:
+    """The permutation of 0..n-1 sending each vertex of `cell` to the
+    next one, the last to the first, and fixing every other vertex."""
+    g = list(range(n))
+    for v, w in zip(cell, cell[1:] + cell[:1]):
+        g[v] = w
+    return tuple(g)
+
+
+def canonical_labeling(s: Structure, budget=None, root=None) -> tuple[
+        CanonicalCode, tuple[int, ...], list[tuple[int, ...]]]:
+    """Canonical code, one labeling realizing it (perm[v] = new label),
+    and automorphisms of s that the search met (`_canonical_search`).
+    With budget, a `unions.Budget`, its deadline is checked at each leaf
+    of the search; with root, the `designated_root` of s, the search
+    starts from that refinement."""
+    return _canonical_search(s, s.signature.key(), budget, root)
 
 
 def canonical_form(s: Structure) -> CanonicalCode:

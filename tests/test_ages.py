@@ -25,8 +25,9 @@ from arrowbench.structures import (
     Structure,
     _occurrence_table,
     canonical_form,
-    in_last_root_cell,
+    designated_root,
     induced_substructure,
+    is_embedding,
     relabel,
     serialize_structure,
 )
@@ -138,19 +139,35 @@ def test_tournament_counts_expected_values():
     assert counts == [1, 1, 2, 4, 12, 56]
 
 
-def test_enumeration_labels_only_candidates_in_the_designated_cell(monkeypatch):
-    # 1,306 one-vertex extensions give the 156 graphs on 6 vertices; only
-    # those whose fresh vertex lies in the last root cell are labeled
+def _labeled_candidates(monkeypatch):
+    """The candidates `ages.canonical_labeling` is called on, in order."""
     calls = []
     labeling = ages.canonical_labeling
 
-    def counted(s, budget):
+    def counted(s, *args):
         calls.append(s)
-        return labeling(s, budget)
+        return labeling(s, *args)
 
     monkeypatch.setattr(ages, "canonical_labeling", counted)
+    return calls
+
+
+def test_enumeration_labels_only_candidates_in_the_designated_cell(monkeypatch):
+    # 1,306 one-vertex extensions give the 156 graphs on 6 vertices; only
+    # those whose fresh vertex lies in the last root cell are labeled
+    calls = _labeled_candidates(monkeypatch)
     assert len(enumerate_structures(GRAPHS, 6, nodes(2_000_000))) == 156
-    assert len(calls) <= 420
+    assert calls and all(s.size - 1 in _designated_cell(s) for s in calls)
+
+
+@pytest.mark.parametrize("name,n,labelings", [("graph", 6, 207), ("tournament", 6, 75)])
+def test_enumeration_labels_one_extension_per_orbit_of_the_parent(monkeypatch, name, n,
+                                                                  labelings):
+    # without the orbit skip, graphs up to 6 vertices take 420 labelings
+    # and tournaments 97; with it, each type of size 2..n is labeled once
+    calls = _labeled_candidates(monkeypatch)
+    reps = enumerate_up_to(catalog_age(name), n, nodes(2_000_000))
+    assert len(calls) == labelings == len(reps) - 1
 
 
 def test_orders_unique_per_size():
@@ -275,6 +292,8 @@ def _small_age(draw, more_symbols=True):
 @given(_small_age())
 @example((_TRANSITIVE, 4))
 @example((_MIXED, 2))
+@example((GRAPHS, 5))
+@example((catalog_age("tournament"), 5))
 def test_enumeration_matches_the_extension_oracle(case):
     # extensions built from fresh placements of the one-vertex members
     # give the same representatives as completing the new vertex's
@@ -284,9 +303,9 @@ def test_enumeration_matches_the_extension_oracle(case):
 
 
 def _designated_cell(s):
-    """The vertices `in_last_root_cell` accepts, checked against the last
+    """The vertices `designated_root` accepts, checked against the last
     cell of the oracle's full root refinement."""
-    cell = {v for v in range(s.size) if in_last_root_cell(s, v)}
+    cell = {v for v in range(s.size) if designated_root(s, v) is not None}
     colors = _refine_oracle(s.size, occurrence_table_oracle(s), [0] * s.size)
     assert cell == {v for v in range(s.size) if colors[v] == max(colors)}
     return cell
@@ -305,6 +324,19 @@ def test_designated_cell_is_carried_by_relabeling(case, rng):
     for s in enumerate_structures_oracle(spec, n):
         p = rng.sample(range(s.size), s.size)
         assert _designated_cell(relabel(s, p)) == {p[v] for v in _designated_cell(s)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_age())
+@example((GRAPHS, 5))
+@example((catalog_age("tournament"), 5))
+def test_levels_carry_automorphisms_of_each_representative(case):
+    # the orbit skip is sound only if every generator is an automorphism
+    spec, n = case
+    for level in itertools.islice(ages._levels_with_generators(spec, nodes(2_000_000)), n):
+        for s, generators in level:
+            for g in generators:
+                assert is_embedding(g, s, s)
 
 
 @settings(max_examples=60, deadline=None)

@@ -70,33 +70,42 @@ def _expired(what):
 
 
 def test_orbits_check_the_deadline_after_the_group_is_listed():
-    # the group was listed in time; the orbit loop still stops at the deadline
+    # the group was listed in time; the orbit partition still stops at the
+    # deadline
     group = groups.automorphisms(pure_set(4), Budget(1_000_000))
     with pytest.raises(ResourceLimitExceeded, match="automorphisms: time budget exceeded"):
         groups.orbits_on_embeddings(pure_set(4), pure_set(2), group, _expired("automorphisms"))
 
 
-class _ExpiresOnSecondCheck(Budget):
-    def __init__(self):
+class _ExpiresOnCheck(Budget):
+    """A budget whose deadline passes at its `last`-th check."""
+
+    def __init__(self, last=float("inf")):
         super().__init__(1_000_000, "orbits")
+        self.last = last
         self.checks = 0
 
     def check_deadline(self):
         self.checks += 1
-        if self.checks > 1:
+        if self.checks >= self.last:
             raise ResourceLimitExceeded("orbits: time budget exceeded")
 
 
 def test_orbits_check_the_deadline_inside_one_orbit():
     # A has one embedding, the marked vertex, and Aut(host) is the
-    # symmetric group on the other three: the single orbit is the loop
+    # symmetric group on the other seven: the single orbit is the loop,
+    # checked before group elements 1, 1,025, 2,049, 3,073 and 4,097
     marked = Signature((("u", 1),))
-    host = Structure.make(marked, 4, {"u": [(0,)]})
+    host = Structure.make(marked, 8, {"u": [(0,)]})
+    point = Structure.make(marked, 1, {"u": [(0,)]})
     group = groups.automorphisms(host, Budget(1_000_000))
-    assert len(group) == 6
+    assert len(group) == 5040
+    listing, whole = _ExpiresOnCheck(), _ExpiresOnCheck()
+    embedding_maps(point, host, deadline=listing)
+    groups.orbits_on_embeddings(host, point, group, whole)
+    assert whole.checks == listing.checks + 5
     with pytest.raises(ResourceLimitExceeded, match="orbits: time budget exceeded"):
-        groups.orbits_on_embeddings(host, Structure.make(marked, 1, {"u": [(0,)]}),
-                                    group, _ExpiresOnSecondCheck())
+        groups.orbits_on_embeddings(host, point, group, _ExpiresOnCheck(whole.checks))
 
 
 def test_canonical_labeling_checks_the_deadline_at_its_leaves():

@@ -177,6 +177,31 @@ def test_orbits_listing_keeps_the_time_budget(tmp_path):
     assert r.stderr == "resource limit: automorphisms: time budget exceeded\n"
 
 
+@pytest.mark.parametrize("command", ["orbits", "coherent-partitions"])
+def test_listings_of_embeddings_keep_the_time_budget(files, capsys, monkeypatch, command):
+    # stand-ins for the group listings and the level partitions check no
+    # deadline and leave no group element to apply, so only the listings
+    # of the embeddings of A can stop the run: the base of the orbit
+    # partition, and the base of each level of the chain
+    from arrowbench import cli, groups
+
+    budget = cli._budget
+
+    def expired(args, what):
+        b = budget(args, what)
+        b.deadline = time.monotonic() - 1.0
+        return b
+
+    monkeypatch.setattr(cli, "_budget", expired)
+    monkeypatch.setattr(groups, "automorphisms", lambda s, budget: ())
+    monkeypatch.setattr(cli, "automorphisms", lambda s, budget: ())
+    monkeypatch.setattr(groups, "invariant_partitions", lambda *args, **kwargs: [])
+    args = (["--host", files["c4cyc"]] if command == "orbits"
+            else ["--chain", f"{files['k1']},{files['p2']}", "--max-blocks", "2"])
+    assert cli.main([command, *args, "--a", files["k1"], "--no-cache"]) == 3
+    assert "time budget exceeded" in capsys.readouterr().err
+
+
 def test_embeddings_cli(files):
     r = run_cli(["embeddings", "--a", files["k1"], "--b", files["p3"], "--json"])
     doc = json.loads(r.stdout)

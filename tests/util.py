@@ -260,7 +260,7 @@ def enumerate_structures_oracle(spec, n):
         for parent in level:
             parent_code = canonical_form(parent)
             for cand in extensions_oracle(spec, parent):
-                code, perm = canonical_labeling(cand)
+                code, perm, _ = canonical_labeling(cand)
                 vstar = perm.index(cand.size - 1)
                 rest = [v for v in range(cand.size) if v != vstar]
                 if canonical_form(induced_substructure(cand, rest)) == parent_code:
