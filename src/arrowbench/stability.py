@@ -165,17 +165,17 @@ def _search_pair(spec, a, z, depth, tau_lt: JointEmbedding, tau_gt: JointEmbeddi
     return (yield from rec(None, (), ()))
 
 
-_INITIAL_SLICE = 4096
+_INITIAL_SLICE = 16
 
 
 def _decide_pairs(spec, a, z, depth, joints, max_host, budget):
     """Round-robin over the ordered pairs of pattern representatives
-    `joints` with per-pair node slices growing x4 per round, so an
-    intractable exhaustion on an early pair cannot mask an easy witness on
-    a later one.  A slice is the nodes `budget` spent since the pair
-    resumed, checked at each host the pair places; a paused pair resumes
-    where it stopped.  The schedule is deterministic, hence so is the
-    returned witness.
+    `joints` with per-pair slices growing x4 per round, so an intractable
+    exhaustion on an early pair cannot mask an easy witness on a later
+    one.  A slice is a number of hosts the pair places (one step of its
+    `_search_pair`), not of nodes, so the schedule and the returned
+    witness do not depend on how many nodes a placement spends; a paused
+    pair resumes where it stopped.
 
     Returns (witness_tuple_with_taus | None, pairs_attempted).  None
     means every pair was fully exhausted.  A budget overrun raises and
@@ -189,9 +189,8 @@ def _decide_pairs(spec, a, z, depth, joints, max_host, budget):
     while undecided:
         still = []
         for lt, gt, search in undecided:
-            resumed = budget.used
             try:
-                while budget.used - resumed < slice_cap:
+                for _ in range(slice_cap):
                     next(search)
             except StopIteration as done:
                 if done.value is not None:

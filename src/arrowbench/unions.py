@@ -32,9 +32,16 @@ a copy of the part, so a completion can only break the age through a
 fresh vertex.  The pair-local axiom flags hold because every free pair
 takes a state `_pair_states` allows, and, where its binary symbol is the
 only symbol of arity >= 2, no state that makes the pair a copy of a
-2-vertex forbidden structure; transitivity is checked on the
-triples through a fresh vertex, and a forbidden structure is looked for
-only among copies that use a fresh vertex.
+2-vertex forbidden structure.  Transitivity is checked as each pair is
+set, not at the leaf: once a free pair of a transitive symbol takes a
+state, the pair itself (a 2-cycle needs both loops) and every triangle
+through a fresh vertex that it closes (whose other two pairs are fixed
+or set earlier in the walk) are checked, and the pairs and triangles
+through a fresh vertex that no free pair closes are checked once before
+the walk.  So a branch is cut at its first violated triple, and the
+hosts yielded and their order are those of a check at the leaf.  A
+forbidden structure is looked for at the leaf, only among copies that
+use a fresh vertex.
 """
 
 from __future__ import annotations
@@ -129,25 +136,42 @@ def _vertex_type(sig, rels, v: int) -> tuple[bool, ...]:
     return tuple((v,) * arity in r for (_, arity), r in zip(sig.symbols, rels))
 
 
-def _transitive_through(rel, fresh: range, m: int) -> bool:
-    """True iff every triple u->w->v of `rel` with a fresh vertex among
-    u, w, v has u->v.  Triples among old vertices are the host's."""
-    succ = [set() for _ in range(m)]
-    pred = [set() for _ in range(m)]
-    for u, v in rel:
-        succ[u].add(v)
-        pred[v].add(u)
-    for f in fresh:
-        out, into = succ[f], pred[f]
-        for u in into:
-            if not out <= succ[u]:  # u->f->v implies u->v
-                return False
-            if not pred[u] <= into:  # v->u->f implies v->f
-                return False
-        for u in out:
-            if not succ[u] <= out:  # f->u->v implies f->v
-                return False
+def _transitive_on(rel, vs) -> bool:
+    """True iff every triple u->w->v of `rel` among the vertices `vs` has
+    u->v."""
+    for u in vs:
+        for w in vs:
+            if u != w and (u, w) in rel:
+                for v in vs:
+                    if (w, v) in rel and (u, v) not in rel:
+                        return False
     return True
+
+
+def _transitivity_checks(rels, transitive, fresh: range, at: dict, menus: int):
+    """When each vertex pair and triangle through a fresh vertex is checked
+    for transitivity: per pair menu, the (relation, vertices) whose pairs
+    are all decided once that menu's state is set (the menus before it are
+    set, those after it are not), that is its own pair and each triangle
+    it closes; or None when a pair or triangle that no menu decides already
+    breaks transitivity in `rels`.  `at` maps (symbol, x, y), x < y, to
+    the menu index of each free pair of a transitive symbol; the checks
+    hold the sets of `rels` themselves, which the walk fills in."""
+    checks: list[list] = [[] for _ in range(menus)]
+    for si in transitive:
+        rel = rels[si]
+        for c in fresh:  # the largest vertex of each pair or triangle is fresh
+            for b in range(c):
+                bc = at.get((si, b, c), -1)
+                closing = [((b, c), bc)]
+                closing += (((a, b, c), max(at.get((si, a, b), -1), at.get((si, a, c), -1), bc))
+                            for a in range(b))
+                for vs, last in closing:
+                    if last >= 0:
+                        checks[last].append((rel, vs))
+                    elif not _transitive_on(rel, vs):
+                        return None
+    return checks
 
 
 def place_part(host: Structure | None, part: Structure, spec,
@@ -241,6 +265,7 @@ def place_part(host: Structure | None, part: Structure, spec,
                 base_rels[si].add(img)  # binary pairs are set below
         # each free tuple's menu: the tuple sets it may add, sparsest first
         pair_menus, other_menus = [], []
+        menu_at: dict[tuple[int, int, int], int] = {}  # pairs of transitive symbols
         types = [_vertex_type(sig, base_rels, v) for v in range(m)] if forbidden_pairs else ()
         for si, (_, arity) in enumerate(sig.symbols):
             if arity != 2:
@@ -249,6 +274,7 @@ def place_part(host: Structure | None, part: Structure, spec,
                             and (si, t) not in fixed):
                         other_menus.append(((), ((si, t),)))  # absent first
                 continue
+            tracked = si in transitive
             for x, y in itertools.combinations(range(m), 2):
                 if y not in fresh or (x in image and y in image):
                     continue  # among old vertices, or inside the part image
@@ -264,16 +290,23 @@ def place_part(host: Structure | None, part: Structure, spec,
                     for sj, t in menu[0]:  # the constraint leaves one state: set it
                         base_rels[sj].add(t)
                 else:
+                    if tracked:
+                        menu_at[si, x, y] = len(pair_menus)
                     pair_menus.append(menu)
+        checks = None
+        if transitive:
+            checks = _transitivity_checks(base_rels, transitive, fresh, menu_at,
+                                          len(pair_menus))
+            if checks is None:
+                return  # the fixed tuples already break transitivity
 
         def leaf(rels):
-            if all(_transitive_through(rels[si], fresh, m) for si in transitive):
-                cand = Structure._trusted(sig, m, tuple(tuple(sorted(r)) for r in rels))
-                if not any(bad.size <= m and has_embedding_through(bad, cand, fresh)
-                           for bad in forbidden):
-                    yield cand
+            cand = Structure._trusted(sig, m, tuple(tuple(sorted(r)) for r in rels))
+            if not any(bad.size <= m and has_embedding_through(bad, cand, fresh)
+                       for bad in forbidden):
+                yield cand
 
-        def walk(menus, idx: int, rels, then):
+        def walk(menus, idx: int, rels, then, checks=None):
             # one node per call, the end of each phase included
             budget.spend()
             if idx == len(menus):
@@ -282,12 +315,13 @@ def place_part(host: Structure | None, part: Structure, spec,
             for added in menus[idx]:
                 for si, t in added:
                     rels[si].add(t)
-                yield from walk(menus, idx + 1, rels, then)
+                if checks is None or all(_transitive_on(rel, vs) for rel, vs in checks[idx]):
+                    yield from walk(menus, idx + 1, rels, then, checks)
                 for si, t in added:
                     rels[si].remove(t)
 
         yield from walk(pair_menus, 0, base_rels,
-                        lambda rels: walk(other_menus, 0, rels, leaf))
+                        lambda rels: walk(other_menus, 0, rels, leaf), checks)
 
     def assign(k: int, m: int):
         budget.spend()

@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import itertools
+import operator
 import random
 
 import pytest
@@ -475,12 +476,14 @@ def test_transitive_flag_matches_pairwise_definition(seed=5):
 
 _R = Signature((("r", 2),))
 _MIXED = Signature((("p", 1), ("e", 2), ("t", 3)))
+_MARKED_R = Signature((("p", 1), ("r", 2)))
 # ages beyond the catalog: orders without totality, a forbidden structure
 # that is not vertex-transitive, and mixed arities
 _CUSTOM_AGES = {
     "strict_partial_order": AgeSpec(
         _R, (("r", frozenset({"irreflexive", "antisymmetric", "transitive"})),)),
     "preorder": AgeSpec(_R, (("r", frozenset({"transitive"})),)),
+    "marked_preorder": AgeSpec(_MARKED_R, (("r", frozenset({"transitive"})),)),
     "path2_free": AgeSpec(_R, (("r", frozenset({"irreflexive"})),),
                           (Structure.make(_R, 3, {"r": [(0, 1), (1, 2)]}),)),
     "mixed": AgeSpec(_MIXED, (("e", frozenset({"irreflexive", "symmetric"})),), (
@@ -520,7 +523,8 @@ def _labeled_members(name):
 
 @st.composite
 def _placement(draw):
-    """(age name, host or None, part, forced, max_size) over members."""
+    """(age name, host or None, part, constraint, max_size) over members,
+    the constraint pinning part vertices only."""
     name = draw(st.sampled_from(_PLACEMENT_AGES))
     members = _labeled_members(name)
     host = draw(st.sampled_from(members)) if draw(st.booleans()) else None
@@ -533,20 +537,31 @@ def _placement(draw):
         forced = dict(zip(pinned, targets))
     n0 = host.size if host is not None else 0
     max_size = draw(st.none() | st.integers(max(n0, 1), n0 + part.size))
-    return name, host, part, forced, max_size
+    return name, host, part, Constraint(pinned=forced), max_size
 
 
-def _placements(place, case):
-    name, host, part, forced, max_size = case
-    budget = Budget(2000)
+def _placements(place, case, cap=2000):
+    name, host, part, constraint, max_size = case
+    budget = Budget(cap)
     out = []
     try:
-        for h, sigma in place(host, part, _age(name), Constraint(pinned=forced), max_size,
-                              budget=budget):
+        for h, sigma in place(host, part, _age(name), constraint, max_size, budget=budget):
             out.append((h, sigma))
     except ResourceLimitExceeded as exc:
         return out, budget.used, str(exc)
     return out, budget.used, None
+
+
+def _assert_pruned_like(placed, oracle):
+    # forward checking only skips subtrees that hold no member, so the
+    # hosts come in the oracle's order for no more nodes, and a cut
+    # oracle has yielded a prefix of them
+    hosts, used, cut = placed
+    oracle_hosts, oracle_used, oracle_cut = oracle
+    if oracle_cut is None:
+        assert (hosts, cut) == (oracle_hosts, None) and used <= oracle_used
+    else:
+        assert hosts[:len(oracle_hosts)] == oracle_hosts
 
 
 _MIXED_POINT = Structure(_MIXED, 1, ((), (), ()))
@@ -556,16 +571,69 @@ _MIXED_POINT = Structure(_MIXED, 1, ((), (), ()))
 @given(_placement())
 # one fresh point beside a strict partial order: a transitivity violation
 # through the fresh vertex in each of the three triple positions
-@example(("strict_partial_order", Structure(_R, 2, ((),)), Structure(_R, 1, ((),)), {}, None))
+@example(("strict_partial_order", Structure(_R, 2, ((),)), Structure(_R, 1, ((),)),
+          Constraint(), None))
 @example(("strict_partial_order", Structure(_R, 3, (((2, 1),),)), Structure(_R, 1, ((),)),
-          {}, None))
+          Constraint(), None))
 # a forbidden t(0,1,1) that is not vertex-transitive, met at vertex 1 only
-@example(("mixed", _MIXED_POINT, _MIXED_POINT, {}, None))
+@example(("mixed", _MIXED_POINT, _MIXED_POINT, Constraint(), None))
 def test_placement_matches_the_generate_then_member_oracle(case):
     # member hosts and parts: checking only what the fresh vertices can
     # break must keep exactly the completions a full `member` call keeps,
-    # in the same order and for the same node spend
-    assert _placements(place_part, case) == _placements(place_part_oracle, case)
+    # in the same order; outside transitive ages for the same node spend
+    placed, oracle = _placements(place_part, case), _placements(place_part_oracle, case)
+    if any("transitive" in flags for flags in _age(case[0]).axiom_flags()):
+        _assert_pruned_like(placed, oracle)
+    else:
+        assert placed == oracle
+
+
+_TRANSITIVE_AGES = ("linear_order", "strict_partial_order", "marked_preorder")
+
+
+@st.composite
+def _constrained_placement(draw):
+    """(age name, host, part, constraint, max_size) over members of a
+    transitive age and at most 5 vertices in all, the constraint drawing
+    pins, excluded host vertices and required tuples through a part
+    vertex."""
+    name = draw(st.sampled_from(_TRANSITIVE_AGES))
+    members = _labeled_members(name)
+    host = draw(st.sampled_from(members))
+    part = draw(st.sampled_from([s for s in members if host.size + s.size <= 5]))
+    pinned = draw(st.lists(st.integers(0, part.size - 1), unique=True,
+                           max_size=min(part.size, host.size)))
+    targets = draw(st.permutations(range(host.size)))
+    excluded = draw(st.frozensets(st.integers(0, host.size - 1)))
+    entry = st.integers(0, host.size - 1) | st.integers(0, part.size - 1).map(operator.invert)
+    required = []
+    for _ in range(draw(st.integers(0, 3))):
+        si = draw(st.integers(0, len(host.signature.symbols) - 1))
+        arity = host.signature.symbols[si][1]
+        t = draw(st.lists(entry, min_size=arity, max_size=arity))
+        if all(x >= 0 for x in t):  # every required tuple names a part vertex
+            t[draw(st.integers(0, arity - 1))] = ~draw(st.integers(0, part.size - 1))
+        required.append((si, tuple(t), draw(st.booleans())))
+    max_size = draw(st.none() | st.integers(host.size, host.size + part.size))
+    constraint = Constraint(dict(zip(pinned, targets)), excluded, tuple(required))
+    return name, host, part, constraint, max_size
+
+
+@settings(max_examples=150, deadline=None)
+@given(_constrained_placement())
+# required pairs through the fresh image f of part vertex 0 set both
+# pairs of the triangle 0 < 1 < f but not 0 < f: refused before the walk
+@example(("strict_partial_order", Structure(_R, 2, (((0, 1),),)), Structure(_R, 1, ((),)),
+          Constraint({}, frozenset(), ((0, (1, ~0), True), (0, (0, ~0), False),
+                                       (0, (~0, 0), False))), None))
+def test_forward_checked_placement_matches_the_oracle_under_constraints(case):
+    # pins, exclusions and required tuples in transitive ages: transitivity
+    # checked as each pair is set yields exactly the oracle's hosts and
+    # sigmas in its order, for no more nodes
+    placed = _placements(place_part, case, cap=10**6)
+    oracle = _placements(place_part_oracle, case, cap=10**6)
+    assert oracle[2] is None
+    _assert_pruned_like(placed, oracle)
 
 
 _DIGRAPH = catalog_age("digraph").signature
@@ -582,18 +650,19 @@ _STABILITY_PLACEMENTS = {
               2, 3, 5_000),
 }
 # sha256 of every placement's yielded (nodes spent so far, host, sigma)
-# and its nodes spent at exhaustion, in search order
+# and its nodes spent at exhaustion, in search order (the pattern pairs
+# take turns by hosts placed, so that order does not follow the spend)
 _PINNED_PLACEMENTS = {
     "set":
-        "679ceec9452c35e946b072406164931ea0b51faf42fe87c658acf6aa3ce9326f",
+        "61dfa804b70d92093a5344a07b746769a9ccab4889d8f17e950fb2c375370acd",
     "graph":
-        "76263163532ec464c0a3286eda3b7de4df3763dba05bfcbf9f344f1abea86c1d",
+        "57dec0f2991a75af8295cd91f60a538d4e0823e902bdf12f1e18f1dd65a083ea",
     "linear_order":
-        "c3140e25b80f23dcca5e463ae529d312db72e85049beee6f6409966be6b227a4",
+        "4d5f2bbf3226ad1b58f3b3959b53b608c0e3ba921d7ba9df8dd2f30c06fe98f8",
     "digraph":
-        "58c898d00adca164b40486a0f51d6c4c488a2ebe67afe79f95885dfa53878344",
+        "dfb5261cbfebf76a8b5d509c30f3397816b5b6cd846015c88b5982613892f6d0",
     "mixed":
-        "afd41ddfc2433bf44d36d71df5032a59ee87798908f9999712122e2d444a926b",
+        "3c16fee031bae5250b8ef33644b666753a95acc66a8907caa5d95f09b9192733",
 }
 
 

@@ -701,7 +701,7 @@ def test_verify_budget_exit_in_the_pair_search_names_verify(files):
     assert r.returncode == 1, r.stderr  # stable
     r = run_cli(["verify", cert_path, *args, "--node-budget", "500"])
     assert r.returncode == 3
-    assert ("verify: node budget 500 exceeded after deciding 3 of 6 pattern pairs"
+    assert ("verify: node budget 500 exceeded after deciding 1 of 6 pattern pairs"
             in r.stderr), r.stderr
 
 
@@ -1260,6 +1260,12 @@ _PINNED_REPORTS = (
      "f8717c18fe71341c4d5429222c695e15f10a220eff102fb1d5b3b2c8162dcbd3"),
     ("pattern-count --age graph --a K3 --z K2", 0,
      "4a072122d8a8746aa42f86ae3863c1ec25e9982742e8915b350bafa745c17fe6"),
+    # linear-order placements pruned as each pair settles a transitivity
+    # triangle: 377 placements of C6 and the pattern count of C4/C4
+    ("definable-arrow --age linear_order --a C1 --b C2 --c C6 --z C3", 1,
+     "0eb9e0552359f6ceb6c10a5819c8aeaabc45d1afa08431266db90a57f970cc46"),
+    ("pattern-count --age linear_order --a C4 --z C4", 0,
+     "fd781de87ca820ff0a9071d115720a1f8c9d104c2adad20e385b385a7eb7091f"),
     # 122 coherent families along a chain of orders
     ("coherent-partitions --chain C2,C3,C4 --a C2 --max-blocks 3", 0,
      "5b46071e0aad0c806d2b0988674918ba0ef9bd3e46ecc4848ea8767ffe0b1252"),

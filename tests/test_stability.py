@@ -192,12 +192,38 @@ def test_stability_deadline_stops_the_pair_search():
 @pytest.mark.parametrize("first_slice", [16, 64])
 def test_stable_report_nodes_do_not_depend_on_the_slices(monkeypatch, first_slice):
     # a paused pair resumes where it stopped, so a stable report's nodes
-    # are one full search per pair under any slice schedule
+    # are one full search per pair under any slice of hosts
     from arrowbench import stability
 
     monkeypatch.setattr(stability, "_INITIAL_SLICE", first_slice)
     report = stable_up_to(SETS, pure_set(1), pure_set(2), depth=4, budget=nodes())
     assert report.stable and report.nodes_used == 981
+
+
+@pytest.mark.parametrize("spec,a,z,depth", [(GRAPHS, k_graph(1), k_graph(2), 3),
+                                             (ORDERS, chain(2), chain(1), 4)])
+def test_unstable_witness_does_not_depend_on_the_nodes_a_placement_spends(
+        monkeypatch, spec, a, z, depth):
+    # the slices count hosts placed, so a placement that spends more nodes
+    # per host (a slower completion search) leaves the schedule, and so
+    # the witness, as it was
+    from dataclasses import replace
+
+    from arrowbench import stability
+
+    place_part = stability.place_part
+    reports = []
+    for extra in (0, 1000):
+        def costly(*args, budget, extra=extra, **kwargs):
+            for placed in place_part(*args, budget=budget, **kwargs):
+                budget.spend(extra)
+                yield placed
+
+        monkeypatch.setattr(stability, "place_part", costly)
+        report = stable_up_to(spec, a, z, depth, budget=Budget(10**9))
+        assert not report.stable
+        reports.append(replace(report, nodes_used=0))
+    assert reports[0] == reports[1]
 
 
 def test_directed_search_stays_within_small_node_budgets():

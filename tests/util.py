@@ -5,8 +5,9 @@ enumeration filters raw injections, isomorphism tries every bijection,
 structure counting enumerates all labeled structures before deduplicating,
 orderly enumeration completes the tuples at a new vertex by its own
 search rather than through `place_part`, `place_part_oracle`
-re-validates every completion with `member` instead of checking only what
-its fresh vertices can break, `canonical_search_oracle` encodes every
+re-validates every completion with `member` and the constraint instead of
+checking only what its fresh vertices can break as the search goes,
+`canonical_search_oracle` encodes every
 leaf of the canonical search tree instead of skipping the subtrees that a
 found automorphism repeats, `occurrence_table_oracle` scans every tuple
 for each vertex's positions, `search_pair_oracle` places every part
@@ -57,7 +58,7 @@ from arrowbench.structures import (
     relabel,
     serialize_structure,
 )
-from arrowbench.unions import Budget, _pair_states, place_part
+from arrowbench.unions import Budget, Constraint, _pair_states, place_part
 
 GRAPH_SIG = Signature((("edge", 2),))
 ORDER_SIG = Signature((("lt", 2),))
@@ -270,9 +271,10 @@ def enumerate_structures_oracle(spec, n):
 
 
 def place_part_oracle(host, part, spec, constraint=None, max_size=None, *, budget):
-    """Oracle for `place_part` under a constraint that only pins part
-    vertices: the same search, generating every completion and then
-    keeping those that pass `spec.member`."""
+    """Oracle for `place_part`: the same search, pinned part vertices
+    cutting the identification candidates, generating every completion
+    and then keeping those that pass `spec.member` and the constraint's
+    excluded host vertices and required tuples."""
     sig = part.signature
     if host is None:
         n0 = 0
@@ -280,7 +282,8 @@ def place_part_oracle(host, part, spec, constraint=None, max_size=None, *, budge
     else:
         n0 = host.size
         host_rels = [set(t) for t in host.relations]
-    forced = constraint.pinned if constraint is not None else {}
+    constraint = constraint or Constraint()
+    forced = constraint.pinned
     flags_by_symbol = (spec.axiom_flags() if spec is not None
                        else [frozenset()] * len(sig.symbols))
 
@@ -303,6 +306,12 @@ def place_part_oracle(host, part, spec, constraint=None, max_size=None, *, budge
                 if (img in host_rels[si]) != (t in tset):
                     return False
         return True
+
+    def satisfies(cand) -> bool:
+        if any(sigma[i] in constraint.excluded for i in range(p) if i not in forced):
+            return False
+        return all((tuple(x if x >= 0 else sigma[~x] for x in t) in cand.rel_sets[si])
+                   == present for si, t, present in constraint.required)
 
     def candidates(k: int, m: int):
         if k in forced:
@@ -387,7 +396,7 @@ def place_part_oracle(host, part, spec, constraint=None, max_size=None, *, budge
         budget.spend()
         if k == p:
             for cand in completions(m):
-                if spec is None or spec.member(cand):
+                if (spec is None or spec.member(cand)) and satisfies(cand):
                     yield cand, tuple(sigma)
             return
         for w in candidates(k, m):
